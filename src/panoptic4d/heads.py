@@ -259,7 +259,7 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
         return []
     if not np.all(np.isfinite(cost)):
         raise ContractError("assignment cost matrix must be finite")
-    INF = np.inf
+    cost = np.concatenate([np.zeros((n, 1)), cost], axis=1)  # 1-based columns
     u = np.zeros(n + 1)
     v = np.zeros(m + 1)
     match_col = np.zeros(m + 1, dtype=np.int64)  # column -> row (1-based, 0 = free)
@@ -267,29 +267,22 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
-        minv = np.full(m + 1, INF)
+        minv = np.full(m + 1, np.inf)
         used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
+            free = ~used
             i0 = match_col[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            cur = cost[i0 - 1] - u[i0] - v
+            better = free & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            # first minimum over the free columns: the lowest column wins ties
+            j1 = int(np.argmin(np.where(free, minv, np.inf)))
+            delta = minv[j1]
+            u[match_col[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break

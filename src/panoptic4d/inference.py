@@ -8,13 +8,15 @@ overlapping windows so a whole sequence gets consistent tracks.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
 from .sequence import ScanSequence
@@ -133,47 +135,164 @@ def _window_points(pred: WindowPrediction, cloud: SuperimposedCloud, frames: lis
 def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Textbook DBSCAN: returns a cluster id per point, -1 for noise.
 
-    A point is core when it has at least min_pts neighbors within eps,
-    itself included. Scanning follows input order, so border points go to the
-    first cluster that reaches them.
+    Points p and q are neighbors when ((p - q) ** 2).sum() <= eps * eps. A
+    point is core when it has at least min_pts neighbors, itself included.
+    Clusters are the connected components of the core-core neighbor graph,
+    numbered by their smallest core index, and a border point joins the
+    lowest-numbered cluster among its core neighbors: the labels of a scan in
+    input order (Ester et al., KDD 1996).
+
+    Neighbors are found through a hash grid with cells of edge >= eps (Gan
+    and Tao, SIGMOD 2015) and streamed in bounded batches: once to count
+    degrees, once to join core points and collect border points. No (n, n)
+    array and no list of all neighbor pairs is built, so memory is
+    O(n * min_pts) however dense the cloud.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     if min_pts < 1:
         raise ParameterError("min_pts must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
-    labels = np.zeros(n, dtype=np.int64)  # 0 = unvisited
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ParameterError(
+            f"{int((~finite).sum())} of {n} points have non-finite coordinates, "
+            f"first at index {int(np.argmin(finite))}"
+        )
     if n == 0:
-        return labels
+        return np.zeros(0, dtype=np.int64)
 
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    neighbor = d2 <= eps * eps
-    neighbor_lists = [np.flatnonzero(neighbor[i]) for i in range(n)]
-    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+    neighbor_pairs = _grid_neighbor_pairs(points, eps * eps)
+    # Every point neighbors itself, so with min_pts == 1 all are core and
+    # the degrees need not be counted.
+    core = np.ones(n, dtype=bool)
+    if min_pts > 1:
+        degree = np.ones(n, dtype=np.int64)
+        for i, j in neighbor_pairs():
+            degree += np.bincount(i, minlength=n)
+            degree += np.bincount(j, minlength=n)
+        core = degree >= min_pts
 
-    cluster = 0
-    for i in range(n):
-        if labels[i] != 0:
-            continue
-        if not is_core[i]:
-            labels[i] = -1
-            continue
-        cluster += 1
-        labels[i] = cluster
-        queue = list(neighbor_lists[i])
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            if labels[j] == -1:  # border, previously flagged as noise
-                labels[j] = cluster
-            if labels[j] != 0:
-                continue
-            labels[j] = cluster
-            if is_core[j]:
-                queue.extend(neighbor_lists[j])
+    # A border point has fewer than min_pts neighbors, so at most
+    # n * (min_pts - 1) (border, core) pairs are kept.
+    root = np.arange(n)
+    border, reached_from = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i, j in neighbor_pairs():
+        both = core[i] & core[j]
+        _join(root, i[both], j[both])
+        to_i = ~core[i] & core[j]
+        to_j = core[i] & ~core[j]
+        border += [i[to_i], j[to_j]]
+        reached_from += [j[to_i], i[to_j]]
+
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core] = np.unique(root[core], return_inverse=True)[1] + 1
+    none = np.iinfo(np.int64).max
+    lowest = np.full(n, none)
+    np.minimum.at(lowest, np.concatenate(border), labels[np.concatenate(reached_from)])
+    reached = lowest != none
+    labels[reached] = lowest[reached]
     return labels
+
+
+# Forward half of the 27-cell neighbourhood: every pair of distinct adjacent
+# cells is visited once, from the cell with the smaller key.
+_FORWARD_OFFSETS = [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0)]
+# Candidate pairs tested at once; bounds the temporaries of a dense cloud.
+_PAIR_BATCH = 1 << 17
+
+
+def _grid_neighbor_pairs(points: np.ndarray, eps2):
+    """Hash points into a grid; returns a function that yields, in batches,
+    every unordered pair (i, j), i != j, with ((p_i - p_j) ** 2).sum() <= eps2."""
+    n = points.shape[0]
+    # A pair that passes the test is less than one cell edge apart on every
+    # axis, even after rounding in the test and in points / edge, so it lies
+    # in adjacent cells. The relative margin covers rounding near eps, the
+    # absolute term coordinates far from the origin, and the floor an eps2
+    # that underflowed.
+    radius = max(math.sqrt(eps2), 2.0**-480)
+    edge = radius * (1 + 2.0**-20) + float(np.abs(points).max()) * 2.0**-50
+    cells = np.floor(points / edge).astype(np.int64)
+    # Close the gaps between occupied coordinates to at most 2 along each
+    # axis: adjacency is unchanged and every coordinate lies in 1..2n-1.
+    for k in range(3):
+        occupied, inverse = np.unique(cells[:, k], return_inverse=True)
+        steps = np.minimum(np.diff(occupied), 2)
+        cells[:, k] = np.concatenate(([1], 1 + np.cumsum(steps)))[inverse]
+    radix = [int(r) for r in cells.max(axis=0) + 2]
+    if radix[0] * radix[1] * radix[2] >= 2**63:
+        raise CapacityError(f"{n} points span too many grid cells for int64 keys")
+    key = (cells[:, 0] * radix[1] + cells[:, 1]) * radix[2] + cells[:, 2]
+
+    order = np.argsort(key, kind="stable")
+    x, y, z = (np.ascontiguousarray(c) for c in points[order].T)
+    cell_key, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    cell_of = np.repeat(np.arange(cell_key.size), count)  # per sorted position
+    end = start + count
+
+    # Each row tests the point at sorted position `at` against the positions
+    # lo..hi-1: the later points of its own cell, then each forward neighbor
+    # cell in turn.
+    at, lo, hi = [np.arange(n)], [np.arange(1, n + 1)], [end[cell_of]]
+    for dx, dy, dz in _FORWARD_OFFSETS:
+        target = cell_key + (dx * radix[1] + dy) * radix[2] + dz
+        found = np.minimum(np.searchsorted(cell_key, target), cell_key.size - 1)
+        rows = np.flatnonzero((cell_key[found] == target)[cell_of])
+        at.append(rows)
+        lo.append(start[found[cell_of[rows]]])
+        hi.append(end[found[cell_of[rows]]])
+    at, lo, hi = (np.concatenate(v) for v in (at, lo, hi))
+    nonempty = hi > lo
+    at, lo, width = at[nonempty], lo[nonempty], (hi - lo)[nonempty]
+
+    def pairs():
+        for rows in _row_batches(width):
+            w = width[rows]
+            a = np.repeat(at[rows], w)
+            # b runs through lo, lo + 1, ..., hi - 1 of each row in turn
+            b = np.arange(a.size) + np.repeat(lo[rows] - np.cumsum(w) + w, w)
+            # summed in the order of ((p_i - p_j) ** 2).sum(), so bit for bit equal
+            d2 = (x[a] - x[b]) ** 2
+            d2 += (y[a] - y[b]) ** 2
+            d2 += (z[a] - z[b]) ** 2
+            keep = d2 <= eps2
+            yield order[a[keep]], order[b[keep]]
+
+    return pairs
+
+
+def _row_batches(count: np.ndarray):
+    """Consecutive row slices holding at most _PAIR_BATCH candidates each
+    (or a single row)."""
+    total = np.cumsum(count)
+    first = 0
+    while first < count.size:
+        done = total[first - 1] if first else 0
+        last = max(int(np.searchsorted(total, done + _PAIR_BATCH, side="right")), first + 1)
+        yield slice(first, last)
+        first = last
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge, in place, the components that edges (a, b) join.
+
+    root maps every node to the smallest node of its component so far. Each
+    edge hooks the larger of its two roots onto the smaller one; pointer
+    jumping then flattens the trees again, and edges inside one tree are
+    dropped, until no edge joins two trees.
+    """
+    while a.size:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root[:] = up
 
 
 def split_non_compact(
@@ -211,9 +330,8 @@ def split_non_compact(
         if noise.any():
             d = np.linalg.norm(pts[noise][:, None, :] - centroids[None, :, :], axis=2)
             cl[noise] = np.array(cluster_ids)[d.argmin(axis=1)]
-        remap = {c: nxt + k for k, c in enumerate(cluster_ids)}
+        new_inst[idx] = nxt + np.searchsorted(cluster_ids, cl)
         nxt += len(cluster_ids)
-        new_inst[idx] = np.array([remap[int(c)] for c in cl])
     return _point_labels_to_window(cloud, frames, sem, new_inst)
 
 
@@ -274,36 +392,37 @@ def stitch(
     shared = [f for f in shared_frames if prev.covers(f) and f in nxt.instance]
     if not shared:
         raise ContractError("stitch requires at least one shared frame")
-    overlap: dict[tuple[int, int], int] = {}
+    pg_parts, nl_parts = [], []
     for f in shared:
         a = prev.instance[f]
         b = nxt.instance[f]
         if a.shape != b.shape:
             raise ContractError(f"shared frame {f} has mismatched point counts")
         both = (a > 0) & (b > 0)
-        for pg, nl in zip(a[both], b[both]):
-            overlap[(int(pg), int(nl))] = overlap.get((int(pg), int(nl)), 0) + 1
+        pg_parts.append(a[both].astype(np.int64))
+        nl_parts.append(b[both].astype(np.int64))
+    pg = np.concatenate(pg_parts)
+    nl = np.concatenate(nl_parts)
 
     locals_ = nxt.local_ids()
-    prevs = sorted({pg for pg, _ in overlap})
     mapping: dict[int, int] = {}
-    if overlap:
-        counts = np.zeros((len(prevs), len(locals_)))
-        p_pos = {p: i for i, p in enumerate(prevs)}
-        l_pos = {l: i for i, l in enumerate(locals_)}
-        for (pg, nl), c in overlap.items():
-            counts[p_pos[pg], l_pos[nl]] = c
+    if pg.size:
+        # overlap counts of (previous id, local id) pairs via packed keys
+        radix = int(nl.max()) + 1
+        pair, overlap = np.unique(pg * radix + nl, return_counts=True)
+        prevs, p_idx = np.unique(pair // radix, return_inverse=True)
+        l_idx = np.searchsorted(locals_, pair % radix)
+        counts = np.zeros((prevs.size, len(locals_)))
+        counts[p_idx, l_idx] = overlap
         from .heads import solve_assignment
 
-        if len(prevs) <= len(locals_):
+        if prevs.size <= len(locals_):
             pairs = solve_assignment(-counts)
-            chosen = [(prevs[i], locals_[j]) for i, j in pairs]
         else:
-            pairs = solve_assignment(-counts.T)
-            chosen = [(prevs[j], locals_[i]) for i, j in pairs]
-        for pg, nl in chosen:
-            if overlap.get((pg, nl), 0) >= 1:
-                mapping[nl] = pg
+            pairs = [(i, j) for j, i in solve_assignment(-counts.T)]
+        for i, j in pairs:
+            if counts[i, j] >= 1:
+                mapping[locals_[j]] = int(prevs[i])
     for nl in locals_:
         if nl not in mapping:
             mapping[nl] = next_free_id
@@ -353,14 +472,12 @@ def run_sequence(
         else:
             mapping, next_free_id = stitch(result, pred, shared, next_free_id)
         log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
+        lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
+        lookup[list(mapping)] = list(mapping.values())
         for f in frames:
             inst = pred.instance[f]
-            remapped = np.zeros_like(inst)
-            pos = inst > 0
-            if pos.any():
-                remapped[pos] = np.array([mapping[int(i)] for i in inst[pos]])
             result.semantic[f] = pred.semantic[f].copy()
-            result.instance[f] = remapped
+            result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
             if f not in result.frames:
                 result.frames.append(f)
     result.frames.sort()

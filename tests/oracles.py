@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 
+from panoptic4d.errors import CapacityError, ContractError, ParameterError
+
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Minimum-cost injection of rows into columns by trying every permutation."""
@@ -26,6 +28,65 @@ def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[tuple[int, int
             best_total = total
             best = [(r, c) for r, c in enumerate(perm)]
     return best_total, best
+
+
+# The package's original column-by-column shortest augmenting path solver,
+# kept verbatim as the reference for the vectorized one: same pairs, same
+# tie-breaking.
+def scalar_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-cost one-to-one assignment of rows to columns (rows <= cols).
+
+    Shortest augmenting path formulation with row/column potentials; returns
+    (row, column) pairs sorted by row.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    if n > m:
+        raise CapacityError(f"assignment needs rows <= cols, got {cost.shape}")
+    if n == 0:
+        return []
+    if not np.all(np.isfinite(cost)):
+        raise ContractError("assignment cost matrix must be finite")
+    INF = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    match_col = np.zeros(m + 1, dtype=np.int64)  # column -> row (1-based, 0 = free)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = np.full(m + 1, INF)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = INF
+            j1 = -1
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    pairs = [(int(match_col[j]) - 1, j - 1) for j in range(1, m + 1) if match_col[j]]
+    return sorted(pairs)
 
 
 def brute_force_max_assignment(weight: np.ndarray) -> float:
@@ -102,6 +163,54 @@ def reference_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray
         candidates = [cluster_of_root[find(j)] for j in neigh[i] if j in core_set]
         if candidates:
             labels[i] = min(candidates)
+    return labels
+
+
+# The package's original O(n^2) DBSCAN, kept verbatim as the reference the
+# grid-hashed implementation must reproduce label for label.
+def quadratic_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Textbook DBSCAN: returns a cluster id per point, -1 for noise.
+
+    A point is core when it has at least min_pts neighbors within eps,
+    itself included. Scanning follows input order, so border points go to the
+    first cluster that reaches them.
+    """
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    if min_pts < 1:
+        raise ParameterError("min_pts must be >= 1")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = points.shape[0]
+    labels = np.zeros(n, dtype=np.int64)  # 0 = unvisited
+    if n == 0:
+        return labels
+
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    neighbor = d2 <= eps * eps
+    neighbor_lists = [np.flatnonzero(neighbor[i]) for i in range(n)]
+    is_core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
+
+    cluster = 0
+    for i in range(n):
+        if labels[i] != 0:
+            continue
+        if not is_core[i]:
+            labels[i] = -1
+            continue
+        cluster += 1
+        labels[i] = cluster
+        queue = list(neighbor_lists[i])
+        qi = 0
+        while qi < len(queue):
+            j = queue[qi]
+            qi += 1
+            if labels[j] == -1:  # border, previously flagged as noise
+                labels[j] = cluster
+            if labels[j] != 0:
+                continue
+            labels[j] = cluster
+            if is_core[j]:
+                queue.extend(neighbor_lists[j])
     return labels
 
 

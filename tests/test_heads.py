@@ -22,7 +22,7 @@ from panoptic4d.heads import (
 )
 from panoptic4d.sequence import ClassMap
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, scalar_assignment
 
 
 def output_from_arrays(heat, class_logits, boxes=None):
@@ -131,6 +131,14 @@ class TestSolveAssignment:
     def test_infinite_cost_rejected(self):
         with pytest.raises(ContractError):
             solve_assignment(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+
+    def test_matches_scalar_reference_with_ties(self):
+        for seed in range(60):
+            rng = np.random.default_rng(200 + seed)
+            n = int(rng.integers(1, 16))
+            m = int(rng.integers(n, 40))
+            cost = rng.integers(0, 4, size=(n, m)).astype(float)
+            assert solve_assignment(cost) == scalar_assignment(cost)
 
 
 class TestHungarianMatch:

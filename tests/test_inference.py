@@ -1,5 +1,11 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panoptic4d.autodiff import Tensor
 from panoptic4d.errors import ContractError, ParameterError
@@ -15,7 +21,7 @@ from panoptic4d.inference import (
     stitch,
 )
 
-from oracles import brute_force_max_assignment, reference_dbscan
+from oracles import brute_force_max_assignment, quadratic_dbscan, reference_dbscan
 
 CLASS_IDS = np.array([1, 2, 3])  # 1, 2 things; 3 stuff
 THING_INDEX = np.array([True, True, False])
@@ -123,6 +129,52 @@ class TestExtractPanoptic:
         assert pred.semantic[0].shape == (2,)
 
 
+def _grid_clouds() -> dict[str, tuple[np.ndarray, float]]:
+    """Seeded clouds where a hash grid could go wrong, keyed by name."""
+    rng = np.random.default_rng(11)
+    eps = 0.7
+    axis = np.arange(-3, 4) * eps
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    faces = rng.uniform(-2, 2, size=(240, 3))
+    face_axis = rng.integers(0, 3, size=240)
+    faces[np.arange(240), face_axis] = rng.integers(-3, 4, size=240) * eps
+    base = rng.uniform(-1, 1, size=(40, 3))
+    duplicates = base[rng.integers(0, 40, size=160)]
+    # pairs whose distance rounds to exactly eps although the true distance
+    # is larger: floor(p / eps) puts them two cells apart
+    straddle = np.array(
+        [[-1e-17, 0, 0], [eps, 0, 0], [9, -1e-17, 9], [9, eps, 9], [20, 20, -1e-17], [20, 20, eps]]
+    )
+    # isolated (center, point at distance eps) pairs: the neighbor test is
+    # decided by the last bit of the squared distance
+    centers = np.stack(np.meshgrid(*[np.arange(6) * 4 * eps] * 3, indexing="ij"), -1).reshape(-1, 3)
+    centers += rng.uniform(0, eps, size=centers.shape)
+    directions = rng.normal(size=centers.shape)
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    shells = np.concatenate([centers, centers + eps * directions])
+    far = rng.normal(scale=0.5, size=(60, 3)) + np.repeat(
+        np.array([[0, 0, 0], [1e9, -1e9, 1e9], [-1e9, 1e9, 5e8]]), 20, axis=0
+    )
+    return {
+        "empty": (np.zeros((0, 3)), eps),
+        "single": (np.array([[0.3, -1.2, 4.0]]), eps),
+        "lattice_spacing_eps": (lattice, eps),
+        "lattice_spacing_one": (lattice / eps, 1.0),
+        "cell_faces": (faces, eps),
+        "duplicates": (duplicates, eps),
+        "negative": (rng.uniform(-6, -2, size=(200, 3)), eps),
+        "offset_1e4": (rng.uniform(0, 3, size=(200, 3)) + 1e4, eps),
+        "offset_minus_1e4": (rng.normal(size=(200, 3)) - 1e4, eps),
+        "lattice_offset_1e4": (lattice + 1e4, eps),
+        "straddle_zero": (straddle, eps),
+        "shells": (shells, eps),
+        "far_apart": (far, eps),
+    }
+
+
+GRID_CLOUDS = _grid_clouds()
+
+
 class TestDbscan:
     def test_two_close_points(self):
         labels = dbscan(np.array([[0.0, 0, 0], [0.5, 0, 0]]), eps=1.0, min_pts=1)
@@ -173,6 +225,61 @@ class TestDbscan:
             dbscan(np.zeros((2, 3)), eps=0.0, min_pts=1)
         with pytest.raises(ParameterError):
             dbscan(np.zeros((2, 3)), eps=1.0, min_pts=0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ParameterError, match="finite"):
+            dbscan(np.zeros((2, 3)), eps=eps, min_pts=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            dbscan(pts, eps=1.0, min_pts=1)
+
+    @pytest.mark.parametrize("min_pts", [1, 3, 8])
+    @pytest.mark.parametrize("cloud", sorted(GRID_CLOUDS))
+    def test_matches_quadratic_dbscan(self, cloud, min_pts):
+        pts, eps = GRID_CLOUDS[cloud]
+        np.testing.assert_array_equal(
+            dbscan(pts, eps, min_pts), quadratic_dbscan(pts, eps, min_pts)
+        )
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        pts=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 60), st.just(3)),
+            elements=st.one_of(
+                st.floats(-4, 4),
+                st.integers(-12, 12).map(lambda k: k * 0.25),  # lattice points
+            ),
+        ),
+        eps=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+        min_pts=st.integers(1, 8),
+    )
+    def test_property_matches_quadratic_dbscan(self, pts, eps, min_pts):
+        np.testing.assert_array_equal(
+            dbscan(pts, eps, min_pts), quadratic_dbscan(pts, eps, min_pts)
+        )
+
+    @pytest.mark.parametrize(
+        "n, box",
+        [(50_000, (40.0, 40.0, 40.0)), (10_000, (4.5, 1.8, 1.5))],
+        ids=["50k_in_40m_cube", "10k_in_car_box"],
+    )
+    def test_peak_memory_bounded(self, n, box):
+        # the car box holds about 9 * 10**6 neighbor pairs at eps = 1
+        pts = np.random.default_rng(0).uniform(0, 1, size=(n, 3)) * np.array(box)
+        tracemalloc.start()
+        try:
+            labels = dbscan(pts, eps=1.0, min_pts=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (n,)
+        assert peak < 64 * 2**20
 
 
 def prediction_from_labels(cloud, frames, sem, inst):
@@ -328,6 +435,31 @@ class TestStitch:
                 if g in prevs
             )
             assert got_weight == pytest.approx(brute_force_max_assignment(counts))
+
+    def test_sparse_ids_over_two_shared_frames(self):
+        rng = np.random.default_rng(9)
+        prev = PanopticPrediction()
+        nxt = WindowPrediction(frames=[4, 5], semantic={}, instance={})
+        for f in (4, 5):
+            prev.frames.append(f)
+            prev.semantic[f] = nxt.semantic[f] = np.ones(50, dtype=np.int64)
+            prev.instance[f] = rng.choice([0, 3, 17, 400, 65000], size=50)
+            nxt.instance[f] = rng.choice([0, 2, 9, 31], size=50)
+        mapping, free = stitch(prev, nxt, [4, 5], next_free_id=70000)
+
+        overlap = collections.Counter(
+            (int(p), int(l))
+            for f in (4, 5)
+            for p, l in zip(prev.instance[f], nxt.instance[f])
+            if p > 0 and l > 0
+        )
+        prevs = sorted({p for p, _ in overlap})
+        locals_ = [2, 9, 31]
+        counts = np.array([[overlap[(p, l)] for l in locals_] for p in prevs], dtype=float)
+        assert sorted(mapping) == locals_
+        got_weight = sum(overlap[(g, l)] for l, g in mapping.items())
+        assert got_weight == brute_force_max_assignment(counts.T)  # more tracks than locals
+        assert sorted(g for g in mapping.values() if g >= 70000) == list(range(70000, free))
 
     def test_idempotent(self):
         prev = self.prev_with(2, [1, 1, 2, 2, 0])
