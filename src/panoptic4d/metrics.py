@@ -7,12 +7,18 @@ point set over all frames (things only), a predicted tube likewise for each
 predicted instance id. The association score averages, over ground-truth
 tubes, the size-normalized sum of |overlap| * IoU against every predicted tube
 that touches it.
+
+Points are counted with np.unique / np.bincount on packed integer keys, one
+block of consecutive frames at a time, so memory stays bounded on long
+sequences. Floating-point sums keep the order of the per-point loops this
+replaced (kept as test oracles), so every report is bit-identical to theirs.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,13 +47,27 @@ class SequenceLabels:
         )
 
     def check_coverage(self, other: "SequenceLabels") -> None:
+        """Both sides label the same frames, each frame with one-dimensional
+        integer semantic and instance arrays of one length."""
         if self.frames != other.frames:
             raise ContractError(
                 f"frame sets differ: {self.frames} vs {other.frames}"
             )
         for f in self.frames:
-            if self.semantic[f].shape != other.semantic[f].shape:
-                raise ContractError(f"frame {f}: point counts differ")
+            arrays = [
+                labels.get(f)
+                for labels in (self.semantic, self.instance, other.semantic, other.instance)
+            ]
+            if any(a is None for a in arrays):
+                raise ContractError(f"frame {f}: labels missing")
+            shapes = [np.shape(a) for a in arrays]
+            if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+                raise ContractError(
+                    f"frame {f}: labels must be 1-D arrays of one length, got semantic "
+                    f"{shapes[0]}, instance {shapes[1]} vs semantic {shapes[2]}, instance {shapes[3]}"
+                )
+            if any(np.asarray(a).dtype.kind not in "iu" for a in arrays):
+                raise ContractError(f"frame {f}: labels must be integer arrays")
 
 
 @dataclass
@@ -82,26 +102,101 @@ class MetricReport:
         return f"{header}\n{values}"
 
 
-def _valid(pred_sem: np.ndarray, gt_sem: np.ndarray) -> np.ndarray:
-    return gt_sem != IGNORE_LABEL
+# Labels are counted over runs of consecutive frames holding at most this
+# many points (a larger frame forms a run alone), so the working memory of
+# every metric stays bounded however long the sequence is.
+_BLOCK_POINTS = 1 << 16
+
+
+class _Block(NamedTuple):
+    """Consecutive frames of a sequence."""
+
+    start: int  # index of the block's first point in the whole sequence
+    begin: int  # position of the block's first frame in the frame list
+    frames: list[int]
+    frame: np.ndarray  # each point's frame, counted from the block's first
+
+    def cat(self, labels: dict[int, np.ndarray]) -> np.ndarray:
+        """The block's labels from one per-frame dict, concatenated as int64."""
+        return np.concatenate([labels[f] for f in self.frames], dtype=np.int64)
+
+
+def _blocks(gt: SequenceLabels) -> Iterator[_Block]:
+    """The sequence in frame order as blocks of at most _BLOCK_POINTS points."""
+    sizes = [len(gt.semantic[f]) for f in gt.frames]
+    begin = start = 0
+    while begin < len(sizes):
+        end, total = begin + 1, sizes[begin]
+        while end < len(sizes) and total + sizes[end] <= _BLOCK_POINTS:
+            total += sizes[end]
+            end += 1
+        yield _Block(
+            start, begin, gt.frames[begin:end], np.repeat(np.arange(end - begin), sizes[begin:end])
+        )
+        begin, start = end, start + total
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Groups of equal keys in ascending key order: the index of each group's
+    first element, the group sizes, and the group of every element."""
+    keys, sizes = np.unique(key, return_counts=True)
+    group = np.searchsorted(keys, key)
+    first = np.full(keys.size, key.size, dtype=np.int64)
+    np.minimum.at(first, group, np.arange(key.size))
+    return first, sizes, group
+
+
+def _pack(
+    major: np.ndarray, minor: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
+    """Collision-free int64 keys ordered like the pairs (major, minor), and
+    the function that turns keys back into pairs.
+
+    The strides come from the value ranges; when the ranges are too wide for
+    int64 keys, each side is first replaced by the ranks of its values.
+    """
+    if major.size == 0:
+        return major, lambda key: (key, key)
+    lo_a, lo_b = int(major.min()), int(minor.min())
+    span_b = int(minor.max()) - lo_b + 1
+    if (int(major.max()) - lo_a + 1) * span_b < 1 << 63:
+        key = major - lo_a
+        key *= span_b
+        key += minor - lo_b
+        return key, lambda key: (key // span_b + lo_a, key % span_b + lo_b)
+    values_a, rank_a = np.unique(major, return_inverse=True)
+    values_b, rank_b = np.unique(minor, return_inverse=True)
+    span_b = values_b.size
+    return rank_a * span_b + rank_b, lambda key: (values_a[key // span_b], values_b[key % span_b])
+
+
+def _class_index(class_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in class_ids (the last one if repeated), -1 where absent."""
+    if class_ids.size == 0:
+        return np.full(values.shape, -1)
+    order = np.argsort(class_ids, kind="stable")
+    ordered = class_ids[order]
+    pos = np.searchsorted(ordered, values, side="right") - 1
+    # pos = -1 reads the largest id, which a value below the smallest cannot equal
+    return np.where(ordered[pos] == values, order[pos], -1)
 
 
 def confusion_matrix(
     pred: SequenceLabels, gt: SequenceLabels, class_ids: list[int]
 ) -> np.ndarray:
     """(C, C) counts of (gt class, pred class), ignore-labeled points excluded."""
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    c = len(class_ids)
-    mat = np.zeros((c, c), dtype=np.int64)
-    for f in gt.frames:
-        g = gt.semantic[f]
-        p = pred.semantic[f]
-        keep = _valid(p, g)
-        for gi, pi in zip(g[keep], p[keep]):
-            gi, pi = int(gi), int(pi)
-            if gi in index and pi in index:
-                mat[index[gi], index[pi]] += 1
-    return mat
+    ids = np.asarray(class_ids, dtype=np.int64)
+    c = ids.size
+    counts = np.zeros(c * c, dtype=np.int64)
+    for block in _blocks(gt):
+        gt_sem = block.cat(gt.semantic)
+        keep = np.flatnonzero(gt_sem != IGNORE_LABEL)
+        key, unpack = _pack(gt_sem[keep], block.cat(pred.semantic)[keep])
+        key, size = np.unique(key, return_counts=True)
+        g, p = (_class_index(ids, v) for v in unpack(key))
+        known = (g >= 0) & (p >= 0)
+        np.add.at(counts, g[known] * c + p[known], size[known])
+    return counts.reshape(c, c)
 
 
 def s_cls(
@@ -131,16 +226,6 @@ def s_cls(
     return miou, per_class, iou_st, iou_th
 
 
-def _tubes(labels: SequenceLabels, select: dict[int, np.ndarray]) -> dict[int, int]:
-    """Tube sizes: instance id -> point count over selected points per frame."""
-    sizes: dict[int, int] = {}
-    for f in labels.frames:
-        inst = labels.instance[f][select[f]]
-        for i, c in zip(*np.unique(inst[inst > 0], return_counts=True)):
-            sizes[int(i)] = sizes.get(int(i), 0) + int(c)
-    return sizes
-
-
 def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
     """Class-agnostic association quality over whole-sequence tubes.
 
@@ -148,41 +233,65 @@ def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> fl
     with |p n t| > 0 of |p n t| * IoU(p, t); the final score averages over
     tubes uniformly. Predicted tube sizes count all points carrying that
     predicted instance id. 1.0 (with a warning) when there are no gt tubes.
+
+    Floating-point sums keep a fixed order: each tube sums its terms in the
+    order its (gt, pred) pairs first occur, and the tubes are summed in
+    order of (first frame, gt id).
     """
     gt.check_coverage(pred)
-    thing_set = set(class_map.thing_ids)
-    gt_select = {}
-    pred_select = {}
-    for f in gt.frames:
-        g_sem = gt.semantic[f]
-        valid = g_sem != IGNORE_LABEL
-        gt_select[f] = valid & np.isin(g_sem, list(thing_set)) & (gt.instance[f] > 0)
-        pred_select[f] = valid & (pred.instance[f] > 0)
-    gt_sizes = _tubes(gt, gt_select)
-    pred_sizes = _tubes(pred, pred_select)
+    things = np.asarray(class_map.thing_ids, dtype=np.int64)
+    tubes, pred_tubes, pairs = [], [], []
+    for block in _blocks(gt):
+        gt_sem, gt_inst, pred_inst = map(block.cat, (gt.semantic, gt.instance, pred.instance))
+        valid = gt_sem != IGNORE_LABEL
+        g_sel = valid & np.isin(gt_sem, things, kind="sort") & (gt_inst > 0)
+        p_sel = valid & (pred_inst > 0)
+        idx = np.flatnonzero(g_sel)
+        key, unpack = _pack(gt_inst[idx], block.begin + block.frame[idx])
+        key, size = np.unique(key, return_counts=True)
+        tubes.append((*unpack(key), size))  # per (tube, frame), ascending
+        pred_tubes.append(np.unique(pred_inst[np.flatnonzero(p_sel)], return_counts=True))
+        idx = np.flatnonzero(g_sel & p_sel)
+        g, p = gt_inst[idx], pred_inst[idx]
+        first, size, _ = _group(_pack(g, p)[0])
+        pairs.append((g[first], p[first], size, block.start + idx[first]))
 
-    overlap: dict[tuple[int, int], int] = {}
-    for f in gt.frames:
-        both = gt_select[f] & pred_select[f]
-        g = gt.instance[f][both]
-        p = pred.instance[f][both]
-        for gi, pi in zip(g, p):
-            key = (int(gi), int(pi))
-            overlap[key] = overlap.get(key, 0) + 1
-
-    if not gt_sizes:
+    if not sum(t[0].size for t in tubes):
         warnings.warn("no ground-truth thing tubes; association score defined as 1.0")
         return 1.0
+    # Merge the blocks; a key's first entry comes from the earliest block.
+    t_id, t_frame, t_size = _concat(tubes)
+    first, t_size = _merge(t_id, t_size)
+    t_id, t_frame = t_id[first], t_frame[first]
+    p_id, p_size = _concat(pred_tubes)
+    first, p_size = _merge(p_id, p_size)
+    p_id = p_id[first]
+    pair_g, pair_p, overlap, seen = _concat(pairs)
+    first, overlap = _merge(_pack(pair_g, pair_p)[0], overlap)
+    order = np.argsort(seen[first])
+    pair_g, pair_p, overlap = pair_g[first][order], pair_p[first][order], overlap[order]
+
+    tube = np.searchsorted(t_id, pair_g)
+    union = t_size[tube] + p_size[np.searchsorted(p_id, pair_p)] - overlap
+    inner = np.bincount(tube, weights=overlap * (overlap / union), minlength=t_id.size)
     total = 0.0
-    for t, t_size in gt_sizes.items():
-        inner = 0.0
-        for (gi, pi), ov in overlap.items():
-            if gi != t:
-                continue
-            union = t_size + pred_sizes[pi] - ov
-            inner += ov * (ov / union)
-        total += inner / t_size
-    return total / len(gt_sizes)
+    for value in (inner / t_size)[np.lexsort((t_id, t_frame))].tolist():
+        total += value
+    return total / t_id.size
+
+
+def _concat(tables: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """Column-wise concatenation of per-block tables."""
+    return [np.concatenate(column) for column in zip(*tables)]
+
+
+def _merge(key: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each distinct key's first entry (keys ascending) and the
+    summed counts per key."""
+    first, _, group = _group(key)
+    total = np.zeros(first.size, dtype=np.int64)
+    np.add.at(total, group, counts)
+    return first, total
 
 
 def lstq(s_cls_value: float, s_assoc_value: float) -> float:
@@ -197,28 +306,54 @@ def lstq(s_cls_value: float, s_assoc_value: float) -> float:
 # panoptic quality (single scans)
 
 
-def _scan_segments(
-    sem: np.ndarray, inst: np.ndarray, class_map: ClassMap, valid: np.ndarray
-) -> dict[tuple[int, int], np.ndarray]:
-    """Segments of one scan: thing instances plus one segment per stuff class.
+def _segments(
+    frame: np.ndarray, sem: np.ndarray, inst: np.ndarray, valid: np.ndarray, class_map: ClassMap
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Segments of the scans of one block: thing instances plus one segment
+    per stuff class, ordered by (frame, class, instance id).
 
-    Keys are (class id, instance id or 0); values are point index arrays.
+    Returns each point's segment key (-1 outside every segment), the sorted
+    segment keys, and each segment's (frame, class) cell, numbered
+    frame * C + class index, and size.
     """
-    segments: dict[tuple[int, int], np.ndarray] = {}
-    for cid in class_map.all_ids:
-        sel = (sem == cid) & valid
-        if not sel.any():
-            continue
-        if class_map.is_thing(cid):
-            sub = inst[sel]
-            idx = np.flatnonzero(sel)
-            for i in np.unique(sub):
-                if i <= 0:
-                    continue
-                segments[(cid, int(i))] = idx[sub == i]
-        else:
-            segments[(cid, 0)] = np.flatnonzero(sel)
-    return segments
+    thing = np.isin(sem, class_map.thing_ids, kind="sort")
+    stuff = np.isin(sem, class_map.stuff_ids, kind="sort")
+    member = np.flatnonzero(valid & ((thing & (inst > 0)) | stuff))
+    frame_class, unpack_frame_class = _pack(frame[member], sem[member])
+    key, unpack = _pack(frame_class, np.where(thing[member], inst[member], 0))
+    keys, size = np.unique(key, return_counts=True)
+    point_key = np.full(sem.size, -1, dtype=np.int64)
+    point_key[member] = key
+    seg_frame, seg_class = unpack_frame_class(unpack(keys)[0])
+    cell = seg_frame * class_map.num_classes + np.searchsorted(class_map.all_ids, seg_class)
+    return point_key, keys, cell, size
+
+
+def _scan_stats(
+    pred_sem, pred_inst, gt_sem, gt_inst, frame, num_frames, class_map
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-(frame, class) panoptic statistics of the scans of one block, as
+    (num_frames, C) arrays: sum of matched IoU, TP, FP, FN. Matched IoUs are
+    summed in gt instance order."""
+    shape = (num_frames, class_map.num_classes)
+    cells = num_frames * class_map.num_classes
+    valid = gt_sem != IGNORE_LABEL
+    g_key, g_keys, g_cell, g_size = _segments(frame, gt_sem, gt_inst, valid, class_map)
+    p_key, p_keys, p_cell, p_size = _segments(frame, pred_sem, pred_inst, valid, class_map)
+    both = np.flatnonzero((g_key >= 0) & (p_key >= 0) & (gt_sem == pred_sem))
+    pair, unpack = _pack(g_key[both], p_key[both])
+    pair, inter = np.unique(pair, return_counts=True)
+    g_pair, p_pair = unpack(pair)
+    g = np.searchsorted(g_keys, g_pair)
+    iou = inter / (g_size[g] + p_size[np.searchsorted(p_keys, p_pair)] - inter)
+    hit = iou > 0.5  # > 0.5 matches are unique per segment
+    tp = np.bincount(g_cell[g[hit]], minlength=cells)
+    return (
+        np.bincount(g_cell[g[hit]], weights=iou[hit], minlength=cells).reshape(shape),
+        tp.reshape(shape),
+        (np.bincount(p_cell, minlength=cells) - tp).reshape(shape),
+        (np.bincount(g_cell, minlength=cells) - tp).reshape(shape),
+    )
 
 
 def pq_single_scan(
@@ -233,48 +368,33 @@ def pq_single_scan(
     Returns class id -> (sum of matched IoU, TP, FP, FN). Matches require the
     same class and IoU strictly greater than 0.5, which makes them unique.
     """
-    valid = gt_sem != IGNORE_LABEL
-    gt_segments = _scan_segments(gt_sem, gt_inst, class_map, valid)
-    pred_segments = _scan_segments(pred_sem, pred_inst, class_map, valid)
-    stats: dict[int, tuple[float, int, int, int]] = {}
-    for cid in class_map.all_ids:
-        g_keys = [k for k in gt_segments if k[0] == cid]
-        p_keys = [k for k in pred_segments if k[0] == cid]
-        iou_sum, tp = 0.0, 0
-        matched_p = set()
-        for gk in g_keys:
-            g_set = gt_segments[gk]
-            for pk in p_keys:
-                p_set = pred_segments[pk]
-                inter = np.intersect1d(g_set, p_set, assume_unique=True).size
-                if inter == 0:
-                    continue
-                iou = inter / (g_set.size + p_set.size - inter)
-                if iou > 0.5:
-                    iou_sum += iou
-                    tp += 1
-                    matched_p.add(pk)
-                    break  # > 0.5 matches are unique per gt segment
-        fp = len(p_keys) - len(matched_p)
-        fn = len(g_keys) - tp
-        if g_keys or p_keys:
-            stats[cid] = (iou_sum, tp, fp, fn)
-    return stats
+    labels = [np.asarray(a, dtype=np.int64) for a in (pred_sem, pred_inst, gt_sem, gt_inst)]
+    frame = np.zeros(labels[0].size, dtype=np.int64)
+    iou_sum, tp, fp, fn = (a[0] for a in _scan_stats(*labels, frame, 1, class_map))
+    return {
+        cid: (float(iou_sum[i]), int(tp[i]), int(fp[i]), int(fn[i]))
+        for i, cid in enumerate(class_map.all_ids)
+        if tp[i] + fp[i] + fn[i]
+    }
 
 
-def _pq_from_stats(stats: dict[int, tuple[float, int, int, int]]) -> tuple[float, float, float]:
-    """Class-averaged (PQ, SQ, RQ) over the classes present in the stats."""
-    pqs, sqs, rqs = [], [], []
-    for iou_sum, tp, fp, fn in stats.values():
-        sq = iou_sum / tp if tp else 0.0
-        denom = tp + 0.5 * fp + 0.5 * fn
-        rq = tp / denom if denom else 0.0
-        pqs.append(sq * rq)
-        sqs.append(sq)
-        rqs.append(rq)
-    if not pqs:
-        return 0.0, 0.0, 0.0
-    return float(np.mean(pqs)), float(np.mean(sqs)), float(np.mean(rqs))
+def _quality(iou_sum, tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise (PQ, SQ, RQ); SQ is 0 without TP and RQ 0 without segments."""
+    sq = np.divide(iou_sum, tp, out=np.zeros(np.shape(tp)), where=tp > 0)
+    denom = tp + 0.5 * fp + 0.5 * fn
+    rq = np.divide(tp, denom, out=np.zeros(np.shape(tp)), where=denom != 0)
+    return sq * rq, sq, rq
+
+
+def _present_mean(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """np.mean over each row's present entries in column order, 0.0 for rows
+    with none."""
+    out = np.zeros(values.shape[0])
+    count = present.sum(axis=1)
+    for k in np.unique(count[count > 0]):
+        rows = count == k
+        out[rows] = values[rows][present[rows]].reshape(-1, k).mean(axis=1)
+    return out
 
 
 def pq_sequence(
@@ -286,31 +406,28 @@ def pq_sequence(
     sequence; the scalar PQ/SQ/RQ average the per-scan class means.
     """
     gt.check_coverage(pred)
-    per_scan = []
-    accum: dict[int, list[float]] = {}
-    for f in gt.frames:
-        stats = pq_single_scan(
-            pred.semantic[f], pred.instance[f], gt.semantic[f], gt.instance[f], class_map
-        )
-        per_scan.append(_pq_from_stats(stats))
-        for cid, (iou_sum, tp, fp, fn) in stats.items():
-            acc = accum.setdefault(cid, [0.0, 0, 0, 0])
-            acc[0] += iou_sum
-            acc[1] += tp
-            acc[2] += fp
-            acc[3] += fn
-    per_class: dict[int, tuple[float, float, float]] = {}
-    for cid, (iou_sum, tp, fp, fn) in accum.items():
-        sq = iou_sum / tp if tp else 0.0
-        denom = tp + 0.5 * fp + 0.5 * fn
-        rq = tp / denom if denom else 0.0
-        per_class[cid] = (sq * rq, sq, rq)
-    if per_scan:
-        pq = float(np.mean([x[0] for x in per_scan]))
-        sq = float(np.mean([x[1] for x in per_scan]))
-        rq = float(np.mean([x[2] for x in per_scan]))
-    else:
-        pq = sq = rq = 0.0
+    if not gt.frames:
+        return 0.0, 0.0, 0.0, {}
+    shape = (len(gt.frames), class_map.num_classes)
+    iou_sum = np.zeros(shape)
+    tp, fp, fn = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+    for block in _blocks(gt):
+        labels = (pred.semantic, pred.instance, gt.semantic, gt.instance)
+        stats = _scan_stats(*map(block.cat, labels), block.frame, len(block.frames), class_map)
+        for total, part in zip((iou_sum, tp, fp, fn), stats):
+            total[block.begin : block.begin + len(block.frames)] = part
+    present = (tp + fp + fn) > 0
+    per_scan = [_present_mean(v, present) for v in _quality(iou_sum, tp, fp, fn)]
+    pq, sq, rq = (float(np.mean(v)) for v in per_scan)
+    # cumsum adds the frames in order, as the per-class sums always have
+    totals = _quality(
+        np.cumsum(iou_sum, axis=0)[-1], tp.sum(axis=0), fp.sum(axis=0), fn.sum(axis=0)
+    )
+    per_class = {
+        cid: tuple(float(v[i]) for v in totals)
+        for i, cid in enumerate(class_map.all_ids)
+        if present[:, i].any()
+    }
     return pq, sq, rq, per_class
 
 

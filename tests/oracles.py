@@ -8,10 +8,13 @@ checks.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
 from panoptic4d.errors import CapacityError, ContractError, ParameterError
+from panoptic4d.metrics import SequenceLabels
+from panoptic4d.sequence import IGNORE_LABEL, ClassMap
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -385,3 +388,201 @@ def random_scene(rng: np.random.Generator, thing_ids, stuff_ids, max_points=500,
             gt_sem = np.where(drop, ignore, gt_sem)
         scene[f] = (gt_sem, gt_inst, pred_sem, pred_inst)
     return scene
+
+
+# ---------------------------------------------------------------------------
+# the package's original per-point metric loops, kept verbatim as the
+# reference the vectorized `panoptic4d.metrics` must reproduce bit for bit
+
+
+def _valid(pred_sem: np.ndarray, gt_sem: np.ndarray) -> np.ndarray:
+    return gt_sem != IGNORE_LABEL
+
+
+def loop_confusion_matrix(
+    pred: SequenceLabels, gt: SequenceLabels, class_ids: list[int]
+) -> np.ndarray:
+    """(C, C) counts of (gt class, pred class), ignore-labeled points excluded."""
+    index = {cid: i for i, cid in enumerate(class_ids)}
+    c = len(class_ids)
+    mat = np.zeros((c, c), dtype=np.int64)
+    for f in gt.frames:
+        g = gt.semantic[f]
+        p = pred.semantic[f]
+        keep = _valid(p, g)
+        for gi, pi in zip(g[keep], p[keep]):
+            gi, pi = int(gi), int(pi)
+            if gi in index and pi in index:
+                mat[index[gi], index[pi]] += 1
+    return mat
+
+
+def _tubes(labels: SequenceLabels, select: dict[int, np.ndarray]) -> dict[int, int]:
+    """Tube sizes: instance id -> point count over selected points per frame."""
+    sizes: dict[int, int] = {}
+    for f in labels.frames:
+        inst = labels.instance[f][select[f]]
+        for i, c in zip(*np.unique(inst[inst > 0], return_counts=True)):
+            sizes[int(i)] = sizes.get(int(i), 0) + int(c)
+    return sizes
+
+
+def loop_s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
+    """Class-agnostic association quality over whole-sequence tubes.
+
+    For every ground-truth thing tube t:  (1/|t|) * sum over predicted tubes p
+    with |p n t| > 0 of |p n t| * IoU(p, t); the final score averages over
+    tubes uniformly. Predicted tube sizes count all points carrying that
+    predicted instance id. 1.0 (with a warning) when there are no gt tubes.
+    """
+    gt.check_coverage(pred)
+    thing_set = set(class_map.thing_ids)
+    gt_select = {}
+    pred_select = {}
+    for f in gt.frames:
+        g_sem = gt.semantic[f]
+        valid = g_sem != IGNORE_LABEL
+        gt_select[f] = valid & np.isin(g_sem, list(thing_set)) & (gt.instance[f] > 0)
+        pred_select[f] = valid & (pred.instance[f] > 0)
+    gt_sizes = _tubes(gt, gt_select)
+    pred_sizes = _tubes(pred, pred_select)
+
+    overlap: dict[tuple[int, int], int] = {}
+    for f in gt.frames:
+        both = gt_select[f] & pred_select[f]
+        g = gt.instance[f][both]
+        p = pred.instance[f][both]
+        for gi, pi in zip(g, p):
+            key = (int(gi), int(pi))
+            overlap[key] = overlap.get(key, 0) + 1
+
+    if not gt_sizes:
+        warnings.warn("no ground-truth thing tubes; association score defined as 1.0")
+        return 1.0
+    total = 0.0
+    for t, t_size in gt_sizes.items():
+        inner = 0.0
+        for (gi, pi), ov in overlap.items():
+            if gi != t:
+                continue
+            union = t_size + pred_sizes[pi] - ov
+            inner += ov * (ov / union)
+        total += inner / t_size
+    return total / len(gt_sizes)
+
+
+def _scan_segments(
+    sem: np.ndarray, inst: np.ndarray, class_map: ClassMap, valid: np.ndarray
+) -> dict[tuple[int, int], np.ndarray]:
+    """Segments of one scan: thing instances plus one segment per stuff class.
+
+    Keys are (class id, instance id or 0); values are point index arrays.
+    """
+    segments: dict[tuple[int, int], np.ndarray] = {}
+    for cid in class_map.all_ids:
+        sel = (sem == cid) & valid
+        if not sel.any():
+            continue
+        if class_map.is_thing(cid):
+            sub = inst[sel]
+            idx = np.flatnonzero(sel)
+            for i in np.unique(sub):
+                if i <= 0:
+                    continue
+                segments[(cid, int(i))] = idx[sub == i]
+        else:
+            segments[(cid, 0)] = np.flatnonzero(sel)
+    return segments
+
+
+def loop_pq_single_scan(
+    pred_sem: np.ndarray,
+    pred_inst: np.ndarray,
+    gt_sem: np.ndarray,
+    gt_inst: np.ndarray,
+    class_map: ClassMap,
+) -> dict[int, tuple[float, int, int, int]]:
+    """Per-class panoptic statistics of one scan.
+
+    Returns class id -> (sum of matched IoU, TP, FP, FN). Matches require the
+    same class and IoU strictly greater than 0.5, which makes them unique.
+    """
+    valid = gt_sem != IGNORE_LABEL
+    gt_segments = _scan_segments(gt_sem, gt_inst, class_map, valid)
+    pred_segments = _scan_segments(pred_sem, pred_inst, class_map, valid)
+    stats: dict[int, tuple[float, int, int, int]] = {}
+    for cid in class_map.all_ids:
+        g_keys = [k for k in gt_segments if k[0] == cid]
+        p_keys = [k for k in pred_segments if k[0] == cid]
+        iou_sum, tp = 0.0, 0
+        matched_p = set()
+        for gk in g_keys:
+            g_set = gt_segments[gk]
+            for pk in p_keys:
+                p_set = pred_segments[pk]
+                inter = np.intersect1d(g_set, p_set, assume_unique=True).size
+                if inter == 0:
+                    continue
+                iou = inter / (g_set.size + p_set.size - inter)
+                if iou > 0.5:
+                    iou_sum += iou
+                    tp += 1
+                    matched_p.add(pk)
+                    break  # > 0.5 matches are unique per gt segment
+        fp = len(p_keys) - len(matched_p)
+        fn = len(g_keys) - tp
+        if g_keys or p_keys:
+            stats[cid] = (iou_sum, tp, fp, fn)
+    return stats
+
+
+def _pq_from_stats(stats: dict[int, tuple[float, int, int, int]]) -> tuple[float, float, float]:
+    """Class-averaged (PQ, SQ, RQ) over the classes present in the stats."""
+    pqs, sqs, rqs = [], [], []
+    for iou_sum, tp, fp, fn in stats.values():
+        sq = iou_sum / tp if tp else 0.0
+        denom = tp + 0.5 * fp + 0.5 * fn
+        rq = tp / denom if denom else 0.0
+        pqs.append(sq * rq)
+        sqs.append(sq)
+        rqs.append(rq)
+    if not pqs:
+        return 0.0, 0.0, 0.0
+    return float(np.mean(pqs)), float(np.mean(sqs)), float(np.mean(rqs))
+
+
+def loop_pq_sequence(
+    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
+    """Scan-wise panoptic quality, averaged over scans.
+
+    Per-class values aggregate the per-scan statistics over the whole
+    sequence; the scalar PQ/SQ/RQ average the per-scan class means.
+    """
+    gt.check_coverage(pred)
+    per_scan = []
+    accum: dict[int, list[float]] = {}
+    for f in gt.frames:
+        stats = loop_pq_single_scan(
+            pred.semantic[f], pred.instance[f], gt.semantic[f], gt.instance[f], class_map
+        )
+        per_scan.append(_pq_from_stats(stats))
+        for cid, (iou_sum, tp, fp, fn) in stats.items():
+            acc = accum.setdefault(cid, [0.0, 0, 0, 0])
+            acc[0] += iou_sum
+            acc[1] += tp
+            acc[2] += fp
+            acc[3] += fn
+    per_class: dict[int, tuple[float, float, float]] = {}
+    for cid, (iou_sum, tp, fp, fn) in accum.items():
+        sq = iou_sum / tp if tp else 0.0
+        denom = tp + 0.5 * fp + 0.5 * fn
+        rq = tp / denom if denom else 0.0
+        per_class[cid] = (sq * rq, sq, rq)
+    if per_scan:
+        pq = float(np.mean([x[0] for x in per_scan]))
+        sq = float(np.mean([x[1] for x in per_scan]))
+        rq = float(np.mean([x[2] for x in per_scan]))
+    else:
+        pq = sq = rq = 0.0
+    return pq, sq, rq, per_class
