@@ -8,8 +8,10 @@ gradients into every requires_grad leaf.
 Conventions:
   - only leaves created with requires_grad=True ever hold a .grad array
     (zero-initialized, so tensors not participating in a loss keep zero grad);
-  - matmul/transpose operate on 2-D arrays, elementwise ops broadcast like
-    numpy with gradients reduced back over broadcast axes;
+  - matmul/transpose/linear/attention operate on 2-D arrays, elementwise
+    ops broadcast like numpy with gradients reduced back over broadcast axes;
+  - linear (x @ w + b) and multi-head attention are single fused nodes, so
+    a layer costs one tape record rather than one per numpy call;
   - inference code wraps calls in no_grad() to skip recording.
 """
 
@@ -208,6 +210,81 @@ def matmul(a, b) -> Tensor:
     return _make(av @ bv, "matmul", (a, b), vjp)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node: x is (n, i), w is (i, o), b is (o,)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (
+        x.values.ndim != 2
+        or w.values.ndim != 2
+        or x.shape[1] != w.shape[0]
+        or b.shape != w.shape[1:]
+    ):
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    xv, wv = x.values, w.values
+
+    def vjp(g):
+        return (g @ wv.T if x._tracks() else None), xv.T @ g, g.sum(axis=0)
+
+    return _make(xv @ wv + b.values, "linear", (x, w, b), vjp)
+
+
+def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention of every head at once, as one node.
+
+    q is (n, D), k and v are (m, D); head h owns columns [h*D/H, (h+1)*D/H)
+    and the head outputs are concatenated back into (n, D). An optional
+    (n, m) boolean mask restricts every head's softmax as in `softmax`:
+    masked keys get probability exactly 0 and zero gradient, and a query row
+    with no allowed key is a contract violation.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (
+        q.values.ndim != 2
+        or k.values.ndim != 2
+        or k.shape[1] != q.shape[1]
+        or v.shape != k.shape
+        or num_heads < 1
+        or q.shape[1] % num_heads
+    ):
+        raise ShapeError(
+            f"attention: shapes {q.shape}, {k.shape}, {v.shape} do not split into {num_heads} heads"
+        )
+    n, d = q.shape
+    m = k.shape[0]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"attention: mask shape {mask.shape} does not match ({n}, {m})")
+        if not np.all(mask.any(axis=1)):
+            raise ContractError("attention: a query row has no allowed keys")
+    dh = d // num_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(a: np.ndarray) -> np.ndarray:  # (rows, D) -> (H, rows, dh)
+        return a.reshape(a.shape[0], num_heads, dh).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    z = (qh @ kh.transpose(0, 2, 1)) * scale  # (H, n, m)
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    if mask is not None:
+        e = np.where(mask, e, 0.0)
+    s = e / e.sum(axis=-1, keepdims=True)
+    values = (s @ vh).transpose(1, 0, 2).reshape(n, d)
+
+    def vjp(g):
+        gh = heads(g)
+        ds = gh @ vh.transpose(0, 2, 1)
+        dz = s * (ds - np.sum(ds * s, axis=-1, keepdims=True)) * scale
+        dq = (dz @ kh).transpose(1, 0, 2).reshape(n, d)
+        dk = (dz.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(m, d)
+        dv = (s.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(m, d)
+        return dq, dk, dv
+
+    return _make(values, "attention", (q, k, v), vjp)
+
+
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
@@ -246,20 +323,6 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
         return (acc,)
 
     return _make(a.values[index], "gather_rows", (a,), vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    if a.values.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: bad range [{start}, {stop}) for shape {a.shape}")
-    shape = a.shape
-
-    def vjp(g):
-        acc = np.zeros(shape)
-        acc[:, start:stop] = g
-        return (acc,)
-
-    return _make(a.values[:, start:stop].copy(), "slice_cols", (a,), vjp)
 
 
 def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -144,40 +144,17 @@ class MultiHeadAttention:
     """Standard multi-head attention with an optional boolean key mask per query."""
 
     def __init__(self, rng: np.random.Generator, dim: int, num_heads: int):
-        self.dim = dim
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.wq = Linear(rng, dim, dim)
         self.wk = Linear(rng, dim, dim)
         self.wv = Linear(rng, dim, dim)
         self.wo = Linear(rng, dim, dim)
 
     def __call__(self, query_in: Tensor, key_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        if query_in.shape[1] != self.dim or key_in.shape[1] != self.dim:
-            raise ShapeError(
-                f"attention expects dim {self.dim}, got {query_in.shape} and {key_in.shape}"
-            )
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (query_in.shape[0], key_in.shape[0]):
-                raise ShapeError(
-                    f"attention mask shape {mask.shape} does not match "
-                    f"({query_in.shape[0]}, {key_in.shape[0]})"
-                )
         q = self.wq(query_in)
         k = self.wk(key_in)
         v = self.wv(key_in)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        heads = []
-        for h in range(self.num_heads):
-            lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-            qh = ad.slice_cols(q, lo, hi)
-            kh = ad.slice_cols(k, lo, hi)
-            vh = ad.slice_cols(v, lo, hi)
-            scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-            attn = ad.softmax(scores, mask=mask, axis=-1)
-            heads.append(ad.matmul(attn, vh))
-        return self.wo(ad.concat(heads, axis=1))
+        return self.wo(ad.attention(q, k, v, self.num_heads, mask))
 
     def parameters(self) -> dict[str, Tensor]:
         return collect_parameters({"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo})
@@ -316,8 +293,9 @@ class QueryRefiner:
                 f"pyramid depth {pyramid.depth} != decoder depth {len(self.level_projs)}"
             )
         keys = self.level_keys(pyramid, encoder, ctx)
+        projected_t = mask_module.project(pyramid)
         features = queries.features
-        outputs = [mask_module(features, pyramid)]
+        outputs = [mask_module(features, projected_t)]
         # sigmoid(x) > tau is exactly x > logit(tau)
         tau = self.config.mask_threshold
         threshold_logit = np.log(tau / (1.0 - tau))
@@ -326,7 +304,7 @@ class QueryRefiner:
                 fg0 = outputs[-1].heatmap_logits.values > threshold_logit
                 mask = propagate_foreground(fg0, pyramid, r)
                 features = round_blocks[r](features, keys[r], mask)
-                outputs.append(mask_module(features, pyramid))
+                outputs.append(mask_module(features, projected_t))
         final = QuerySet(
             features=features,
             anchor_positions=queries.anchor_positions,

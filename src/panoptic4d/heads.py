@@ -58,12 +58,16 @@ class MaskModule:
         self.class_head = Linear(rng, dim, num_classes + 1)
         self.box_head = MLP(rng, [dim, dim, 6])
 
-    def __call__(self, query_features: Tensor, pyramid: FeaturePyramid) -> MaskModuleOutput:
-        f0 = pyramid.levels[0].features
+    def project(self, pyramid: FeaturePyramid) -> Tensor:
+        """(dim, K0) transposed projection of the finest features; it depends
+        only on the pyramid, so one forward computes it once for all outputs."""
+        return ad.transpose(self.feature_proj(pyramid.levels[0].features))
+
+    def __call__(self, query_features: Tensor, projected_t: Tensor) -> MaskModuleOutput:
+        """Predictions of the queries against `project(pyramid)`."""
         normed = self.norm(query_features)
         embed = self.mask_embed(normed)
-        projected = self.feature_proj(f0)
-        heatmap = ad.matmul(embed, ad.transpose(projected))
+        heatmap = ad.matmul(embed, projected_t)
         class_logits = self.class_head(normed)
         boxes = ad.sigmoid(self.box_head(normed))
         return MaskModuleOutput(heatmap_logits=heatmap, class_logits=class_logits, boxes=boxes)
@@ -358,24 +362,42 @@ class LossBreakdown:
         }
 
 
-def _single_output_loss(
-    output: MaskModuleOutput,
+def total_loss(
+    outputs: list[MaskModuleOutput],
     targets: Targets,
     match: MatchResult,
     weights: LossWeights,
-) -> tuple[Tensor, dict[str, float]]:
+) -> tuple[Tensor, LossBreakdown]:
+    """Deep-supervised loss: the matched assignment is applied to every
+    intermediate output and the per-output losses are summed.
+
+    The outputs are stacked, row q of output l at row l * N_q + q, so every
+    term is built once over the matched (or unmatched) rows of all outputs.
+    """
+    if not outputs:
+        raise ParameterError("total_loss needs at least one output")
+    num_out = len(outputs)
+    offsets = np.arange(num_out)[:, None] * outputs[0].num_queries
     norm = float(max(1, len(targets)))
-    num_classes = output.class_logits.shape[1] - 1
+    num_classes = outputs[0].class_logits.shape[1] - 1
+    segs = [targets.segments[t] for _, t in match.pairs]
+    matched = np.array([q for q, _ in match.pairs], dtype=np.int64)
+    free = match.unmatched_queries()
+
+    def rows(field: str, queries: np.ndarray) -> Tensor:
+        """The given query rows of every output's `field`, output by output."""
+        stacked = ad.concat([getattr(o, field) for o in outputs], axis=0)
+        return ad.gather_rows(stacked, (offsets + queries).reshape(-1))
+
+    def final(vec: Tensor, lo: int = 0, hi: int | None = None) -> float:
+        """Sum of the final output's entries [lo, hi) of a per-row loss."""
+        return float(vec.values.reshape(num_out, -1)[-1, lo:hi].sum())
+
     terms: list[Tensor] = []
     parts = {"dice": 0.0, "bce": 0.0, "ce": 0.0, "box": 0.0, "no_object": 0.0}
-
-    if match.pairs:
-        q_idx = np.array([q for q, _ in match.pairs], dtype=np.int64)
-        t_idx = [t for _, t in match.pairs]
-        masks = np.stack([targets.segments[t].voxel_mask.astype(np.float64) for t in t_idx])
-        classes = np.array([targets.segments[t].class_index for t in t_idx])
-
-        sig = ad.sigmoid(ad.gather_rows(output.heatmap_logits, q_idx))  # (P, K0)
+    if segs:
+        masks = np.tile(np.stack([s.voxel_mask.astype(np.float64) for s in segs]), (num_out, 1))
+        sig = ad.sigmoid(rows("heatmap_logits", matched))  # (L * P, K0)
         k0 = sig.shape[1]
         inter = ad.tsum(ad.mul(sig, masks), axis=1)
         denom = ad.tsum(sig, axis=1) + masks.sum(axis=1) + EPS
@@ -386,58 +408,29 @@ def _single_output_loss(
         bce_vec = ad.neg(ad.tsum(bce_elems, axis=1))
         if weights.cost_reduction == "mean":
             bce_vec = ad.mul(bce_vec, 1.0 / k0)
-        ce_vec = ce_loss(ad.gather_rows(output.class_logits, q_idx), classes)
+        per_row = [("dice", dice_vec, weights.lambda_dice), ("bce", bce_vec, weights.lambda_bce)]
+        things = np.array([s.is_thing for s in segs])
+        if things.any() and weights.lambda_box > 0:
+            bt = np.tile(np.stack([s.box.as_vector() for s in segs if s.is_thing]), (num_out, 1))
+            box_vec = box_l1_loss(rows("boxes", matched[things]), bt)
+            per_row.append(("box", box_vec, weights.lambda_box))
+        for name, vec, lam in per_row:
+            terms.append(ad.mul(ad.tsum(vec), lam / norm))
+            parts[name] = final(vec) * (lam / norm)
 
-        dice_term = ad.mul(ad.tsum(dice_vec), weights.lambda_dice / norm)
-        bce_term = ad.mul(ad.tsum(bce_vec), weights.lambda_bce / norm)
-        ce_term = ad.mul(ad.tsum(ce_vec), weights.lambda_ce / norm)
-        terms += [dice_term, bce_term, ce_term]
-        parts["dice"] = dice_term.item()
-        parts["bce"] = bce_term.item()
-        parts["ce"] = ce_term.item()
+    # Matched rows against their classes, free rows against "no object".
+    classes = [s.class_index for s in segs] + [num_classes] * free.size
+    ce_vec = ce_loss(
+        rows("class_logits", np.concatenate([matched, free])), np.tile(classes, num_out)
+    )
+    w_ce = weights.lambda_ce / norm
+    w_free = weights.no_object_weight * weights.lambda_ce / norm
+    row_weights = np.array([w_ce] * matched.size + [w_free] * free.size)
+    terms.append(ad.tsum(ad.mul(ce_vec, np.tile(row_weights, num_out))))
+    parts["ce"] = final(ce_vec, 0, matched.size) * w_ce
+    parts["no_object"] = final(ce_vec, matched.size) * w_free
 
-        thing_pairs = [(q, t) for q, t in match.pairs if targets.segments[t].is_thing]
-        if thing_pairs and weights.lambda_box > 0:
-            bq = np.array([q for q, _ in thing_pairs], dtype=np.int64)
-            bt = np.stack([targets.segments[t].box.as_vector() for _, t in thing_pairs])
-            box_vec = box_l1_loss(ad.gather_rows(output.boxes, bq), bt)
-            box_term = ad.mul(ad.tsum(box_vec), weights.lambda_box / norm)
-            terms.append(box_term)
-            parts["box"] = box_term.item()
-
-    free = match.unmatched_queries()
-    if free.size:
-        no_obj = np.full(free.size, num_classes, dtype=np.int64)
-        noobj_vec = ce_loss(ad.gather_rows(output.class_logits, free), no_obj)
-        noobj_term = ad.mul(
-            ad.tsum(noobj_vec), weights.no_object_weight * weights.lambda_ce / norm
-        )
-        terms.append(noobj_term)
-        parts["no_object"] = noobj_term.item()
-
-    if not terms:
-        return Tensor(0.0), parts
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)
-    return total, parts
-
-
-def total_loss(
-    outputs: list[MaskModuleOutput],
-    targets: Targets,
-    match: MatchResult,
-    weights: LossWeights,
-) -> tuple[Tensor, LossBreakdown]:
-    """Deep-supervised loss: the matched assignment is applied to every
-    intermediate output and the per-output losses are summed."""
-    if not outputs:
-        raise ParameterError("total_loss needs at least one output")
-    total: Tensor | None = None
-    last_parts: dict[str, float] = {}
-    for output in outputs:
-        loss, parts = _single_output_loss(output, targets, match, weights)
-        total = loss if total is None else ad.add(total, loss)
-        last_parts = parts
-    breakdown = LossBreakdown(total=total.item(), **last_parts)
-    return total, breakdown
+    return total, LossBreakdown(total=total.item(), **parts)

@@ -18,7 +18,7 @@ class Linear:
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w": self.w, "b": self.b}

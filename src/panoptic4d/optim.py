@@ -32,6 +32,12 @@ class AdamW:
 
     Each step first shrinks the parameter by lr * weight_decay and then
     applies the bias-corrected Adam update from the accumulated moments.
+
+    On construction every parameter's values and gradient are copied into
+    two flat float64 buffers, and each Tensor's .values / .grad are rebound
+    to views of them, so a step is one vectorized update in place. Writing
+    into a parameter (p.values[...] = x) is seen by the optimizer; rebinding
+    it (p.values = x) is a contract violation that the next step reports.
     """
 
     params: dict[str, Tensor]
@@ -41,40 +47,65 @@ class AdamW:
     eps: float = 1e-8
     weight_decay: float = 0.01
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(init=False)  # flat first moment
+    v: np.ndarray = field(init=False)  # flat second moment
 
     def __post_init__(self):
+        seen: dict[int, str] = {}
         for name, p in self.params.items():
             if not p.requires_grad:
                 raise ContractError(f"parameter {name!r} does not require grad")
-            self.m[name] = np.zeros_like(p.values)
-            self.v[name] = np.zeros_like(p.values)
+            if id(p) in seen:
+                raise ContractError(f"parameter {name!r} is the same tensor as {seen[id(p)]!r}")
+            seen[id(p)] = name
+        total = sum(p.values.size for p in self.params.values())
+        self._values = np.empty(total)
+        self._grads = np.empty(total)
+        offset = 0
+        for p in self.params.values():
+            end = offset + p.values.size
+            values = self._values[offset:end].reshape(p.values.shape)
+            grad = self._grads[offset:end].reshape(p.values.shape)
+            values[...] = p.values
+            grad[...] = p.grad
+            p.values, p.grad = values, grad
+            offset = end
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self._scratch = (np.empty(total), np.empty(total))
 
     def step(self, lr: float | None = None) -> None:
         if lr is None:
             lr = self.lr
+        for name, p in self.params.items():
+            if p.values.base is not self._values or p.grad.base is not self._grads:
+                raise ContractError(
+                    f"parameter {name!r} no longer views the optimizer's buffers "
+                    "(assign into .values[...] instead of rebinding it)"
+                )
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g.shape != p.values.shape:
-                raise ContractError(f"gradient shape mismatch for {name!r}")
-            if self.weight_decay:
-                p.values *= 1.0 - lr * self.weight_decay
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        values, g, m, v = self._values, self._grads, self.m, self.v
+        a, b = self._scratch
+        # The per-element operations and their order are those of
+        #   values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # after the moment updates, written with out= to avoid temporaries.
+        if self.weight_decay:
+            values *= 1.0 - lr * self.weight_decay
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += self.eps
+        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+        values -= np.divide(b, a, out=b)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self._grads.fill(0.0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,19 @@ import warnings
 
 import numpy as np
 
-from panoptic4d.errors import CapacityError, ContractError, ParameterError
+import panoptic4d.autodiff as ad
+from panoptic4d.autodiff import Tensor
+from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
+from panoptic4d.heads import (
+    EPS,
+    LossBreakdown,
+    LossWeights,
+    MaskModuleOutput,
+    MatchResult,
+    Targets,
+    box_l1_loss,
+    ce_loss,
+)
 from panoptic4d.metrics import SequenceLabels
 from panoptic4d.sequence import IGNORE_LABEL, ClassMap
 
@@ -586,3 +598,155 @@ def loop_pq_sequence(
     else:
         pq = sq = rq = 0.0
     return pq, sq, rq, per_class
+
+
+# ---------------------------------------------------------------------------
+# the package's original small-op training paths, kept verbatim as the
+# references for the fused attention, the batched loss and the flat AdamW.
+# They are built from the package's elementary tape ops (and its per-row
+# ce/box losses), so gradients can be compared as well as values.
+
+
+def slice_cols(a, start: int, stop: int) -> Tensor:
+    a = ad.as_tensor(a)
+    if a.values.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
+        raise ShapeError(f"slice_cols: bad range [{start}, {stop}) for shape {a.shape}")
+    shape = a.shape
+
+    def vjp(g):
+        acc = np.zeros(shape)
+        acc[:, start:stop] = g
+        return (acc,)
+
+    return ad._make(a.values[:, start:stop].copy(), "slice_cols", (a,), vjp)
+
+
+def loop_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
+    """Multi-head attention over projected q, k, v one head at a time."""
+    head_dim = q.shape[1] // num_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    heads = []
+    for h in range(num_heads):
+        lo, hi = h * head_dim, (h + 1) * head_dim
+        qh = slice_cols(q, lo, hi)
+        kh = slice_cols(k, lo, hi)
+        vh = slice_cols(v, lo, hi)
+        scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
+        attn = ad.softmax(scores, mask=mask, axis=-1)
+        heads.append(ad.matmul(attn, vh))
+    return ad.concat(heads, axis=1)
+
+
+def _single_output_loss(
+    output: MaskModuleOutput,
+    targets: Targets,
+    match: MatchResult,
+    weights: LossWeights,
+) -> tuple[Tensor, dict[str, float]]:
+    norm = float(max(1, len(targets)))
+    num_classes = output.class_logits.shape[1] - 1
+    terms: list[Tensor] = []
+    parts = {"dice": 0.0, "bce": 0.0, "ce": 0.0, "box": 0.0, "no_object": 0.0}
+
+    if match.pairs:
+        q_idx = np.array([q for q, _ in match.pairs], dtype=np.int64)
+        t_idx = [t for _, t in match.pairs]
+        masks = np.stack([targets.segments[t].voxel_mask.astype(np.float64) for t in t_idx])
+        classes = np.array([targets.segments[t].class_index for t in t_idx])
+
+        sig = ad.sigmoid(ad.gather_rows(output.heatmap_logits, q_idx))  # (P, K0)
+        k0 = sig.shape[1]
+        inter = ad.tsum(ad.mul(sig, masks), axis=1)
+        denom = ad.tsum(sig, axis=1) + masks.sum(axis=1) + EPS
+        dice_vec = 1.0 - ad.div(ad.mul(inter, 2.0), denom)
+        bce_elems = ad.mul(ad.log(sig + EPS), masks) + ad.mul(
+            ad.log((1.0 - sig) + EPS), 1.0 - masks
+        )
+        bce_vec = ad.neg(ad.tsum(bce_elems, axis=1))
+        if weights.cost_reduction == "mean":
+            bce_vec = ad.mul(bce_vec, 1.0 / k0)
+        ce_vec = ce_loss(ad.gather_rows(output.class_logits, q_idx), classes)
+
+        dice_term = ad.mul(ad.tsum(dice_vec), weights.lambda_dice / norm)
+        bce_term = ad.mul(ad.tsum(bce_vec), weights.lambda_bce / norm)
+        ce_term = ad.mul(ad.tsum(ce_vec), weights.lambda_ce / norm)
+        terms += [dice_term, bce_term, ce_term]
+        parts["dice"] = dice_term.item()
+        parts["bce"] = bce_term.item()
+        parts["ce"] = ce_term.item()
+
+        thing_pairs = [(q, t) for q, t in match.pairs if targets.segments[t].is_thing]
+        if thing_pairs and weights.lambda_box > 0:
+            bq = np.array([q for q, _ in thing_pairs], dtype=np.int64)
+            bt = np.stack([targets.segments[t].box.as_vector() for _, t in thing_pairs])
+            box_vec = box_l1_loss(ad.gather_rows(output.boxes, bq), bt)
+            box_term = ad.mul(ad.tsum(box_vec), weights.lambda_box / norm)
+            terms.append(box_term)
+            parts["box"] = box_term.item()
+
+    free = match.unmatched_queries()
+    if free.size:
+        no_obj = np.full(free.size, num_classes, dtype=np.int64)
+        noobj_vec = ce_loss(ad.gather_rows(output.class_logits, free), no_obj)
+        noobj_term = ad.mul(
+            ad.tsum(noobj_vec), weights.no_object_weight * weights.lambda_ce / norm
+        )
+        terms.append(noobj_term)
+        parts["no_object"] = noobj_term.item()
+
+    if not terms:
+        return Tensor(0.0), parts
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return total, parts
+
+
+def loop_total_loss(
+    outputs: list[MaskModuleOutput],
+    targets: Targets,
+    match: MatchResult,
+    weights: LossWeights,
+) -> tuple[Tensor, LossBreakdown]:
+    """Deep-supervised loss: the matched assignment is applied to every
+    intermediate output and the per-output losses are summed."""
+    if not outputs:
+        raise ParameterError("total_loss needs at least one output")
+    total: Tensor | None = None
+    last_parts: dict[str, float] = {}
+    for output in outputs:
+        loss, parts = _single_output_loss(output, targets, match, weights)
+        total = loss if total is None else ad.add(total, loss)
+        last_parts = parts
+    breakdown = LossBreakdown(total=total.item(), **last_parts)
+    return total, breakdown
+
+
+def loop_adamw_step(
+    params: dict[str, Tensor],
+    m_state: dict[str, np.ndarray],
+    v_state: dict[str, np.ndarray],
+    t: int,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+    weight_decay: float = 0.01,
+) -> None:
+    """AdamW step number t (1-based) tensor by tensor; the moment arrays in
+    m_state / v_state are updated in place."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = p.grad
+        if g.shape != p.values.shape:
+            raise ContractError(f"gradient shape mismatch for {name!r}")
+        if weight_decay:
+            p.values *= 1.0 - lr * weight_decay
+        m = m_state[name]
+        v = v_state[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

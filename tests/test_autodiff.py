@@ -5,6 +5,8 @@ import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, backward, finite_difference_check, no_grad
 from panoptic4d.errors import ContractError, ParameterError, ShapeError
 
+from oracles import loop_attention
+
 
 def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
@@ -57,6 +59,84 @@ class TestForwardValues:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError, match="add"):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+
+
+class TestAttention:
+    def qkv(self, seed, n=3, m=5, d=8):
+        rng = np.random.default_rng(seed)
+        return leaf(rng, n, d), leaf(rng, m, d), leaf(rng, m, d)
+
+    def test_keys_masked_for_every_query_get_zero_gradient(self):
+        q, k, v = self.qkv(0)
+        mask = np.ones((3, 5), dtype=bool)
+        mask[:, 4] = False
+        out = ad.attention(q, k, v, 2, mask=mask)
+        backward(ad.tsum(ad.mul(out, np.cos(np.arange(24)).reshape(3, 8))))
+        assert np.all(k.grad[4] == 0.0) and np.all(v.grad[4] == 0.0)
+        assert np.abs(k.grad[:4]).max() > 0 and np.abs(v.grad[:4]).max() > 0
+        # a masked key's value does not reach the output
+        v.values[4] += 100.0
+        np.testing.assert_array_equal(ad.attention(q, k, v, 2, mask=mask).values, out.values)
+
+    def test_empty_row_rejected(self):
+        q, k, v = self.qkv(1)
+        mask = np.ones((3, 5), dtype=bool)
+        mask[1] = False
+        with pytest.raises(ContractError):
+            ad.attention(q, k, v, 2, mask=mask)
+
+    def test_wrong_mask_shape_rejected(self):
+        q, k, v = self.qkv(2)
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(q, k, v, 2, mask=np.ones((5, 3), dtype=bool))
+
+    def test_heads_must_divide_width(self):
+        q, k, v = self.qkv(3)
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(q, k, v, 3)
+
+
+def _fallback_mask(rng, n, m):
+    """A sparse random mask whose empty rows fall back to all keys, as in
+    the decoder's cross-attention."""
+    mask = rng.random((n, m)) < 0.3
+    mask[0] = False
+    mask[~mask.any(axis=1)] = True
+    return mask
+
+
+def _single_key_mask(rng, n, m):
+    mask = np.zeros((n, m), dtype=bool)
+    mask[np.arange(n), rng.integers(0, m, size=n)] = True
+    return mask
+
+
+ATTENTION_ORACLE_CASES = {
+    "unmasked": (4, 7, 8, 2, None),
+    "fallback_rows": (5, 9, 8, 4, _fallback_mask),
+    "single_key": (4, 6, 8, 2, _single_key_mask),
+    "one_query": (1, 6, 8, 2, _fallback_mask),
+    "one_head": (4, 6, 8, 1, _fallback_mask),
+}
+
+
+@pytest.mark.parametrize("case", ATTENTION_ORACLE_CASES)
+def test_attention_matches_per_head_loop(case):
+    """Fused attention against the per-head loop: values and q/k/v gradients."""
+    n, m, d, num_heads, make_mask = ATTENTION_ORACLE_CASES[case]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, d)), rng.normal(size=(m, d)), rng.normal(size=(m, d))]
+        mask = None if make_mask is None else make_mask(rng, n, m)
+        weight = rng.normal(size=(n, d))
+        results = []
+        for fn in (ad.attention, loop_attention):
+            qkv = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*qkv, num_heads, mask)
+            backward(ad.tsum(ad.mul(out, weight)))
+            results.append([out.values] + [t.grad for t in qkv])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestBackward:
@@ -117,6 +197,11 @@ class TestBackward:
         assert y._parents == ()
 
 
+# one row with a single allowed key, one with several, one with all of them
+ATTENTION_MASK = np.array(
+    [[0, 0, 0, 1, 0], [1, 0, 1, 1, 0], [1, 1, 1, 1, 1]], dtype=bool
+)
+
 PRIMITIVE_CASES = [
     ("add", lambda rng: ((rng.normal(size=(3, 4)), rng.normal(size=(3, 4))), lambda a, b: ad.add(a, b))),
     ("add_broadcast", lambda rng: ((rng.normal(size=(3, 4)), rng.normal(size=(4,))), lambda a, b: ad.add(a, b))),
@@ -127,7 +212,27 @@ PRIMITIVE_CASES = [
     ("concat0", lambda rng: ((rng.normal(size=(2, 3)), rng.normal(size=(4, 3))), lambda a, b: ad.concat([a, b], axis=0))),
     ("concat1", lambda rng: ((rng.normal(size=(3, 2)), rng.normal(size=(3, 5))), lambda a, b: ad.concat([a, b], axis=1))),
     ("gather", lambda rng: ((rng.normal(size=(5, 3)),), lambda a: ad.gather_rows(a, np.array([0, 2, 2, 4])))),
-    ("slice_cols", lambda rng: ((rng.normal(size=(3, 6)),), lambda a: ad.slice_cols(a, 1, 4))),
+    (
+        "linear",
+        lambda rng: (
+            (rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)),
+            lambda x, w, b: ad.linear(x, w, b),
+        ),
+    ),
+    (
+        "attention",
+        lambda rng: (
+            (rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))),
+            lambda q, k, v: ad.attention(q, k, v, 2),
+        ),
+    ),
+    (
+        "masked_attention",
+        lambda rng: (
+            (rng.normal(size=(3, 8)), rng.normal(size=(5, 8)), rng.normal(size=(5, 8))),
+            lambda q, k, v: ad.attention(q, k, v, 2, mask=ATTENTION_MASK),
+        ),
+    ),
     ("segment_mean", lambda rng: ((rng.normal(size=(6, 3)),), lambda a: ad.segment_mean(a, np.array([0, 0, 1, 1, 1, 2]), 3))),
     ("relu", lambda rng: ((rng.normal(size=(4, 4)) + 0.05,), lambda a: ad.relu(a))),
     ("sigmoid", lambda rng: ((rng.normal(size=(4, 4)),), lambda a: ad.sigmoid(a))),

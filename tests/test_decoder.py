@@ -196,8 +196,11 @@ class TestRefine:
             def __init__(self, inner):
                 self.inner = inner
 
-            def __call__(self, features, pyr):
-                out = self.inner(features, pyr)
+            def project(self, pyr):
+                return self.inner.project(pyr)
+
+            def __call__(self, features, projected_t):
+                out = self.inner(features, projected_t)
                 out.heatmap_logits = Tensor(np.full(out.heatmap_logits.shape, 50.0))
                 return out
 
@@ -207,12 +210,13 @@ class TestRefine:
         class Unmasked(QueryRefiner):
             def refine_unmasked(self, queries, pyramid, mask_module, encoder, ctx):
                 keys = self.level_keys(pyramid, encoder, ctx)
+                projected_t = mask_module.project(pyramid)
                 feats = queries.features
-                outs = [mask_module(feats, pyramid)]
+                outs = [mask_module(feats, projected_t)]
                 for blocks in self.blocks:
                     for r in range(pyramid.depth - 1, -1, -1):
                         feats = blocks[r](feats, keys[r], None)
-                        outs.append(mask_module(feats, pyramid))
+                        outs.append(mask_module(feats, projected_t))
                 return feats
 
         um = Unmasked.__new__(Unmasked)

@@ -22,7 +22,7 @@ from panoptic4d.heads import (
 )
 from panoptic4d.sequence import ClassMap
 
-from oracles import brute_force_assignment, scalar_assignment
+from oracles import brute_force_assignment, loop_total_loss, scalar_assignment
 
 
 def output_from_arrays(heat, class_logits, boxes=None):
@@ -345,3 +345,68 @@ class TestTotalLoss:
         assert np.abs(heat.grad).max() > 0
         assert np.abs(cls.grad).max() > 0
         assert np.abs(boxes_raw.grad).max() > 0  # box branch gradient is live
+
+
+def random_loss_case(seed, num_outputs, nq, k0, num_classes, segments):
+    """`num_outputs` random outputs whose logits and boxes are grad leaves,
+    and targets from (class_index, is_thing) pairs with disjoint masks."""
+    rng = np.random.default_rng(seed)
+    leaves = [
+        [
+            Tensor(rng.normal(size=(nq, k0)) * 2.0, requires_grad=True),
+            Tensor(rng.normal(size=(nq, num_classes + 1)), requires_grad=True),
+            Tensor(rng.random((nq, 6)), requires_grad=True),
+        ]
+        for _ in range(num_outputs)
+    ]
+    owner = rng.integers(0, max(1, len(segments)), size=k0)
+    targets = Targets(
+        [
+            segment(
+                owner == i,
+                class_index=c,
+                is_thing=thing,
+                box=rng.random(6) if thing else None,
+                instance_id=i + 1 if thing else 0,
+            )
+            for i, (c, thing) in enumerate(segments)
+        ]
+    )
+    return leaves, targets
+
+
+LOSS_ORACLE_CASES = {
+    "mixed": (7, 5, dict(), [(0, True), (1, True), (2, False)]),
+    "one_output": (1, 5, dict(), [(0, True), (1, True), (2, False)]),
+    "no_targets": (7, 4, dict(), []),
+    "no_free_queries": (7, 3, dict(), [(0, True), (1, False), (2, False)]),
+    "stuff_only": (7, 4, dict(), [(1, False), (2, False)]),
+    "no_box_weight": (7, 5, dict(lambda_box=0.0), [(0, True), (2, False)]),
+    "sum_reduction": (7, 5, dict(cost_reduction="sum"), [(0, True), (1, True), (2, False)]),
+}
+
+
+@pytest.mark.parametrize("case", LOSS_ORACLE_CASES)
+def test_total_loss_matches_per_output_loop(case):
+    """The batched loss against the per-output loop: value, breakdown and
+    the gradients of every output's logits and boxes."""
+    num_outputs, nq, weight_kw, segments = LOSS_ORACLE_CASES[case]
+    weights = LossWeights(**weight_kw)
+    for seed in range(3):
+        results = []
+        for fn in (total_loss, loop_total_loss):
+            leaves, targets = random_loss_case(seed, num_outputs, nq, 11, 3, segments)
+            outputs = [
+                MaskModuleOutput(heatmap_logits=h, class_logits=c, boxes=b) for h, c, b in leaves
+            ]
+            match = hungarian_match(outputs[-1], targets, weights)
+            loss, breakdown = fn(outputs, targets, match, weights)
+            backward(loss)
+            grads = [t.grad for row in leaves for t in row]
+            results.append((loss.item(), breakdown.as_row(), grads))
+        (got, got_parts, got_grads), (want, want_parts, want_grads) = results
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for name, value in want_parts.items():
+            assert got_parts[name] == pytest.approx(value, rel=1e-12, abs=1e-12), name
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)

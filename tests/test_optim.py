@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from panoptic4d.autodiff import Tensor
-from panoptic4d.errors import FormatError, ParameterError
+from panoptic4d.errors import ContractError, FormatError, ParameterError
+from panoptic4d.nn import load_parameters
 from panoptic4d.optim import (
     AdamW,
     OneCycleSchedule,
@@ -10,7 +11,7 @@ from panoptic4d.optim import (
     save_checkpoint,
 )
 
-from oracles import adam_reference
+from oracles import adam_reference, loop_adamw_step
 
 
 def make_params(rng, shapes):
@@ -59,6 +60,62 @@ class TestAdamW:
             opt.step()
         expected = adam_reference(theta0, grads, 0.05, 0.9, 0.999, 1e-8)
         np.testing.assert_allclose(p.values, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_flat_step_equals_per_tensor_loop(self, weight_decay):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (4,), (), (2, 3, 2), (1,)]
+        flat = make_params(rng, shapes)
+        loop = {k: Tensor(p.values.copy(), requires_grad=True) for k, p in flat.items()}
+        m = {k: np.zeros_like(p.values) for k, p in loop.items()}
+        v = {k: np.zeros_like(p.values) for k, p in loop.items()}
+        opt = AdamW(flat, lr=0.03, weight_decay=weight_decay)
+        for t in range(1, 21):
+            lr = 0.03 * (1.0 + np.sin(t))
+            opt.zero_grad()
+            for k in flat:
+                g = rng.normal(size=flat[k].values.shape)
+                flat[k].grad[...] += g
+                loop[k].grad[...] = g
+            opt.step(lr)
+            loop_adamw_step(loop, m, v, t, lr, weight_decay=weight_decay)
+            for k in flat:
+                assert np.array_equal(flat[k].values, loop[k].values), (k, t)
+
+    def test_rebound_parameter_fails_loudly(self):
+        rng = np.random.default_rng(6)
+        params = make_params(rng, [(2, 2), (3,)])
+        opt = AdamW(params, lr=0.1)
+        opt.step()
+        params["p1"].values = params["p1"].values.copy()
+        with pytest.raises(ContractError, match="'p1'"):
+            opt.step()
+        params = make_params(rng, [(2, 2)])
+        opt = AdamW(params)
+        params["p0"].grad = np.zeros((2, 2))
+        with pytest.raises(ContractError, match="'p0'"):
+            opt.step()
+
+    def test_duplicate_tensor_rejected(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ContractError, match="same tensor"):
+            AdamW({"a": p, "b": p})
+
+    def test_load_parameters_writes_into_flat_buffer(self):
+        rng = np.random.default_rng(7)
+        params = make_params(rng, [(2, 3), (4,)])
+        opt = AdamW(params, lr=0.0, weight_decay=0.0)
+        new = {k: rng.normal(size=p.values.shape) for k, p in params.items()}
+        load_parameters(params, new)
+        opt.step()  # zero lr: the step keeps exactly what was loaded
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.values, new[k])
+        opt.lr = 0.1
+        for p in params.values():
+            p.grad[...] = 1.0
+        opt.step()
+        for k, p in params.items():
+            assert np.all(p.values < new[k])
 
 
 class TestOneCycle:

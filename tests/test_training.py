@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import panoptic4d.autodiff as ad
 from panoptic4d.config import desk_preset
 from panoptic4d.errors import ParameterError
-from panoptic4d.model import PanopticModel
+from panoptic4d.heads import hungarian_match, total_loss
+from panoptic4d.model import PanopticModel, prepare_window
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import (
     TrainingDiverged,
@@ -128,3 +130,27 @@ def test_checkpoint_round_trip(tmp_path, tiny_seq):
     assert set(p1) == set(p2)
     for k in p1:
         np.testing.assert_array_equal(p1[k].values, p2[k].values)
+
+
+def test_desk_step_tape_budget():
+    """One desk-preset forward + loss + backward on the overfit scene of
+    acceptance criterion 4 records at most 400 tensors (about 1350 before
+    linear and attention were fused and the deep-supervision loss batched)."""
+    seq = generate_sequence(
+        SceneSpec(
+            seed=0, num_frames=4, num_thing_objects=3, points_per_object=110, points_per_stuff=220
+        )
+    )
+    cfg = desk_preset()
+    model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
+    scans, poses = sequence_windows(seq, cfg.window, cfg.train_stride)[0]
+    data = prepare_window(scans, poses, cfg.voxel_size)
+    targets = model.window_targets(data)
+    weights = cfg.loss_weights()
+    first = ad.Tensor(0.0)._id  # tensor ids count every construction
+    fwd = model.forward(data)
+    match = hungarian_match(fwd.final, targets, weights)
+    loss, _ = total_loss(fwd.outputs, targets, match, weights)
+    ad.backward(loss)
+    created = ad.Tensor(0.0)._id - first - 1
+    assert created <= 400, f"{created} tensors per step"
