@@ -309,18 +309,29 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(values, "concat", tensors, vjp)
 
 
+def _scatter_rows(rows: np.ndarray, index: np.ndarray, num: int) -> np.ndarray:
+    """out[i] = sum of rows[j] over j with index[j] == i, shaped (num, ...).
+
+    One bincount over flattened (index, column) bins; it adds each bin's
+    terms in order of j, as np.add.at does, so the sums are bit-identical.
+    """
+    flat = rows.reshape(rows.shape[0], -1)
+    width = flat.shape[1]
+    bins = (index * width)[:, None] + np.arange(width)
+    sums = np.bincount(bins.reshape(-1), weights=flat.reshape(-1), minlength=num * width)
+    return sums.reshape((num,) + rows.shape[1:])
+
+
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[i] = a[index[i]]; duplicate indices accumulate in the backward pass."""
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64).reshape(-1)
     if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    shape = a.shape
+    num = a.shape[0]
 
     def vjp(g):
-        acc = np.zeros(shape)
-        np.add.at(acc, index, g)
-        return (acc,)
+        return (_scatter_rows(g, index, num),)
 
     return _make(a.values[index], "gather_rows", (a,), vjp)
 
@@ -335,12 +346,12 @@ def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
         raise ShapeError(
             f"segment_mean: {segment_ids.shape[0]} segment ids for {a.shape[0]} rows"
         )
+    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+        raise ShapeError(f"segment_mean: segment id out of range for {num_segments} segments")
     counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
     if np.any(counts == 0):
         raise ParameterError("segment_mean: every segment must receive at least one row")
-    sums = np.zeros((num_segments, a.shape[1]))
-    np.add.at(sums, segment_ids, a.values)
-    values = sums / counts[:, None]
+    values = _scatter_rows(a.values, segment_ids, num_segments) / counts[:, None]
 
     def vjp(g):
         return (g[segment_ids] / counts[segment_ids, None],)

@@ -74,7 +74,7 @@ def seed_features(grid: VoxelGrid, window_frames: list[int]) -> np.ndarray:
     f0, f1 = min(window_frames), max(window_frames)
     span = max(1, f1 - f0)
     frame_feat = (grid.voxel_frame - f0) / span
-    counts = np.array([len(g) for g in grid.voxel_to_points], dtype=np.float64)
+    counts = np.bincount(grid.point_to_voxel, minlength=grid.num_voxels).astype(np.float64)
     return np.column_stack([offset, frame_feat, np.log1p(counts)])
 
 

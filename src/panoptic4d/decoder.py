@@ -233,14 +233,14 @@ def propagate_foreground(
 ) -> np.ndarray:
     """Lift a (N_q, K_0) boolean foreground map to level r: a coarse voxel is
     foreground for a query if any of its finest descendants is."""
-    fg = fg_finest.astype(np.uint8)
+    fg = np.array(fg_finest, dtype=bool)
     for r in range(level):
         parent = pyramid.levels[r].parent_map
-        k_next = pyramid.levels[r + 1].coords.shape[0]
-        acc = np.zeros((k_next, fg.shape[0]), dtype=np.uint8)
-        np.maximum.at(acc, parent, fg.T)
-        fg = acc.T
-    return fg.astype(bool)
+        acc = np.zeros((fg.shape[0], pyramid.levels[r + 1].coords.shape[0]), dtype=bool)
+        rows, cols = np.nonzero(fg)
+        acc[rows, parent[cols]] = True
+        fg = acc
+    return fg
 
 
 class QueryRefiner:

@@ -43,6 +43,8 @@ class Pose:
             raise InvalidPoseError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise InvalidPoseError("rotation determinant is not +1")
+        if not np.isfinite(self.translation).all():
+            raise InvalidPoseError("translation is not finite")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -117,14 +119,14 @@ class SuperimposedCloud:
 class VoxelGrid:
     """Regular cubic voxelization of a superimposed cloud.
 
-    point_to_voxel and voxel_to_points are mutually inverse; voxel_coords rows
-    are unique and listed in first-occurrence order of the input points.
+    point_to_voxel is the only membership record (the members of voxel v are
+    np.flatnonzero(point_to_voxel == v)); voxel_coords rows are unique and
+    listed in first-occurrence order of the input points.
     """
 
     voxel_coords: np.ndarray  # (K0, 3) int
     voxel_size: float
     point_to_voxel: np.ndarray  # (M,) int
-    voxel_to_points: list[np.ndarray] = field(repr=False)
     voxel_centroids: np.ndarray = field(repr=False)  # (K0, 3) meters
     voxel_frame: np.ndarray = field(repr=False)  # (K0,) mean frame index
 
@@ -154,13 +156,22 @@ def apply_pose(scan: LidarScan, pose: Pose) -> np.ndarray:
 
 
 def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
-    """Concatenate pose-transformed scans into one spatio-temporal point set."""
+    """Concatenate pose-transformed scans into one spatio-temporal point set.
+
+    A non-finite point is a ParameterError naming its window slot, frame
+    and index.
+    """
     if len(scans) != len(poses):
         raise ArityError(f"{len(scans)} scans but {len(poses)} poses")
     if not scans:
         raise ParameterError("need at least one scan")
     parts, frames, sources = [], [], []
     for slot, (scan, pose) in enumerate(zip(scans, poses)):
+        if not np.isfinite(scan.points).all():
+            bad = np.flatnonzero(~np.isfinite(scan.points).all(axis=1))[0]
+            raise ParameterError(
+                f"window slot {slot} (frame {scan.frame_index}): point {bad} is not finite"
+            )
         pts = apply_pose(scan, pose)
         parts.append(pts)
         frames.append(np.full(scan.num_points, scan.frame_index, dtype=np.int64))
@@ -176,16 +187,24 @@ def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
 
 
 def unique_rows_first_occurrence(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows in order of first occurrence, plus the inverse mapping."""
-    uniq, first_pos, inverse = np.unique(
-        coords, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    # np.unique sorts lexicographically; remap to first-occurrence order.
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse]
+    """Unique rows in order of first occurrence, plus the inverse mapping.
+
+    One stable lexsort over the columns groups equal rows with their lowest
+    index first; nothing is packed into a wider key, so any int64 values work.
+    """
+    n = coords.shape[0]
+    order = np.lexsort(coords.T[::-1])
+    ranked = coords[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1  # lexicographic group of each sorted row
+    first = order[starts]  # lowest point index of each group
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    new_id = np.cumsum(is_first) - 1  # at first occurrences: the group's rank
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = new_id[first][group]
+    return coords[is_first], inverse
 
 
 def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
@@ -210,15 +229,10 @@ def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
     frame = np.bincount(
         point_to_voxel, weights=cloud.frame_of.astype(np.float64), minlength=k
     ) / counts
-
-    member_order = np.argsort(point_to_voxel, kind="stable")
-    boundaries = np.cumsum(counts.astype(np.int64))[:-1]
-    voxel_to_points = [np.sort(g) for g in np.split(member_order, boundaries)]
     return VoxelGrid(
         voxel_coords=voxel_coords,
         voxel_size=float(voxel_size),
         point_to_voxel=point_to_voxel,
-        voxel_to_points=voxel_to_points,
         voxel_centroids=centroids,
         voxel_frame=frame,
     )

@@ -125,34 +125,36 @@ def build_targets(
     point_instance = np.asarray(point_instance).reshape(-1)
     if point_semantic.shape[0] != cloud.num_points:
         raise ShapeError("per-point labels do not match the cloud size")
-    class_index = {cid: i for i, cid in enumerate(class_map.all_ids)}
+    all_ids = np.asarray(class_map.all_ids, dtype=np.int64)
 
-    k = grid.num_voxels
-    voxel_key: list[tuple[int, int] | None] = [None] * k
-    for v in range(k):
-        members = grid.voxel_to_points[v]
-        counts: dict[tuple[int, int], int] = {}
-        for p in members:
-            sem = int(point_semantic[p])
-            if sem == IGNORE_LABEL or sem not in class_index:
-                continue
-            inst = int(point_instance[p]) if class_map.is_thing(sem) else 0
-            key = (sem, inst)
-            counts[key] = counts.get(key, 0) + 1
-        if counts:
-            best = max(counts.values())
-            voxel_key[v] = next(k_ for k_ in counts if counts[k_] == best)
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for v, key in enumerate(voxel_key):
-        if key is not None:
-            groups.setdefault(key, []).append(v)
+    # Labelled points in index order, with their (class index, instance)
+    # pairs numbered densely; stuff points carry instance 0.
+    sem = point_semantic.astype(np.int64)
+    idx = np.flatnonzero((sem != IGNORE_LABEL) & np.isin(sem, all_ids))
+    inst = np.where(np.isin(sem[idx], class_map.thing_ids), point_instance[idx], 0)
+    inst_ids, inst_rank = np.unique(inst, return_inverse=True)
+    pair_keys, pair = np.unique(
+        np.searchsorted(all_ids, sem[idx]) * inst_ids.size + inst_rank, return_inverse=True
+    )
+    # Count the (voxel, pair) keys: each voxel takes its most frequent pair,
+    # ties to the pair whose first member point comes first.
+    key, first, count = np.unique(
+        grid.point_to_voxel[idx] * pair_keys.size + pair, return_index=True, return_counts=True
+    )
+    voxel, pair = np.divmod(key, pair_keys.size)
+    order = np.lexsort((first, -count, voxel))
+    order = order[np.diff(voxel[order], prepend=-1) != 0]
+    voxel, pair = voxel[order], pair[order]  # the winners, voxels ascending
 
     extent_min, extent_max = cloud.extent()
     segments = []
-    for (sem, inst), voxels in groups.items():
-        mask = np.zeros(k, dtype=bool)
-        mask[voxels] = True
+    # One segment per winning pair, in order of its first voxel.
+    _, first_voxel = np.unique(pair, return_index=True)
+    for p in pair[np.sort(first_voxel)].tolist():
+        mask = np.zeros(grid.num_voxels, dtype=bool)
+        mask[voxel[pair == p]] = True
+        index, rank = divmod(int(pair_keys[p]), inst_ids.size)
+        sem, inst = int(all_ids[index]), int(inst_ids[rank])
         is_thing = class_map.is_thing(sem) and inst > 0
         box = None
         if is_thing:
@@ -162,7 +164,7 @@ def build_targets(
             box = trajectory_box(pts, extent_min, extent_max)
         segments.append(
             TargetSegment(
-                class_index=class_index[sem],
+                class_index=index,
                 is_thing=is_thing,
                 voxel_mask=mask,
                 box=box,

@@ -73,7 +73,10 @@ def write_scan(path: str, points: np.ndarray, intensity: np.ndarray | None = Non
 
 
 def read_scan(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a .bin scan; returns (points (N,3) float32, intensity (N,) float32)."""
+    """Read a .bin scan; returns (points (N,3) float32, intensity (N,) float32).
+
+    A record whose x, y or z is NaN or infinite is a FormatError at its offset.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) % SCAN_RECORD_BYTES != 0:
@@ -82,7 +85,14 @@ def read_scan(path: str) -> tuple[np.ndarray, np.ndarray]:
             byte_offset=len(blob) - len(blob) % SCAN_RECORD_BYTES,
         )
     rec = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
-    return rec[:, :3].copy(), rec[:, 3].copy()
+    points = rec[:, :3].copy()
+    if not np.isfinite(points).all():
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise FormatError(
+            f"scan file {path} has a non-finite coordinate in record {bad}",
+            byte_offset=bad * SCAN_RECORD_BYTES,
+        )
+    return points, rec[:, 3].copy()
 
 
 def write_labels(path: str, semantic: np.ndarray, instance: np.ndarray) -> None:

@@ -208,6 +208,12 @@ def s_cls(
     average.
     """
     gt.check_coverage(pred)
+    return _s_cls(pred, gt, class_map)
+
+
+def _s_cls(
+    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+) -> tuple[float, dict[int, float], float, float]:
     class_ids = list(class_map.all_ids)
     mat = confusion_matrix(pred, gt, class_ids)
     tp = np.diag(mat).astype(np.float64)
@@ -239,6 +245,10 @@ def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> fl
     order of (first frame, gt id).
     """
     gt.check_coverage(pred)
+    return _s_assoc(pred, gt, class_map)
+
+
+def _s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
     things = np.asarray(class_map.thing_ids, dtype=np.int64)
     tubes, pred_tubes, pairs = [], [], []
     for block in _blocks(gt):
@@ -406,6 +416,12 @@ def pq_sequence(
     sequence; the scalar PQ/SQ/RQ average the per-scan class means.
     """
     gt.check_coverage(pred)
+    return _pq_sequence(pred, gt, class_map)
+
+
+def _pq_sequence(
+    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
     if not gt.frames:
         return 0.0, 0.0, 0.0, {}
     shape = (len(gt.frames), class_map.num_classes)
@@ -432,10 +448,11 @@ def pq_sequence(
 
 
 def evaluate(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> MetricReport:
-    """Full metric report for one sequence."""
-    miou, per_class, iou_st, iou_th = s_cls(pred, gt, class_map)
-    assoc = s_assoc(pred, gt, class_map)
-    pq, sq, rq, per_class_pq = pq_sequence(pred, gt, class_map)
+    """Full metric report for one sequence; the labels are checked once."""
+    gt.check_coverage(pred)
+    miou, per_class, iou_st, iou_th = _s_cls(pred, gt, class_map)
+    assoc = _s_assoc(pred, gt, class_map)
+    pq, sq, rq, per_class_pq = _pq_sequence(pred, gt, class_map)
     return MetricReport(
         s_cls=miou,
         s_assoc=assoc,

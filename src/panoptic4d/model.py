@@ -153,9 +153,10 @@ class PanopticModel:
 
     def forward(self, window: WindowData) -> ForwardResult:
         pyramid = self.backbone.extract(window.grid, Tensor(window.seed))
+        # A window sparser than the query budget anchors one query per voxel.
         queries = init_queries(
             window.grid,
-            self.config.num_queries,
+            min(self.config.num_queries, window.grid.num_voxels),
             self.fourier,
             self.query_bias,
             window.ctx,

@@ -14,13 +14,16 @@ import numpy as np
 
 import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor
+from panoptic4d.backbone import FeaturePyramid
 from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
+from panoptic4d.geometry import SuperimposedCloud, VoxelGrid, trajectory_box
 from panoptic4d.heads import (
     EPS,
     LossBreakdown,
     LossWeights,
     MaskModuleOutput,
     MatchResult,
+    TargetSegment,
     Targets,
     box_l1_loss,
     ce_loss,
@@ -750,3 +753,150 @@ def loop_adamw_step(
         v *= beta2
         v += (1.0 - beta2) * g * g
         p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+# ---------------------------------------------------------------------------
+# the package's original window bookkeeping, kept verbatim as the references
+# for the lexsort row grouping, the counted target vote, the bincount
+# scatters and the index-assignment foreground lift.
+
+
+def loop_unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows in order of first occurrence, plus the inverse mapping."""
+    uniq, first_pos, inverse = np.unique(
+        coords, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    # np.unique sorts lexicographically; remap to first-occurrence order.
+    order = np.argsort(first_pos, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse]
+
+
+def voxel_to_points(grid: VoxelGrid) -> list[np.ndarray]:
+    """Ascending member point indices of every voxel."""
+    counts = np.bincount(grid.point_to_voxel, minlength=grid.num_voxels)
+    member_order = np.argsort(grid.point_to_voxel, kind="stable")
+    boundaries = np.cumsum(counts.astype(np.int64))[:-1]
+    return [np.sort(g) for g in np.split(member_order, boundaries)]
+
+
+def loop_build_targets(
+    cloud: SuperimposedCloud,
+    grid: VoxelGrid,
+    point_semantic: np.ndarray,
+    point_instance: np.ndarray,
+    class_map: ClassMap,
+) -> Targets:
+    """Voxel-level segments from per-point labels.
+
+    Each voxel is assigned to the most frequent (class, instance) pair among
+    its member points (ignored points excluded, ties to the pair seen first).
+    Thing instances additionally get a trajectory box computed from their raw
+    points, normalized by the window extent.
+    """
+    point_semantic = np.asarray(point_semantic).reshape(-1)
+    point_instance = np.asarray(point_instance).reshape(-1)
+    if point_semantic.shape[0] != cloud.num_points:
+        raise ShapeError("per-point labels do not match the cloud size")
+    class_index = {cid: i for i, cid in enumerate(class_map.all_ids)}
+    members_of = voxel_to_points(grid)
+
+    k = grid.num_voxels
+    voxel_key: list[tuple[int, int] | None] = [None] * k
+    for v in range(k):
+        members = members_of[v]
+        counts: dict[tuple[int, int], int] = {}
+        for p in members:
+            sem = int(point_semantic[p])
+            if sem == IGNORE_LABEL or sem not in class_index:
+                continue
+            inst = int(point_instance[p]) if class_map.is_thing(sem) else 0
+            key = (sem, inst)
+            counts[key] = counts.get(key, 0) + 1
+        if counts:
+            best = max(counts.values())
+            voxel_key[v] = next(k_ for k_ in counts if counts[k_] == best)
+
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v, key in enumerate(voxel_key):
+        if key is not None:
+            groups.setdefault(key, []).append(v)
+
+    extent_min, extent_max = cloud.extent()
+    segments = []
+    for (sem, inst), voxels in groups.items():
+        mask = np.zeros(k, dtype=bool)
+        mask[voxels] = True
+        is_thing = class_map.is_thing(sem) and inst > 0
+        box = None
+        if is_thing:
+            pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
+            if pts.shape[0] == 0:  # only possible via voxel-majority flips
+                pts = grid.voxel_centroids[mask]
+            box = trajectory_box(pts, extent_min, extent_max)
+        segments.append(
+            TargetSegment(
+                class_index=class_index[sem],
+                is_thing=is_thing,
+                voxel_mask=mask,
+                box=box,
+                instance_id=inst,
+            )
+        )
+    return Targets(segments=segments)
+
+
+def loop_gather_rows(a, index: np.ndarray) -> Tensor:
+    """out[i] = a[index[i]]; duplicate indices accumulate in the backward pass."""
+    a = ad.as_tensor(a)
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
+        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    shape = a.shape
+
+    def vjp(g):
+        acc = np.zeros(shape)
+        np.add.at(acc, index, g)
+        return (acc,)
+
+    return ad._make(a.values[index], "gather_rows", (a,), vjp)
+
+
+def loop_segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Mean of rows of a per segment id. Every segment must be non-empty."""
+    a = ad.as_tensor(a)
+    if a.values.ndim != 2:
+        raise ShapeError(f"segment_mean: expected 2-D, got {a.shape}")
+    segment_ids = np.asarray(segment_ids, dtype=np.int64).reshape(-1)
+    if segment_ids.shape[0] != a.shape[0]:
+        raise ShapeError(
+            f"segment_mean: {segment_ids.shape[0]} segment ids for {a.shape[0]} rows"
+        )
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    if np.any(counts == 0):
+        raise ParameterError("segment_mean: every segment must receive at least one row")
+    sums = np.zeros((num_segments, a.shape[1]))
+    np.add.at(sums, segment_ids, a.values)
+    values = sums / counts[:, None]
+
+    def vjp(g):
+        return (g[segment_ids] / counts[segment_ids, None],)
+
+    return ad._make(values, "segment_mean", (a,), vjp)
+
+
+def loop_propagate_foreground(
+    fg_finest: np.ndarray, pyramid: FeaturePyramid, level: int
+) -> np.ndarray:
+    """Lift a (N_q, K_0) boolean foreground map to level r: a coarse voxel is
+    foreground for a query if any of its finest descendants is."""
+    fg = fg_finest.astype(np.uint8)
+    for r in range(level):
+        parent = pyramid.levels[r].parent_map
+        k_next = pyramid.levels[r + 1].coords.shape[0]
+        acc = np.zeros((k_next, fg.shape[0]), dtype=np.uint8)
+        np.maximum.at(acc, parent, fg.T)
+        fg = acc.T
+    return fg.astype(bool)

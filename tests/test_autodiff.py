@@ -5,7 +5,7 @@ import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, backward, finite_difference_check, no_grad
 from panoptic4d.errors import ContractError, ParameterError, ShapeError
 
-from oracles import loop_attention
+from oracles import loop_attention, loop_gather_rows, loop_segment_mean
 
 
 def leaf(rng, *shape):
@@ -310,3 +310,72 @@ class TestSegmentMean:
     def test_empty_segment_rejected(self):
         with pytest.raises(ParameterError):
             ad.segment_mean(Tensor(np.ones((2, 1))), np.array([0, 0]), 2)
+
+    def test_out_of_range_id_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.segment_mean(Tensor(np.ones((2, 1))), np.array([0, 2]), 2)
+
+
+def _scatter_cases():
+    """(rows, columns, index, output rows): repeated ids, ids in reverse and
+    random order, a single id, and magnitudes that make summation order show."""
+    rng = np.random.default_rng(23)
+    cases = {
+        "repeated": (np.array([0, 0, 0, 1, 1, 2]), 3),
+        "reversed": (np.arange(40)[::-1] % 7, 7),
+        "one_id": (np.zeros(9, dtype=np.int64), 1),
+        "random": (rng.permutation(np.r_[np.arange(50), rng.integers(0, 50, 200)]), 50),
+    }
+    out = {}
+    for name, (index, num) in cases.items():
+        for width in (1, 5, 33):
+            values = rng.normal(size=(index.size, width)) * 10.0 ** rng.integers(-8, 9, size=(index.size, 1))
+            out[f"{name}-w{width}"] = (values, index, num)
+    return out
+
+
+SCATTER_CASES = _scatter_cases()
+
+
+def _value_and_grads(fn, values, index, num, upstream_seed=0):
+    x = Tensor(values.copy(), requires_grad=True)
+    out = fn(x, index, num)
+    upstream = np.random.default_rng(upstream_seed).normal(size=out.shape)
+    backward(ad.tsum(ad.mul(out, upstream)))
+    return out.values, x.grad
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_segment_mean_matches_add_at_loop(case):
+    values, index, num = SCATTER_CASES[case]
+    got, got_grad = _value_and_grads(ad.segment_mean, values, index, num)
+    want, want_grad = _value_and_grads(loop_segment_mean, values, index, num)
+    assert (got == want).all() and (got_grad == want_grad).all()
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_gather_rows_matches_add_at_loop(case):
+    # gather rows of a table through the index: a row gathered many times
+    # sums its gradients, a row never gathered gets zero
+    table, index, num = SCATTER_CASES[case]
+    rows = np.random.default_rng(1).normal(size=(num + 4, table.shape[1]))
+    gather = lambda x, i, _: ad.gather_rows(x, i)
+    loop = lambda x, i, _: loop_gather_rows(x, i)
+    got, got_grad = _value_and_grads(gather, rows, index, num)
+    want, want_grad = _value_and_grads(loop, rows, index, num)
+    assert (got == want).all() and (got_grad == want_grad).all()
+    assert (got_grad[num:] == 0).all()
+
+
+def test_segment_mean_unused_id_rejected_like_loop():
+    for fn in (ad.segment_mean, loop_segment_mean):
+        with pytest.raises(ParameterError):
+            fn(Tensor(np.ones((3, 2))), np.array([0, 0, 2]), 3)
+
+
+def test_gather_rows_one_dimensional_table():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    backward(ad.tsum(ad.gather_rows(x, np.array([2, 0, 2]))))
+    y = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    backward(ad.tsum(loop_gather_rows(y, np.array([2, 0, 2]))))
+    assert x.grad.tolist() == y.grad.tolist() == [1.0, 0.0, 2.0]

@@ -20,7 +20,7 @@ from panoptic4d.errors import ParameterError
 from panoptic4d.geometry import farthest_point_sampling
 from panoptic4d.heads import MaskModule
 
-from oracles import greedy_fps
+from oracles import greedy_fps, loop_propagate_foreground
 from test_backbone import grid_from_points
 
 
@@ -289,3 +289,18 @@ class TestPropagateForeground:
             propagate_foreground(full, pyramid, 1),
             np.ones((1, pyramid.levels[1].coords.shape[0]), dtype=bool),
         )
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.3, 1.0])
+    def test_matches_maximum_at_loop(self, level, density):
+        *_, pyramid, _ = small_setup(depth=3, widths=(6, 8, 10), npts=400)
+        k0 = pyramid.levels[0].coords.shape[0]
+        rng = np.random.default_rng(int(density * 100) + level)
+        fg = rng.random((7, k0)) < density
+        fg[0] = False
+        fg[1] = True
+        got = propagate_foreground(fg, pyramid, level)
+        want = loop_propagate_foreground(fg, pyramid, level)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+        assert got is not fg

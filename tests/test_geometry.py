@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panoptic4d.errors import (
     ArityError,
@@ -10,15 +13,17 @@ from panoptic4d.errors import (
 from panoptic4d.geometry import (
     LidarScan,
     Pose,
+    SuperimposedCloud,
     apply_pose,
     farthest_point_sampling,
     rot_z,
     superimpose,
     trajectory_box,
+    unique_rows_first_occurrence,
     voxelize,
 )
 
-from oracles import floor_voxel_oracle, greedy_fps
+from oracles import floor_voxel_oracle, greedy_fps, loop_unique_rows
 
 
 def make_cloud(points, frames=None):
@@ -97,6 +102,20 @@ class TestSuperimpose:
         )
         np.testing.assert_allclose(d_before, d_after, atol=1e-9)
 
+    def test_non_finite_point_names_slot_frame_and_point(self):
+        good = LidarScan(points=np.zeros((4, 3)), frame_index=3)
+        pts = np.ones((5, 3))
+        pts[2, 1] = np.nan
+        pts[4, 0] = np.inf
+        bad = LidarScan(points=pts, frame_index=7)
+        with pytest.raises(ParameterError, match=r"slot 1 \(frame 7\): point 2 "):
+            superimpose([good, bad], [Pose.identity(), Pose.identity()])
+
+    def test_non_finite_pose_translation_rejected(self):
+        scan = LidarScan(points=np.zeros((3, 3)), frame_index=0)
+        with pytest.raises(InvalidPoseError, match="translation"):
+            superimpose([scan], [Pose(np.eye(3), [np.inf, 0.0, 0.0])])
+
 
 class TestVoxelize:
     def test_shared_voxel(self):
@@ -129,13 +148,12 @@ class TestVoxelize:
 
     def test_round_trip_membership(self):
         rng = np.random.default_rng(5)
-        cloud = make_cloud(rng.uniform(-2, 2, size=(60, 3)))
-        grid = voxelize(cloud, 0.5)
+        pts = rng.uniform(-2, 2, size=(60, 3))
+        grid = voxelize(make_cloud(pts), 0.5)
+        # every voxel has members, and every point lies in the voxel it maps to
+        assert sorted(set(grid.point_to_voxel.tolist())) == list(range(grid.num_voxels))
         for i, v in enumerate(grid.point_to_voxel):
-            assert i in grid.voxel_to_points[v]
-        for v, members in enumerate(grid.voxel_to_points):
-            for i in members:
-                assert grid.point_to_voxel[i] == v
+            assert tuple(grid.voxel_coords[v]) == tuple(np.floor(pts[i] / 0.5).astype(int))
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(9)
@@ -153,12 +171,102 @@ class TestVoxelize:
         pts = rng.uniform(-1, 1, size=(40, 3))
         cloud = make_cloud(pts)
         grid = voxelize(cloud, 0.5)
-        for v, members in enumerate(grid.voxel_to_points):
+        for v in range(grid.num_voxels):
+            members = np.flatnonzero(grid.point_to_voxel == v)
             np.testing.assert_allclose(grid.voxel_centroids[v], pts[members].mean(axis=0))
 
     def test_bad_voxel_size(self):
         with pytest.raises(ParameterError):
             voxelize(make_cloud([[0.0, 0.0, 0.0]]), 0.0)
+
+
+def _row_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(17)
+    cases = {
+        "empty": np.zeros((0, 3), dtype=np.int64),
+        "one": np.array([[4, -2, 7]]),
+        "all_equal": np.tile([[1, 2, 3]], (9, 1)),
+        "negative": rng.integers(-4, 0, size=(200, 3)),
+        "huge": rng.integers(-1, 2, size=(150, 3)) * 10**9,
+        "int64_extremes": rng.choice(
+            [np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max], size=(120, 3)
+        ),
+    }
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=2.0, size=(int(rng.integers(1, 3000)), 3))
+        cases[f"cloud{seed}"] = np.floor(pts / 0.3).astype(np.int64)
+    cases["duplicates"] = np.repeat(cases["cloud0"][:50], 4, axis=0)[::-1]
+    return cases
+
+
+ROW_CASES = _row_cases()
+
+
+def bare_cloud(points, frames=None):
+    """A cloud straight from global-frame points, frame 0 unless given."""
+    n = len(points)
+    frames = np.zeros(n, dtype=np.int64) if frames is None else frames
+    return SuperimposedCloud(points, frames, np.zeros((n, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_unique_rows_match_loop_oracle(case):
+    coords = ROW_CASES[case]
+    rows, inverse = unique_rows_first_occurrence(coords)
+    want_rows, want_inverse = loop_unique_rows(coords)
+    assert rows.shape == want_rows.shape and rows.dtype == want_rows.dtype
+    assert inverse.shape == want_inverse.shape and inverse.dtype == want_inverse.dtype
+    assert (rows == want_rows).all() and (inverse == want_inverse).all()
+
+
+@pytest.mark.parametrize(
+    "points, size",
+    [
+        (np.zeros((0, 3)), 0.5),
+        (np.array([[0.3, -0.2, 7.0]]), 0.5),
+        (np.array([[1e9, -1e9, 0.5], [1e9, -1e9, 0.7], [-1e9, 1e9, 0.0]]), 1.0),
+        (np.random.default_rng(3).uniform(-5, -1, size=(300, 3)), 0.25),
+    ],
+    ids=["empty", "one", "plus_minus_1e9", "negative"],
+)
+def test_voxelize_edge_cases_match_loop_oracle(points, size):
+    grid = voxelize(bare_cloud(points), size)
+    rows, inverse = loop_unique_rows(np.floor(points / size).astype(np.int64))
+    assert (grid.voxel_coords == rows).all() and grid.voxel_coords.shape == rows.shape
+    assert (grid.point_to_voxel == inverse).all() and grid.point_to_voxel.shape == inverse.shape
+
+
+@settings(max_examples=200)
+@given(
+    pts=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 80), st.just(3)),
+        elements=st.one_of(
+            st.floats(-6, 6),
+            st.integers(-24, 24).map(lambda k: k * 0.25),  # voxel faces
+        ),
+    ),
+    size=st.sampled_from([0.25, 0.5, 1.0, 1.3]),
+)
+def test_voxelize_properties(pts, size):
+    frames = np.arange(len(pts)) % 3
+    grid = voxelize(bare_cloud(pts, frames), size)
+    coords = np.floor(pts / size).astype(np.int64)
+    # membership is floor(p / size), rows unique, voxels in first-occurrence order
+    assert (grid.voxel_coords[grid.point_to_voxel] == coords).all()
+    assert len({tuple(r) for r in grid.voxel_coords.tolist()}) == grid.num_voxels
+    firsts = [int(np.flatnonzero(grid.point_to_voxel == v)[0]) for v in range(grid.num_voxels)]
+    assert firsts == sorted(firsts)
+    # centroids and mean frames are the member means, summed in point order
+    for v in range(grid.num_voxels):
+        members = np.flatnonzero(grid.point_to_voxel == v).tolist()
+        for axis in range(3):
+            total = 0.0
+            for i in members:
+                total += pts[i, axis]
+            assert grid.voxel_centroids[v, axis] == total / len(members)
+        assert grid.voxel_frame[v] == float(sum(frames[members])) / len(members)
 
 
 class TestFarthestPointSampling:

@@ -20,9 +20,14 @@ from panoptic4d.heads import (
     solve_assignment,
     total_loss,
 )
+from panoptic4d.config import desk_preset
+from panoptic4d.model import prepare_window
 from panoptic4d.sequence import ClassMap
+from panoptic4d.synth import generate_sequence
+from panoptic4d.training import sequence_windows
 
-from oracles import brute_force_assignment, loop_total_loss, scalar_assignment
+from oracles import brute_force_assignment, loop_build_targets, loop_total_loss, scalar_assignment
+from test_acceptance import OVERFIT_SPEC
 
 
 def output_from_arrays(heat, class_logits, boxes=None):
@@ -236,6 +241,71 @@ class TestBuildTargets:
         for seg in targets.segments:
             covered += seg.voxel_mask
         assert np.all(covered <= 1)
+
+
+def assert_same_targets(got: Targets, want: Targets):
+    assert len(got) == len(want)
+    for a, b in zip(got.segments, want.segments):
+        assert (a.class_index, a.is_thing, a.instance_id) == (b.class_index, b.is_thing, b.instance_id)
+        assert a.voxel_mask.dtype == b.voxel_mask.dtype
+        assert (a.voxel_mask == b.voxel_mask).all()
+        assert (a.box is None) == (b.box is None)
+        if a.box is not None:
+            assert (a.box.as_vector() == b.box.as_vector()).all()
+
+
+def criterion_4_windows():
+    cfg = desk_preset()
+    seq = generate_sequence(OVERFIT_SPEC)
+    for scans, poses in sequence_windows(seq, cfg.window, cfg.stride):
+        data = prepare_window(scans, poses, cfg.voxel_size)
+        yield (data, *data.point_labels())
+
+
+def labelled_cloud(seed, n, voxel_size, sem_choices, inst_choices):
+    """Points packed into few voxels with labels drawn from small sets, so
+    voxels hold ties, ignore-only members and repeated pairs."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 3.0, size=(n, 3))
+    sem = rng.choice(sem_choices, size=n)
+    inst = rng.choice(inst_choices, size=n)
+    cloud = superimpose([LidarScan(points=pts, frame_index=0)], [Pose.identity()])
+    return cloud, voxelize(cloud, voxel_size), sem, inst
+
+
+class TestBuildTargetsMatchesLoop:
+    CM = ClassMap((1, 2), (3, 4))
+
+    def test_criterion_4_windows(self):
+        count = 0
+        for data, sem, inst in criterion_4_windows():
+            got = build_targets(data.cloud, data.grid, sem, inst, self.CM)
+            assert_same_targets(got, loop_build_targets(data.cloud, data.grid, sem, inst, self.CM))
+            count += 1
+        assert count >= 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tie_heavy_and_ignore_only_voxels(self, seed):
+        # two points per voxel on average: many exact ties between pairs
+        sems = [[1, 3, 255], [1, 2, 3, 4, 255, 9], [255, 255, 2], [3, 4]][seed % 4]
+        insts = [[0, 1, 2], [0, 5, -3, 1 << 40], [7]][seed % 3]
+        cloud, grid, sem, inst = labelled_cloud(seed, 60 + 40 * seed, 3.0 / (2 + seed % 5), sems, insts)
+        got = build_targets(cloud, grid, sem, inst, self.CM)
+        assert_same_targets(got, loop_build_targets(cloud, grid, sem, inst, self.CM))
+
+    def test_every_point_ignored(self):
+        cloud, grid, sem, inst = labelled_cloud(0, 50, 0.5, [255, 9], [0, 1])
+        assert len(build_targets(cloud, grid, sem, inst, self.CM)) == 0
+        assert len(loop_build_targets(cloud, grid, sem, inst, self.CM)) == 0
+
+    def test_tie_goes_to_the_first_member_point(self):
+        pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3, 0.3], [0.4, 0.4, 0.4]])
+        sem = np.array([255, 3, 1, 1])
+        inst = np.array([0, 0, 4, 5])
+        cloud = superimpose([LidarScan(points=pts, frame_index=0)], [Pose.identity()])
+        grid = voxelize(cloud, 1.0)
+        targets = build_targets(cloud, grid, sem, inst, self.CM)
+        assert [(s.class_index, s.instance_id) for s in targets.segments] == [(2, 0)]
 
 
 class TestTotalLoss:

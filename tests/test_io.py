@@ -67,6 +67,25 @@ class TestScanFiles:
             kitti_io.read_scan(str(path))
         assert exc.value.byte_offset == 16
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected_at_its_record(self, tmp_path, bad):
+        pts = np.zeros((6, 3))
+        pts[3, 2] = bad
+        pts[5, 0] = bad
+        intensity = np.full(6, np.nan)  # intensity is not a coordinate
+        path = str(tmp_path / "bad.bin")
+        kitti_io.write_scan(path, pts, intensity)
+        with pytest.raises(FormatError, match="bad.bin") as exc:
+            kitti_io.read_scan(path)
+        assert exc.value.byte_offset == 3 * kitti_io.SCAN_RECORD_BYTES
+
+    def test_non_finite_intensity_is_read(self, tmp_path):
+        path = str(tmp_path / "scan.bin")
+        kitti_io.write_scan(path, np.ones((3, 3)), np.array([np.nan, np.inf, 1.0]))
+        points, intensity = kitti_io.read_scan(path)
+        assert points.tolist() == np.ones((3, 3)).tolist()
+        assert np.isnan(intensity[0]) and np.isinf(intensity[1])
+
 
 class TestLabelFiles:
     def test_round_trip_and_count_check(self, tmp_path):

@@ -117,6 +117,32 @@ class TestSCls:
             evaluate(pred, gt, CM)
 
 
+class TestEvaluateChecksOnce:
+    def test_one_coverage_check_per_evaluate(self, monkeypatch):
+        calls = []
+        check = SequenceLabels.check_coverage
+
+        def counted(self, other):
+            calls.append(1)
+            return check(self, other)
+
+        monkeypatch.setattr(SequenceLabels, "check_coverage", counted)
+        scene = manual_scene(([1, 3], [1, 0], [1, 3], [1, 0]), ([2, 4], [5, 0], [2, 4], [6, 0]))
+        evaluate(*labels_from_scene(scene), CM)
+        assert len(calls) == 1
+        for score in (s_cls, s_assoc, pq_sequence):
+            calls.clear()
+            score(*labels_from_scene(scene), CM)
+            assert len(calls) == 1
+
+    def test_short_pred_instance_array_names_the_frame(self):
+        scene = manual_scene(([1, 3], [1, 0], [1, 3], [1, 0]), ([1, 3, 3], [1, 0, 0], [1, 3, 3], [1, 0, 0]))
+        pred, gt = labels_from_scene(scene)
+        pred.instance[1] = pred.instance[1][:-1]
+        with pytest.raises(ContractError, match=r"frame 1: labels must be 1-D arrays of one length"):
+            evaluate(pred, gt, CM)
+
+
 class TestSAssoc:
     def test_perfect(self):
         scene = manual_scene(
@@ -400,7 +426,7 @@ class TestAgainstLoopOracles:
         )
         assert_same_as_loops(pred, gt, CM)
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(
         frames=st.lists(
             st.lists(

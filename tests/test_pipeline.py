@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from panoptic4d.config import desk_preset
+from panoptic4d.geometry import LidarScan
 from panoptic4d.inference import run_sequence
-from panoptic4d.model import PanopticModel
+from panoptic4d.model import PanopticModel, prepare_window
 from panoptic4d.pipeline import (
     evaluate_prediction,
     model_predictor,
@@ -13,7 +14,7 @@ from panoptic4d.pipeline import (
     prediction_labels,
     write_prediction,
 )
-from panoptic4d.sequence import load_sequence
+from panoptic4d.sequence import ScanSequence, load_sequence
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import train_model
 
@@ -51,6 +52,24 @@ def test_predict_sequence_covers_everything(small):
     for scan in seq.scans:
         f = scan.frame_index
         assert pred.semantic[f].shape == (scan.num_points,)
+        thing_sel = np.isin(pred.semantic[f], cfg.thing_classes)
+        assert np.all(pred.instance[f][thing_sel] > 0)
+        assert np.all(pred.instance[f][~thing_sel] == 0)
+
+
+def test_sparse_window_gets_labels_for_every_point(small):
+    cfg, seq, model = small
+    # the last window holds three points, fewer voxels than queries
+    sparse = [LidarScan(points=seq.scans[2].points[:n], frame_index=f) for n, f in ((2, 2), (1, 3))]
+    scans = list(seq.scans[:2]) + sparse
+    poses = list(seq.poses[:2]) + [seq.poses[2], seq.poses[2]]
+    assert prepare_window(sparse, poses[2:], cfg.voxel_size).grid.num_voxels < cfg.num_queries
+    pred = predict_sequence(model, ScanSequence(scans, poses, seq.class_map), cfg)
+    assert pred.frames == [0, 1, 2, 3]
+    for scan in scans:
+        f = scan.frame_index
+        assert pred.semantic[f].shape == pred.instance[f].shape == (scan.num_points,)
+        assert np.isin(pred.semantic[f], seq.class_map.all_ids).all()
         thing_sel = np.isin(pred.semantic[f], cfg.thing_classes)
         assert np.all(pred.instance[f][thing_sel] > 0)
         assert np.all(pred.instance[f][~thing_sel] == 0)
