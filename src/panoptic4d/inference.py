@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, ParameterError
+from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
 from .sequence import ScanSequence
@@ -132,15 +132,20 @@ def _window_points(pred: WindowPrediction, cloud: SuperimposedCloud, frames: lis
     return sem, inst
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+def dbscan(
+    points: np.ndarray, eps: float, min_pts: int, groups: np.ndarray | None = None
+) -> np.ndarray:
     """Textbook DBSCAN: returns a cluster id per point, -1 for noise.
 
-    Points p and q are neighbors when ((p - q) ** 2).sum() <= eps * eps. A
-    point is core when it has at least min_pts neighbors, itself included.
-    Clusters are the connected components of the core-core neighbor graph,
-    numbered by their smallest core index, and a border point joins the
+    Points p and q are neighbors when ((p - q) ** 2).sum() <= eps * eps and,
+    if integer groups are given, groups[p] == groups[q]. A point is core when
+    it has at least min_pts neighbors, itself included. Clusters are the
+    connected components of the core-core neighbor graph, numbered by their
+    smallest core index over the whole input, and a border point joins the
     lowest-numbered cluster among its core neighbors: the labels of a scan in
-    input order (Ester et al., KDD 1996).
+    input order (Ester et al., KDD 1996). So on group-major input each
+    group's clusters come out in the order a call on that group alone gives
+    them, offset by the clusters of the groups before it.
 
     Neighbors are found through a hash grid with cells of edge >= eps (Gan
     and Tao, SIGMOD 2015) and streamed in bounded batches: once to count
@@ -160,10 +165,19 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
             f"{int((~finite).sum())} of {n} points have non-finite coordinates, "
             f"first at index {int(np.argmin(finite))}"
         )
+    if groups is None:
+        group_rank = np.zeros(n, dtype=np.int64)
+    else:
+        groups = np.asarray(groups)
+        if groups.shape != (n,):
+            raise ShapeError(f"groups has shape {groups.shape}, expected ({n},)")
+        if not np.issubdtype(groups.dtype, np.integer):
+            raise ParameterError(f"groups must be integers, got dtype {groups.dtype}")
+        group_rank = np.unique(groups, return_inverse=True)[1]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
 
-    neighbor_pairs = _grid_neighbor_pairs(points, eps * eps)
+    neighbor_pairs = _grid_neighbor_pairs(points, eps * eps, group_rank)
     # Every point neighbors itself, so with min_pts == 1 all are core and
     # the degrees need not be counted.
     core = np.ones(n, dtype=bool)
@@ -203,9 +217,10 @@ _FORWARD_OFFSETS = [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0
 _PAIR_BATCH = 1 << 17
 
 
-def _grid_neighbor_pairs(points: np.ndarray, eps2):
+def _grid_neighbor_pairs(points: np.ndarray, eps2, group: np.ndarray):
     """Hash points into a grid; returns a function that yields, in batches,
-    every unordered pair (i, j), i != j, with ((p_i - p_j) ** 2).sum() <= eps2."""
+    every unordered pair (i, j), i != j, with group[i] == group[j] and
+    ((p_i - p_j) ** 2).sum() <= eps2. group holds ranks 0..G-1."""
     n = points.shape[0]
     # A pair that passes the test is less than one cell edge apart on every
     # axis, even after rounding in the test and in points / edge, so it lies
@@ -221,10 +236,13 @@ def _grid_neighbor_pairs(points: np.ndarray, eps2):
         occupied, inverse = np.unique(cells[:, k], return_inverse=True)
         steps = np.minimum(np.diff(occupied), 2)
         cells[:, k] = np.concatenate(([1], 1 + np.cumsum(steps)))[inverse]
+    # Coordinates 0 and radix - 1 stay empty, so a forward offset never
+    # carries into the next axis, and the group rank in front keeps every
+    # group in its own block of keys.
     radix = [int(r) for r in cells.max(axis=0) + 2]
-    if radix[0] * radix[1] * radix[2] >= 2**63:
+    if (int(group.max()) + 1) * radix[0] * radix[1] * radix[2] >= 2**63:
         raise CapacityError(f"{n} points span too many grid cells for int64 keys")
-    key = (cells[:, 0] * radix[1] + cells[:, 1]) * radix[2] + cells[:, 2]
+    key = ((group * radix[0] + cells[:, 0]) * radix[1] + cells[:, 1]) * radix[2] + cells[:, 2]
 
     order = np.argsort(key, kind="stable")
     x, y, z = (np.ascontiguousarray(c) for c in points[order].T)
@@ -306,73 +324,72 @@ def split_non_compact(
     """Split each thing instance into spatially compact DBSCAN clusters.
 
     Every cluster becomes its own instance with the same semantics; noise
-    points join the nearest cluster by centroid distance. An instance whose
-    points are all noise is kept as a single instance. Semantic labels and
-    point coverage are never altered.
+    points join the nearest cluster by centroid distance (ties to the lowest
+    cluster). An instance whose points are all noise is kept as a single
+    instance. New ids run from 1 in (instance, cluster) order. Semantic labels
+    and point coverage are never altered.
+
+    One grouped dbscan call covers every instance of the window, grouped by
+    instance (or by instance and frame with per_frame, whose pieces are then
+    merged across frames).
     """
     sem, inst = _window_points(pred, cloud, frames)
-    new_inst = np.zeros_like(inst)
-    nxt = 1
-    for local in sorted(int(i) for i in np.unique(inst) if i > 0):
-        idx = np.flatnonzero(inst == local)
-        pts = cloud.points[idx]
-        if per_frame:
-            cl = _per_frame_clusters(pts, cloud.frame_of[idx], eps, min_pts)
-        else:
-            cl = dbscan(pts, eps, min_pts)
-        cluster_ids = sorted(int(c) for c in np.unique(cl) if c >= 1)
-        if not cluster_ids:  # everything noise: keep the instance whole
-            new_inst[idx] = nxt
-            nxt += 1
+    # thing points in (instance, point index) order; local is the instance
+    # rank, and instance i holds positions bounds[i]:bounds[i + 1]
+    order = np.flatnonzero(inst > 0)
+    order = order[np.argsort(inst[order], kind="stable")]
+    _, bounds, local = np.unique(inst[order], return_index=True, return_inverse=True)
+    n = order.size
+    bounds = np.append(bounds, n)
+    pts = cloud.points[order]
+    if per_frame:
+        frame = np.unique(cloud.frame_of[order], return_inverse=True)[1]
+        cl = dbscan(pts, eps, min_pts, groups=local * n + frame)
+        cl = _merge_frame_pieces(pts, cl, bounds, eps)
+    else:
+        cl = dbscan(pts, eps, min_pts, groups=local)
+
+    for i in np.unique(local[cl == -1]):  # noise exists only with min_pts > 1
+        c, p = cl[bounds[i] : bounds[i + 1]], pts[bounds[i] : bounds[i + 1]]
+        cluster_ids = np.unique(c[c >= 1])
+        if not cluster_ids.size:  # everything noise: keep the instance whole
             continue
-        centroids = np.stack([pts[cl == c].mean(axis=0) for c in cluster_ids])
-        noise = cl == -1
-        if noise.any():
-            d = np.linalg.norm(pts[noise][:, None, :] - centroids[None, :, :], axis=2)
-            cl[noise] = np.array(cluster_ids)[d.argmin(axis=1)]
-        new_inst[idx] = nxt + np.searchsorted(cluster_ids, cl)
-        nxt += len(cluster_ids)
+        centroids = np.stack([p[c == k].mean(axis=0) for k in cluster_ids])
+        noise = c == -1
+        d = np.linalg.norm(p[noise][:, None, :] - centroids[None, :, :], axis=2)
+        c[noise] = cluster_ids[d.argmin(axis=1)]
+
+    # an all-noise instance keeps cluster -1, its single key
+    key = local * (n + 2) + cl + 1
+    new_inst = np.zeros_like(inst)
+    new_inst[order] = np.unique(key, return_inverse=True)[1] + 1
     return _point_labels_to_window(cloud, frames, sem, new_inst)
 
 
-def _per_frame_clusters(pts, frame_of, eps, min_pts):
-    """DBSCAN per frame, then merge clusters across frames whose centroids lie
-    within eps of each other (single linkage)."""
-    n = pts.shape[0]
-    cl = np.full(n, -1, dtype=np.int64)
-    offset = 0
-    pieces = []
-    for f in sorted(set(int(f) for f in frame_of)):
-        sel = np.flatnonzero(frame_of == f)
-        sub = dbscan(pts[sel], eps, min_pts)
-        keep = sub >= 1
-        cl[sel[keep]] = sub[keep] + offset
-        for c in sorted(int(c) for c in np.unique(sub) if c >= 1):
-            pieces.append((c + offset, pts[sel][sub == c].mean(axis=0)))
-        offset += int(sub.max()) if sub.size and sub.max() > 0 else 0
-    if not pieces:
-        return cl
-    # union pieces whose centroids are close
-    parent = {pid: pid for pid, _ in pieces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if np.linalg.norm(pieces[i][1] - pieces[j][1]) <= eps:
-                parent[find(pieces[i][0])] = find(pieces[j][0])
-    roots = {}
-    out = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        if cl[k] >= 1:
-            r = find(int(cl[k]))
-            if r not in roots:
-                roots[r] = len(roots) + 1
-            out[k] = roots[r]
+def _merge_frame_pieces(pts, cl, bounds, eps):
+    """Join each instance's per-frame clusters (pieces) whose centroids lie
+    within eps of each other (single linkage); the merged clusters of an
+    instance are numbered from 1 in order of their first point."""
+    out = np.full_like(cl, -1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c, p = cl[lo:hi], pts[lo:hi]
+        pieces = np.unique(c[c >= 1])
+        if not pieces.size:
+            continue
+        centroids = [p[c == k].mean(axis=0) for k in pieces]
+        close = [
+            (a, b)
+            for a in range(pieces.size)
+            for b in range(a + 1, pieces.size)
+            if np.linalg.norm(centroids[a] - centroids[b]) <= eps
+        ]
+        root = np.arange(pieces.size)
+        if close:
+            _join(root, *np.array(close).T)
+        clustered = np.flatnonzero(c >= 1)
+        merged = root[np.searchsorted(pieces, c[clustered])]
+        _, first, merged = np.unique(merged, return_index=True, return_inverse=True)
+        out[lo + clustered] = np.argsort(np.argsort(first))[merged] + 1
     return out
 
 
@@ -475,10 +492,10 @@ def run_sequence(
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())
         for f in frames:
+            if not result.covers(f):
+                result.frames.append(f)
             inst = pred.instance[f]
             result.semantic[f] = pred.semantic[f].copy()
             result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
-            if f not in result.frames:
-                result.frames.append(f)
     result.frames.sort()
     return result

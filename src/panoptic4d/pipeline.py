@@ -15,7 +15,8 @@ from .inference import (
     run_sequence,
     split_non_compact,
 )
-from .kitti_io import label_path, write_labels
+from .errors import ParameterError
+from .kitti_io import label_path, pack_labels, write_labels
 from .metrics import MetricReport, SequenceLabels, evaluate
 from .model import PanopticModel, prepare_window
 from .sequence import ScanSequence
@@ -67,13 +68,21 @@ def evaluate_prediction(pred: PanopticPrediction, seq: ScanSequence) -> MetricRe
 
 
 def write_prediction(pred: PanopticPrediction, out_dir: str) -> list[str]:
-    """Emit one packed .label file per scan; returns the created paths."""
+    """Emit one packed .label file per scan; returns the created paths.
+
+    Every frame is packed once to validate it before the first file is
+    opened, so labels that cannot be written leave no partial output; the
+    error names the frame and its path.
+    """
     import os
 
+    paths = [label_path(out_dir, f) for f in pred.frames]
+    for f, path in zip(pred.frames, paths):
+        try:
+            pack_labels(pred.semantic[f], pred.instance[f])
+        except ParameterError as exc:
+            raise type(exc)(f"frame {f} ({path}): {exc}") from exc
     os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
-    created = []
-    for f in pred.frames:
-        path = label_path(out_dir, f)
+    for f, path in zip(pred.frames, paths):
         write_labels(path, pred.semantic[f], pred.instance[f])
-        created.append(path)
-    return created
+    return paths

@@ -28,6 +28,12 @@ from panoptic4d.heads import (
     box_l1_loss,
     ce_loss,
 )
+from panoptic4d.inference import (
+    WindowPrediction,
+    _point_labels_to_window,
+    _window_points,
+    dbscan,
+)
 from panoptic4d.metrics import SequenceLabels
 from panoptic4d.sequence import IGNORE_LABEL, ClassMap
 
@@ -900,3 +906,87 @@ def loop_propagate_foreground(
         np.maximum.at(acc, parent, fg.T)
         fg = acc.T
     return fg.astype(bool)
+
+
+# The per-instance DBSCAN split that made one dbscan call per instance (and
+# one per instance and frame in per-frame mode), kept verbatim as the
+# reference for the grouped single-call split.
+def loop_split_non_compact(
+    pred: WindowPrediction,
+    cloud: SuperimposedCloud,
+    frames: list[int],
+    eps: float = 1.0,
+    min_pts: int = 1,
+    per_frame: bool = False,
+) -> WindowPrediction:
+    """Split each thing instance into spatially compact DBSCAN clusters.
+
+    Every cluster becomes its own instance with the same semantics; noise
+    points join the nearest cluster by centroid distance. An instance whose
+    points are all noise is kept as a single instance. Semantic labels and
+    point coverage are never altered.
+    """
+    sem, inst = _window_points(pred, cloud, frames)
+    new_inst = np.zeros_like(inst)
+    nxt = 1
+    for local in sorted(int(i) for i in np.unique(inst) if i > 0):
+        idx = np.flatnonzero(inst == local)
+        pts = cloud.points[idx]
+        if per_frame:
+            cl = loop_per_frame_clusters(pts, cloud.frame_of[idx], eps, min_pts)
+        else:
+            cl = dbscan(pts, eps, min_pts)
+        cluster_ids = sorted(int(c) for c in np.unique(cl) if c >= 1)
+        if not cluster_ids:  # everything noise: keep the instance whole
+            new_inst[idx] = nxt
+            nxt += 1
+            continue
+        centroids = np.stack([pts[cl == c].mean(axis=0) for c in cluster_ids])
+        noise = cl == -1
+        if noise.any():
+            d = np.linalg.norm(pts[noise][:, None, :] - centroids[None, :, :], axis=2)
+            cl[noise] = np.array(cluster_ids)[d.argmin(axis=1)]
+        new_inst[idx] = nxt + np.searchsorted(cluster_ids, cl)
+        nxt += len(cluster_ids)
+    return _point_labels_to_window(cloud, frames, sem, new_inst)
+
+
+def loop_per_frame_clusters(pts, frame_of, eps, min_pts):
+    """DBSCAN per frame, then merge clusters across frames whose centroids lie
+    within eps of each other (single linkage)."""
+    n = pts.shape[0]
+    cl = np.full(n, -1, dtype=np.int64)
+    offset = 0
+    pieces = []
+    for f in sorted(set(int(f) for f in frame_of)):
+        sel = np.flatnonzero(frame_of == f)
+        sub = dbscan(pts[sel], eps, min_pts)
+        keep = sub >= 1
+        cl[sel[keep]] = sub[keep] + offset
+        for c in sorted(int(c) for c in np.unique(sub) if c >= 1):
+            pieces.append((c + offset, pts[sel][sub == c].mean(axis=0)))
+        offset += int(sub.max()) if sub.size and sub.max() > 0 else 0
+    if not pieces:
+        return cl
+    # union pieces whose centroids are close
+    parent = {pid: pid for pid, _ in pieces}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if np.linalg.norm(pieces[i][1] - pieces[j][1]) <= eps:
+                parent[find(pieces[i][0])] = find(pieces[j][0])
+    roots = {}
+    out = np.full(n, -1, dtype=np.int64)
+    for k in range(n):
+        if cl[k] >= 1:
+            r = find(int(cl[k]))
+            if r not in roots:
+                roots[r] = len(roots) + 1
+            out[k] = roots[r]
+    return out

@@ -213,3 +213,30 @@ def test_train_byte_deterministic(workspace, tmp_path, tiny_cfg_text):
         outs.append(out)
     assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
     assert (outs[0] / "loss.csv").read_text() == (outs[1] / "loss.csv").read_text()
+
+
+def test_infer_unwritable_ids_leave_no_label_file(workspace, tmp_path, monkeypatch, capsys):
+    # frame 1 carries an instance id that does not fit the 16-bit label field
+    from panoptic4d import cli
+    from panoptic4d.inference import PanopticPrediction
+
+    def stub_predict_sequence(model, seq, cfg):
+        pred = PanopticPrediction(frames=[s.frame_index for s in seq.scans])
+        for scan in seq.scans:
+            n = scan.num_points
+            pred.semantic[scan.frame_index] = np.ones(n, dtype=np.int64)
+            pred.instance[scan.frame_index] = np.full(n, 2**16 if scan.frame_index == 1 else 3)
+        return pred
+
+    monkeypatch.setattr(cli, "predict_sequence", stub_predict_sequence)
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(workspace / "seq"), "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "frame 1" in err and "000001.label" in err and "16 bits" in err
+    assert not [name for _, _, files in os.walk(out) for name in files if name.endswith(".label")]

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panoptic4d.autodiff import Tensor
-from panoptic4d.errors import ContractError, ParameterError
+from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
 from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
 from panoptic4d.heads import MaskModuleOutput
+import panoptic4d.inference as inference
 from panoptic4d.inference import (
     PanopticPrediction,
     WindowPrediction,
@@ -21,7 +22,12 @@ from panoptic4d.inference import (
     stitch,
 )
 
-from oracles import brute_force_max_assignment, quadratic_dbscan, reference_dbscan
+from oracles import (
+    brute_force_max_assignment,
+    loop_split_non_compact,
+    quadratic_dbscan,
+    reference_dbscan,
+)
 
 CLASS_IDS = np.array([1, 2, 3])  # 1, 2 things; 3 stuff
 THING_INDEX = np.array([True, True, False])
@@ -282,6 +288,112 @@ class TestDbscan:
         assert peak < 64 * 2**20
 
 
+def grouped_quadratic_dbscan(points, eps, min_pts, groups):
+    """quadratic_dbscan run on each group alone, its clusters renumbered over
+    the whole input by their smallest core index."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    groups = np.asarray(groups)
+    clusters = []  # (smallest core index, member indices)
+    for g in np.unique(groups):
+        idx = np.flatnonzero(groups == g)
+        sub = quadratic_dbscan(points[idx], eps, min_pts)
+        d2 = ((points[idx][:, None, :] - points[idx][None, :, :]) ** 2).sum(axis=2)
+        core = (d2 <= eps * eps).sum(axis=1) >= min_pts
+        for c in np.unique(sub[sub >= 1]):
+            clusters.append((int(idx[(sub == c) & core].min()), idx[sub == c]))
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
+    for k, (_, members) in enumerate(sorted(clusters, key=lambda cluster: cluster[0])):
+        labels[members] = k + 1
+    return labels
+
+
+class TestGroupedDbscan:
+    @settings(max_examples=200)
+    @given(
+        pts=arrays(
+            np.float64,
+            st.tuples(st.integers(0, 50), st.just(3)),
+            elements=st.one_of(
+                st.floats(-3, 3),
+                st.integers(-12, 12).map(lambda k: k * 0.25),  # lattice points
+            ),
+        ),
+        ids=st.lists(
+            st.sampled_from([0, 1, -1, -7, 3, 1000, 2**40, -(2**40), 2**62]),
+            min_size=1,
+            max_size=4,
+        ),
+        choice=st.randoms(use_true_random=False),
+        eps=st.sampled_from([0.25, 0.5, 1.0]),
+        min_pts=st.sampled_from([1, 3, 8]),
+    )
+    def test_property_matches_per_group_quadratic(self, pts, ids, choice, eps, min_pts):
+        # groups share one region of space, so they overlap
+        groups = np.array([choice.choice(ids) for _ in range(pts.shape[0])], dtype=np.int64)
+        np.testing.assert_array_equal(
+            dbscan(pts, eps, min_pts, groups=groups),
+            grouped_quadratic_dbscan(pts, eps, min_pts, groups),
+        )
+
+    @pytest.mark.parametrize("min_pts", [1, 3, 8])
+    @pytest.mark.parametrize("cloud", sorted(GRID_CLOUDS))
+    def test_grid_clouds_in_three_groups(self, cloud, min_pts):
+        pts, eps = GRID_CLOUDS[cloud]
+        groups = np.random.default_rng(3).choice([-5, 2, 2**40], size=pts.shape[0])
+        np.testing.assert_array_equal(
+            dbscan(pts, eps, min_pts, groups=groups),
+            grouped_quadratic_dbscan(pts, eps, min_pts, groups),
+        )
+
+    def test_group_major_input_keeps_per_group_numbering(self):
+        rng = np.random.default_rng(5)
+        parts = [rng.uniform(0, 6, size=(n, 3)) for n in (30, 0, 45, 12)]
+        alone = [dbscan(p, 1.0, 3) for p in parts]
+        grouped = dbscan(
+            np.concatenate(parts), 1.0, 3, groups=np.repeat([4, 5, 6, 7], [len(p) for p in parts])
+        )
+        offset = 0
+        for p, labels in zip(parts, alone):
+            got = grouped[offset : offset + len(p)]
+            np.testing.assert_array_equal(got == -1, labels == -1)
+            shift = got[labels >= 1] - labels[labels >= 1]
+            assert np.unique(shift).size <= 1
+            offset += len(p)
+
+    def test_bad_groups_rejected(self):
+        pts = np.zeros((4, 3))
+        with pytest.raises(ShapeError):
+            dbscan(pts, 1.0, 1, groups=np.zeros(3, dtype=np.int64))
+        with pytest.raises(ShapeError):
+            dbscan(pts, 1.0, 1, groups=np.zeros((4, 1), dtype=np.int64))
+        with pytest.raises(ParameterError, match="integer"):
+            dbscan(pts, 1.0, 1, groups=np.zeros(4))
+        with pytest.raises(ParameterError, match="integer"):
+            dbscan(pts, 1.0, 1, groups=np.zeros(4, dtype=bool))
+
+    def test_capacity_counts_groups(self):
+        # 40k points on a diagonal 3 eps apart: about 8e4 cells per axis fit
+        # int64 keys alone, but not once every point has its own group
+        n = 40_000
+        pts = np.repeat(np.arange(n, dtype=np.float64)[:, None] * 3.0, 3, axis=1)
+        assert dbscan(pts, 1.0, 1).max() == n
+        with pytest.raises(CapacityError):
+            dbscan(pts, 1.0, 1, groups=np.arange(n))
+
+    def test_peak_memory_bounded(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(0, 40, size=(50_000, 3))
+        groups = rng.integers(0, 200, size=50_000)
+        tracemalloc.start()
+        try:
+            labels = dbscan(pts, eps=1.0, min_pts=3, groups=groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (50_000,)
+        assert peak < 64 * 2**20
+
+
 def prediction_from_labels(cloud, frames, sem, inst):
     from panoptic4d.inference import _point_labels_to_window
 
@@ -382,6 +494,87 @@ class TestSplitNonCompact:
         before = len({i for f in (0, 1) for i in pred.instance[f] if i > 0})
         after = len({i for f in (0, 1) for i in out.instance[f] if i > 0})
         assert after >= before
+
+
+def _split_windows():
+    """Seeded (name, cloud, frames, sem, inst) windows for the split oracle."""
+    out = []
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        frames = [0, 1, 2][: 1 + seed % 3]
+        blobs = rng.uniform(0, 12, size=(5, 3))
+        pts = blobs[rng.integers(0, 5, size=150)] + rng.normal(scale=0.5, size=(150, 3))
+        cloud, _ = window_from_points(pts, frames)
+        m = cloud.num_points
+        inst = np.where(rng.random(m) < 0.85, rng.integers(1, 5, size=m), 0)
+        sem = np.where(inst > 0, 1, 3)
+        out.append((f"seeded_{seed}", cloud, frames, sem, inst))
+    # instance 2 is three isolated points: all noise at min_pts >= 2
+    pts = np.concatenate(
+        [np.random.default_rng(7).normal(scale=0.2, size=(6, 3)), [[20.0, 0, 0], [30, 0, 0], [40, 0, 0]]]
+    )
+    cloud, _ = window_from_points(pts, [0])
+    out.append(("all_noise", cloud, [0], np.ones(9, np.int64), np.repeat([1, 2], [6, 3])))
+    # a lone point exactly between two equal clusters: the tie goes to the lower
+    pair = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.25, 0.3, 0]])
+    pts = np.concatenate([pair, pair + [10.0, 0, 0], [[5.25, 0.1, 0]]])
+    cloud, _ = window_from_points(pts, [0])
+    out.append(("equidistant_noise", cloud, [0], np.ones(7, np.int64), np.ones(7, np.int64)))
+    pts = np.random.default_rng(8).uniform(0, 8, size=(60, 3))
+    cloud, _ = window_from_points(pts, [3, 9])
+    ids = np.random.default_rng(9).choice([0, 7, 2**20, 40], size=60)
+    out.append(("sparse_ids", cloud, [3, 9], np.where(ids > 0, 2, 3), ids))
+    cloud, _ = window_from_points(pts, [0, 1])
+    out.append(("no_things", cloud, [0, 1], np.full(60, 3), np.zeros(60, np.int64)))
+    return out
+
+
+SPLIT_WINDOWS = {w[0]: w[1:] for w in _split_windows()}
+
+
+def assert_same_window(got, want):
+    """Equal frames, and equal labels and dtypes in every frame."""
+    assert got.frames == want.frames
+    for labels, expected in ((got.semantic, want.semantic), (got.instance, want.instance)):
+        assert labels.keys() == expected.keys()
+        for f in expected:
+            assert labels[f].dtype == expected[f].dtype
+            np.testing.assert_array_equal(labels[f], expected[f])
+
+
+class TestGroupedSplit:
+    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("min_pts", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPLIT_WINDOWS))
+    def test_matches_per_instance_loop(self, name, min_pts, per_frame):
+        cloud, frames, sem, inst = SPLIT_WINDOWS[name]
+        pred = prediction_from_labels(cloud, frames, sem, inst)
+        for eps in (0.6, 1.0, 1.8):
+            got = split_non_compact(pred, cloud, frames, eps, min_pts, per_frame)
+            want = loop_split_non_compact(pred, cloud, frames, eps, min_pts, per_frame)
+            assert_same_window(got, want)
+
+    def test_equidistant_noise_goes_to_lower_cluster(self):
+        cloud, frames, sem, inst = SPLIT_WINDOWS["equidistant_noise"]
+        pred = prediction_from_labels(cloud, frames, sem, inst)
+        out = split_non_compact(pred, cloud, frames, eps=1.0, min_pts=2).instance[0]
+        assert out.tolist() == [1, 1, 1, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("name", sorted(SPLIT_WINDOWS))
+    def test_one_dbscan_call_per_window(self, monkeypatch, name, per_frame):
+        cloud, frames, sem, inst = SPLIT_WINDOWS[name]
+        calls = []
+        real = inference.dbscan
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "dbscan", spy)
+        pred = prediction_from_labels(cloud, frames, sem, inst)
+        split_non_compact(pred, cloud, frames, eps=1.0, min_pts=2, per_frame=per_frame)
+        assert calls == [int((inst > 0).sum())]
 
 
 class TestStitch:

@@ -168,3 +168,31 @@ def test_production_defaults_forward_pass():
         fwd = model.forward(data)
     assert fwd.final.heatmap_logits.shape == (100, data.grid.num_voxels)
     assert len(fwd.outputs) == cfg.num_rounds * cfg.backbone_depth + 1
+
+
+@pytest.mark.parametrize("per_frame", [False, True])
+@pytest.mark.parametrize("min_pts", [1, 3])
+def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, per_frame):
+    import panoptic4d.inference as inference
+    import panoptic4d.pipeline as pipeline
+
+    cfg, seq, model = small
+    dbscan_calls, windows = [], []
+    real_dbscan, real_extract = inference.dbscan, pipeline.extract_panoptic
+
+    def dbscan_spy(*args, **kwargs):
+        dbscan_calls.append(args[0].shape[0])
+        return real_dbscan(*args, **kwargs)
+
+    def extract_spy(*args, **kwargs):
+        windows.append(args[3])
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "dbscan", dbscan_spy)
+    monkeypatch.setattr(pipeline, "extract_panoptic", extract_spy)
+    run_cfg = dataclasses.replace(
+        cfg, window=2, stride=1, dbscan_min_pts=min_pts, dbscan_per_frame=per_frame
+    )
+    predict_sequence(model, seq, run_cfg)
+    assert windows == [[0, 1], [1, 2]]
+    assert len(dbscan_calls) == len(windows)
