@@ -264,13 +264,7 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
         return a.reshape(a.shape[0], num_heads, dh).transpose(1, 0, 2)
 
     qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
-    z = (qh @ kh.transpose(0, 2, 1)) * scale  # (H, n, m)
-    if mask is not None:
-        z = np.where(mask, z, -np.inf)
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax_np((qh @ kh.transpose(0, 2, 1)) * scale, mask)  # (H, n, m)
     values = (s @ vh).transpose(1, 0, 2).reshape(n, d)
 
     def vjp(g):
@@ -390,6 +384,17 @@ def sigmoid(a) -> Tensor:
     return _make(s, "sigmoid", (a,), vjp)
 
 
+def softmax_np(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Softmax on raw arrays; entries where the (broadcast) mask is False get
+    exactly 0."""
+    if mask is not None:
+        z = np.where(mask, z, -np.inf)
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    if mask is not None:
+        e = np.where(mask, e, 0.0)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
     """Softmax along one axis; optionally restricted to mask==True entries.
 
@@ -404,12 +409,7 @@ def softmax(a, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
             raise ShapeError(f"softmax: mask shape {mask.shape} != logits shape {z.shape}")
         if not np.all(mask.any(axis=axis)):
             raise ContractError("softmax: a row has no allowed entries")
-        z = np.where(mask, z, -np.inf)
-    zmax = np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z - zmax)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_np(z, mask, axis)
 
     def vjp(g):
         dot = np.sum(g * s, axis=axis, keepdims=True)
@@ -526,11 +526,6 @@ def backward(loss: Tensor) -> None:
                 grads[parent._id] = grads[parent._id] + pg
             else:
                 grads[parent._id] = pg
-
-
-def zero_grads(params) -> None:
-    for p in params.values() if isinstance(params, dict) else params:
-        p.zero_grad()
 
 
 def finite_difference_check(

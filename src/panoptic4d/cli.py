@@ -61,7 +61,11 @@ class _Outputs:
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else desk_preset()
+    return _override(load_config(args.config) if args.config else desk_preset(), args)
+
+
+def _override(cfg: RunConfig, args) -> RunConfig:
+    """cfg with the command line's overrides, applied (and validated) at once."""
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["train_seed"] = args.seed
@@ -75,9 +79,7 @@ def _load_run_config(args) -> RunConfig:
         updates["use_box_loss"] = False
     if getattr(args, "sequence", None):
         updates["sequence_dir"] = args.sequence
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def cmd_generate(args, out: _Outputs) -> int:
@@ -98,7 +100,7 @@ def cmd_train(args, out: _Outputs) -> int:
     if not cfg.sequence_dir:
         print("train: no sequence directory (use --sequence or sequence_dir)", file=sys.stderr)
         return 2
-    seq = load_sequence(cfg.sequence_dir, cfg.model_config().class_map())
+    seq = load_sequence(cfg.sequence_dir, cfg.class_map())
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     result = train_model(model, seq, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -116,13 +118,8 @@ def cmd_train(args, out: _Outputs) -> int:
 
 def cmd_infer(args, out: _Outputs) -> int:
     model, cfg = load_model(args.checkpoint)
-    if args.window is not None:
-        cfg = dataclasses.replace(cfg, window=args.window)
-    if args.stride is not None:
-        cfg = dataclasses.replace(cfg, stride=args.stride)
-    if args.no_dbscan:
-        cfg = dataclasses.replace(cfg, use_dbscan=False)
-    seq = load_sequence(args.sequence, cfg.model_config().class_map(), with_labels=False)
+    cfg = _override(cfg, args)
+    seq = load_sequence(args.sequence, cfg.class_map(), with_labels=False)
     pred = predict_sequence(model, seq, cfg)
     out.add(*write_prediction(pred, args.out))
     print(f"wrote predictions for {len(pred.frames)} scans to {args.out}")
@@ -144,7 +141,7 @@ def _labels_from_dir(label_dir: str, gt_seq) -> SequenceLabels:
 
 def cmd_eval(args, out: _Outputs) -> int:
     cfg = _load_run_config(args)
-    gt_seq = load_sequence(args.gt, cfg.model_config().class_map())
+    gt_seq = load_sequence(args.gt, cfg.class_map())
     pred = _labels_from_dir(args.pred, gt_seq)
     gt = SequenceLabels.from_scans(gt_seq)
     report = evaluate(pred, gt, gt_seq.class_map)
@@ -236,7 +233,7 @@ def run_ablation(
 
 def cmd_inspect(args, out: _Outputs) -> int:
     model, cfg = load_model(args.checkpoint)
-    seq = load_sequence(args.sequence, cfg.model_config().class_map(), with_labels=False)
+    seq = load_sequence(args.sequence, cfg.class_map(), with_labels=False)
     start = args.window_start
     scans = seq.scans[start : start + cfg.window]
     poses = seq.poses[start : start + cfg.window]

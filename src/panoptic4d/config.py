@@ -14,28 +14,14 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .heads import LossWeights
-from .model import ModelConfig
+from .model import ModelConfig, project
 from .synth import SceneSpec
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # window formation / model
-    voxel_size: float = 0.05
-    window: int = 2
-    num_queries: int = 100
-    dim: int = 64
-    num_heads: int = 4
-    num_rounds: int = 3
-    ffn_width: int = 128
-    mask_threshold: float = 0.5
-    num_frequencies: int = 6
-    freq_base: float = 2.0
-    backbone_depth: int = 4
-    backbone_widths: tuple[int, ...] = (32, 64, 96, 128)
-    thing_classes: tuple[int, ...] = (1, 2)
-    stuff_classes: tuple[int, ...] = (3, 4)
-    query_seed: int = 0
+class RunConfig(ModelConfig):
+    """Model fields (inherited, listed first) plus training and inference."""
+
     model_seed: int = 0
     # training
     steps: int = 2000
@@ -66,7 +52,12 @@ class RunConfig:
     dbscan_per_frame: bool = False
 
     def __post_init__(self):
-        if self.window > 1 and not 1 <= self.stride < self.window:
+        super().__post_init__()
+        if self.stride < 1 or self.train_stride < 1:
+            raise ParameterError(
+                f"stride {self.stride} and train_stride {self.train_stride} must be >= 1"
+            )
+        if self.window > 1 and self.stride >= self.window:
             raise ParameterError(
                 f"stride {self.stride} must be in [1, window) for window {self.window}"
             )
@@ -74,32 +65,11 @@ class RunConfig:
             raise ParameterError("batch_size must be >= 1")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            voxel_size=self.voxel_size,
-            window=self.window,
-            num_queries=self.num_queries,
-            dim=self.dim,
-            num_heads=self.num_heads,
-            num_rounds=self.num_rounds,
-            ffn_width=self.ffn_width,
-            mask_threshold=self.mask_threshold,
-            num_frequencies=self.num_frequencies,
-            freq_base=self.freq_base,
-            backbone_depth=self.backbone_depth,
-            backbone_widths=self.backbone_widths,
-            thing_classes=self.thing_classes,
-            stuff_classes=self.stuff_classes,
-            query_seed=self.query_seed,
-        )
+        return project(ModelConfig, self)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_dice=self.lambda_dice,
-            lambda_bce=self.lambda_bce,
-            lambda_ce=self.lambda_ce,
-            lambda_box=self.lambda_box if self.use_box_loss else 0.0,
-            no_object_weight=self.no_object_weight,
-            cost_reduction=self.cost_reduction,
+        return project(
+            LossWeights, self, lambda_box=self.lambda_box if self.use_box_loss else 0.0
         )
 
 

@@ -19,6 +19,8 @@ from .errors import (
 )
 
 ORTHONORMAL_TOL = 1e-6
+# np.allclose(r.T @ r, I, atol=ORTHONORMAL_TOL) bounds, without its call overhead
+_GRAM_TOL = ORTHONORMAL_TOL + 1e-5 * np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class Pose:
         r = self.rotation
         if r.shape != (3, 3):
             raise InvalidPoseError(f"rotation must be 3x3, got {r.shape}")
-        if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL):
+        if not (np.abs(r.T @ r - np.eye(3)) <= _GRAM_TOL).all():
             raise InvalidPoseError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise InvalidPoseError("rotation determinant is not +1")

@@ -34,9 +34,7 @@ class MaskModuleOutput:
         return self.heatmap_logits.shape[0]
 
     def class_probs(self) -> np.ndarray:
-        z = self.class_logits.values
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        return ad.softmax_np(self.class_logits.values, axis=1)
 
     def heatmap_sigmoid(self) -> np.ndarray:
         return ad.sigmoid_np(self.heatmap_logits.values)

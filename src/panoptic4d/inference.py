@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
-from .sequence import ScanSequence
+from .sequence import ScanSequence, window_starts
 
 log = logging.getLogger(__name__)
 
@@ -465,16 +465,10 @@ def run_sequence(
         stride = max(1, window - 1)
     if window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
-    if window == n:
-        starts = [0]
-    else:
-        starts = list(range(0, n - window + 1, stride))
-        if starts[-1] != n - window:
-            starts.append(n - window)
 
     result = PanopticPrediction()
     next_free_id = 1
-    for w, start in enumerate(starts):
+    for w, start in enumerate(window_starts(n, window, stride)):
         scans = sequence.scans[start : start + window]
         poses = sequence.poses[start : start + window]
         frames = [s.frame_index for s in scans]

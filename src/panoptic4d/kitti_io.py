@@ -5,7 +5,8 @@ Formats:
   - label (.label): little-endian uint32 records, semantic in the lower 16
     bits, instance in the upper 16 bits.
   - poses.txt: one scan per line, 12 whitespace-separated floats, the
-    row-major 3x4 [R|t] matrix of the KITTI odometry convention.
+    row-major 3x4 [R|t] matrix of the KITTI odometry convention; the rotation
+    must pass Pose.validate.
 
 Directory layout of a sequence:
   <sequence>/velodyne/NNNNNN.bin
@@ -19,7 +20,7 @@ import os
 
 import numpy as np
 
-from .errors import ArityError, FormatError, ParameterError
+from .errors import ArityError, FormatError, InvalidPoseError, ParameterError
 from .geometry import Pose
 
 SCAN_RECORD_BYTES = 16  # four float32 per point
@@ -143,7 +144,12 @@ def read_poses(path: str) -> list[Pose]:
                 mat = np.array([float(v) for v in vals]).reshape(3, 4)
             except ValueError as exc:
                 raise FormatError(f"pose line {lineno} of {path}: {exc}") from exc
-            poses.append(Pose(mat[:, :3], mat[:, 3]))
+            pose = Pose(mat[:, :3], mat[:, 3])
+            try:
+                pose.validate()
+            except InvalidPoseError as exc:
+                raise InvalidPoseError(f"pose line {lineno} of {path}: {exc}") from exc
+            poses.append(pose)
     return poses
 
 

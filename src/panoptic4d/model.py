@@ -4,7 +4,9 @@ mask predictions, plus checkpoint save/load with an embedded config.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +24,13 @@ from .errors import ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
+
+
+def project(cls, obj, **overrides):
+    """An instance of dataclass cls holding obj's values of cls's fields."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    values.update(overrides)
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -54,15 +63,7 @@ class ModelConfig:
         return ClassMap(thing_ids=self.thing_classes, stuff_ids=self.stuff_classes)
 
     def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(
-            dim=self.dim,
-            num_heads=self.num_heads,
-            num_rounds=self.num_rounds,
-            ffn_width=self.ffn_width,
-            mask_threshold=self.mask_threshold,
-            num_frequencies=self.num_frequencies,
-            freq_base=self.freq_base,
-        )
+        return project(DecoderConfig, self)
 
     def backbone_config(self) -> BackboneConfig:
         return BackboneConfig(depth=self.backbone_depth, widths=self.backbone_widths)
@@ -87,9 +88,16 @@ class WindowData:
 
 
 def prepare_window(
-    scans: list[LidarScan], poses: list[Pose], voxel_size: float
+    scans: list[LidarScan],
+    poses: list[Pose],
+    voxel_size: float,
+    transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> WindowData:
+    """Superimpose, voxelize and seed one window; transform, when given, maps
+    the superimposed (M, 3) points before voxelizing (training augmentation)."""
     cloud = superimpose(scans, poses)
+    if transform is not None:
+        cloud.points = transform(cloud.points)
     grid = voxelize(cloud, voxel_size)
     frames = [s.frame_index for s in scans]
     ext_min, ext_max = cloud.extent()
@@ -170,10 +178,6 @@ class PanopticModel:
     def window_targets(self, window: WindowData) -> Targets:
         sem, inst = window.point_labels()
         return build_targets(window.cloud, window.grid, sem, inst, self.class_map)
-
-    # external class ids <-> contiguous class indices used by the heads
-    def class_id_of_index(self, index: int) -> int:
-        return self.class_map.all_ids[index]
 
     def class_ids(self) -> np.ndarray:
         return np.array(self.class_map.all_ids, dtype=np.int64)

@@ -77,6 +77,18 @@ class ScanSequence:
         return all(s.has_labels() for s in self.scans)
 
 
+def window_starts(n: int, window: int, stride: int) -> list[int]:
+    """Window starts over n frames: every stride-th one plus a last one that
+    covers the tail (a window longer than the sequence leaves only 0)."""
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    last = max(n - window, 0)
+    starts = list(range(0, last + 1, stride))
+    if starts[-1] != last:
+        starts.append(last)
+    return starts
+
+
 def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) -> list[str]:
     """Write a sequence in the kitti_io layout; returns the created file paths."""
     os.makedirs(os.path.join(out_dir, "velodyne"), exist_ok=True)

@@ -7,20 +7,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .backbone import seed_features
 from .config import RunConfig, config_to_text, config_from_text
-from .decoder import WindowContext
 from .errors import ParameterError
-from .geometry import LidarScan, Pose, rot_z, superimpose, voxelize
+from .geometry import LidarScan, Pose, rot_z
 from .heads import Targets, hungarian_match, total_loss
 from .model import PanopticModel, WindowData, prepare_window
 from .nn import load_parameters
 from .optim import AdamW, OneCycleSchedule, load_checkpoint, save_checkpoint
-from .sequence import ScanSequence
+from .sequence import ScanSequence, window_starts
 
 log = logging.getLogger(__name__)
 
@@ -63,45 +62,29 @@ class TrainResult:
 def sequence_windows(
     seq: ScanSequence, window: int, stride: int
 ) -> list[tuple[list[LidarScan], list[Pose]]]:
-    n = seq.num_frames
-    window = min(window, n)
-    starts = list(range(0, n - window + 1, max(1, stride)))
-    if starts[-1] != n - window:
-        starts.append(n - window)
     return [
-        (seq.scans[s : s + window], seq.poses[s : s + window]) for s in starts
+        (seq.scans[s : s + window], seq.poses[s : s + window])
+        for s in window_starts(seq.num_frames, window, stride)
     ]
 
 
-def _augmented_window(
-    scans: list[LidarScan],
-    poses: list[Pose],
-    cfg: RunConfig,
-    rng: np.random.Generator,
-) -> WindowData:
-    """Window preparation with a random rigid + scale transform of the
-    superimposed cloud (applied in the global frame)."""
-    cloud = superimpose(scans, poses)
-    pts = cloud.points
-    if cfg.aug_rotate:
-        pts = pts @ rot_z(rng.uniform(0.0, 2.0 * np.pi)).T
-    if cfg.aug_scale:
-        pts = pts * rng.uniform(0.95, 1.05)
-    if cfg.aug_translate:
-        pts = pts + rng.uniform(-1.0, 1.0, size=3)
-    cloud.points = pts
-    grid = voxelize(cloud, cfg.voxel_size)
-    frames = [s.frame_index for s in scans]
-    ext_min, ext_max = cloud.extent()
-    ctx = WindowContext(ext_min, ext_max, min(frames), max(frames))
-    return WindowData(
-        frames=frames,
-        scans=scans,
-        cloud=cloud,
-        grid=grid,
-        seed=seed_features(grid, frames),
-        ctx=ctx,
-    )
+def augmentation(cfg: RunConfig, rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
+    """A random rotation about z, scale and translation of the superimposed
+    cloud (global frame), drawn from rng in that order for the enabled flags."""
+    rot = rot_z(rng.uniform(0.0, 2.0 * np.pi)) if cfg.aug_rotate else None
+    scale = rng.uniform(0.95, 1.05) if cfg.aug_scale else None
+    shift = rng.uniform(-1.0, 1.0, size=3) if cfg.aug_translate else None
+
+    def transform(pts: np.ndarray) -> np.ndarray:
+        if rot is not None:
+            pts = pts @ rot.T
+        if scale is not None:
+            pts = pts * scale
+        if shift is not None:
+            pts = pts + shift
+        return pts
+
+    return transform
 
 
 def train_model(
@@ -123,11 +106,11 @@ def train_model(
     augmenting = cfg.aug_rotate or cfg.aug_translate or cfg.aug_scale
     rng = np.random.Generator(np.random.PCG64(cfg.train_seed))
 
-    cache: list[tuple[WindowData, Targets]] = []
-    if not augmenting:
-        for scans, poses in windows:
-            data = prepare_window(scans, poses, cfg.voxel_size)
-            cache.append((data, model.window_targets(data)))
+    def prepared(scans, poses, transform=None) -> tuple[WindowData, Targets]:
+        data = prepare_window(scans, poses, cfg.voxel_size, transform=transform)
+        return data, model.window_targets(data)
+
+    cache = [] if augmenting else [prepared(*w) for w in windows]
 
     params = model.parameters()
     opt = AdamW(
@@ -149,8 +132,7 @@ def train_model(
         for _ in range(cfg.batch_size):
             if augmenting:
                 scans, poses = windows[counter % len(windows)]
-                data = _augmented_window(scans, poses, cfg, rng)
-                targets = model.window_targets(data)
+                data, targets = prepared(scans, poses, augmentation(cfg, rng))
             else:
                 data, targets = cache[counter % len(windows)]
             counter += 1

@@ -14,9 +14,20 @@ import numpy as np
 
 import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor
-from panoptic4d.backbone import FeaturePyramid
+from panoptic4d.backbone import FeaturePyramid, seed_features
+from panoptic4d.config import RunConfig
+from panoptic4d.decoder import WindowContext
 from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
-from panoptic4d.geometry import SuperimposedCloud, VoxelGrid, trajectory_box
+from panoptic4d.geometry import (
+    LidarScan,
+    Pose,
+    SuperimposedCloud,
+    VoxelGrid,
+    rot_z,
+    superimpose,
+    trajectory_box,
+    voxelize,
+)
 from panoptic4d.heads import (
     EPS,
     LossBreakdown,
@@ -35,6 +46,7 @@ from panoptic4d.inference import (
     dbscan,
 )
 from panoptic4d.metrics import SequenceLabels
+from panoptic4d.model import WindowData
 from panoptic4d.sequence import IGNORE_LABEL, ClassMap
 
 
@@ -990,3 +1002,34 @@ def loop_per_frame_clusters(pts, frame_of, eps, min_pts):
                 roots[r] = len(roots) + 1
             out[k] = roots[r]
     return out
+
+
+def _augmented_window(
+    scans: list[LidarScan],
+    poses: list[Pose],
+    cfg: RunConfig,
+    rng: np.random.Generator,
+) -> WindowData:
+    """Window preparation with a random rigid + scale transform of the
+    superimposed cloud (applied in the global frame)."""
+    cloud = superimpose(scans, poses)
+    pts = cloud.points
+    if cfg.aug_rotate:
+        pts = pts @ rot_z(rng.uniform(0.0, 2.0 * np.pi)).T
+    if cfg.aug_scale:
+        pts = pts * rng.uniform(0.95, 1.05)
+    if cfg.aug_translate:
+        pts = pts + rng.uniform(-1.0, 1.0, size=3)
+    cloud.points = pts
+    grid = voxelize(cloud, cfg.voxel_size)
+    frames = [s.frame_index for s in scans]
+    ext_min, ext_max = cloud.extent()
+    ctx = WindowContext(ext_min, ext_max, min(frames), max(frames))
+    return WindowData(
+        frames=frames,
+        scans=scans,
+        cloud=cloud,
+        grid=grid,
+        seed=seed_features(grid, frames),
+        ctx=ctx,
+    )

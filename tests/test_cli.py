@@ -240,3 +240,63 @@ def test_infer_unwritable_ids_leave_no_label_file(workspace, tmp_path, monkeypat
     err = capsys.readouterr().err
     assert "frame 1" in err and "000001.label" in err and "16 bits" in err
     assert not [name for _, _, files in os.walk(out) for name in files if name.endswith(".label")]
+
+
+def test_infer_rejects_bad_pose_before_any_forward(workspace, tmp_path, monkeypatch, capsys):
+    from panoptic4d.model import PanopticModel
+    from panoptic4d.sequence import save_sequence
+    from panoptic4d.synth import SceneSpec, generate_sequence
+
+    seq_dir = tmp_path / "seq"
+    save_sequence(
+        generate_sequence(
+            SceneSpec(seed=4, num_frames=6, num_thing_objects=2, points_per_object=40,
+                      points_per_stuff=90)
+        ),
+        str(seq_dir),
+    )
+    poses = (seq_dir / "poses.txt").read_text().splitlines()
+    fields = poses[4].split()
+    fields[0] = repr(float(fields[0]) + 0.5)  # line 5: rotation no longer orthonormal
+    poses[4] = " ".join(fields)
+    (seq_dir / "poses.txt").write_text("\n".join(poses) + "\n")
+
+    calls = []
+    forward = PanopticModel.forward
+
+    def counting_forward(self, window):
+        calls.append(window.frames)
+        return forward(self, window)
+
+    monkeypatch.setattr(PanopticModel, "forward", counting_forward)
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(seq_dir), "--out", str(tmp_path / "pred"),
+        ]
+    )
+    assert rc == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "poses.txt" in err and "line 5" in err and "orthonormal" in err
+
+
+def test_infer_overrides_are_validated_together(workspace, tmp_path):
+    # a window-4 stride-3 checkpoint run as window 2, stride 1: valid only as a whole
+    from panoptic4d.model import PanopticModel
+    from panoptic4d.training import save_model
+
+    cfg = desk_preset(
+        window=4, stride=3, num_queries=6, dim=16, num_heads=2, num_rounds=1, ffn_width=24,
+        num_frequencies=2, backbone_depth=2, backbone_widths=(8, 12),
+    )
+    ckpt = tmp_path / "model.ckpt"
+    save_model(str(ckpt), PanopticModel(cfg.model_config(), init_seed=0), cfg)
+    rc = main(
+        [
+            "infer", "--checkpoint", str(ckpt), "--sequence", str(workspace / "seq"),
+            "--window", "2", "--stride", "1", "--out", str(tmp_path / "pred"),
+        ]
+    )
+    assert rc == 0
+    assert len(os.listdir(tmp_path / "pred" / "labels")) == 3

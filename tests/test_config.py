@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from panoptic4d.config import (
@@ -9,6 +12,8 @@ from panoptic4d.config import (
     save_config,
 )
 from panoptic4d.errors import ParameterError
+from panoptic4d.heads import LossWeights
+from panoptic4d.model import ModelConfig
 from panoptic4d.synth import SceneSpec
 
 
@@ -75,3 +80,40 @@ def test_loss_weights_respect_box_switch():
     assert cfg.loss_weights().lambda_box == 0.0
     cfg = desk_preset(use_box_loss=True, lambda_box=3.0)
     assert cfg.loss_weights().lambda_box == 3.0
+
+
+def test_loss_weight_defaults_match_loss_weights():
+    assert RunConfig().loss_weights() == LossWeights()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(window=1, stride=0),
+        dict(window=1, train_stride=0),
+        dict(window=3, stride=0),
+        dict(window=3, train_stride=0),
+        dict(window=2, stride=-1),
+    ],
+)
+def test_strides_below_one_rejected_for_any_window(fields):
+    with pytest.raises(ParameterError, match="stride"):
+        RunConfig(**fields)
+
+
+def test_desk_cfg_is_desk_preset():
+    path = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+    assert load_config(str(path)) == desk_preset()
+    assert config_to_text(desk_preset()).encode() == path.read_bytes()
+
+
+def test_run_config_extends_model_config():
+    model_fields = [f.name for f in dataclasses.fields(ModelConfig)]
+    run_fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert run_fields[: len(model_fields)] == model_fields
+    assert not set(RunConfig.__annotations__) & set(model_fields)
+    cfg = desk_preset(num_queries=7, query_seed=3)
+    assert cfg.model_config() == ModelConfig(
+        **{name: getattr(cfg, name) for name in model_fields}
+    )
+    assert type(cfg.model_config()) is ModelConfig

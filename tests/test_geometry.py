@@ -11,6 +11,7 @@ from panoptic4d.errors import (
     ParameterError,
 )
 from panoptic4d.geometry import (
+    ORTHONORMAL_TOL,
     LidarScan,
     Pose,
     SuperimposedCloud,
@@ -59,6 +60,22 @@ class TestApplyPose:
         with pytest.raises(InvalidPoseError):
             # orthonormal but determinant -1 (a reflection)
             apply_pose(scan, Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3)))
+
+    def test_orthonormality_check_is_np_allclose(self):
+        # perturbations straddle the tolerance; a few entries are non-finite
+        rng = np.random.default_rng(0)
+        for i in range(3000):
+            r = rot_z(rng.uniform(0.0, 2.0 * np.pi))
+            r = r + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-8.0, -4.0)
+            if i % 100 == 0:
+                r[i % 3, (i // 3) % 3] = (np.nan, np.inf, -np.inf)[(i // 100) % 3]
+            want = np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL)
+            try:
+                Pose(r, np.zeros(3)).validate()
+                accepted = True
+            except InvalidPoseError as exc:
+                accepted = "orthonormal" not in str(exc)
+            assert accepted == want
 
 
 class TestSuperimpose:

@@ -54,6 +54,13 @@ def segment(mask, class_index=0, is_thing=False, box=None, instance_id=0):
     )
 
 
+def test_class_probs_is_the_tape_softmax():
+    rng = np.random.default_rng(2)
+    out = output_from_arrays(rng.normal(size=(5, 9)), 30.0 * rng.normal(size=(5, 4)))
+    want = ad.softmax(out.class_logits, axis=-1).values
+    assert out.class_probs().tobytes() == want.tobytes()
+
+
 class TestLosses:
     def test_dice_perfect(self):
         g = np.array([1.0, 0.0, 1.0])

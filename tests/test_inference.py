@@ -757,3 +757,9 @@ class TestRunSequence:
         seq = self.make_sequence()
         with pytest.raises(ParameterError):
             run_sequence(gt_stub_predictor(), seq, window=2, stride=2)
+
+    def test_zero_stride_is_a_parameter_error(self):
+        seq = self.make_sequence()
+        for window in (1, 2):
+            with pytest.raises(ParameterError, match="stride must be >= 1"):
+                run_sequence(gt_stub_predictor(), seq, window=window, stride=0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from panoptic4d import kitti_io
-from panoptic4d.errors import ArityError, FormatError, ParameterError
+from panoptic4d.errors import ArityError, FormatError, InvalidPoseError, ParameterError
 from panoptic4d.geometry import Pose, rot_z
 from panoptic4d.sequence import ClassMap, load_sequence, save_sequence
 from panoptic4d.synth import SceneSpec, generate_sequence
@@ -131,6 +131,22 @@ class TestPoseFiles:
         path.write_text("1 0 0 0 1 0\n")
         with pytest.raises(FormatError):
             kitti_io.read_poses(str(path))
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ("2 0 0 0 0 1 0 0 0 0 1 0", "not orthonormal"),
+            ("1 0 0 0 0 1 0 0 0 0 -1 0", "determinant"),
+            ("1 0 0 nan 0 1 0 0 0 0 1 0", "translation is not finite"),
+        ],
+    )
+    def test_invalid_pose_names_file_and_line(self, tmp_path, bad, reason):
+        good = "1 0 0 0 0 1 0 0 0 0 1 0"
+        path = tmp_path / "poses.txt"
+        path.write_text("\n".join([good, good, bad, good]) + "\n")
+        with pytest.raises(InvalidPoseError, match=reason) as info:
+            kitti_io.read_poses(str(path))
+        assert f"pose line 3 of {path}" in str(info.value)
 
 
 class TestSequenceRoundTrip:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,18 @@ from panoptic4d.config import desk_preset
 from panoptic4d.errors import ParameterError
 from panoptic4d.heads import hungarian_match, total_loss
 from panoptic4d.model import PanopticModel, prepare_window
+from panoptic4d.sequence import window_starts
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import (
     TrainingDiverged,
+    augmentation,
     load_model,
     save_model,
     sequence_windows,
     train_model,
 )
+
+from oracles import _augmented_window
 
 
 def tiny_cfg(**over):
@@ -46,6 +52,65 @@ def test_sequence_windows_cover_all_frames(tiny_seq):
     assert [w[0][0].frame_index for w in wins] == [0, 1]
     wins = sequence_windows(tiny_seq, window=5, stride=1)  # longer than sequence
     assert len(wins) == 1 and len(wins[0][0]) == 3
+
+
+@pytest.mark.parametrize(
+    "n, window, stride, starts",
+    [
+        (3, 5, 1, [0]),  # n < window: clamped to one window
+        (3, 5, 4, [0]),
+        (3, 3, 1, [0]),  # window == n
+        (5, 2, 1, [0, 1, 2, 3]),
+        (5, 1, 1, [0, 1, 2, 3, 4]),
+        (6, 2, 2, [0, 2, 4]),  # stride == window: disjoint training windows
+        (8, 2, 3, [0, 3, 6]),  # stride > window
+        (6, 3, 2, [0, 2, 3]),  # tail start appended
+        (9, 2, 3, [0, 3, 6, 7]),  # stride > window, tail start appended
+        (10, 4, 3, [0, 3, 6]),  # the last stride step already ends the sequence
+    ],
+)
+def test_window_starts_table(n, window, stride, starts):
+    assert window_starts(n, window, stride) == starts
+
+
+def test_window_starts_rejects_stride_below_one():
+    for stride in (0, -1):
+        with pytest.raises(ParameterError, match="stride"):
+            window_starts(4, 2, stride)
+
+
+def test_sequence_windows_rejects_zero_stride(tiny_seq):
+    with pytest.raises(ParameterError, match="stride"):
+        sequence_windows(tiny_seq, 2, 0)
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
+def test_augmentation_transform_matches_oracle(tiny_seq, flags):
+    rotate, translate, scale = flags
+    cfg = tiny_cfg(aug_rotate=rotate, aug_translate=translate, aug_scale=scale)
+    rng_oracle = np.random.Generator(np.random.PCG64(11))
+    rng = np.random.Generator(np.random.PCG64(11))
+    # twice round the windows, so later draws depend on earlier ones
+    for scans, poses in sequence_windows(tiny_seq, cfg.window, cfg.train_stride) * 2:
+        want = _augmented_window(scans, poses, cfg, rng_oracle)
+        got = prepare_window(scans, poses, cfg.voxel_size, transform=augmentation(cfg, rng))
+        assert got.frames == want.frames and got.scans is want.scans
+        for name in ("points", "frame_of", "source_point"):
+            assert_bitwise(getattr(got.cloud, name), getattr(want.cloud, name))
+        for name in ("voxel_coords", "point_to_voxel", "voxel_centroids"):
+            assert_bitwise(getattr(got.grid, name), getattr(want.grid, name))
+        assert got.grid.voxel_size == want.grid.voxel_size
+        assert_bitwise(got.seed, want.seed)
+        assert_bitwise(got.ctx.extent_min, want.ctx.extent_min)
+        assert_bitwise(got.ctx.extent_max, want.ctx.extent_max)
+        assert (got.ctx.frame_lo, got.ctx.frame_hi) == (want.ctx.frame_lo, want.ctx.frame_hi)
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 
 def test_zero_lr_keeps_parameters(tiny_seq):
