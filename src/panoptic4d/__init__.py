@@ -21,7 +21,7 @@ from .geometry import (
     trajectory_box,
     voxelize,
 )
-from .inference import PanopticPrediction, dbscan, extract_panoptic, run_sequence, stitch
+from .inference import dbscan, extract_panoptic, run_sequence, stitch
 from .metrics import MetricReport, SequenceLabels, evaluate, lstq
 from .model import ModelConfig, PanopticModel, prepare_window
 from .pipeline import evaluate_prediction, predict_sequence
@@ -37,7 +37,6 @@ __all__ = [
     "MetricReport",
     "ModelConfig",
     "PanopticModel",
-    "PanopticPrediction",
     "Pose",
     "RunConfig",
     "ScanSequence",

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ParameterError, ShapeError
-from .geometry import VoxelGrid, unique_rows_first_occurrence
+from .geometry import VoxelGrid, pool_coords
 from .nn import MLP, collect_parameters
 
 SEED_DIM = 5  # corner offset (3) + normalized mean frame + log member count
@@ -113,16 +113,13 @@ class Backbone:
         frames = [grid.voxel_frame]
         parent_maps: list[np.ndarray] = []
         for r in range(1, depth):
-            parents, inverse = unique_rows_first_occurrence(coords[r - 1] // 2)
-            parent_maps.append(inverse)
-            k = parents.shape[0]
-            counts = np.bincount(inverse, minlength=k).astype(np.float64)
-            pos = np.zeros((k, 3))
-            for axis in range(3):
-                pos[:, axis] = np.bincount(inverse, weights=positions[r - 1][:, axis], minlength=k)
+            parents, inverse, pos, frame = pool_coords(
+                coords[r - 1] // 2, positions[r - 1], frames[r - 1]
+            )
             coords.append(parents)
-            positions.append(pos / counts[:, None])
-            frames.append(np.bincount(inverse, weights=frames[r - 1], minlength=k) / counts)
+            parent_maps.append(inverse)
+            positions.append(pos)
+            frames.append(frame)
 
         encoded = [self.encoders[0](seed)]
         for r in range(1, depth):

@@ -27,7 +27,7 @@ from .metrics import SequenceLabels, evaluate, report_csv
 from .model import PanopticModel, prepare_window
 from .pca import features_to_rgb, write_ply
 from .pipeline import evaluate_prediction, predict_sequence, write_prediction
-from .sequence import load_sequence, save_sequence
+from .sequence import load_sequence, save_sequence, window_starts
 from .synth import SceneSpec, generate_sequence
 from .training import load_model, save_model, train_model
 from . import kitti_io
@@ -127,16 +127,14 @@ def cmd_infer(args, out: _Outputs) -> int:
 
 
 def _labels_from_dir(label_dir: str, gt_seq) -> SequenceLabels:
-    semantic, instance = {}, {}
-    frames = []
+    labels = SequenceLabels()
     for scan in gt_seq.scans:
         f = scan.frame_index
-        sem, inst = kitti_io.read_labels(
+        labels.frames.append(f)
+        labels.semantic[f], labels.instance[f] = kitti_io.read_labels(
             kitti_io.label_path(label_dir, f), expected_count=scan.num_points
         )
-        semantic[f], instance[f] = sem, inst
-        frames.append(f)
-    return SequenceLabels(frames=frames, semantic=semantic, instance=instance)
+    return labels
 
 
 def cmd_eval(args, out: _Outputs) -> int:
@@ -234,12 +232,12 @@ def run_ablation(
 def cmd_inspect(args, out: _Outputs) -> int:
     model, cfg = load_model(args.checkpoint)
     seq = load_sequence(args.sequence, cfg.class_map(), with_labels=False)
-    start = args.window_start
+    start, starts = args.window_start, window_starts(seq.num_frames, cfg.window, 1)
+    if start not in starts:
+        print(f"inspect: window start {start} outside [0, {starts[-1]}]", file=sys.stderr)
+        return 2
     scans = seq.scans[start : start + cfg.window]
     poses = seq.poses[start : start + cfg.window]
-    if not scans:
-        print(f"inspect: window start {start} out of range", file=sys.stderr)
-        return 2
     from .autodiff import no_grad
 
     with no_grad():

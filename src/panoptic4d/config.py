@@ -31,12 +31,12 @@ class RunConfig(ModelConfig):
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
-    lambda_dice: float = 2.0
-    lambda_bce: float = 5.0
-    lambda_ce: float = 2.0
-    lambda_box: float = 1.0
-    no_object_weight: float = 0.1
-    cost_reduction: str = "mean"
+    lambda_dice: float = LossWeights.lambda_dice
+    lambda_bce: float = LossWeights.lambda_bce
+    lambda_ce: float = LossWeights.lambda_ce
+    lambda_box: float = LossWeights.lambda_box
+    no_object_weight: float = LossWeights.no_object_weight
+    cost_reduction: str = LossWeights.cost_reduction
     use_box_loss: bool = True
     train_stride: int = 1
     train_seed: int = 0
@@ -63,6 +63,7 @@ class RunConfig(ModelConfig):
             )
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
+        self.loss_weights()
 
     def model_config(self) -> ModelConfig:
         return project(ModelConfig, self)

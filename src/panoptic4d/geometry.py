@@ -100,11 +100,12 @@ class LidarScan:
 
 @dataclass
 class SuperimposedCloud:
-    """Several ego-pose-aligned scans concatenated into one global-frame point set."""
+    """Ego-pose-aligned scans concatenated into one global-frame point set, in
+    the layout every per-point array of a window follows: the scans in
+    window-slot order, each in file order."""
 
     points: np.ndarray  # (M, 3) global frame
     frame_of: np.ndarray  # (M,) source frame index
-    source_point: np.ndarray  # (M, 2) rows of (scan position in window, point index)
 
     @property
     def num_points(self) -> int:
@@ -167,24 +168,18 @@ def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
         raise ArityError(f"{len(scans)} scans but {len(poses)} poses")
     if not scans:
         raise ParameterError("need at least one scan")
-    parts, frames, sources = [], [], []
+    parts, frames = [], []
     for slot, (scan, pose) in enumerate(zip(scans, poses)):
         if not np.isfinite(scan.points).all():
             bad = np.flatnonzero(~np.isfinite(scan.points).all(axis=1))[0]
             raise ParameterError(
                 f"window slot {slot} (frame {scan.frame_index}): point {bad} is not finite"
             )
-        pts = apply_pose(scan, pose)
-        parts.append(pts)
+        parts.append(apply_pose(scan, pose))
         frames.append(np.full(scan.num_points, scan.frame_index, dtype=np.int64))
-        src = np.empty((scan.num_points, 2), dtype=np.int64)
-        src[:, 0] = slot
-        src[:, 1] = np.arange(scan.num_points)
-        sources.append(src)
     return SuperimposedCloud(
-        points=np.concatenate(parts, axis=0) if parts else np.zeros((0, 3)),
+        points=np.concatenate(parts, axis=0),
         frame_of=np.concatenate(frames),
-        source_point=np.concatenate(sources, axis=0),
     )
 
 
@@ -209,6 +204,22 @@ def unique_rows_first_occurrence(coords: np.ndarray) -> tuple[np.ndarray, np.nda
     return coords[is_first], inverse
 
 
+def pool_coords(
+    coords: np.ndarray, positions: np.ndarray, frames: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unique coordinates in first-occurrence order, the group of every
+    row, and each group's mean position and mean frame."""
+    unique, inverse = unique_rows_first_occurrence(coords)
+    k = unique.shape[0]
+    counts = np.bincount(inverse, minlength=k).astype(np.float64)
+    mean = np.zeros((k, 3))
+    for axis in range(3):
+        mean[:, axis] = np.bincount(inverse, weights=positions[:, axis], minlength=k)
+    mean /= counts[:, None]
+    frame = np.bincount(inverse, weights=frames, minlength=k) / counts
+    return unique, inverse, mean, frame
+
+
 def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
     """Assign each point to the voxel floor(p / voxel_size), componentwise.
 
@@ -218,19 +229,9 @@ def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
     if voxel_size <= 0:
         raise ParameterError(f"voxel_size must be > 0, got {voxel_size}")
     coords = np.floor(cloud.points / voxel_size).astype(np.int64)
-    voxel_coords, point_to_voxel = unique_rows_first_occurrence(coords)
-
-    k = voxel_coords.shape[0]
-    counts = np.bincount(point_to_voxel, minlength=k).astype(np.float64)
-    centroids = np.zeros((k, 3))
-    for axis in range(3):
-        centroids[:, axis] = np.bincount(
-            point_to_voxel, weights=cloud.points[:, axis], minlength=k
-        )
-    centroids /= counts[:, None]
-    frame = np.bincount(
-        point_to_voxel, weights=cloud.frame_of.astype(np.float64), minlength=k
-    ) / counts
+    voxel_coords, point_to_voxel, centroids, frame = pool_coords(
+        coords, cloud.points, cloud.frame_of
+    )
     return VoxelGrid(
         voxel_coords=voxel_coords,
         voxel_size=float(voxel_size),

@@ -12,44 +12,16 @@ import itertools
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
+from .metrics import SequenceLabels
 from .sequence import ScanSequence, window_starts
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class WindowPrediction:
-    """Panoptic labels of one window, with window-local instance ids."""
-
-    frames: list[int]
-    # per frame: per original point of that scan
-    semantic: dict[int, np.ndarray]
-    instance: dict[int, np.ndarray]  # local ids, 0 = stuff / none
-
-    def local_ids(self) -> list[int]:
-        ids: set[int] = set()
-        for arr in self.instance.values():
-            ids.update(int(i) for i in np.unique(arr) if i > 0)
-        return sorted(ids)
-
-
-@dataclass
-class PanopticPrediction:
-    """Sequence-level result: one (semantic, instance) pair per point per scan."""
-
-    frames: list[int] = field(default_factory=list)
-    semantic: dict[int, np.ndarray] = field(default_factory=dict)
-    instance: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def covers(self, frame: int) -> bool:
-        return frame in self.semantic
 
 
 def extract_panoptic(
@@ -59,7 +31,7 @@ def extract_panoptic(
     frames: list[int],
     class_ids: np.ndarray,
     thing_index: np.ndarray,
-) -> WindowPrediction:
+) -> SequenceLabels:
     """Assign every voxel to one query by confidence argmax, then expand to points.
 
     Query confidence on a voxel is (max real-class probability) times the
@@ -88,48 +60,36 @@ def extract_panoptic(
     voxel_query = score.argmax(axis=0)  # first maximum = lowest query index
 
     # thing queries get dense local instance ids, stuff queries id 0
-    is_thing_query = thing_index[best_class]
+    things = included & thing_index[best_class]
     local_id = np.zeros(probs.shape[0], dtype=np.int64)
-    nxt = 1
-    for q in np.flatnonzero(included & is_thing_query):
-        local_id[q] = nxt
-        nxt += 1
+    local_id[things] = np.arange(1, things.sum() + 1)
 
-    sem_point = np.empty(cloud.num_points, dtype=np.int64)
-    inst_point = np.empty(cloud.num_points, dtype=np.int64)
     q_of_point = voxel_query[grid.point_to_voxel]
-    sem_point[:] = class_ids[best_class[q_of_point]]
-    inst_point[:] = local_id[q_of_point]
-
-    return _point_labels_to_window(cloud, frames, sem_point, inst_point)
-
-
-def _point_labels_to_window(
-    cloud: SuperimposedCloud,
-    frames: list[int],
-    sem_point: np.ndarray,
-    inst_point: np.ndarray,
-) -> WindowPrediction:
-    semantic: dict[int, np.ndarray] = {}
-    instance: dict[int, np.ndarray] = {}
-    for slot, frame in enumerate(frames):
-        sel = cloud.source_point[:, 0] == slot
-        order = np.argsort(cloud.source_point[sel, 1])
-        semantic[frame] = sem_point[sel][order]
-        instance[frame] = inst_point[sel][order]
-    return WindowPrediction(frames=list(frames), semantic=semantic, instance=instance)
+    return SequenceLabels(
+        list(frames),
+        _per_frame(class_ids[best_class[q_of_point]], cloud, frames),
+        _per_frame(local_id[q_of_point], cloud, frames),
+    )
 
 
-def _window_points(pred: WindowPrediction, cloud: SuperimposedCloud, frames: list[int]):
-    """Flatten window labels back into superimposed point order."""
-    sem = np.empty(cloud.num_points, dtype=np.int64)
-    inst = np.empty(cloud.num_points, dtype=np.int64)
-    for slot, frame in enumerate(frames):
-        sel = cloud.source_point[:, 0] == slot
-        idx = cloud.source_point[sel, 1]
-        sem[sel] = pred.semantic[frame][idx]
-        inst[sel] = pred.instance[frame][idx]
-    return sem, inst
+def _flat(slots: list[np.ndarray], cloud: SuperimposedCloud) -> np.ndarray:
+    """One label array per window slot, joined as int64 in superimposed point
+    order: the scans in slot order, each in file order."""
+    flat = np.concatenate(slots, dtype=np.int64)
+    if flat.shape != (cloud.num_points,):
+        raise ContractError(f"{flat.size} labels for a window of {cloud.num_points} points")
+    return flat
+
+
+def _per_frame(
+    flat: np.ndarray, cloud: SuperimposedCloud, frames: list[int]
+) -> dict[int, np.ndarray]:
+    """Labels in superimposed point order cut into one array per frame; an
+    empty scan keeps its empty array."""
+    sizes = [np.count_nonzero(cloud.frame_of == f) for f in frames]
+    if sum(sizes) != cloud.num_points:
+        raise ContractError(f"frames {frames} count {sum(sizes)} of {cloud.num_points} points")
+    return dict(zip(frames, np.split(flat, np.cumsum(sizes)[:-1])))
 
 
 def dbscan(
@@ -314,13 +274,13 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def split_non_compact(
-    pred: WindowPrediction,
+    pred: SequenceLabels,
     cloud: SuperimposedCloud,
     frames: list[int],
     eps: float = 1.0,
     min_pts: int = 1,
     per_frame: bool = False,
-) -> WindowPrediction:
+) -> SequenceLabels:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
     Every cluster becomes its own instance with the same semantics; noise
@@ -333,7 +293,7 @@ def split_non_compact(
     instance (or by instance and frame with per_frame, whose pieces are then
     merged across frames).
     """
-    sem, inst = _window_points(pred, cloud, frames)
+    inst = _flat([pred.instance[f] for f in frames], cloud)
     # thing points in (instance, point index) order; local is the instance
     # rank, and instance i holds positions bounds[i]:bounds[i + 1]
     order = np.flatnonzero(inst > 0)
@@ -363,7 +323,11 @@ def split_non_compact(
     key = local * (n + 2) + cl + 1
     new_inst = np.zeros_like(inst)
     new_inst[order] = np.unique(key, return_inverse=True)[1] + 1
-    return _point_labels_to_window(cloud, frames, sem, new_inst)
+    return SequenceLabels(
+        list(frames),
+        {f: pred.semantic[f] for f in frames},
+        _per_frame(new_inst, cloud, frames),
+    )
 
 
 def _merge_frame_pieces(pts, cl, bounds, eps):
@@ -394,8 +358,8 @@ def _merge_frame_pieces(pts, cl, bounds, eps):
 
 
 def stitch(
-    prev: PanopticPrediction,
-    nxt: WindowPrediction,
+    prev: SequenceLabels,
+    nxt: SequenceLabels,
     shared_frames: list[int],
     next_free_id: int,
 ) -> tuple[dict[int, int], int]:
@@ -406,22 +370,18 @@ def stitch(
     everything else gets a fresh globally unique id. Returns the local -> global
     mapping and the updated fresh-id counter.
     """
-    shared = [f for f in shared_frames if prev.covers(f) and f in nxt.instance]
+    shared = [f for f in shared_frames if f in prev.instance and f in nxt.instance]
     if not shared:
         raise ContractError("stitch requires at least one shared frame")
-    pg_parts, nl_parts = [], []
     for f in shared:
-        a = prev.instance[f]
-        b = nxt.instance[f]
-        if a.shape != b.shape:
+        if prev.instance[f].shape != nxt.instance[f].shape:
             raise ContractError(f"shared frame {f} has mismatched point counts")
-        both = (a > 0) & (b > 0)
-        pg_parts.append(a[both].astype(np.int64))
-        nl_parts.append(b[both].astype(np.int64))
-    pg = np.concatenate(pg_parts)
-    nl = np.concatenate(nl_parts)
+    a = np.concatenate([prev.instance[f] for f in shared], dtype=np.int64)
+    b = np.concatenate([nxt.instance[f] for f in shared], dtype=np.int64)
+    both = (a > 0) & (b > 0)
+    pg, nl = a[both], b[both]
 
-    locals_ = nxt.local_ids()
+    locals_ = _local_ids(nxt)
     mapping: dict[int, int] = {}
     if pg.size:
         # overlap counts of (previous id, local id) pairs via packed keys
@@ -447,16 +407,24 @@ def stitch(
     return mapping, next_free_id
 
 
+def _local_ids(labels: SequenceLabels) -> list[int]:
+    """The positive instance ids of every frame, ascending."""
+    ids: set[int] = set()
+    for arr in labels.instance.values():
+        ids.update(np.unique(arr[arr > 0]).tolist())
+    return sorted(ids)
+
+
 def run_sequence(
     predictor,
     sequence: ScanSequence,
     window: int,
     stride: int | None = None,
-) -> PanopticPrediction:
+) -> SequenceLabels:
     """Slide overlapping windows over a sequence and stitch the results.
 
-    predictor(scans, poses, frames) must return a WindowPrediction with
-    window-local instance ids. Shared-frame labels are taken from the later
+    predictor(scans, poses, frames) must return the window's SequenceLabels
+    with window-local instance ids. Shared-frame labels are taken from the later
     window after its instances have been remapped onto existing tracks.
     """
     n = sequence.num_frames
@@ -466,18 +434,18 @@ def run_sequence(
     if window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 
-    result = PanopticPrediction()
+    result = SequenceLabels()
     next_free_id = 1
     for w, start in enumerate(window_starts(n, window, stride)):
         scans = sequence.scans[start : start + window]
         poses = sequence.poses[start : start + window]
         frames = [s.frame_index for s in scans]
         pred = predictor(scans, poses, frames)
-        shared = [f for f in frames if result.covers(f)]
+        shared = [f for f in frames if f in result.instance]
         if not shared:
             # first window, or single-scan windows: no tracking context yet
             mapping = {}
-            for nl in pred.local_ids():
+            for nl in _local_ids(pred):
                 mapping[nl] = next_free_id
                 next_free_id += 1
         else:
@@ -486,7 +454,7 @@ def run_sequence(
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())
         for f in frames:
-            if not result.covers(f):
+            if f not in result.instance:
                 result.frames.append(f)
             inst = pred.instance[f]
             result.semantic[f] = pred.semantic[f].copy()

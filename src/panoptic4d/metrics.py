@@ -30,11 +30,12 @@ _EXPECTED_COLUMNS = ["LSTQ", "S_assoc", "S_cls", "IoU_St", "IoU_Th", "PQ", "SQ",
 
 @dataclass
 class SequenceLabels:
-    """Per-frame (semantic, instance) label arrays for one sequence."""
+    """Per-frame (semantic, instance) label arrays: ground truth, one window's
+    prediction (window-local instance ids) or a stitched sequence."""
 
-    frames: list[int]
-    semantic: dict[int, np.ndarray]
-    instance: dict[int, np.ndarray]
+    frames: list[int] = field(default_factory=list)
+    semantic: dict[int, np.ndarray] = field(default_factory=dict)
+    instance: dict[int, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
     def from_scans(seq: ScanSequence) -> "SequenceLabels":

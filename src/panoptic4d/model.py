@@ -23,6 +23,7 @@ from .decoder import (
 from .errors import ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
+from .inference import _flat
 from .sequence import ClassMap
 
 
@@ -82,8 +83,8 @@ class WindowData:
 
     def point_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Per superimposed point (semantic, instance) pulled from the scans."""
-        sem = np.concatenate([s.semantic for s in self.scans])
-        inst = np.concatenate([s.instance for s in self.scans])
+        sem = _flat([s.semantic for s in self.scans], self.cloud)
+        inst = _flat([s.instance for s in self.scans], self.cloud)
         return sem, inst
 
 

@@ -8,13 +8,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .config import RunConfig
-from .inference import (
-    PanopticPrediction,
-    WindowPrediction,
-    extract_panoptic,
-    run_sequence,
-    split_non_compact,
-)
+from .inference import extract_panoptic, run_sequence, split_non_compact
 from .errors import ParameterError
 from .kitti_io import label_path, pack_labels, write_labels
 from .metrics import MetricReport, SequenceLabels, evaluate
@@ -29,7 +23,7 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
         [model.class_map.is_thing(int(c)) for c in class_ids], dtype=bool
     )
 
-    def predict(scans, poses, frames) -> WindowPrediction:
+    def predict(scans, poses, frames) -> SequenceLabels:
         with no_grad():
             data = prepare_window(scans, poses, cfg.voxel_size)
             fwd = model.forward(data)
@@ -52,22 +46,15 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
 
 def predict_sequence(
     model: PanopticModel, seq: ScanSequence, cfg: RunConfig
-) -> PanopticPrediction:
+) -> SequenceLabels:
     return run_sequence(model_predictor(model, cfg), seq, cfg.window, cfg.stride)
 
 
-def prediction_labels(pred: PanopticPrediction) -> SequenceLabels:
-    return SequenceLabels(
-        frames=list(pred.frames), semantic=pred.semantic, instance=pred.instance
-    )
+def evaluate_prediction(pred: SequenceLabels, seq: ScanSequence) -> MetricReport:
+    return evaluate(pred, SequenceLabels.from_scans(seq), seq.class_map)
 
 
-def evaluate_prediction(pred: PanopticPrediction, seq: ScanSequence) -> MetricReport:
-    gt = SequenceLabels.from_scans(seq)
-    return evaluate(prediction_labels(pred), gt, seq.class_map)
-
-
-def write_prediction(pred: PanopticPrediction, out_dir: str) -> list[str]:
+def write_prediction(pred: SequenceLabels, out_dir: str) -> list[str]:
     """Emit one packed .label file per scan; returns the created paths.
 
     Every frame is packed once to validate it before the first file is

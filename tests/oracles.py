@@ -26,6 +26,7 @@ from panoptic4d.geometry import (
     rot_z,
     superimpose,
     trajectory_box,
+    unique_rows_first_occurrence,
     voxelize,
 )
 from panoptic4d.heads import (
@@ -39,12 +40,7 @@ from panoptic4d.heads import (
     box_l1_loss,
     ce_loss,
 )
-from panoptic4d.inference import (
-    WindowPrediction,
-    _point_labels_to_window,
-    _window_points,
-    dbscan,
-)
+from panoptic4d.inference import dbscan
 from panoptic4d.metrics import SequenceLabels
 from panoptic4d.model import WindowData
 from panoptic4d.sequence import IGNORE_LABEL, ClassMap
@@ -792,6 +788,42 @@ def loop_unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq[order], rank[inverse]
 
 
+def loop_pyramid_geometry(cloud: SuperimposedCloud, voxel_size: float, depth: int):
+    """The mean pooling of voxelize and of Backbone.extract as each did it
+    alone: per pyramid level the coordinates, the parent map (None at the
+    coarsest), the mean positions and the mean frames."""
+    coords = np.floor(cloud.points / voxel_size).astype(np.int64)
+    voxel_coords, point_to_voxel = unique_rows_first_occurrence(coords)
+    k = voxel_coords.shape[0]
+    counts = np.bincount(point_to_voxel, minlength=k).astype(np.float64)
+    centroids = np.zeros((k, 3))
+    for axis in range(3):
+        centroids[:, axis] = np.bincount(
+            point_to_voxel, weights=cloud.points[:, axis], minlength=k
+        )
+    centroids /= counts[:, None]
+    frame = np.bincount(
+        point_to_voxel, weights=cloud.frame_of.astype(np.float64), minlength=k
+    ) / counts
+
+    coords = [voxel_coords]
+    positions = [centroids]
+    frames = [frame]
+    parent_maps: list[np.ndarray] = []
+    for r in range(1, depth):
+        parents, inverse = unique_rows_first_occurrence(coords[r - 1] // 2)
+        parent_maps.append(inverse)
+        k = parents.shape[0]
+        counts = np.bincount(inverse, minlength=k).astype(np.float64)
+        pos = np.zeros((k, 3))
+        for axis in range(3):
+            pos[:, axis] = np.bincount(inverse, weights=positions[r - 1][:, axis], minlength=k)
+        coords.append(parents)
+        positions.append(pos / counts[:, None])
+        frames.append(np.bincount(inverse, weights=frames[r - 1], minlength=k) / counts)
+    return coords, parent_maps + [None], positions, frames
+
+
 def voxel_to_points(grid: VoxelGrid) -> list[np.ndarray]:
     """Ascending member point indices of every voxel."""
     counts = np.bincount(grid.point_to_voxel, minlength=grid.num_voxels)
@@ -920,17 +952,79 @@ def loop_propagate_foreground(
     return fg.astype(bool)
 
 
+def _slot_index(sizes: list[int]) -> list[tuple[int, int]]:
+    """(window slot, index in its scan) of every superimposed point, given
+    the scan sizes in slot order."""
+    return [(slot, i) for slot, n in enumerate(sizes) for i in range(n)]
+
+
+def loop_frame_labels(
+    sem: np.ndarray, inst: np.ndarray, sizes: list[int], frames: list[int]
+) -> SequenceLabels:
+    """Labels in superimposed point order moved, point by point, into one
+    int64 array per frame."""
+    semantic = {f: np.empty(n, dtype=np.int64) for f, n in zip(frames, sizes)}
+    instance = {f: np.empty(n, dtype=np.int64) for f, n in zip(frames, sizes)}
+    for p, (slot, i) in enumerate(_slot_index(sizes)):
+        semantic[frames[slot]][i] = sem[p]
+        instance[frames[slot]][i] = inst[p]
+    return SequenceLabels(list(frames), semantic, instance)
+
+
+def loop_point_labels(
+    labels: SequenceLabels, sizes: list[int], frames: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame labels moved, point by point, into superimposed order."""
+    slots = _slot_index(sizes)
+    sem = np.empty(len(slots), dtype=np.int64)
+    inst = np.empty(len(slots), dtype=np.int64)
+    for p, (slot, i) in enumerate(slots):
+        sem[p] = labels.semantic[frames[slot]][i]
+        inst[p] = labels.instance[frames[slot]][i]
+    return sem, inst
+
+
+def loop_extract_points(
+    output: MaskModuleOutput, grid: VoxelGrid, class_ids: np.ndarray, thing_index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """extract_panoptic's (semantic, instance) per superimposed point, voxel by
+    voxel: the included query with the highest confidence times heatmap
+    value wins, the lowest index on ties; included thing queries are
+    numbered from 1 in query order."""
+    probs = output.class_probs()
+    sig = output.heatmap_sigmoid()
+    nq, c = probs.shape[0], len(class_ids)
+    best = [int(np.argmax(probs[q, :c])) for q in range(nq)]
+    included = [q for q in range(nq) if np.argmax(probs[q]) != c] or list(range(nq))
+    local = {}
+    for q in included:
+        if thing_index[best[q]]:
+            local[q] = len(local) + 1
+    sem = np.empty(grid.point_to_voxel.size, dtype=np.int64)
+    inst = np.empty(grid.point_to_voxel.size, dtype=np.int64)
+    for v in range(grid.num_voxels):
+        winner, top = None, -1.0
+        for q in included:
+            score = probs[q, best[q]] * sig[q, v]
+            if score > top:
+                winner, top = q, score
+        for p in np.flatnonzero(grid.point_to_voxel == v):
+            sem[p] = class_ids[best[winner]]
+            inst[p] = local.get(winner, 0)
+    return sem, inst
+
+
 # The per-instance DBSCAN split that made one dbscan call per instance (and
 # one per instance and frame in per-frame mode), kept verbatim as the
 # reference for the grouped single-call split.
 def loop_split_non_compact(
-    pred: WindowPrediction,
+    pred: SequenceLabels,
     cloud: SuperimposedCloud,
     frames: list[int],
     eps: float = 1.0,
     min_pts: int = 1,
     per_frame: bool = False,
-) -> WindowPrediction:
+) -> SequenceLabels:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
     Every cluster becomes its own instance with the same semantics; noise
@@ -938,7 +1032,8 @@ def loop_split_non_compact(
     points are all noise is kept as a single instance. Semantic labels and
     point coverage are never altered.
     """
-    sem, inst = _window_points(pred, cloud, frames)
+    sizes = [len(pred.instance[f]) for f in frames]
+    sem, inst = loop_point_labels(pred, sizes, frames)
     new_inst = np.zeros_like(inst)
     nxt = 1
     for local in sorted(int(i) for i in np.unique(inst) if i > 0):
@@ -960,7 +1055,7 @@ def loop_split_non_compact(
             cl[noise] = np.array(cluster_ids)[d.argmin(axis=1)]
         new_inst[idx] = nxt + np.searchsorted(cluster_ids, cl)
         nxt += len(cluster_ids)
-    return _point_labels_to_window(cloud, frames, sem, new_inst)
+    return loop_frame_labels(sem, new_inst, sizes, frames)
 
 
 def loop_per_frame_clusters(pts, frame_of, eps, min_pts):

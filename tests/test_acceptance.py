@@ -29,7 +29,7 @@ from panoptic4d.inference import extract_panoptic, run_sequence, split_non_compa
 from panoptic4d.kitti_io import pack_label, read_labels, read_poses, read_scan, write_labels, write_poses, write_scan
 from panoptic4d.metrics import SequenceLabels, lstq, pq_sequence, s_assoc, s_cls
 from panoptic4d.model import ModelConfig, PanopticModel, prepare_window
-from panoptic4d.pipeline import predict_sequence, evaluate_prediction, prediction_labels
+from panoptic4d.pipeline import predict_sequence, evaluate_prediction
 from panoptic4d.sequence import ClassMap
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import train_model
@@ -248,7 +248,7 @@ def test_criterion_6_stitching_consistency():
     with criterion(6, "stitching consistency and occlusion-gap split"):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=5, num_thing_objects=2))
         pred = run_sequence(gt_stub_predictor(), seq, window=2, stride=1)
-        labels = prediction_labels(pred)
+        labels = pred
         gt = SequenceLabels.from_scans(seq)
         assert s_assoc(labels, gt, seq.class_map) == 1.0
         for track in seq.tracks:

@@ -6,6 +6,8 @@ from panoptic4d.backbone import Backbone, BackboneConfig, seed_features
 from panoptic4d.errors import ParameterError, ShapeError
 from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
 
+from oracles import loop_pyramid_geometry
+
 
 def grid_from_points(pts, voxel_size=1.0, frames=None):
     pts = np.asarray(pts, dtype=np.float64)
@@ -89,6 +91,23 @@ class TestExtract:
             parent = pyr.levels[r + 1].coords
             pm = pyr.levels[r].parent_map
             np.testing.assert_array_equal(child // 2, parent[pm])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levels_match_pooling_loop(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        pts = rng.uniform(-9, 9, size=(3, 60, 3))
+        cloud, grid = grid_from_points(pts, voxel_size=0.7, frames=[2, 3, 5])
+        bb = Backbone(rng, BackboneConfig(depth=4, widths=(3, 3, 3, 3)))
+        pyr = bb.extract(grid, Tensor(seed_features(grid, [2, 3, 5])))
+        coords, parent_maps, positions, frames = loop_pyramid_geometry(cloud, 0.7, 4)
+        for r, level in enumerate(pyr.levels):
+            assert np.array_equal(level.coords, coords[r])
+            assert np.array_equal(level.positions, positions[r])
+            assert np.array_equal(level.frame, frames[r])
+            if r < 3:
+                assert np.array_equal(level.parent_map, parent_maps[r])
+            else:
+                assert level.parent_map is None is parent_maps[r]
 
     def test_k_r_non_increasing_and_even_translation_invariant(self):
         rng = np.random.default_rng(3)

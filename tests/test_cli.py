@@ -159,6 +159,23 @@ def test_inspect_writes_ply(workspace, tmp_path):
     assert n > 0 and len(text) == 10 + n
 
 
+@pytest.mark.parametrize("start, code", [(-1, 2), (1, 0), (2, 2)])
+def test_inspect_window_start_range(workspace, tmp_path, capsys, start, code):
+    # 3 scans and a window-2 checkpoint: the valid starts are 0 and 1
+    ply = tmp_path / "view.ply"
+    rc = main(
+        [
+            "inspect", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(workspace / "seq"), "--window-start", str(start),
+            "--out", str(ply),
+        ]
+    )
+    assert rc == code
+    assert ply.exists() == (code == 0)
+    if code:
+        assert f"window start {start} outside [0, 1]" in capsys.readouterr().err
+
+
 def test_error_exit_code_and_cleanup(workspace, tmp_path, capsys):
     rc = main(
         [
@@ -218,10 +235,10 @@ def test_train_byte_deterministic(workspace, tmp_path, tiny_cfg_text):
 def test_infer_unwritable_ids_leave_no_label_file(workspace, tmp_path, monkeypatch, capsys):
     # frame 1 carries an instance id that does not fit the 16-bit label field
     from panoptic4d import cli
-    from panoptic4d.inference import PanopticPrediction
+    from panoptic4d.metrics import SequenceLabels
 
     def stub_predict_sequence(model, seq, cfg):
-        pred = PanopticPrediction(frames=[s.frame_index for s in seq.scans])
+        pred = SequenceLabels(frames=[s.frame_index for s in seq.scans])
         for scan in seq.scans:
             n = scan.num_points
             pred.semantic[scan.frame_index] = np.ones(n, dtype=np.int64)

@@ -87,6 +87,15 @@ def test_loss_weight_defaults_match_loss_weights():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [("lambda_dice = -1.0\n", "nonnegative"), ("cost_reduction = median\n", "median")],
+)
+def test_bad_loss_weights_rejected_on_load(text, message):
+    with pytest.raises(ParameterError, match=message):
+        config_from_text(RunConfig, text)
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         dict(window=1, stride=0),

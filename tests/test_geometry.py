@@ -87,7 +87,7 @@ class TestSuperimpose:
         cloud = superimpose(scans, [Pose.identity(), Pose.identity()])
         assert cloud.num_points == 6
         assert cloud.frame_of.tolist() == [0, 0, 0, 1, 1, 1]
-        assert cloud.source_point.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+        np.testing.assert_array_equal(cloud.points, np.concatenate([s.points for s in scans]))
 
     def test_identity_preserves_points(self):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -224,7 +224,7 @@ def bare_cloud(points, frames=None):
     """A cloud straight from global-frame points, frame 0 unless given."""
     n = len(points)
     frames = np.zeros(n, dtype=np.int64) if frames is None else frames
-    return SuperimposedCloud(points, frames, np.zeros((n, 2), dtype=np.int64))
+    return SuperimposedCloud(points, frames)
 
 
 @pytest.mark.parametrize("case", sorted(ROW_CASES))

@@ -13,17 +13,18 @@ from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
 from panoptic4d.heads import MaskModuleOutput
 import panoptic4d.inference as inference
 from panoptic4d.inference import (
-    PanopticPrediction,
-    WindowPrediction,
     dbscan,
     extract_panoptic,
     run_sequence,
     split_non_compact,
     stitch,
 )
+from panoptic4d.metrics import SequenceLabels
 
 from oracles import (
     brute_force_max_assignment,
+    loop_extract_points,
+    loop_frame_labels,
     loop_split_non_compact,
     quadratic_dbscan,
     reference_dbscan,
@@ -90,25 +91,11 @@ class TestExtractPanoptic:
         out = output_for(grid, heat, cls)
         pred = extract_panoptic(out, grid, cloud, [0, 1], CLASS_IDS, THING_INDEX)
 
-        # independent recomputation per voxel and point
-        probs = out.class_probs()
-        sig = out.heatmap_sigmoid()
-        included = [q for q in range(nq) if probs[q].argmax() != 3]
-        best_c = probs[:, :3].argmax(axis=1)
-        sem_expected, q_expected = {}, {}
-        for v in range(grid.num_voxels):
-            best_q, best_s = None, -1.0
-            for q in included:
-                s = probs[q, best_c[q]] * sig[q, v]
-                if s > best_s:
-                    best_s, best_q = s, q
-            for p in np.flatnonzero(grid.point_to_voxel == v):
-                slot, idx = cloud.source_point[p]
-                f = [0, 1][slot]
-                sem_expected[(f, idx)] = CLASS_IDS[best_c[best_q]]
-        for f in (0, 1):
-            for i in range(len(pred.semantic[f])):
-                assert pred.semantic[f][i] == sem_expected[(f, i)]
+        # independent recomputation per voxel and point; superimposed order
+        # is the scans' concatenation
+        expected = loop_extract_points(out, grid, CLASS_IDS, THING_INDEX)
+        for labels, want in zip((pred.semantic, pred.instance), expected):
+            np.testing.assert_array_equal(np.concatenate([labels[0], labels[1]]), want)
 
     def test_every_point_labeled_exactly_once(self):
         rng = np.random.default_rng(2)
@@ -395,9 +382,8 @@ class TestGroupedDbscan:
 
 
 def prediction_from_labels(cloud, frames, sem, inst):
-    from panoptic4d.inference import _point_labels_to_window
-
-    return _point_labels_to_window(cloud, frames, sem, inst)
+    """Window labels of a window_from_points window (equal scan sizes)."""
+    return loop_frame_labels(sem, inst, [cloud.num_points // len(frames)] * len(frames), frames)
 
 
 class TestSplitNonCompact:
@@ -577,20 +563,66 @@ class TestGroupedSplit:
         assert calls == [int((inst > 0).sum())]
 
 
+class TestWindowLayout:
+    """Per-frame labels of extract_panoptic and split_non_compact against the
+    point-by-point conversion from superimposed order, which takes each
+    point's (slot, index) from the scan sizes."""
+
+    CLASS_IDS = np.array([1, 2, 3, 4])
+    THING_INDEX = np.array([True, True, False, False])
+
+    def windows(self):
+        """(cloud, grid, output, frames, scan sizes): the criterion-7 windows,
+        then windows whose scans differ in size, one with an empty scan."""
+        from test_acceptance import _random_window_and_output
+
+        for seed in range(10):
+            yield (*_random_window_and_output(seed), [0, 1], [40, 40])
+        for seed, sizes in enumerate(([25, 0, 12], [3, 31], [17, 5, 9, 2])):
+            rng = np.random.default_rng(200 + seed)
+            frames = sorted(rng.choice(20, size=len(sizes), replace=False).tolist())
+            scans = [
+                LidarScan(points=rng.uniform(0, 8, size=(n, 3)), frame_index=f)
+                for f, n in zip(frames, sizes)
+            ]
+            cloud = superimpose(scans, [Pose.identity()] * len(scans))
+            grid = voxelize(cloud, 1.0)
+            heat = rng.normal(size=(6, grid.num_voxels)) * 2
+            out = output_for(grid, heat, rng.normal(size=(6, 5)))
+            yield cloud, grid, out, frames, sizes
+
+    def test_matches_point_loop(self):
+        for cloud, grid, out, frames, sizes in self.windows():
+            pred = extract_panoptic(out, grid, cloud, frames, self.CLASS_IDS, self.THING_INDEX)
+            flat = loop_extract_points(out, grid, self.CLASS_IDS, self.THING_INDEX)
+            assert_same_window(pred, loop_frame_labels(*flat, sizes, frames))
+            for per_frame in (False, True):
+                got = split_non_compact(pred, cloud, frames, 1.5, 2, per_frame)
+                want = loop_split_non_compact(pred, cloud, frames, 1.5, 2, per_frame)
+                assert_same_window(got, want)
+
+    def test_repeated_frame_rejected(self):
+        pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
+        cloud, grid = window_from_points(pts, [0, 0])
+        out = output_for(grid, np.zeros((2, grid.num_voxels)), np.zeros((2, 5)))
+        with pytest.raises(ContractError):
+            extract_panoptic(out, grid, cloud, [0, 0], self.CLASS_IDS, self.THING_INDEX)
+        ones = np.ones(15, dtype=np.int64)
+        pred = SequenceLabels([0, 0], {0: ones}, {0: ones})
+        for per_frame in (False, True):
+            with pytest.raises(ContractError):
+                split_non_compact(pred, cloud, [0, 0], per_frame=per_frame)
+
+
 class TestStitch:
     def prev_with(self, frame, inst):
-        prev = PanopticPrediction()
-        prev.frames = [frame]
-        prev.semantic[frame] = np.ones(len(inst), dtype=np.int64)
-        prev.instance[frame] = np.asarray(inst, dtype=np.int64)
-        return prev
-
-    def next_with(self, frame, inst):
-        return WindowPrediction(
+        return SequenceLabels(
             frames=[frame],
             semantic={frame: np.ones(len(inst), dtype=np.int64)},
             instance={frame: np.asarray(inst, dtype=np.int64)},
         )
+
+    next_with = prev_with
 
     def test_unique_overlap_inherits_id(self):
         prev = self.prev_with(5, [0, 7, 7, 7, 0])
@@ -631,8 +663,8 @@ class TestStitch:
 
     def test_sparse_ids_over_two_shared_frames(self):
         rng = np.random.default_rng(9)
-        prev = PanopticPrediction()
-        nxt = WindowPrediction(frames=[4, 5], semantic={}, instance={})
+        prev = SequenceLabels()
+        nxt = SequenceLabels(frames=[4, 5])
         for f in (4, 5):
             prev.frames.append(f)
             prev.semantic[f] = nxt.semantic[f] = np.ones(50, dtype=np.int64)
@@ -684,7 +716,7 @@ def gt_stub_predictor(renumber=True):
                     inst[i] = mapping[raw]
             semantic[scan.frame_index] = sem
             instance[scan.frame_index] = inst
-        return WindowPrediction(frames=list(frames), semantic=semantic, instance=instance)
+        return SequenceLabels(frames=list(frames), semantic=semantic, instance=instance)
 
     return predict
 

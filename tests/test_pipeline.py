@@ -11,7 +11,6 @@ from panoptic4d.pipeline import (
     evaluate_prediction,
     model_predictor,
     predict_sequence,
-    prediction_labels,
     write_prediction,
 )
 from panoptic4d.sequence import ScanSequence, load_sequence
@@ -137,15 +136,6 @@ def test_model_predictor_deterministic(small):
     for f in (0, 1):
         np.testing.assert_array_equal(a.semantic[f], b.semantic[f])
         np.testing.assert_array_equal(a.instance[f], b.instance[f])
-
-
-def test_prediction_labels_view(small):
-    cfg, seq, model = small
-    pred = predict_sequence(model, seq, cfg)
-    labels = prediction_labels(pred)
-    assert labels.frames == pred.frames
-    for f in labels.frames:
-        assert labels.semantic[f] is pred.semantic[f]
 
 
 def test_production_defaults_forward_pass():

@@ -101,8 +101,10 @@ def test_augmentation_transform_matches_oracle(tiny_seq, flags):
         want = _augmented_window(scans, poses, cfg, rng_oracle)
         got = prepare_window(scans, poses, cfg.voxel_size, transform=augmentation(cfg, rng))
         assert got.frames == want.frames and got.scans is want.scans
-        for name in ("points", "frame_of", "source_point"):
+        for name in ("points", "frame_of"):
             assert_bitwise(getattr(got.cloud, name), getattr(want.cloud, name))
+        frame_of = np.concatenate([np.full(s.num_points, s.frame_index) for s in scans])
+        assert_bitwise(got.cloud.frame_of, frame_of)
         for name in ("voxel_coords", "point_to_voxel", "voxel_centroids"):
             assert_bitwise(getattr(got.grid, name), getattr(want.grid, name))
         assert got.grid.voxel_size == want.grid.voxel_size
