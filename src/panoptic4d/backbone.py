@@ -11,6 +11,7 @@ interface that a convolutional backbone could also satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,24 +21,10 @@ from .errors import ParameterError, ShapeError
 from .geometry import VoxelGrid, pool_coords
 from .nn import MLP, collect_parameters
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 SEED_DIM = 5  # corner offset (3) + normalized mean frame + log member count
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    depth: int = 4
-    widths: tuple[int, ...] = (32, 64, 96, 128)
-    seed_dim: int = SEED_DIM
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ParameterError("backbone depth must be >= 1")
-        if len(self.widths) != self.depth:
-            raise ParameterError(
-                f"got {len(self.widths)} widths for depth {self.depth}"
-            )
-        if any(w <= 0 for w in self.widths) or self.seed_dim <= 0:
-            raise ParameterError("backbone widths must be positive")
 
 
 @dataclass
@@ -79,18 +66,18 @@ def seed_features(grid: VoxelGrid, window_frames: list[int]) -> np.ndarray:
 
 
 class Backbone:
-    def __init__(self, rng: np.random.Generator, config: BackboneConfig = BackboneConfig()):
+    def __init__(self, rng: np.random.Generator, config: ModelConfig):
         self.config = config
-        widths = config.widths
+        widths = config.backbone_widths
         self.encoders = []
-        prev = config.seed_dim
+        prev = SEED_DIM
         for w in widths:
             self.encoders.append(MLP(rng, [prev, w, w]))
             prev = w
         # One fuse MLP per non-coarsest level: concat(skip, parent) -> width.
         self.decoders = [
             MLP(rng, [widths[r] + widths[r + 1], widths[r], widths[r]])
-            for r in range(config.depth - 1)
+            for r in range(config.backbone_depth - 1)
         ]
 
     def parameters(self) -> dict[str, Tensor]:
@@ -106,7 +93,7 @@ class Backbone:
             raise ShapeError(
                 f"seed has {seed.shape[0]} rows for {grid.num_voxels} voxels"
             )
-        depth = self.config.depth
+        depth = self.config.backbone_depth
 
         coords = [grid.voxel_coords]
         positions = [grid.voxel_centroids]

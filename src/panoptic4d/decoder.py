@@ -10,6 +10,7 @@ between queries and a feed-forward block, all pre-norm residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .backbone import FeaturePyramid
 from .errors import ParameterError, ShapeError
 from .geometry import VoxelGrid, farthest_point_sampling
 from .nn import MLP, LayerNorm, Linear, collect_parameters
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -51,24 +55,11 @@ class WindowContext:
         )
 
 
-@dataclass(frozen=True)
-class PosEncConfig:
-    num_frequencies: int = 6
-    freq_base: float = 2.0
-    dim: int = 64
-
-    def __post_init__(self):
-        if self.num_frequencies < 1:
-            raise ParameterError("need at least one frequency")
-        if self.freq_base <= 1.0:
-            raise ParameterError("freq_base must be > 1 for a geometric bank")
-
-
 def fourier_features(
     positions: np.ndarray,
     frames: np.ndarray,
     ctx: WindowContext,
-    config: PosEncConfig,
+    config: ModelConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw sin/cos banks before projection: (spatial (n, 6F), temporal (n, 2F)).
 
@@ -91,7 +82,7 @@ def fourier_features(
 class FourierEncoder:
     """Projected spatio-temporal positional encoding: W_s @ spatial + W_t @ temporal."""
 
-    def __init__(self, rng: np.random.Generator, config: PosEncConfig):
+    def __init__(self, rng: np.random.Generator, config: ModelConfig):
         self.config = config
         f = config.num_frequencies
         self.spatial_proj = Linear(rng, 6 * f, config.dim)
@@ -114,30 +105,6 @@ class QuerySet:
     @property
     def num_queries(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    dim: int = 64
-    num_heads: int = 4
-    num_rounds: int = 3
-    ffn_width: int = 128
-    mask_threshold: float = 0.5
-    num_frequencies: int = 6
-    freq_base: float = 2.0
-
-    def __post_init__(self):
-        if self.dim % self.num_heads != 0:
-            raise ParameterError(
-                f"dim {self.dim} is not divisible by {self.num_heads} heads"
-            )
-        if self.num_rounds < 0:
-            raise ParameterError("num_rounds must be >= 0")
-
-    def pos_enc(self) -> PosEncConfig:
-        return PosEncConfig(
-            num_frequencies=self.num_frequencies, freq_base=self.freq_base, dim=self.dim
-        )
 
 
 class MultiHeadAttention:
@@ -163,7 +130,7 @@ class MultiHeadAttention:
 class DecoderBlock:
     """One refinement step: masked cross-attention, self-attention, FFN (pre-norm)."""
 
-    def __init__(self, rng: np.random.Generator, config: DecoderConfig):
+    def __init__(self, rng: np.random.Generator, config: ModelConfig):
         d = config.dim
         self.cross = MultiHeadAttention(rng, d, config.num_heads)
         self.self_attn = MultiHeadAttention(rng, d, config.num_heads)
@@ -246,16 +213,11 @@ def propagate_foreground(
 class QueryRefiner:
     """The full decoder: per-level key projections and per (round, level) blocks."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        config: DecoderConfig,
-        level_widths: tuple[int, ...],
-    ):
+    def __init__(self, rng: np.random.Generator, config: ModelConfig):
         self.config = config
-        self.level_projs = [Linear(rng, w, config.dim) for w in level_widths]
+        self.level_projs = [Linear(rng, w, config.dim) for w in config.backbone_widths]
         self.blocks = [
-            [DecoderBlock(rng, config) for _ in level_widths]
+            [DecoderBlock(rng, config) for _ in config.backbone_widths]
             for _ in range(config.num_rounds)
         ]
 

@@ -192,26 +192,6 @@ class LossWeights:
             raise ParameterError(f"unknown cost reduction {self.cost_reduction!r}")
 
 
-def dice_loss(pred_probs: Tensor, target: np.ndarray) -> Tensor:
-    """1 - 2 * |p * g| / (|p| + |g| + eps) over one mask."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if pred_probs.shape != target.shape:
-        raise ShapeError(f"dice: {pred_probs.shape} vs {target.shape}")
-    inter = ad.tsum(ad.mul(pred_probs, target))
-    denom = ad.tsum(pred_probs) + float(target.sum()) + EPS
-    return 1.0 - ad.div(ad.mul(inter, 2.0), denom)
-
-
-def bce_loss(pred_probs: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over a mask; log arguments are eps-clamped."""
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if pred_probs.shape != target.shape:
-        raise ShapeError(f"bce: {pred_probs.shape} vs {target.shape}")
-    pos = ad.mul(ad.log(pred_probs + EPS), target)
-    negv = ad.mul(ad.log((1.0 - pred_probs) + EPS), 1.0 - target)
-    return ad.neg(ad.tmean(pos + negv))
-
-
 def ce_loss(class_logits: Tensor, target_classes: np.ndarray) -> Tensor:
     """Per-row cross-entropy -log p[target]; returns a vector of losses."""
     target_classes = np.asarray(target_classes, dtype=np.int64).reshape(-1)

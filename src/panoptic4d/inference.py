@@ -391,6 +391,7 @@ def stitch(
         l_idx = np.searchsorted(locals_, pair % radix)
         counts = np.zeros((prevs.size, len(locals_)))
         counts[p_idx, l_idx] = overlap
+        # looked up per call, so a wrapper on heads.solve_assignment sees stitch matrices
         from .heads import solve_assignment
 
         if prevs.size <= len(locals_):

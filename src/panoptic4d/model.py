@@ -11,15 +11,8 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor
-from .backbone import Backbone, BackboneConfig, FeaturePyramid, seed_features
-from .decoder import (
-    DecoderConfig,
-    FourierEncoder,
-    QueryRefiner,
-    QuerySet,
-    WindowContext,
-    init_queries,
-)
+from .backbone import Backbone, FeaturePyramid, seed_features
+from .decoder import FourierEncoder, QueryRefiner, QuerySet, WindowContext, init_queries
 from .errors import ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
@@ -59,15 +52,34 @@ class ModelConfig:
             raise ParameterError("window must be >= 1")
         if self.num_queries < 1:
             raise ParameterError("need at least one query")
+        if self.num_heads < 1:
+            raise ParameterError("num_heads must be >= 1")
+        if self.dim % self.num_heads != 0:
+            raise ParameterError(
+                f"dim {self.dim} is not divisible by {self.num_heads} heads"
+            )
+        if self.num_rounds < 0:
+            raise ParameterError("num_rounds must be >= 0")
+        # the decoder compares logits with logit(mask_threshold)
+        if not 0.0 < self.mask_threshold < 1.0:
+            raise ParameterError(
+                f"mask_threshold must be in (0, 1), got {self.mask_threshold}"
+            )
+        if self.num_frequencies < 1:
+            raise ParameterError("need at least one frequency")
+        if self.freq_base <= 1.0:
+            raise ParameterError("freq_base must be > 1 for a geometric bank")
+        if self.backbone_depth < 1:
+            raise ParameterError("backbone depth must be >= 1")
+        if len(self.backbone_widths) != self.backbone_depth:
+            raise ParameterError(
+                f"got {len(self.backbone_widths)} widths for depth {self.backbone_depth}"
+            )
+        if any(w <= 0 for w in self.backbone_widths):
+            raise ParameterError("backbone widths must be positive")
 
     def class_map(self) -> ClassMap:
         return ClassMap(thing_ids=self.thing_classes, stuff_ids=self.stuff_classes)
-
-    def decoder_config(self) -> DecoderConfig:
-        return project(DecoderConfig, self)
-
-    def backbone_config(self) -> BackboneConfig:
-        return BackboneConfig(depth=self.backbone_depth, widths=self.backbone_widths)
 
 
 @dataclass
@@ -136,10 +148,9 @@ class PanopticModel:
         self.config = config
         self.class_map = config.class_map()
         rng = np.random.Generator(np.random.PCG64(init_seed))
-        dec_cfg = config.decoder_config()
-        self.backbone = Backbone(rng, config.backbone_config())
-        self.fourier = FourierEncoder(rng, dec_cfg.pos_enc())
-        self.refiner = QueryRefiner(rng, dec_cfg, config.backbone_widths)
+        self.backbone = Backbone(rng, config)
+        self.fourier = FourierEncoder(rng, config)
+        self.refiner = QueryRefiner(rng, config)
         self.mask_module = MaskModule(
             rng,
             dim=config.dim,

@@ -24,6 +24,13 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
     )
 
     def predict(scans, poses, frames) -> SequenceLabels:
+        if not any(s.num_points for s in scans):
+            # nothing to voxelize: every frame gets its empty labels
+            return SequenceLabels(
+                list(frames),
+                {f: np.zeros(0, dtype=np.int64) for f in frames},
+                {f: np.zeros(0, dtype=np.int64) for f in frames},
+            )
         with no_grad():
             data = prepare_window(scans, poses, cfg.voxel_size)
             fwd = model.forward(data)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from panoptic4d.autodiff import Tensor, finite_difference_check, tsum, mul
-from panoptic4d.backbone import Backbone, BackboneConfig, seed_features
+from panoptic4d.backbone import Backbone, seed_features
 from panoptic4d.errors import ParameterError, ShapeError
 from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
+from panoptic4d.model import ModelConfig
 
 from oracles import loop_pyramid_geometry
 
@@ -52,7 +53,7 @@ class TestExtract:
     def test_depth_one_is_single_transform(self):
         rng = np.random.default_rng(0)
         _, grid = grid_from_points(rng.uniform(0, 5, size=(12, 3)))
-        bb = Backbone(rng, BackboneConfig(depth=1, widths=(7,)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=1, backbone_widths=(7,)))
         seed = Tensor(seed_features(grid, [0]))
         pyr = bb.extract(grid, seed)
         assert pyr.depth == 1
@@ -64,14 +65,14 @@ class TestExtract:
         rng = np.random.default_rng(1)
         _, grid = grid_from_points([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
         assert grid.num_voxels == 2
-        bb = Backbone(rng, BackboneConfig(depth=2, widths=(1, 1), seed_dim=1))
+        bb = Backbone(rng, ModelConfig(backbone_depth=2, backbone_widths=(1, 1)))
         # make every MLP an identity on positive inputs
         for mlp in bb.encoders + bb.decoders:
             for layer in mlp.layers:
                 n_in, n_out = layer.w.shape
                 layer.w.values[...] = np.eye(n_in, n_out)
                 layer.b.values[...] = 0.0
-        seed = Tensor(np.array([[1.0], [3.0]]))
+        seed = Tensor(np.array([[1.0, 0, 0, 0, 0], [3.0, 0, 0, 0, 0]]))
         pyr = bb.extract(grid, seed)
         np.testing.assert_allclose(pyr.levels[1].features.values, [[2.0]])
 
@@ -79,7 +80,7 @@ class TestExtract:
         rng = np.random.default_rng(2)
         pts = rng.uniform(-20, 20, size=(200, 3))
         _, grid = grid_from_points(pts, voxel_size=1.0)
-        bb = Backbone(rng, BackboneConfig(depth=3, widths=(4, 5, 6)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=3, backbone_widths=(4, 5, 6)))
         pyr = bb.extract(grid, Tensor(seed_features(grid, [0])))
         for r in range(3):
             expected = {tuple(c) for c in grid.voxel_coords // (2**r)}
@@ -97,7 +98,7 @@ class TestExtract:
         rng = np.random.default_rng(10 + seed)
         pts = rng.uniform(-9, 9, size=(3, 60, 3))
         cloud, grid = grid_from_points(pts, voxel_size=0.7, frames=[2, 3, 5])
-        bb = Backbone(rng, BackboneConfig(depth=4, widths=(3, 3, 3, 3)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=4, backbone_widths=(3, 3, 3, 3)))
         pyr = bb.extract(grid, Tensor(seed_features(grid, [2, 3, 5])))
         coords, parent_maps, positions, frames = loop_pyramid_geometry(cloud, 0.7, 4)
         for r, level in enumerate(pyr.levels):
@@ -114,7 +115,7 @@ class TestExtract:
         pts = rng.uniform(0, 16, size=(80, 3))
         _, g1 = grid_from_points(pts, voxel_size=1.0)
         _, g2 = grid_from_points(pts + 4.0, voxel_size=1.0)  # shift by 4 voxels
-        bb = Backbone(rng, BackboneConfig(depth=3, widths=(4, 4, 4)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=3, backbone_widths=(4, 4, 4)))
         p1 = bb.extract(g1, Tensor(seed_features(g1, [0])))
         p2 = bb.extract(g2, Tensor(seed_features(g2, [0])))
         k1 = [lvl.coords.shape[0] for lvl in p1.levels]
@@ -126,7 +127,7 @@ class TestExtract:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 6, size=(20, 3))
         _, grid = grid_from_points(pts, voxel_size=1.0)
-        bb = Backbone(rng, BackboneConfig(depth=2, widths=(3, 4)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=2, backbone_widths=(3, 4)))
         params = list(bb.parameters().values())
         seed = Tensor(seed_features(grid, [0]))
 
@@ -145,12 +146,12 @@ class TestExtract:
     def test_seed_shape_mismatch(self):
         rng = np.random.default_rng(5)
         _, grid = grid_from_points(rng.uniform(0, 5, size=(10, 3)))
-        bb = Backbone(rng, BackboneConfig(depth=1, widths=(4,)))
+        bb = Backbone(rng, ModelConfig(backbone_depth=1, backbone_widths=(4,)))
         with pytest.raises(ShapeError):
             bb.extract(grid, Tensor(np.zeros((3, 5))))
 
     def test_bad_config(self):
         with pytest.raises(ParameterError):
-            BackboneConfig(depth=2, widths=(4,))
+            ModelConfig(backbone_depth=2, backbone_widths=(4,))
         with pytest.raises(ParameterError):
-            BackboneConfig(depth=0, widths=())
+            ModelConfig(backbone_depth=0, backbone_widths=())

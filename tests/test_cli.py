@@ -259,6 +259,28 @@ def test_infer_unwritable_ids_leave_no_label_file(workspace, tmp_path, monkeypat
     assert not [name for _, _, files in os.walk(out) for name in files if name.endswith(".label")]
 
 
+def test_infer_all_empty_window_writes_empty_labels(workspace, tmp_path):
+    from panoptic4d.sequence import load_sequence, save_sequence
+
+    from test_pipeline import empty_middle_sequence
+
+    seq = load_sequence(str(workspace / "seq"), desk_preset().class_map())
+    seq_dir = tmp_path / "seq"
+    save_sequence(empty_middle_sequence(seq), str(seq_dir), write_labels=False)
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(seq_dir), "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    sizes = [(out / "labels" / f"{f:06d}.label").stat().st_size for f in range(4)]
+    assert sizes[1:3] == [0, 0]
+    assert sizes[0] == 4 * seq.scans[0].num_points
+    assert sizes[3] == 4 * seq.scans[2].num_points
+
+
 def test_infer_rejects_bad_pose_before_any_forward(workspace, tmp_path, monkeypatch, capsys):
     from panoptic4d.model import PanopticModel
     from panoptic4d.sequence import save_sequence

@@ -96,6 +96,26 @@ def test_bad_loss_weights_rejected_on_load(text, message):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim = 30\n", "not divisible by 4 heads"),
+        ("num_heads = 0\n", "num_heads must be >= 1"),
+        ("num_rounds = -1\n", "num_rounds"),
+        ("mask_threshold = 1.5\n", "mask_threshold"),
+        ("mask_threshold = 0.0\n", "mask_threshold"),
+        ("num_frequencies = 0\n", "at least one frequency"),
+        ("freq_base = 1.0\n", "freq_base"),
+        ("backbone_depth = 4\nbackbone_widths = 24,48,64\n", "3 widths for depth 4"),
+        ("backbone_depth = 0\nbackbone_widths = \n", "backbone depth"),
+        ("backbone_depth = 3\nbackbone_widths = 24,0,64\n", "widths must be positive"),
+    ],
+)
+def test_bad_model_values_rejected_on_load(text, message):
+    with pytest.raises(ParameterError, match=message):
+        config_from_text(RunConfig, text)
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         dict(window=1, stride=0),

@@ -3,13 +3,11 @@ import pytest
 
 import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, finite_difference_check
-from panoptic4d.backbone import Backbone, BackboneConfig, seed_features
+from panoptic4d.backbone import Backbone, seed_features
 from panoptic4d.decoder import (
-    DecoderConfig,
     DecoderBlock,
     FourierEncoder,
     MultiHeadAttention,
-    PosEncConfig,
     QueryRefiner,
     WindowContext,
     fourier_features,
@@ -19,6 +17,7 @@ from panoptic4d.decoder import (
 from panoptic4d.errors import ParameterError
 from panoptic4d.geometry import farthest_point_sampling
 from panoptic4d.heads import MaskModule
+from panoptic4d.model import ModelConfig
 
 from oracles import greedy_fps, loop_propagate_foreground
 from test_backbone import grid_from_points
@@ -33,10 +32,18 @@ def small_setup(seed=0, depth=2, widths=(6, 8), dim=8, heads=2, rounds=1, nq=3, 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 10, size=(npts, 3))
     cloud, grid = grid_from_points(pts, voxel_size=1.0)
-    cfg = DecoderConfig(dim=dim, num_heads=heads, num_rounds=rounds, ffn_width=16)
-    bb = Backbone(rng, BackboneConfig(depth=depth, widths=widths))
-    enc = FourierEncoder(rng, PosEncConfig(num_frequencies=2, dim=dim))
-    refiner = QueryRefiner(rng, cfg, widths)
+    cfg = ModelConfig(
+        dim=dim,
+        num_heads=heads,
+        num_rounds=rounds,
+        ffn_width=16,
+        num_frequencies=2,
+        backbone_depth=depth,
+        backbone_widths=widths,
+    )
+    bb = Backbone(rng, cfg)
+    enc = FourierEncoder(rng, cfg)
+    refiner = QueryRefiner(rng, cfg)
     mask_module = MaskModule(rng, dim=dim, finest_width=widths[0], num_classes=2)
     bias = Tensor(rng.normal(size=dim), requires_grad=True)
     pyramid = bb.extract(grid, Tensor(seed_features(grid, [0])))
@@ -47,7 +54,7 @@ def small_setup(seed=0, depth=2, widths=(6, 8), dim=8, heads=2, rounds=1, nq=3, 
 class TestFourier:
     def test_zero_phase(self):
         spatial, temporal = fourier_features(
-            np.zeros((1, 3)), np.zeros(1), CTX, PosEncConfig(num_frequencies=2, dim=8)
+            np.zeros((1, 3)), np.zeros(1), CTX, ModelConfig(num_frequencies=2, dim=8)
         )
         np.testing.assert_allclose(spatial[0, :6], 0.0, atol=1e-12)  # sin block
         np.testing.assert_allclose(spatial[0, 6:], 1.0, atol=1e-12)  # cos block
@@ -59,14 +66,14 @@ class TestFourier:
             rng.uniform(0, 10, size=(50, 3)),
             rng.integers(0, 2, size=50),
             CTX,
-            PosEncConfig(num_frequencies=6, dim=16),
+            ModelConfig(num_frequencies=6, dim=16),
         )
         assert np.abs(spatial).max() <= 1.0 + 1e-12
         assert np.abs(temporal).max() <= 1.0 + 1e-12
 
     def test_temporal_only_difference(self):
         rng = np.random.default_rng(1)
-        enc = FourierEncoder(rng, PosEncConfig(num_frequencies=3, dim=8))
+        enc = FourierEncoder(rng, ModelConfig(num_frequencies=3, dim=8))
         pos = np.array([[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
         out = enc(pos, np.array([0.0, 1.0]), CTX)
         spatial, _ = fourier_features(pos, np.array([0.0, 1.0]), CTX, enc.config)
@@ -133,7 +140,7 @@ class TestAttention:
 
     def test_empty_row_fallback_in_block(self):
         rng = np.random.default_rng(4)
-        cfg = DecoderConfig(dim=8, num_heads=2, num_rounds=1, ffn_width=16)
+        cfg = ModelConfig(dim=8, num_heads=2, num_rounds=1, ffn_width=16)
         block = DecoderBlock(rng, cfg)
         q = Tensor(rng.normal(size=(3, 8)))
         k = Tensor(rng.normal(size=(6, 8)))
@@ -163,7 +170,7 @@ class TestAttention:
 
     def test_zero_value_projection_gives_residual_identity(self):
         rng = np.random.default_rng(7)
-        cfg = DecoderConfig(dim=8, num_heads=2, num_rounds=1, ffn_width=16)
+        cfg = ModelConfig(dim=8, num_heads=2, num_rounds=1, ffn_width=16)
         block = DecoderBlock(rng, cfg)
         block.self_attn.wv.w.values[...] = 0.0
         block.self_attn.wv.b.values[...] = 0.0
@@ -176,8 +183,10 @@ class TestAttention:
 class TestRefine:
     def test_zero_rounds(self):
         rng, grid, cfg0, bb, enc, refiner, mm, bias, pyramid, queries = small_setup()
-        cfg = DecoderConfig(dim=8, num_heads=2, num_rounds=0, ffn_width=16)
-        refiner0 = QueryRefiner(rng, cfg, (6, 8))
+        cfg = ModelConfig(
+            dim=8, num_heads=2, num_rounds=0, ffn_width=16, backbone_depth=2, backbone_widths=(6, 8)
+        )
+        refiner0 = QueryRefiner(rng, cfg)
         final, outputs = refiner0.refine(queries, pyramid, mm, enc, CTX)
         assert len(outputs) == 1
         assert final.features is queries.features
@@ -266,7 +275,7 @@ class TestRefine:
 
     def test_temporal_sensitivity(self):
         rng = np.random.default_rng(8)
-        enc = FourierEncoder(rng, PosEncConfig(num_frequencies=3, dim=8))
+        enc = FourierEncoder(rng, ModelConfig(num_frequencies=3, dim=8))
         pos = np.array([[1.0, 2.0, 3.0]])
         a = enc(pos, np.array([0.0]), CTX).values
         b = enc(pos, np.array([1.0]), CTX).values

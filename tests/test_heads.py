@@ -8,13 +8,12 @@ from panoptic4d.geometry import superimpose, voxelize, LidarScan, Pose
 from panoptic4d.heads import (
     LossWeights,
     MaskModuleOutput,
+    MatchResult,
     Targets,
     TargetSegment,
-    bce_loss,
     box_l1_loss,
     build_targets,
     ce_loss,
-    dice_loss,
     hungarian_match,
     matching_cost_matrix,
     solve_assignment,
@@ -62,20 +61,29 @@ def test_class_probs_is_the_tape_softmax():
 
 
 class TestLosses:
+    @staticmethod
+    def one_pair(heat):
+        """total_loss of one query with heatmap logits heat against one stuff
+        target on mask [1, 0]."""
+        out = output_from_arrays(np.array([heat], dtype=np.float64), np.zeros((1, 2)))
+        targets = Targets([segment([1, 0])])
+        return total_loss([out], targets, MatchResult([(0, 0)], 1), LossWeights())
+
     def test_dice_perfect(self):
-        g = np.array([1.0, 0.0, 1.0])
-        assert dice_loss(Tensor(g.copy()), g).item() == pytest.approx(0.0, abs=1e-6)
+        _, parts = self.one_pair([800.0, -800.0])
+        assert parts.dice == pytest.approx(0.0, abs=1e-6)
 
     def test_dice_disjoint(self):
-        assert dice_loss(Tensor(np.array([1.0, 0.0])), np.array([0.0, 1.0])).item() == pytest.approx(1.0, abs=1e-6)
+        _, parts = self.one_pair([-800.0, 800.0])
+        assert parts.dice == pytest.approx(LossWeights.lambda_dice, abs=1e-6)
 
     def test_dice_half(self):
-        v = dice_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]))
-        assert v.item() == pytest.approx(0.5, abs=1e-6)
+        _, parts = self.one_pair([0.0, 0.0])
+        assert parts.dice == pytest.approx(0.5 * LossWeights.lambda_dice, abs=1e-6)
 
     def test_bce_at_half(self):
-        v = bce_loss(Tensor(np.full(8, 0.5)), np.random.default_rng(0).integers(0, 2, 8))
-        assert v.item() == pytest.approx(np.log(2), abs=1e-5)
+        _, parts = self.one_pair([0.0, 0.0])
+        assert parts.bce == pytest.approx(np.log(2) * LossWeights.lambda_bce, abs=1e-5)
 
     def test_ce_uniform(self):
         v = ce_loss(Tensor(np.zeros((2, 3))), np.array([0, 2]))
@@ -91,16 +99,15 @@ class TestLosses:
     def test_losses_nonnegative_and_no_nan(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            p = Tensor(rng.random(10))
-            g = rng.integers(0, 2, 10).astype(float)
-            assert dice_loss(p, g).item() >= -1e-9
-            assert np.isfinite(bce_loss(p, g).item()) and bce_loss(p, g).item() >= 0
-        # extreme probabilities stay finite
-        assert np.isfinite(bce_loss(Tensor(np.array([0.0, 1.0])), np.array([1.0, 0.0])).item())
+            _, parts = self.one_pair(rng.normal(scale=5.0, size=2))
+            assert parts.dice >= -1e-9
+            assert np.isfinite(parts.bce) and parts.bce >= 0
+        # saturated logits stay finite
+        for heat in ([800.0, -800.0], [-800.0, 800.0]):
+            loss, _ = self.one_pair(heat)
+            assert np.isfinite(loss.item())
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            dice_loss(Tensor(np.zeros(3)), np.zeros(4))
         with pytest.raises(ShapeError):
             ce_loss(Tensor(np.zeros((2, 3))), np.zeros(3, dtype=int))
 

@@ -74,6 +74,36 @@ def test_sparse_window_gets_labels_for_every_point(small):
         assert np.all(pred.instance[f][~thing_sel] == 0)
 
 
+def empty_middle_sequence(seq):
+    """Four frames whose frames 1 and 2 have no points: the window over
+    frames 1-2 is empty."""
+    empty = [LidarScan(points=np.zeros((0, 3)), frame_index=f) for f in (1, 2)]
+    scans = [seq.scans[0], *empty, LidarScan(points=seq.scans[2].points, frame_index=3)]
+    poses = [seq.poses[0], seq.poses[1], seq.poses[2], seq.poses[2]]
+    return ScanSequence(scans, poses, seq.class_map)
+
+
+def test_all_empty_window_gets_empty_labels(small, monkeypatch):
+    cfg, seq, model = small
+    seq4 = empty_middle_sequence(seq)
+    windows = []
+    forward = PanopticModel.forward
+
+    def counting_forward(self, window):
+        windows.append(window.frames)
+        return forward(self, window)
+
+    monkeypatch.setattr(PanopticModel, "forward", counting_forward)
+    pred = predict_sequence(model, seq4, cfg)
+    assert windows == [[0, 1], [2, 3]]
+    assert pred.frames == [0, 1, 2, 3]
+    for scan in seq4.scans:
+        f = scan.frame_index
+        assert pred.semantic[f].shape == pred.instance[f].shape == (scan.num_points,)
+        assert pred.semantic[f].dtype == pred.instance[f].dtype == np.int64
+        assert np.isin(pred.semantic[f], seq.class_map.all_ids).all()
+
+
 def test_report_in_range(small):
     cfg, seq, model = small
     rep = evaluate_prediction(predict_sequence(model, seq, cfg), seq)
