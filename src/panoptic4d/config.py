@@ -63,6 +63,10 @@ class RunConfig(ModelConfig):
             )
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
+        if self.dbscan_eps <= 0 or self.dbscan_min_pts < 1:
+            raise ParameterError(
+                f"dbscan_eps {self.dbscan_eps} must be > 0, dbscan_min_pts {self.dbscan_min_pts} >= 1"
+            )
         self.loss_weights()
 
     def model_config(self) -> ModelConfig:

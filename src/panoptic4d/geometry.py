@@ -226,8 +226,8 @@ def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
     Voxels are enumerated in first-occurrence order. Centroids and mean frame
     indices are averaged over member points.
     """
-    if voxel_size <= 0:
-        raise ParameterError(f"voxel_size must be > 0, got {voxel_size}")
+    if not (np.isfinite(voxel_size) and voxel_size > 0):
+        raise ParameterError(f"voxel_size must be positive and finite, got {voxel_size}")
     coords = np.floor(cloud.points / voxel_size).astype(np.int64)
     voxel_coords, point_to_voxel, centroids, frame = pool_coords(
         coords, cloud.points, cloud.frame_of

@@ -1,9 +1,11 @@
 """From mask predictions to a non-overlapping 4D panoptic labeling.
 
 extract_panoptic resolves the overlapping per-query heatmaps into one query
-per voxel by confidence argmax, split_non_compact breaks spatially scattered
-instances apart with DBSCAN, and stitch/run_sequence carry instance ids across
-overlapping windows so a whole sequence gets consistent tracks.
+per voxel by confidence argmax and split_non_compact breaks spatially
+scattered instances apart with DBSCAN, both on flat per-point arrays in
+superimposed order; frame_labels cuts a window's flat labels into frames, and
+stitch/run_sequence carry instance ids across overlapping windows so a whole
+sequence gets consistent tracks.
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ log = logging.getLogger(__name__)
 def extract_panoptic(
     output: MaskModuleOutput,
     grid: VoxelGrid,
-    cloud: SuperimposedCloud,
-    frames: list[int],
     class_ids: np.ndarray,
     thing_index: np.ndarray,
-) -> SequenceLabels:
+) -> tuple[np.ndarray, np.ndarray]:
     """Assign every voxel to one query by confidence argmax, then expand to points.
 
-    Query confidence on a voxel is (max real-class probability) times the
-    sigmoid heatmap value. Queries whose most likely class is "no object" are
-    excluded; if that excludes everyone, all queries are kept and a warning is
-    emitted. Ties go to the lower query index.
+    Returns (semantic, instance) as int64 per point in superimposed order,
+    with window-local instance ids. Query confidence on a voxel is (max
+    real-class probability) times the sigmoid heatmap value. Queries whose
+    most likely class is "no object" are excluded; if that excludes everyone,
+    all queries are kept and a warning is emitted. Ties go to the lower query
+    index.
     """
     probs = output.class_probs()  # (N_q, C+1)
     heat = output.heatmap_sigmoid()  # (N_q, K0)
@@ -65,31 +67,22 @@ def extract_panoptic(
     local_id[things] = np.arange(1, things.sum() + 1)
 
     q_of_point = voxel_query[grid.point_to_voxel]
-    return SequenceLabels(
-        list(frames),
-        _per_frame(class_ids[best_class[q_of_point]], cloud, frames),
-        _per_frame(local_id[q_of_point], cloud, frames),
-    )
+    return class_ids[best_class[q_of_point]], local_id[q_of_point]
 
 
-def _flat(slots: list[np.ndarray], cloud: SuperimposedCloud) -> np.ndarray:
-    """One label array per window slot, joined as int64 in superimposed point
-    order: the scans in slot order, each in file order."""
-    flat = np.concatenate(slots, dtype=np.int64)
-    if flat.shape != (cloud.num_points,):
-        raise ContractError(f"{flat.size} labels for a window of {cloud.num_points} points")
-    return flat
-
-
-def _per_frame(
-    flat: np.ndarray, cloud: SuperimposedCloud, frames: list[int]
-) -> dict[int, np.ndarray]:
-    """Labels in superimposed point order cut into one array per frame; an
-    empty scan keeps its empty array."""
+def frame_labels(
+    semantic: np.ndarray, instance: np.ndarray, cloud: SuperimposedCloud, frames: list[int]
+) -> SequenceLabels:
+    """A window's labels in superimposed point order cut into one array per
+    frame at the counts of each frame in cloud.frame_of; an empty scan keeps
+    its empty array. The counts must cover the window exactly, so a repeated
+    or foreign frame raises ContractError."""
     sizes = [np.count_nonzero(cloud.frame_of == f) for f in frames]
     if sum(sizes) != cloud.num_points:
         raise ContractError(f"frames {frames} count {sum(sizes)} of {cloud.num_points} points")
-    return dict(zip(frames, np.split(flat, np.cumsum(sizes)[:-1])))
+    cuts = np.cumsum(sizes)[:-1]
+    per_frame = [dict(zip(frames, np.split(a, cuts))) for a in (semantic, instance)]
+    return SequenceLabels(list(frames), *per_frame)
 
 
 def dbscan(
@@ -274,26 +267,27 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def split_non_compact(
-    pred: SequenceLabels,
+    instance: np.ndarray,
     cloud: SuperimposedCloud,
-    frames: list[int],
     eps: float = 1.0,
     min_pts: int = 1,
     per_frame: bool = False,
-) -> SequenceLabels:
+) -> np.ndarray:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
-    Every cluster becomes its own instance with the same semantics; noise
-    points join the nearest cluster by centroid distance (ties to the lowest
-    cluster). An instance whose points are all noise is kept as a single
-    instance. New ids run from 1 in (instance, cluster) order. Semantic labels
-    and point coverage are never altered.
+    Takes and returns int64 instance ids per point in superimposed order.
+    Every cluster becomes its own instance; noise points join the nearest
+    cluster by centroid distance (ties to the lowest cluster). An instance
+    whose points are all noise is kept as a single instance. New ids run from
+    1 in (instance, cluster) order, and stuff points (id 0) stay 0.
 
     One grouped dbscan call covers every instance of the window, grouped by
     instance (or by instance and frame with per_frame, whose pieces are then
     merged across frames).
     """
-    inst = _flat([pred.instance[f] for f in frames], cloud)
+    inst = np.asarray(instance, dtype=np.int64)
+    if inst.shape != (cloud.num_points,):
+        raise ContractError(f"{inst.size} instance ids for a window of {cloud.num_points} points")
     # thing points in (instance, point index) order; local is the instance
     # rank, and instance i holds positions bounds[i]:bounds[i + 1]
     order = np.flatnonzero(inst > 0)
@@ -323,11 +317,7 @@ def split_non_compact(
     key = local * (n + 2) + cl + 1
     new_inst = np.zeros_like(inst)
     new_inst[order] = np.unique(key, return_inverse=True)[1] + 1
-    return SequenceLabels(
-        list(frames),
-        {f: pred.semantic[f] for f in frames},
-        _per_frame(new_inst, cloud, frames),
-    )
+    return new_inst
 
 
 def _merge_frame_pieces(pts, cl, bounds, eps):

@@ -13,10 +13,9 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
 from .decoder import FourierEncoder, QueryRefiner, QuerySet, WindowContext, init_queries
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
-from .inference import _flat
 from .sequence import ClassMap
 
 
@@ -46,6 +45,10 @@ class ModelConfig:
     query_seed: int = 0
 
     def __post_init__(self):
+        # one rule for the float fields of this class and of its subclasses
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.voxel_size <= 0:
             raise ParameterError("voxel_size must be positive")
         if self.window < 1:
@@ -54,6 +57,8 @@ class ModelConfig:
             raise ParameterError("need at least one query")
         if self.num_heads < 1:
             raise ParameterError("num_heads must be >= 1")
+        if self.dim < 1 or self.ffn_width < 1:
+            raise ParameterError(f"dim {self.dim} and ffn_width {self.ffn_width} must be >= 1")
         if self.dim % self.num_heads != 0:
             raise ParameterError(
                 f"dim {self.dim} is not divisible by {self.num_heads} heads"
@@ -95,8 +100,12 @@ class WindowData:
 
     def point_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Per superimposed point (semantic, instance) pulled from the scans."""
-        sem = _flat([s.semantic for s in self.scans], self.cloud)
-        inst = _flat([s.instance for s in self.scans], self.cloud)
+        n = self.cloud.num_points
+        sem = np.concatenate([s.semantic for s in self.scans], dtype=np.int64)
+        inst = np.concatenate([s.instance for s in self.scans], dtype=np.int64)
+        for flat in (sem, inst):
+            if flat.shape != (n,):
+                raise ContractError(f"{flat.size} labels for a window of {n} points")
         return sem, inst
 
 

@@ -8,8 +8,9 @@ import numpy as np
 
 from .autodiff import no_grad
 from .config import RunConfig
-from .inference import extract_panoptic, run_sequence, split_non_compact
+from .inference import extract_panoptic, frame_labels, run_sequence, split_non_compact
 from .errors import ParameterError
+from .geometry import superimpose
 from .kitti_io import label_path, pack_labels, write_labels
 from .metrics import MetricReport, SequenceLabels, evaluate
 from .model import PanopticModel, prepare_window
@@ -26,27 +27,21 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
     def predict(scans, poses, frames) -> SequenceLabels:
         if not any(s.num_points for s in scans):
             # nothing to voxelize: every frame gets its empty labels
-            return SequenceLabels(
-                list(frames),
-                {f: np.zeros(0, dtype=np.int64) for f in frames},
-                {f: np.zeros(0, dtype=np.int64) for f in frames},
-            )
+            empty = np.zeros(0, dtype=np.int64)
+            return frame_labels(empty, empty, superimpose(scans, poses), frames)
         with no_grad():
             data = prepare_window(scans, poses, cfg.voxel_size)
             fwd = model.forward(data)
-        pred = extract_panoptic(
-            fwd.final, data.grid, data.cloud, frames, class_ids, thing_index
-        )
+        sem, inst = extract_panoptic(fwd.final, data.grid, class_ids, thing_index)
         if cfg.use_dbscan:
-            pred = split_non_compact(
-                pred,
+            inst = split_non_compact(
+                inst,
                 data.cloud,
-                frames,
                 eps=cfg.dbscan_eps,
                 min_pts=cfg.dbscan_min_pts,
                 per_frame=cfg.dbscan_per_frame,
             )
-        return pred
+        return frame_labels(sem, inst, data.cloud, frames)
 
     return predict
 

@@ -25,7 +25,7 @@ from panoptic4d.heads import (
     solve_assignment,
     total_loss,
 )
-from panoptic4d.inference import extract_panoptic, run_sequence, split_non_compact
+from panoptic4d.inference import extract_panoptic, frame_labels, run_sequence, split_non_compact
 from panoptic4d.kitti_io import pack_label, read_labels, read_poses, read_scan, write_labels, write_poses, write_scan
 from panoptic4d.metrics import SequenceLabels, lstq, pq_sequence, s_assoc, s_cls
 from panoptic4d.model import ModelConfig, PanopticModel, prepare_window
@@ -299,7 +299,8 @@ def test_criterion_7_extraction_totality():
         thing_index = np.array([CM.is_thing(int(c)) for c in class_ids])
         for seed in range(10):
             cloud, grid, out = _random_window_and_output(seed)
-            pred = extract_panoptic(out, grid, cloud, [0, 1], class_ids, thing_index)
+            sem, inst = extract_panoptic(out, grid, class_ids, thing_index)
+            pred = frame_labels(sem, inst, cloud, [0, 1])
             for f, count in ((0, 40), (1, 40)):
                 assert pred.semantic[f].shape == (count,)
                 assert pred.instance[f].shape == (count,)
@@ -307,7 +308,8 @@ def test_criterion_7_extraction_totality():
                 thing_sel = np.isin(pred.semantic[f], CM.thing_ids)
                 assert np.all(pred.instance[f][thing_sel] > 0)
                 assert np.all(pred.instance[f][~thing_sel] == 0)
-            split = split_non_compact(pred, cloud, [0, 1], eps=1.5, min_pts=1)
+            split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
+            split = frame_labels(sem, split_inst, cloud, [0, 1])
             for f in (0, 1):
                 np.testing.assert_array_equal(split.semantic[f], pred.semantic[f])
                 np.testing.assert_array_equal(
@@ -353,8 +355,10 @@ def test_criterion_8_permutation_invariance():
             loss_p, _ = total_loss([out_p], targets, match_p, weights)
             assert loss_p.item() == pytest.approx(loss.item(), abs=1e-9)
 
-            pred = extract_panoptic(out, grid, cloud, [0, 1], class_ids, thing_index)
-            pred_p = extract_panoptic(out_p, grid, cloud, [0, 1], class_ids, thing_index)
+            pred = frame_labels(*extract_panoptic(out, grid, class_ids, thing_index), cloud, [0, 1])
+            pred_p = frame_labels(
+                *extract_panoptic(out_p, grid, class_ids, thing_index), cloud, [0, 1]
+            )
             for f in (0, 1):
                 np.testing.assert_array_equal(pred.semantic[f], pred_p.semantic[f])
                 _assert_same_partition(pred.instance[f], pred_p.instance[f])

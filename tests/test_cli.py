@@ -339,3 +339,34 @@ def test_infer_overrides_are_validated_together(workspace, tmp_path):
     )
     assert rc == 0
     assert len(os.listdir(tmp_path / "pred" / "labels")) == 3
+
+
+def test_infer_rejects_bad_checkpoint_config_before_any_forward(workspace, tmp_path, monkeypatch, capsys):
+    # dbscan_eps = 0 used to load and fail only after window 0's forward pass
+    from panoptic4d.model import PanopticModel
+    from panoptic4d.optim import load_checkpoint, save_checkpoint
+
+    params, cfg_text = load_checkpoint(str(workspace / "train" / "model.ckpt"))
+    assert "dbscan_eps = 1.0\n" in cfg_text
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), params, cfg_text.replace("dbscan_eps = 1.0\n", "dbscan_eps = 0.0\n"))
+
+    calls = []
+    forward = PanopticModel.forward
+
+    def counting_forward(self, window):
+        calls.append(window.frames)
+        return forward(self, window)
+
+    monkeypatch.setattr(PanopticModel, "forward", counting_forward)
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(ckpt), "--sequence", str(workspace / "seq"),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert calls == []
+    assert "dbscan_eps" in capsys.readouterr().err
+    assert not [name for _, _, files in os.walk(tmp_path) for name in files if name.endswith(".label")]

@@ -115,6 +115,40 @@ def test_bad_model_values_rejected_on_load(text, message):
         config_from_text(RunConfig, text)
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("voxel_size = nan\n", "voxel_size"),
+        ("voxel_size = inf\n", "voxel_size"),
+        ("voxel_size = -inf\n", "voxel_size"),
+        ("freq_base = nan\n", "freq_base"),
+        ("freq_base = inf\n", "freq_base"),
+        ("dbscan_eps = nan\n", "dbscan_eps"),
+        ("dbscan_eps = inf\n", "dbscan_eps"),
+        ("max_lr = nan\n", "max_lr"),
+        ("lambda_dice = nan\n", "lambda_dice"),
+        ("lambda_dice = inf\n", "lambda_dice"),
+        ("dim = 0\n", "dim"),
+        ("ffn_width = 0\n", "ffn_width"),
+        ("ffn_width = -3\n", "ffn_width"),
+        ("dbscan_eps = 0.0\n", "dbscan_eps"),
+        ("dbscan_eps = -1.0\n", "dbscan_eps"),
+        ("dbscan_min_pts = 0\n", "dbscan_min_pts"),
+    ]
+    + [(f"{name} = nan\n", name) for name in FLOAT_FIELDS],
+)
+def test_bad_values_rejected_on_load_naming_the_key(text, key):
+    with pytest.raises(ParameterError, match=rf"\b{key}\b"):
+        config_from_text(RunConfig, text)
+
+
+def test_float_fields_cover_both_config_classes():
+    assert {"voxel_size", "freq_base", "max_lr", "lambda_dice", "dbscan_eps"} <= set(FLOAT_FIELDS)
+
+
 @pytest.mark.parametrize(
     "fields",
     [

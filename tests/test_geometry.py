@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,13 @@ class TestVoxelize:
     def test_bad_voxel_size(self):
         with pytest.raises(ParameterError):
             voxelize(make_cloud([[0.0, 0.0, 0.0]]), 0.0)
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_size(self, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            with pytest.raises(ParameterError, match="voxel_size must be positive and finite"):
+                voxelize(make_cloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), size)
 
 
 def _row_cases() -> dict[str, np.ndarray]:

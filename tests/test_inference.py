@@ -15,6 +15,7 @@ import panoptic4d.inference as inference
 from panoptic4d.inference import (
     dbscan,
     extract_panoptic,
+    frame_labels,
     run_sequence,
     split_non_compact,
     stitch,
@@ -62,11 +63,9 @@ class TestExtractPanoptic:
         heat = np.array([[np.log(0.8 / 0.2)], [np.log(0.9 / 0.1)]])
         conf = lambda p: np.log(np.array(p))
         cls = np.stack([conf([0.9, 0.05, 0.03, 0.02]), conf([0.6, 0.3, 0.05, 0.05])])
-        pred = extract_panoptic(
-            output_for(grid, heat, cls), grid, cloud, [0], CLASS_IDS, THING_INDEX
-        )
-        assert pred.semantic[0].tolist() == [1]
-        assert pred.instance[0].tolist() == [1]  # first included thing query
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        assert sem.tolist() == [1]
+        assert inst.tolist() == [1]  # first included thing query
 
     def test_single_query_degenerate(self):
         rng = np.random.default_rng(0)
@@ -74,12 +73,10 @@ class TestExtractPanoptic:
         cloud, grid = window_from_points(pts, [0, 1])
         heat = rng.normal(size=(1, grid.num_voxels))
         cls = np.array([[4.0, 0.0, 0.0, -2.0]])
-        pred = extract_panoptic(
-            output_for(grid, heat, cls), grid, cloud, [0, 1], CLASS_IDS, THING_INDEX
-        )
-        for f in (0, 1):
-            assert np.all(pred.semantic[f] == 1)
-            assert np.all(pred.instance[f] == 1)
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        assert sem.shape == inst.shape == (20,)
+        assert np.all(sem == 1)
+        assert np.all(inst == 1)
 
     def test_matches_brute_force_argmax(self):
         rng = np.random.default_rng(1)
@@ -89,13 +86,13 @@ class TestExtractPanoptic:
         heat = rng.normal(size=(nq, grid.num_voxels))
         cls = rng.normal(size=(nq, 4))
         out = output_for(grid, heat, cls)
-        pred = extract_panoptic(out, grid, cloud, [0, 1], CLASS_IDS, THING_INDEX)
+        got = extract_panoptic(out, grid, CLASS_IDS, THING_INDEX)
 
-        # independent recomputation per voxel and point; superimposed order
-        # is the scans' concatenation
+        # independent recomputation per voxel and point
         expected = loop_extract_points(out, grid, CLASS_IDS, THING_INDEX)
-        for labels, want in zip((pred.semantic, pred.instance), expected):
-            np.testing.assert_array_equal(np.concatenate([labels[0], labels[1]]), want)
+        for labels, want in zip(got, expected):
+            assert labels.dtype == np.int64
+            np.testing.assert_array_equal(labels, want)
 
     def test_every_point_labeled_exactly_once(self):
         rng = np.random.default_rng(2)
@@ -103,12 +100,9 @@ class TestExtractPanoptic:
         cloud, grid = window_from_points(pts, [0, 1])
         heat = rng.normal(size=(4, grid.num_voxels))
         cls = rng.normal(size=(4, 4))
-        pred = extract_panoptic(
-            output_for(grid, heat, cls), grid, cloud, [0, 1], CLASS_IDS, THING_INDEX
-        )
-        assert pred.semantic[0].shape == (40,)
-        assert pred.semantic[1].shape == (40,)
-        assert np.all(np.isin(pred.semantic[0], CLASS_IDS))
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        assert sem.shape == inst.shape == (80,)
+        assert np.all(np.isin(sem, CLASS_IDS))
 
     def test_all_no_object_fallback_warns(self):
         pts = np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5]])
@@ -116,10 +110,10 @@ class TestExtractPanoptic:
         heat = np.zeros((2, grid.num_voxels))
         cls = np.array([[0.0, 0.0, 0.0, 9.0], [0.0, 0.0, 0.0, 9.0]])
         with pytest.warns(UserWarning):
-            pred = extract_panoptic(
-                output_for(grid, heat, cls), grid, cloud, [0], CLASS_IDS, THING_INDEX
+            sem, inst = extract_panoptic(
+                output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX
             )
-        assert pred.semantic[0].shape == (2,)
+        assert sem.shape == inst.shape == (2,)
 
 
 def _grid_clouds() -> dict[str, tuple[np.ndarray, float]]:
@@ -394,9 +388,10 @@ class TestSplitNonCompact:
         sem = np.ones(30, dtype=np.int64)
         inst = np.ones(30, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        out = split_non_compact(pred, cloud, [0], eps=1.0, min_pts=1)
+        out = frame_labels(sem, split_non_compact(inst, cloud, eps=1.0, min_pts=1), cloud, [0])
         assert len(set(out.instance[0].tolist())) == 1
         np.testing.assert_array_equal(out.semantic[0], pred.semantic[0])
+        np.testing.assert_array_equal(inst, np.ones(30, dtype=np.int64))  # input untouched
 
     def test_two_blobs_split(self):
         rng = np.random.default_rng(1)
@@ -407,7 +402,7 @@ class TestSplitNonCompact:
         sem = np.ones(40, dtype=np.int64)
         inst = np.ones(40, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        out = split_non_compact(pred, cloud, [0], eps=1.0, min_pts=1)
+        out = frame_labels(sem, split_non_compact(inst, cloud, eps=1.0, min_pts=1), cloud, [0])
         ids = out.instance[0]
         assert len(set(ids.tolist())) == 2
         assert len(set(ids[:20].tolist())) == 1
@@ -417,12 +412,9 @@ class TestSplitNonCompact:
     def test_all_noise_kept_as_one(self):
         pts = np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
         cloud, grid = window_from_points(pts, [0])
-        pred = prediction_from_labels(
-            cloud, [0], np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
-        )
-        out = split_non_compact(pred, cloud, [0], eps=1.0, min_pts=2)
-        assert len(set(out.instance[0].tolist())) == 1
-        assert np.all(out.instance[0] > 0)
+        out = split_non_compact(np.ones(3, dtype=np.int64), cloud, eps=1.0, min_pts=2)
+        assert len(set(out.tolist())) == 1
+        assert np.all(out > 0)
 
     def test_noise_joins_nearest_cluster(self):
         blob1 = np.tile(np.array([[0.0, 0, 0]]), (3, 1)) + np.random.default_rng(2).normal(size=(3, 3)) * 0.1
@@ -430,11 +422,7 @@ class TestSplitNonCompact:
         lone = np.array([[3.0, 0.0, 0.0]])  # noise, closer to blob1
         pts = np.concatenate([blob1, blob2, lone])
         cloud, grid = window_from_points(pts, [0])
-        pred = prediction_from_labels(
-            cloud, [0], np.ones(7, dtype=np.int64), np.ones(7, dtype=np.int64)
-        )
-        out = split_non_compact(pred, cloud, [0], eps=1.0, min_pts=2)
-        ids = out.instance[0]
+        ids = split_non_compact(np.ones(7, dtype=np.int64), cloud, eps=1.0, min_pts=2)
         assert ids[6] == ids[0]
         assert ids[6] != ids[3]
 
@@ -445,12 +433,9 @@ class TestSplitNonCompact:
         f1 = rng.normal(size=(10, 3)) * 0.1 + np.array([0.3, 0, 0])
         pts = np.concatenate([f0, f1])
         cloud, grid = window_from_points(pts, [0, 1])
-        pred = prediction_from_labels(
-            cloud, [0, 1], np.ones(20, dtype=np.int64), np.ones(20, dtype=np.int64)
-        )
-        out = split_non_compact(pred, cloud, [0, 1], eps=1.0, min_pts=1, per_frame=True)
-        ids = {int(i) for f in (0, 1) for i in out.instance[f]}
-        assert len(ids) == 1  # per-frame clusters merged across frames
+        inst = np.ones(20, dtype=np.int64)
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=True)
+        assert len(set(out.tolist())) == 1  # per-frame clusters merged across frames
 
     def test_per_frame_mode_keeps_distant_frames_apart(self):
         rng = np.random.default_rng(6)
@@ -458,12 +443,9 @@ class TestSplitNonCompact:
         f1 = rng.normal(size=(10, 3)) * 0.1 + np.array([8.0, 0, 0])
         pts = np.concatenate([f0, f1])
         cloud, grid = window_from_points(pts, [0, 1])
-        pred = prediction_from_labels(
-            cloud, [0, 1], np.ones(20, dtype=np.int64), np.ones(20, dtype=np.int64)
-        )
-        out = split_non_compact(pred, cloud, [0, 1], eps=1.0, min_pts=1, per_frame=True)
-        ids = {int(i) for f in (0, 1) for i in out.instance[f]}
-        assert len(ids) == 2
+        inst = np.ones(20, dtype=np.int64)
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=True)
+        assert len(set(out.tolist())) == 2
 
     def test_never_loses_points_or_changes_semantics(self):
         rng = np.random.default_rng(4)
@@ -472,7 +454,8 @@ class TestSplitNonCompact:
         sem = rng.choice([1, 2, 3], size=50)
         inst = np.where(np.isin(sem, [1, 2]), rng.integers(1, 4, 50), 0)
         pred = prediction_from_labels(cloud, [0, 1], sem, inst)
-        out = split_non_compact(pred, cloud, [0, 1], eps=1.5, min_pts=1)
+        split = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
+        out = frame_labels(sem, split, cloud, [0, 1])
         for f in (0, 1):
             np.testing.assert_array_equal(out.semantic[f], pred.semantic[f])
             assert out.instance[f].shape == pred.instance[f].shape
@@ -480,6 +463,13 @@ class TestSplitNonCompact:
         before = len({i for f in (0, 1) for i in pred.instance[f] if i > 0})
         after = len({i for f in (0, 1) for i in out.instance[f] if i > 0})
         assert after >= before
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_wrong_length_rejected(self, per_frame):
+        cloud, _ = window_from_points(np.random.default_rng(3).uniform(0, 8, size=(30, 3)), [0, 1])
+        for n in (15, 31):
+            with pytest.raises(ContractError, match=f"{n} instance ids for a window of 30"):
+                split_non_compact(np.ones(n, dtype=np.int64), cloud, per_frame=per_frame)
 
 
 def _split_windows():
@@ -536,14 +526,15 @@ class TestGroupedSplit:
         cloud, frames, sem, inst = SPLIT_WINDOWS[name]
         pred = prediction_from_labels(cloud, frames, sem, inst)
         for eps in (0.6, 1.0, 1.8):
-            got = split_non_compact(pred, cloud, frames, eps, min_pts, per_frame)
+            got = prediction_from_labels(
+                cloud, frames, sem, split_non_compact(inst, cloud, eps, min_pts, per_frame)
+            )
             want = loop_split_non_compact(pred, cloud, frames, eps, min_pts, per_frame)
             assert_same_window(got, want)
 
     def test_equidistant_noise_goes_to_lower_cluster(self):
         cloud, frames, sem, inst = SPLIT_WINDOWS["equidistant_noise"]
-        pred = prediction_from_labels(cloud, frames, sem, inst)
-        out = split_non_compact(pred, cloud, frames, eps=1.0, min_pts=2).instance[0]
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=2)
         assert out.tolist() == [1, 1, 1, 2, 2, 2, 1]
 
     @pytest.mark.parametrize("per_frame", [False, True])
@@ -558,15 +549,14 @@ class TestGroupedSplit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(inference, "dbscan", spy)
-        pred = prediction_from_labels(cloud, frames, sem, inst)
-        split_non_compact(pred, cloud, frames, eps=1.0, min_pts=2, per_frame=per_frame)
+        split_non_compact(inst, cloud, eps=1.0, min_pts=2, per_frame=per_frame)
         assert calls == [int((inst > 0).sum())]
 
 
 class TestWindowLayout:
-    """Per-frame labels of extract_panoptic and split_non_compact against the
-    point-by-point conversion from superimposed order, which takes each
-    point's (slot, index) from the scan sizes."""
+    """Per-frame labels that frame_labels cuts from extract_panoptic and
+    split_non_compact against the point-by-point conversion from superimposed
+    order, which takes each point's (slot, index) from the scan sizes."""
 
     CLASS_IDS = np.array([1, 2, 3, 4])
     THING_INDEX = np.array([True, True, False, False])
@@ -593,25 +583,29 @@ class TestWindowLayout:
 
     def test_matches_point_loop(self):
         for cloud, grid, out, frames, sizes in self.windows():
-            pred = extract_panoptic(out, grid, cloud, frames, self.CLASS_IDS, self.THING_INDEX)
+            sem, inst = extract_panoptic(out, grid, self.CLASS_IDS, self.THING_INDEX)
             flat = loop_extract_points(out, grid, self.CLASS_IDS, self.THING_INDEX)
-            assert_same_window(pred, loop_frame_labels(*flat, sizes, frames))
+            pred = loop_frame_labels(*flat, sizes, frames)
+            assert_same_window(frame_labels(sem, inst, cloud, frames), pred)
             for per_frame in (False, True):
-                got = split_non_compact(pred, cloud, frames, 1.5, 2, per_frame)
+                split = split_non_compact(inst, cloud, 1.5, 2, per_frame)
+                got = frame_labels(sem, split, cloud, frames)
                 want = loop_split_non_compact(pred, cloud, frames, 1.5, 2, per_frame)
                 assert_same_window(got, want)
 
     def test_repeated_frame_rejected(self):
         pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
-        cloud, grid = window_from_points(pts, [0, 0])
-        out = output_for(grid, np.zeros((2, grid.num_voxels)), np.zeros((2, 5)))
-        with pytest.raises(ContractError):
-            extract_panoptic(out, grid, cloud, [0, 0], self.CLASS_IDS, self.THING_INDEX)
-        ones = np.ones(15, dtype=np.int64)
-        pred = SequenceLabels([0, 0], {0: ones}, {0: ones})
-        for per_frame in (False, True):
-            with pytest.raises(ContractError):
-                split_non_compact(pred, cloud, [0, 0], per_frame=per_frame)
+        cloud, _ = window_from_points(pts, [0, 0])
+        ones = np.ones(30, dtype=np.int64)
+        with pytest.raises(ContractError, match="count 60 of 30 points"):
+            frame_labels(ones, ones, cloud, [0, 0])
+
+    def test_foreign_frame_rejected(self):
+        pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
+        cloud, _ = window_from_points(pts, [0, 1])
+        ones = np.ones(30, dtype=np.int64)
+        with pytest.raises(ContractError, match="count 15 of 30 points"):
+            frame_labels(ones, ones, cloud, [0, 5])
 
 
 class TestStitch:

@@ -197,22 +197,29 @@ def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, per_frame):
     import panoptic4d.pipeline as pipeline
 
     cfg, seq, model = small
-    dbscan_calls, windows = [], []
+    dbscan_calls, extract_calls, windows = [], [], []
     real_dbscan, real_extract = inference.dbscan, pipeline.extract_panoptic
+    real_cut = pipeline.frame_labels
 
     def dbscan_spy(*args, **kwargs):
         dbscan_calls.append(args[0].shape[0])
         return real_dbscan(*args, **kwargs)
 
     def extract_spy(*args, **kwargs):
-        windows.append(args[3])
+        extract_calls.append(args[1].num_voxels)
         return real_extract(*args, **kwargs)
+
+    def cut_spy(*args, **kwargs):
+        windows.append(args[3])
+        return real_cut(*args, **kwargs)
 
     monkeypatch.setattr(inference, "dbscan", dbscan_spy)
     monkeypatch.setattr(pipeline, "extract_panoptic", extract_spy)
+    monkeypatch.setattr(pipeline, "frame_labels", cut_spy)
     run_cfg = dataclasses.replace(
         cfg, window=2, stride=1, dbscan_min_pts=min_pts, dbscan_per_frame=per_frame
     )
     predict_sequence(model, seq, run_cfg)
-    assert windows == [[0, 1], [1, 2]]
+    assert windows == [[0, 1], [1, 2]]  # one cut per window
+    assert len(extract_calls) == len(windows)
     assert len(dbscan_calls) == len(windows)
