@@ -13,7 +13,6 @@ from .geometry import (
     LidarScan,
     Pose,
     SuperimposedCloud,
-    TrajectoryBox,
     VoxelGrid,
     apply_pose,
     farthest_point_sampling,
@@ -43,7 +42,6 @@ __all__ = [
     "SceneSpec",
     "SequenceLabels",
     "SuperimposedCloud",
-    "TrajectoryBox",
     "VoxelGrid",
     "apply_pose",
     "dbscan",

@@ -527,46 +527,3 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[parent._id] = pg
 
-
-def finite_difference_check(
-    f: Callable[[], Tensor],
-    tensors: Sequence[Tensor],
-    h: float = 1e-6,
-    coords_per_tensor: int | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f is a scalar-valued closure over `tensors`; the relative error of
-    coordinate i is |g_analytic,i - g_fd,i| / max(1, |g_fd,i|). When
-    coords_per_tensor is given, only that many evenly spaced coordinates of
-    each tensor are probed.
-    """
-    if h <= 0:
-        raise ParameterError("finite difference step h must be positive")
-    tensors = list(tensors)
-    for t in tensors:
-        if not t.requires_grad:
-            raise ContractError("finite_difference_check tensors must require grad")
-        t.zero_grad()
-    loss = f()
-    backward(loss)
-    analytic = [t.grad.copy() for t in tensors]
-
-    worst = 0.0
-    with no_grad():
-        for t, ga in zip(tensors, analytic):
-            flat = t.values.reshape(-1)
-            idx = range(flat.size)
-            if coords_per_tensor is not None and flat.size > coords_per_tensor:
-                idx = np.linspace(0, flat.size - 1, coords_per_tensor).astype(int)
-            for i in idx:
-                orig = flat[i]
-                flat[i] = orig + h
-                up = float(f().values)
-                flat[i] = orig - h
-                down = float(f().values)
-                flat[i] = orig
-                gfd = (up - down) / (2.0 * h)
-                err = abs(ga.reshape(-1)[i] - gfd) / max(1.0, abs(gfd))
-                worst = max(worst, err)
-    return worst

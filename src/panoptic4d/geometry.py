@@ -138,17 +138,6 @@ class VoxelGrid:
         return self.voxel_coords.shape[0]
 
 
-@dataclass(frozen=True)
-class TrajectoryBox:
-    """Axis-aligned box of an instance trajectory, normalized to [0, 1]."""
-
-    center: np.ndarray  # (3,) x, y, z
-    dims: np.ndarray  # (3,) w, h, d
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([np.asarray(self.center), np.asarray(self.dims)])
-
-
 def apply_pose(scan: LidarScan, pose: Pose) -> np.ndarray:
     """Transform a scan's points into the global frame.
 
@@ -268,8 +257,9 @@ def trajectory_box(
     points: np.ndarray,
     extent_min: np.ndarray,
     extent_max: np.ndarray,
-) -> TrajectoryBox:
-    """Axis-aligned bounds of an instance point set, normalized to a reference extent.
+) -> np.ndarray:
+    """Axis-aligned bounds of an instance point set, normalized to a reference
+    extent, as the (6,) vector (center, dims).
 
     center = (box midpoint - extent_min) / extent_size, dims = box size / extent_size.
     """
@@ -282,6 +272,4 @@ def trajectory_box(
     if np.any(size <= 0):
         raise ParameterError("reference extent must have positive size on each axis")
     lo, hi = points.min(axis=0), points.max(axis=0)
-    center = ((lo + hi) / 2.0 - extent_min) / size
-    dims = (hi - lo) / size
-    return TrajectoryBox(center=center, dims=dims)
+    return np.concatenate([((lo + hi) / 2.0 - extent_min) / size, (hi - lo) / size])

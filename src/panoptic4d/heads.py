@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
-from .geometry import SuperimposedCloud, TrajectoryBox, VoxelGrid, trajectory_box
+from .geometry import SuperimposedCloud, VoxelGrid, trajectory_box
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 from .sequence import IGNORE_LABEL, ClassMap
 
@@ -87,22 +87,21 @@ class MaskModule:
 
 
 @dataclass
-class TargetSegment:
-    """One ground-truth segment of a window: a thing instance or a stuff region."""
-
-    class_index: int  # contiguous class index, not the raw class id
-    is_thing: bool
-    voxel_mask: np.ndarray  # (K0,) bool
-    box: TrajectoryBox | None  # things only
-    instance_id: int = 0  # gt instance id, 0 for stuff
-
-
-@dataclass
 class Targets:
-    segments: list[TargetSegment]
+    """The ground-truth segments of a window, one row each: a thing instance
+    or a stuff region."""
+
+    masks: np.ndarray  # (T, K0) bool, disjoint rows
+    class_index: np.ndarray  # (T,) int64 contiguous class index, not the raw class id
+    instance_id: np.ndarray  # (T,) int64 gt instance id, 0 for stuff
+    boxes: np.ndarray  # (T, 6) float64 trajectory boxes of things, zero rows otherwise
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.class_index.shape[0]
+
+    @property
+    def is_thing(self) -> np.ndarray:
+        return self.instance_id > 0
 
 
 def build_targets(
@@ -144,32 +143,24 @@ def build_targets(
     order = order[np.diff(voxel[order], prepend=-1) != 0]
     voxel, pair = voxel[order], pair[order]  # the winners, voxels ascending
 
-    extent_min, extent_max = cloud.extent()
-    segments = []
     # One segment per winning pair, in order of its first voxel.
     _, first_voxel = np.unique(pair, return_index=True)
-    for p in pair[np.sort(first_voxel)].tolist():
-        mask = np.zeros(grid.num_voxels, dtype=bool)
-        mask[voxel[pair == p]] = True
-        index, rank = divmod(int(pair_keys[p]), inst_ids.size)
-        sem, inst = int(all_ids[index]), int(inst_ids[rank])
-        is_thing = class_map.is_thing(sem) and inst > 0
-        box = None
-        if is_thing:
-            pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
-            if pts.shape[0] == 0:  # only possible via voxel-majority flips
-                pts = grid.voxel_centroids[mask]
-            box = trajectory_box(pts, extent_min, extent_max)
-        segments.append(
-            TargetSegment(
-                class_index=index,
-                is_thing=is_thing,
-                voxel_mask=mask,
-                box=box,
-                instance_id=inst,
-            )
-        )
-    return Targets(segments=segments)
+    winners = pair[np.sort(first_voxel)]
+    segment_of = np.empty(pair_keys.size, dtype=np.int64)
+    segment_of[winners] = np.arange(winners.size)
+    masks = np.zeros((winners.size, grid.num_voxels), dtype=bool)
+    masks[segment_of[pair], voxel] = True
+    class_index, rank = np.divmod(pair_keys[winners], inst_ids.size)
+    instance_id = inst_ids[rank].astype(np.int64)
+    targets = Targets(masks, class_index, instance_id, np.zeros((winners.size, 6)))
+    extent_min, extent_max = cloud.extent()
+    for t in np.flatnonzero(targets.is_thing).tolist():
+        sem, inst = all_ids[class_index[t]], instance_id[t]
+        pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
+        if pts.shape[0] == 0:  # only possible via voxel-majority flips
+            pts = grid.voxel_centroids[masks[t]]
+        targets.boxes[t] = trajectory_box(pts, extent_min, extent_max)
+    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +276,7 @@ def matching_cost_matrix(
     sig = output.heatmap_sigmoid()  # (N_q, K0)
     probs = output.class_probs()
     k0 = sig.shape[1]
-    masks = np.stack([t.voxel_mask.astype(np.float64) for t in targets.segments])  # (T, K0)
-    classes = np.array([t.class_index for t in targets.segments])
+    masks = targets.masks.astype(np.float64)  # (T, K0)
 
     inter = sig @ masks.T  # (N_q, T)
     dice = 1.0 - 2.0 * inter / (sig.sum(axis=1, keepdims=True) + masks.sum(axis=1)[None, :] + EPS)
@@ -295,7 +285,7 @@ def matching_cost_matrix(
     bce = -(log_p @ masks.T + log_n @ (1.0 - masks).T)
     if weights.cost_reduction == "mean":
         bce /= k0
-    ce = -np.log(probs[:, classes] + EPS)  # (N_q, T)
+    ce = -np.log(probs[:, targets.class_index] + EPS)  # (N_q, T)
     cost = weights.lambda_dice * dice + weights.lambda_bce * bce + weights.lambda_ce * ce
     return cost.T  # rows = targets
 
@@ -360,8 +350,7 @@ def total_loss(
     offsets = np.arange(num_out)[:, None] * outputs[0].num_queries
     norm = float(max(1, len(targets)))
     num_classes = outputs[0].class_logits.shape[1] - 1
-    segs = [targets.segments[t] for _, t in match.pairs]
-    matched = np.array([q for q, _ in match.pairs], dtype=np.int64)
+    matched, target = np.array(match.pairs, dtype=np.int64).reshape(-1, 2).T
     free = match.unmatched_queries()
 
     def rows(field: str, queries: np.ndarray) -> Tensor:
@@ -375,8 +364,8 @@ def total_loss(
 
     terms: list[Tensor] = []
     parts = {"dice": 0.0, "bce": 0.0, "ce": 0.0, "box": 0.0, "no_object": 0.0}
-    if segs:
-        masks = np.tile(np.stack([s.voxel_mask.astype(np.float64) for s in segs]), (num_out, 1))
+    if target.size:
+        masks = np.tile(targets.masks[target].astype(np.float64), (num_out, 1))
         sig = ad.sigmoid(rows("heatmap_logits", matched))  # (L * P, K0)
         k0 = sig.shape[1]
         inter = ad.tsum(ad.mul(sig, masks), axis=1)
@@ -389,9 +378,9 @@ def total_loss(
         if weights.cost_reduction == "mean":
             bce_vec = ad.mul(bce_vec, 1.0 / k0)
         per_row = [("dice", dice_vec, weights.lambda_dice), ("bce", bce_vec, weights.lambda_bce)]
-        things = np.array([s.is_thing for s in segs])
+        things = targets.is_thing[target]
         if things.any() and weights.lambda_box > 0:
-            bt = np.tile(np.stack([s.box.as_vector() for s in segs if s.is_thing]), (num_out, 1))
+            bt = np.tile(targets.boxes[target[things]], (num_out, 1))
             box_vec = box_l1_loss(rows("boxes", matched[things]), bt)
             per_row.append(("box", box_vec, weights.lambda_box))
         for name, vec, lam in per_row:
@@ -399,7 +388,7 @@ def total_loss(
             parts[name] = final(vec) * (lam / norm)
 
     # Matched rows against their classes, free rows against "no object".
-    classes = [s.class_index for s in segs] + [num_classes] * free.size
+    classes = np.concatenate([targets.class_index[target], np.full(free.size, num_classes)])
     ce_vec = ce_loss(
         rows("class_logits", np.concatenate([matched, free])), np.tile(classes, num_out)
     )

@@ -36,13 +36,6 @@ def pack_label(semantic: int, instance: int) -> int:
     return instance * 65536 + semantic
 
 
-def unpack_label(raw: int) -> tuple[int, int]:
-    """Inverse of pack_label: returns (semantic, instance)."""
-    if not 0 <= raw < 2**32:
-        raise ParameterError(f"label value {raw} does not fit in 32 bits")
-    return raw & 0xFFFF, raw >> 16
-
-
 def pack_labels(semantic: np.ndarray, instance: np.ndarray) -> np.ndarray:
     semantic = np.asarray(semantic, dtype=np.int64)
     instance = np.asarray(instance, dtype=np.int64)

@@ -367,28 +367,6 @@ def _scan_stats(
     )
 
 
-def pq_single_scan(
-    pred_sem: np.ndarray,
-    pred_inst: np.ndarray,
-    gt_sem: np.ndarray,
-    gt_inst: np.ndarray,
-    class_map: ClassMap,
-) -> dict[int, tuple[float, int, int, int]]:
-    """Per-class panoptic statistics of one scan.
-
-    Returns class id -> (sum of matched IoU, TP, FP, FN). Matches require the
-    same class and IoU strictly greater than 0.5, which makes them unique.
-    """
-    labels = [np.asarray(a, dtype=np.int64) for a in (pred_sem, pred_inst, gt_sem, gt_inst)]
-    frame = np.zeros(labels[0].size, dtype=np.int64)
-    iou_sum, tp, fp, fn = (a[0] for a in _scan_stats(*labels, frame, 1, class_map))
-    return {
-        cid: (float(iou_sum[i]), int(tp[i]), int(fp[i]), int(fn[i]))
-        for i, cid in enumerate(class_map.all_ids)
-        if tp[i] + fp[i] + fn[i]
-    }
-
-
 def _quality(iou_sum, tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Elementwise (PQ, SQ, RQ); SQ is 0 without TP and RQ 0 without segments."""
     sq = np.divide(iou_sum, tp, out=np.zeros(np.shape(tp)), where=tp > 0)
@@ -413,7 +391,8 @@ def pq_sequence(
 ) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
     """Scan-wise panoptic quality, averaged over scans.
 
-    Per-class values aggregate the per-scan statistics over the whole
+    A match needs the same class and IoU strictly above 0.5, which makes it
+    unique. Per-class values aggregate the per-scan statistics over the whole
     sequence; the scalar PQ/SQ/RQ average the per-scan class means.
     """
     gt.check_coverage(pred)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig, config_to_text, config_from_text
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .geometry import LidarScan, Pose, rot_z
 from .heads import Targets, hungarian_match, total_loss
 from .model import PanopticModel, WindowData, prepare_window
@@ -108,7 +108,13 @@ def train_model(
 
     def prepared(scans, poses, transform=None) -> tuple[WindowData, Targets]:
         data = prepare_window(scans, poses, cfg.voxel_size, transform=transform)
-        return data, model.window_targets(data)
+        targets = model.window_targets(data)
+        if len(targets) > model.config.num_queries:
+            raise CapacityError(
+                f"window frames {data.frames}: {len(targets)} targets exceed "
+                f"{model.config.num_queries} queries"
+            )
+        return data, targets
 
     cache = [] if augmenting else [prepared(*w) for w in windows]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from panoptic4d.heads import (
     LossWeights,
     MaskModuleOutput,
     MatchResult,
-    TargetSegment,
     Targets,
     box_l1_loss,
     ce_loss,
@@ -617,6 +617,50 @@ def loop_pq_sequence(
     return pq, sq, rq, per_class
 
 
+def finite_difference_check(
+    f: Callable[[], Tensor],
+    tensors: Sequence[Tensor],
+    h: float = 1e-6,
+    coords_per_tensor: int | None = None,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    f is a scalar-valued closure over `tensors`; the relative error of
+    coordinate i is |g_analytic,i - g_fd,i| / max(1, |g_fd,i|). When
+    coords_per_tensor is given, only that many evenly spaced coordinates of
+    each tensor are probed.
+    """
+    if h <= 0:
+        raise ParameterError("finite difference step h must be positive")
+    tensors = list(tensors)
+    for t in tensors:
+        if not t.requires_grad:
+            raise ContractError("finite_difference_check tensors must require grad")
+        t.zero_grad()
+    loss = f()
+    ad.backward(loss)
+    analytic = [t.grad.copy() for t in tensors]
+
+    worst = 0.0
+    with ad.no_grad():
+        for t, ga in zip(tensors, analytic):
+            flat = t.values.reshape(-1)
+            idx = range(flat.size)
+            if coords_per_tensor is not None and flat.size > coords_per_tensor:
+                idx = np.linspace(0, flat.size - 1, coords_per_tensor).astype(int)
+            for i in idx:
+                orig = flat[i]
+                flat[i] = orig + h
+                up = float(f().values)
+                flat[i] = orig - h
+                down = float(f().values)
+                flat[i] = orig
+                gfd = (up - down) / (2.0 * h)
+                err = abs(ga.reshape(-1)[i] - gfd) / max(1.0, abs(gfd))
+                worst = max(worst, err)
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # the package's original small-op training paths, kept verbatim as the
 # references for the fused attention, the batched loss and the flat AdamW.
@@ -668,8 +712,8 @@ def _single_output_loss(
     if match.pairs:
         q_idx = np.array([q for q, _ in match.pairs], dtype=np.int64)
         t_idx = [t for _, t in match.pairs]
-        masks = np.stack([targets.segments[t].voxel_mask.astype(np.float64) for t in t_idx])
-        classes = np.array([targets.segments[t].class_index for t in t_idx])
+        masks = np.stack([targets.masks[t].astype(np.float64) for t in t_idx])
+        classes = np.array([targets.class_index[t] for t in t_idx])
 
         sig = ad.sigmoid(ad.gather_rows(output.heatmap_logits, q_idx))  # (P, K0)
         k0 = sig.shape[1]
@@ -692,10 +736,10 @@ def _single_output_loss(
         parts["bce"] = bce_term.item()
         parts["ce"] = ce_term.item()
 
-        thing_pairs = [(q, t) for q, t in match.pairs if targets.segments[t].is_thing]
+        thing_pairs = [(q, t) for q, t in match.pairs if targets.instance_id[t] > 0]
         if thing_pairs and weights.lambda_box > 0:
             bq = np.array([q for q, _ in thing_pairs], dtype=np.int64)
-            bt = np.stack([targets.segments[t].box.as_vector() for _, t in thing_pairs])
+            bt = np.stack([targets.boxes[t] for _, t in thing_pairs])
             box_vec = box_l1_loss(ad.gather_rows(output.boxes, bq), bt)
             box_term = ad.mul(ad.tsum(box_vec), weights.lambda_box / norm)
             terms.append(box_term)
@@ -886,16 +930,21 @@ def loop_build_targets(
             if pts.shape[0] == 0:  # only possible via voxel-majority flips
                 pts = grid.voxel_centroids[mask]
             box = trajectory_box(pts, extent_min, extent_max)
-        segments.append(
-            TargetSegment(
-                class_index=class_index[sem],
-                is_thing=is_thing,
-                voxel_mask=mask,
-                box=box,
-                instance_id=inst,
-            )
-        )
-    return Targets(segments=segments)
+        segments.append((mask, class_index[sem], inst, box))
+    return target_table(segments, k)
+
+
+def target_table(segments, num_voxels: int) -> Targets:
+    """The target table of (voxel mask, class index, instance id, box) rows,
+    box None for stuff."""
+    return Targets(
+        masks=np.array([m for m, _, _, _ in segments], dtype=bool).reshape(-1, num_voxels),
+        class_index=np.array([c for _, c, _, _ in segments], dtype=np.int64),
+        instance_id=np.array([i for _, _, i, _ in segments], dtype=np.int64),
+        boxes=np.array(
+            [np.zeros(6) if b is None else b for _, _, _, b in segments], dtype=np.float64
+        ).reshape(-1, 6),
+    )
 
 
 def loop_gather_rows(a, index: np.ndarray) -> Tensor:

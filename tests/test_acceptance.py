@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import panoptic4d.autodiff as ad
-from panoptic4d.autodiff import Tensor, finite_difference_check
+from panoptic4d.autodiff import Tensor
 from panoptic4d.cli import run_ablation
 from panoptic4d.config import desk_preset
 from panoptic4d.geometry import LidarScan, Pose
@@ -20,7 +20,6 @@ from panoptic4d.heads import (
     LossWeights,
     MaskModuleOutput,
     Targets,
-    TargetSegment,
     hungarian_match,
     solve_assignment,
     total_loss,
@@ -36,6 +35,7 @@ from panoptic4d.training import train_model
 
 from oracles import (
     brute_force_assignment,
+    finite_difference_check,
     oracle_pq_scene,
     oracle_s_assoc,
     oracle_s_cls,
@@ -334,12 +334,12 @@ def test_criterion_8_permutation_invariance():
             thirds = np.array_split(np.arange(k0), 3)
             for t, sl in enumerate(thirds):
                 masks[t, sl] = 1
+            box = np.concatenate([np.full(3, 0.5), np.full(3, 0.2)])
             targets = Targets(
-                [
-                    TargetSegment(0, True, masks[0].astype(bool), _box(), 1),
-                    TargetSegment(1, True, masks[1].astype(bool), _box(), 2),
-                    TargetSegment(2, False, masks[2].astype(bool), None, 0),
-                ]
+                masks=masks.astype(bool),
+                class_index=np.array([0, 1, 2]),
+                instance_id=np.array([1, 2, 0]),
+                boxes=np.stack([box, box, np.zeros(6)]),
             )
             weights = LossWeights()
             match = hungarian_match(out, targets, weights)
@@ -362,12 +362,6 @@ def test_criterion_8_permutation_invariance():
             for f in (0, 1):
                 np.testing.assert_array_equal(pred.semantic[f], pred_p.semantic[f])
                 _assert_same_partition(pred.instance[f], pred_p.instance[f])
-
-
-def _box():
-    from panoptic4d.geometry import TrajectoryBox
-
-    return TrajectoryBox(center=np.full(3, 0.5), dims=np.full(3, 0.2))
 
 
 def _assert_same_partition(a: np.ndarray, b: np.ndarray):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import panoptic4d.autodiff as ad
-from panoptic4d.autodiff import Tensor, backward, finite_difference_check, no_grad
+from panoptic4d.autodiff import Tensor, backward, no_grad
 from panoptic4d.errors import ContractError, ParameterError, ShapeError
 
-from oracles import loop_attention, loop_gather_rows, loop_segment_mean
+from oracles import finite_difference_check, loop_attention, loop_gather_rows, loop_segment_mean
 
 
 def leaf(rng, *shape):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from panoptic4d.autodiff import Tensor, finite_difference_check, tsum, mul
+from panoptic4d.autodiff import Tensor, tsum, mul
 from panoptic4d.backbone import Backbone, seed_features
 from panoptic4d.errors import ParameterError, ShapeError
 from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
 from panoptic4d.model import ModelConfig
 
-from oracles import loop_pyramid_geometry
+from oracles import finite_difference_check, loop_pyramid_geometry
 
 
 def grid_from_points(pts, voxel_size=1.0, frames=None):

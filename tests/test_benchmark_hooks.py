@@ -1,0 +1,78 @@
+"""The benchmark's hooks still find what they patch.
+
+perfbench wraps package functions and methods by name (`wrap(owner,
+"name", ...)`, `patch(owner, "name", ...)` and `owner.__dict__["name"]`).
+A rename or an import move breaks the traced run; these tests read
+`perfbench/workloads.py` as text, without importing or running it, and
+resolve every such name in the package.
+"""
+
+import ast
+import importlib
+import inspect
+import os
+
+from panoptic4d import model
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+
+
+def workloads_tree() -> ast.Module:
+    with open(WORKLOADS, encoding="utf-8") as f:
+        return ast.parse(f.read(), filename=WORKLOADS)
+
+
+def package_aliases(tree: ast.Module) -> dict[str, object]:
+    """Local name -> module for every `from panoptic4d import ...`."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "panoptic4d":
+            for alias in node.names:
+                module = importlib.import_module(f"panoptic4d.{alias.name}")
+                aliases[alias.asname or alias.name] = module
+    return aliases
+
+
+def resolve(expr: ast.expr, aliases: dict[str, object]):
+    """The package object an owner expression such as `optim.AdamW` names."""
+    if isinstance(expr, ast.Name):
+        return aliases[expr.id]
+    if isinstance(expr, ast.Attribute):
+        return getattr(resolve(expr.value, aliases), expr.attr)
+    raise AssertionError(f"line {expr.lineno}: unsupported owner {ast.unparse(expr)}")
+
+
+def hooked_names(tree: ast.Module) -> list[tuple[ast.expr, str]]:
+    """(owner expression, attribute) of every wrap/patch call and every
+    `owner.__dict__["name"]` lookup."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            attr = node.args[1]
+            if name in ("wrap", "patch") and isinstance(attr, ast.Constant):
+                found.append((node.args[0], attr.value))
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "__dict__"
+            and isinstance(node.slice, ast.Constant)
+        ):
+            found.append((node.value.value, node.slice.value))
+    return found
+
+
+def test_every_hooked_name_is_defined_on_its_owner():
+    tree = workloads_tree()
+    aliases = package_aliases(tree)
+    hooks = hooked_names(tree)
+    assert len(hooks) >= 30  # the traced run hooks about three dozen names
+    for expr, attr in hooks:
+        owner = resolve(expr, aliases)
+        assert attr in owner.__dict__, f"line {expr.lineno}: {ast.unparse(expr)} has no {attr!r}"
+
+
+def test_prepare_window_takes_three_positional_arguments():
+    """train_desk's setup calls prepare_window(scans, poses, voxel_size)."""
+    inspect.signature(model.prepare_window).bind([], [], 0.05)

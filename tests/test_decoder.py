@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import panoptic4d.autodiff as ad
-from panoptic4d.autodiff import Tensor, finite_difference_check
+from panoptic4d.autodiff import Tensor
 from panoptic4d.backbone import Backbone, seed_features
 from panoptic4d.decoder import (
     DecoderBlock,
@@ -19,7 +19,7 @@ from panoptic4d.geometry import farthest_point_sampling
 from panoptic4d.heads import MaskModule
 from panoptic4d.model import ModelConfig
 
-from oracles import greedy_fps, loop_propagate_foreground
+from oracles import finite_difference_check, greedy_fps, loop_propagate_foreground
 from test_backbone import grid_from_points
 
 

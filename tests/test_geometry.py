@@ -336,20 +336,21 @@ class TestTrajectoryBox:
         box = trajectory_box(
             [[0.0, 0, 0], [2.0, 4.0, 6.0]], np.zeros(3), np.full(3, 10.0)
         )
-        np.testing.assert_allclose(box.center, [0.1, 0.2, 0.3])
-        np.testing.assert_allclose(box.dims, [0.2, 0.4, 0.6])
+        assert box.shape == (6,) and box.dtype == np.float64
+        np.testing.assert_allclose(box[:3], [0.1, 0.2, 0.3])
+        np.testing.assert_allclose(box[3:], [0.2, 0.4, 0.6])
 
     def test_single_point(self):
         box = trajectory_box([[5.0, 5.0, 5.0]], np.zeros(3), np.full(3, 10.0))
-        np.testing.assert_allclose(box.center, [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(box.dims, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(box[:3], [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(box[3:], [0.0, 0.0, 0.0])
 
     def test_full_span(self):
         box = trajectory_box(
             [[0.0, 0, 0], [10.0, 10, 10]], np.zeros(3), np.full(3, 10.0)
         )
-        np.testing.assert_allclose(box.center, [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(box.dims, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(box[:3], [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(box[3:], [1.0, 1.0, 1.0])
 
     def test_errors(self):
         with pytest.raises(EmptyInstanceError):

@@ -10,7 +10,6 @@ from panoptic4d.heads import (
     MaskModuleOutput,
     MatchResult,
     Targets,
-    TargetSegment,
     box_l1_loss,
     build_targets,
     ce_loss,
@@ -25,7 +24,13 @@ from panoptic4d.sequence import ClassMap
 from panoptic4d.synth import generate_sequence
 from panoptic4d.training import sequence_windows
 
-from oracles import brute_force_assignment, loop_build_targets, loop_total_loss, scalar_assignment
+from oracles import (
+    brute_force_assignment,
+    loop_build_targets,
+    loop_total_loss,
+    scalar_assignment,
+    target_table,
+)
 from test_acceptance import OVERFIT_SPEC
 
 
@@ -39,18 +44,14 @@ def output_from_arrays(heat, class_logits, boxes=None):
     )
 
 
-def segment(mask, class_index=0, is_thing=False, box=None, instance_id=0):
-    from panoptic4d.geometry import TrajectoryBox
+def segment(mask, class_index=0, box=None, instance_id=0):
+    """One target row; a thing (instance_id > 0) carries its box."""
+    return np.asarray(mask, dtype=bool), class_index, instance_id, box
 
-    if box is not None:
-        box = TrajectoryBox(center=np.asarray(box[:3]), dims=np.asarray(box[3:]))
-    return TargetSegment(
-        class_index=class_index,
-        is_thing=is_thing,
-        voxel_mask=np.asarray(mask, dtype=bool),
-        box=box,
-        instance_id=instance_id,
-    )
+
+def table(*segments, num_voxels=None):
+    """The target table of segment() rows."""
+    return target_table(segments, len(segments[0][0]) if num_voxels is None else num_voxels)
 
 
 def test_class_probs_is_the_tape_softmax():
@@ -66,7 +67,7 @@ class TestLosses:
         """total_loss of one query with heatmap logits heat against one stuff
         target on mask [1, 0]."""
         out = output_from_arrays(np.array([heat], dtype=np.float64), np.zeros((1, 2)))
-        targets = Targets([segment([1, 0])])
+        targets = table(segment([1, 0]))
         return total_loss([out], targets, MatchResult([(0, 0)], 1), LossWeights())
 
     def test_dice_perfect(self):
@@ -163,7 +164,7 @@ class TestSolveAssignment:
 class TestHungarianMatch:
     def test_capacity(self):
         out = output_from_arrays(np.zeros((1, 4)), np.zeros((1, 3)))
-        targets = Targets([segment([1, 0, 0, 0]), segment([0, 1, 0, 0])])
+        targets = table(segment([1, 0, 0, 0]), segment([0, 1, 0, 0]))
         with pytest.raises(CapacityError):
             hungarian_match(out, targets, LossWeights())
 
@@ -171,11 +172,9 @@ class TestHungarianMatch:
         heat = np.array([[9.0, 9.0, -9.0, -9.0], [-9.0, -9.0, 9.0, 9.0]])
         cls = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
         out = output_from_arrays(heat, cls)
-        targets = Targets(
-            [
-                segment([0, 0, 1, 1], class_index=1, is_thing=True, box=[0.5] * 6),
-                segment([1, 1, 0, 0], class_index=0),
-            ]
+        targets = table(
+            segment([0, 0, 1, 1], class_index=1, box=[0.5] * 6, instance_id=1),
+            segment([1, 1, 0, 0], class_index=0),
         )
         match = hungarian_match(out, targets, LossWeights())
         assert sorted(match.pairs) == [(0, 1), (1, 0)]
@@ -185,7 +184,7 @@ class TestHungarianMatch:
         heat = np.array([[0.3, -0.7, 1.2, 0.1]])
         cls = np.zeros((1, 3))
         out = output_from_arrays(heat, cls)
-        t = Targets([segment([1, 0, 1, 0])])
+        t = table(segment([1, 0, 1, 0]))
         mean_cost = matching_cost_matrix(out, t, LossWeights(cost_reduction="mean"))
         sum_cost = matching_cost_matrix(out, t, LossWeights(cost_reduction="sum"))
         lw = LossWeights()
@@ -199,7 +198,7 @@ class TestHungarianMatch:
     def test_box_cost_excluded(self):
         heat = np.array([[2.0, -2.0], [-2.0, 2.0]])
         cls = np.zeros((2, 3))
-        t = Targets([segment([1, 0]), segment([0, 1])])
+        t = table(segment([1, 0]), segment([0, 1]))
         a = output_from_arrays(heat, cls, boxes=np.zeros((2, 6)))
         b = output_from_arrays(heat, cls, boxes=np.ones((2, 6)))
         np.testing.assert_array_equal(
@@ -227,23 +226,17 @@ class TestBuildTargets:
     def test_segments_cover_all_voxels_disjointly(self):
         cloud, grid, sem, inst = self.make_window()
         targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)))
-        total = np.zeros(grid.num_voxels, dtype=int)
-        for seg in targets.segments:
-            total += seg.voxel_mask
-        assert np.all(total == 1)
+        assert np.all(targets.masks.sum(axis=0) == 1)
 
     def test_things_have_boxes_stuff_does_not(self):
         cloud, grid, sem, inst = self.make_window()
         targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)))
-        things = [s for s in targets.segments if s.is_thing]
-        stuffs = [s for s in targets.segments if not s.is_thing]
-        assert len(things) == 2 and len(stuffs) == 1
-        for s in things:
-            assert s.box is not None
-            v = s.box.as_vector()
-            assert np.all(v >= 0) and np.all(v <= 1)
-        for s in stuffs:
-            assert s.box is None
+        things = targets.is_thing
+        assert things.sum() == 2 and (~things).sum() == 1
+        v = targets.boxes[things]
+        assert np.all(v[:, 3:] > 0)  # 30 spread points give a box of positive size
+        assert np.all(v >= 0) and np.all(v <= 1)
+        assert np.all(targets.boxes[~things] == 0)
 
     def test_ignore_label_excluded(self):
         cloud, grid, sem, inst = self.make_window()
@@ -251,21 +244,15 @@ class TestBuildTargets:
         sem2[:10] = 255
         targets = build_targets(cloud, grid, sem2, inst, ClassMap((1, 2), (3, 4)))
         # voxels whose points are all ignored appear in no mask
-        covered = np.zeros(grid.num_voxels, dtype=int)
-        for seg in targets.segments:
-            covered += seg.voxel_mask
-        assert np.all(covered <= 1)
+        assert np.all(targets.masks.sum(axis=0) <= 1)
 
 
 def assert_same_targets(got: Targets, want: Targets):
     assert len(got) == len(want)
-    for a, b in zip(got.segments, want.segments):
-        assert (a.class_index, a.is_thing, a.instance_id) == (b.class_index, b.is_thing, b.instance_id)
-        assert a.voxel_mask.dtype == b.voxel_mask.dtype
-        assert (a.voxel_mask == b.voxel_mask).all()
-        assert (a.box is None) == (b.box is None)
-        if a.box is not None:
-            assert (a.box.as_vector() == b.box.as_vector()).all()
+    for name in ("masks", "class_index", "instance_id", "boxes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def criterion_4_windows():
@@ -290,11 +277,23 @@ def labelled_cloud(seed, n, voxel_size, sem_choices, inst_choices):
 class TestBuildTargetsMatchesLoop:
     CM = ClassMap((1, 2), (3, 4))
 
+    def assert_table_invariants(self, targets: Targets, num_voxels: int):
+        """Disjoint mask rows, zero boxes for stuff, and is_thing (instance
+        id > 0) equal to the flag of a thing class with a positive instance."""
+        assert targets.masks.shape == (len(targets), num_voxels)
+        assert np.all(targets.masks.sum(axis=0) <= 1)
+        assert np.all(targets.boxes[~targets.is_thing] == 0)
+        ids = np.array(self.CM.all_ids)[targets.class_index]
+        flag = [self.CM.is_thing(int(c)) and i > 0 for c, i in zip(ids, targets.instance_id)]
+        assert targets.is_thing.tolist() == flag
+
     def test_criterion_4_windows(self):
         count = 0
         for data, sem, inst in criterion_4_windows():
             got = build_targets(data.cloud, data.grid, sem, inst, self.CM)
             assert_same_targets(got, loop_build_targets(data.cloud, data.grid, sem, inst, self.CM))
+            self.assert_table_invariants(got, data.grid.num_voxels)
+            assert got.is_thing.any() and got.masks.any(axis=1).all()
             count += 1
         assert count >= 2
 
@@ -306,11 +305,28 @@ class TestBuildTargetsMatchesLoop:
         cloud, grid, sem, inst = labelled_cloud(seed, 60 + 40 * seed, 3.0 / (2 + seed % 5), sems, insts)
         got = build_targets(cloud, grid, sem, inst, self.CM)
         assert_same_targets(got, loop_build_targets(cloud, grid, sem, inst, self.CM))
+        self.assert_table_invariants(got, grid.num_voxels)
 
     def test_every_point_ignored(self):
         cloud, grid, sem, inst = labelled_cloud(0, 50, 0.5, [255, 9], [0, 1])
-        assert len(build_targets(cloud, grid, sem, inst, self.CM)) == 0
+        targets = build_targets(cloud, grid, sem, inst, self.CM)
+        assert len(targets) == 0
         assert len(loop_build_targets(cloud, grid, sem, inst, self.CM)) == 0
+        assert targets.masks.shape == (0, grid.num_voxels)
+        assert targets.class_index.shape == targets.instance_id.shape == (0,)
+        assert targets.boxes.shape == (0, 6)
+        # every query is free: the loss is the no-object term alone
+        rng = np.random.default_rng(0)
+        out = output_from_arrays(rng.normal(size=(3, grid.num_voxels)), rng.normal(size=(3, 5)))
+        weights = LossWeights()
+        match = hungarian_match(out, targets, weights)
+        assert match.pairs == [] and match.unmatched_queries().tolist() == [0, 1, 2]
+        loss, parts = total_loss([out], targets, match, weights)
+        no_object = ce_loss(out.class_logits, np.full(3, 4)).values.sum()
+        want = no_object * weights.no_object_weight * weights.lambda_ce
+        assert parts.no_object == pytest.approx(want, rel=1e-12)
+        assert (parts.dice, parts.bce, parts.ce, parts.box) == (0.0, 0.0, 0.0, 0.0)
+        assert loss.item() == parts.total == pytest.approx(want, rel=1e-12)
 
     def test_tie_goes_to_the_first_member_point(self):
         pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3, 0.3], [0.4, 0.4, 0.4]])
@@ -319,7 +335,7 @@ class TestBuildTargetsMatchesLoop:
         cloud = superimpose([LidarScan(points=pts, frame_index=0)], [Pose.identity()])
         grid = voxelize(cloud, 1.0)
         targets = build_targets(cloud, grid, sem, inst, self.CM)
-        assert [(s.class_index, s.instance_id) for s in targets.segments] == [(2, 0)]
+        assert list(zip(targets.class_index.tolist(), targets.instance_id.tolist())) == [(2, 0)]
 
 
 class TestTotalLoss:
@@ -328,12 +344,9 @@ class TestTotalLoss:
         cls = np.array([[30.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
         boxes = np.array([[0.2, 0.2, 0.2, 0.1, 0.1, 0.1], [0.5] * 6])
         out = output_from_arrays(heat, cls, boxes)
-        targets = Targets(
-            [
-                segment([1, 1, 0], class_index=0, is_thing=True,
-                        box=[0.2, 0.2, 0.2, 0.1, 0.1, 0.1], instance_id=1),
-                segment([0, 0, 1], class_index=1),
-            ]
+        targets = table(
+            segment([1, 1, 0], class_index=0, box=[0.2, 0.2, 0.2, 0.1, 0.1, 0.1], instance_id=1),
+            segment([0, 0, 1], class_index=1),
         )
         return out, targets
 
@@ -380,12 +393,10 @@ class TestTotalLoss:
             masks = np.zeros((3, k0))
             for t, sl in enumerate([slice(0, 4), slice(4, 8), slice(8, 12)]):
                 masks[t, sl] = 1
-            targets = Targets(
-                [
-                    segment(masks[0], class_index=0, is_thing=True, box=[0.3] * 6, instance_id=1),
-                    segment(masks[1], class_index=1, is_thing=True, box=[0.6] * 6, instance_id=2),
-                    segment(masks[2], class_index=2),
-                ]
+            targets = table(
+                segment(masks[0], class_index=0, box=[0.3] * 6, instance_id=1),
+                segment(masks[1], class_index=1, box=[0.6] * 6, instance_id=2),
+                segment(masks[2], class_index=2),
             )
             weights = LossWeights()
             match = hungarian_match(out, targets, weights)
@@ -404,8 +415,8 @@ class TestTotalLoss:
         masks[0][:3] = 1
         masks[1][3:6] = 1
         masks[2][6:] = 1
-        t1 = Targets([segment(masks[0], 0), segment(masks[1], 1), segment(masks[2], 0)])
-        t2 = Targets([segment(masks[2], 0), segment(masks[0], 0), segment(masks[1], 1)])
+        t1 = table(segment(masks[0], 0), segment(masks[1], 1), segment(masks[2], 0))
+        t2 = table(segment(masks[2], 0), segment(masks[0], 0), segment(masks[1], 1))
         weights = LossWeights()
         l1, _ = total_loss([out], t1, hungarian_match(out, t1, weights), weights)
         l2, _ = total_loss([out], t2, hungarian_match(out, t2, weights), weights)
@@ -421,7 +432,7 @@ class TestTotalLoss:
         )
         m = np.zeros(6)
         m[:3] = 1
-        targets = Targets([segment(m, 0, is_thing=True, box=[0.4] * 6, instance_id=1)])
+        targets = table(segment(m, 0, box=[0.4] * 6, instance_id=1))
         weights = LossWeights()
         match = hungarian_match(out, targets, weights)
         loss, _ = total_loss([out], targets, match, weights)
@@ -444,17 +455,17 @@ def random_loss_case(seed, num_outputs, nq, k0, num_classes, segments):
         for _ in range(num_outputs)
     ]
     owner = rng.integers(0, max(1, len(segments)), size=k0)
-    targets = Targets(
-        [
+    targets = table(
+        *[
             segment(
                 owner == i,
                 class_index=c,
-                is_thing=thing,
                 box=rng.random(6) if thing else None,
                 instance_id=i + 1 if thing else 0,
             )
             for i, (c, thing) in enumerate(segments)
-        ]
+        ],
+        num_voxels=k0,
     )
     return leaves, targets
 

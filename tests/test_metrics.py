@@ -1,3 +1,5 @@
+import collections
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,12 +10,12 @@ from hypothesis import strategies as st
 from panoptic4d import metrics, synth
 from panoptic4d.errors import ContractError
 from panoptic4d.metrics import (
+    MetricReport,
     SequenceLabels,
     confusion_matrix,
     evaluate,
     lstq,
     pq_sequence,
-    pq_single_scan,
     s_assoc,
     s_cls,
 )
@@ -22,7 +24,6 @@ from panoptic4d.sequence import ClassMap
 from oracles import (
     loop_confusion_matrix,
     loop_pq_sequence,
-    loop_pq_single_scan,
     loop_s_assoc,
     oracle_pq_scene,
     oracle_s_assoc,
@@ -201,20 +202,30 @@ class TestLstq:
             lstq(0.5, -0.01)
 
 
+def one_scan_pq(gt_sem, gt_inst, pred_sem, pred_inst, class_map):
+    """pq_sequence on a one-frame sequence."""
+    pred, gt = labels_from_scene(manual_scene((gt_sem, gt_inst, pred_sem, pred_inst)))
+    return pq_sequence(pred, gt, class_map)
+
+
 class TestPq:
     def test_single_match_plus_fp(self):
         # one gt segment matched at IoU 0.6, one predicted FP
-        gt_sem = np.array([1] * 10 + [3] * 4)
-        gt_inst = np.array([1] * 10 + [0] * 4)
-        pred_sem = np.array([1] * 10 + [1] * 4)
-        pred_inst = np.array([1] * 6 + [0] * 4 + [2] * 4)
-        stats = pq_single_scan(pred_sem, pred_inst, gt_sem, gt_inst, ClassMap((1,), ()))
-        iou_sum, tp, fp, fn = stats[1]
-        assert tp == 1 and fp == 1 and fn == 0
-        assert iou_sum == pytest.approx(0.6)
-        sq = iou_sum / tp
-        rq = tp / (tp + 0.5 * fp + 0.5 * fn)
-        assert sq * rq == pytest.approx(0.4)
+        gt_sem = [1] * 10 + [3] * 4
+        gt_inst = [1] * 10 + [0] * 4
+        pred_sem = [1] * 10 + [1] * 4
+        pred_inst = [1] * 6 + [0] * 4 + [2] * 4
+        things = ClassMap((1,), ())
+        pq, sq, rq, per_class = one_scan_pq(gt_sem, gt_inst, pred_sem, pred_inst, things)
+        # SQ = iou_sum / TP = 0.6 / 1 and RQ = TP / (TP + FP / 2 + FN / 2) = 1 / 1.5
+        assert list(per_class) == [1]
+        assert per_class[1] == pytest.approx((0.4, 0.6, 2 / 3))
+        assert (pq, sq, rq) == pytest.approx((0.4, 0.6, 2 / 3))
+        # the unmatched segment is the prediction's: without it RQ is 1 (FN = 0)
+        pred_inst = [1] * 6 + [0] * 8
+        assert one_scan_pq(gt_sem, gt_inst, pred_sem, pred_inst, things)[:3] == pytest.approx(
+            (0.6, 0.6, 1.0)
+        )
 
     def test_perfect(self):
         scene = manual_scene(
@@ -226,13 +237,19 @@ class TestPq:
 
     def test_unique_matching_under_adversarial_overlap(self):
         # two gt segments both overlapping one big prediction; at most one match
-        gt_sem = np.array([1] * 10)
-        gt_inst = np.array([1] * 5 + [2] * 5)
-        pred_sem = np.array([1] * 10)
-        pred_inst = np.array([3] * 10)
-        stats = pq_single_scan(pred_sem, pred_inst, gt_sem, gt_inst, ClassMap((1,), ()))
-        _, tp, fp, fn = stats[1]
-        assert tp == 0 and fn == 2 and fp == 1  # IoU 0.5 is not > 0.5
+        gt_sem = [1] * 10
+        gt_inst = [1] * 5 + [2] * 5
+        pred_sem = [1] * 10
+        pred_inst = [3] * 10
+        _, _, _, per_class = one_scan_pq(gt_sem, gt_inst, pred_sem, pred_inst, ClassMap((1,), ()))
+        assert per_class == {1: (0.0, 0.0, 0.0)}  # IoU 0.5 is not > 0.5: TP = 0
+        # with one more, perfectly matched segment, RQ = 1 / (1 + (FP + FN) / 2),
+        # FP = 1 and FN = 2 as before
+        _, _, _, per_class = one_scan_pq(
+            gt_sem + [1] * 3, gt_inst + [4] * 3, pred_sem + [1] * 3, pred_inst + [5] * 3,
+            ClassMap((1,), ()),
+        )
+        assert per_class[1] == pytest.approx((0.4, 1.0, 0.4))
 
     def test_matches_oracle_random(self):
         for seed in range(30):
@@ -274,12 +291,25 @@ class TestAgainstOraclesRandom:
 
 
 def loop_evaluate(pred, gt, class_map):
-    """evaluate() with the loop oracles in place of the vectorized counting."""
+    """The metric report of the loop oracles: S_cls over the loop confusion
+    matrix, the loop S_assoc and the loop PQ."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "confusion_matrix", loop_confusion_matrix)
-        mp.setattr(metrics, "s_assoc", loop_s_assoc)
-        mp.setattr(metrics, "pq_sequence", loop_pq_sequence)
-        return evaluate(pred, gt, class_map)
+        miou, per_class, iou_st, iou_th = s_cls(pred, gt, class_map)
+    assoc = loop_s_assoc(pred, gt, class_map)
+    pq, sq, rq, per_class_pq = loop_pq_sequence(pred, gt, class_map)
+    return MetricReport(
+        s_cls=miou,
+        s_assoc=assoc,
+        lstq=lstq(miou, assoc),
+        per_class_iou=per_class,
+        iou_stuff=iou_st,
+        iou_things=iou_th,
+        pq=pq,
+        sq=sq,
+        rq=rq,
+        per_class_pq=per_class_pq,
+    )
 
 
 def assert_same_as_loops(pred, gt, class_map):
@@ -287,15 +317,35 @@ def assert_same_as_loops(pred, gt, class_map):
     want = loop_evaluate(pred, gt, class_map)
     # == on the dataclass compares every field exactly, dicts included
     assert got == want
+    assert s_assoc(pred, gt, class_map) == want.s_assoc
+    assert pq_sequence(pred, gt, class_map) == loop_pq_sequence(pred, gt, class_map)
     for f in gt.frames:
-        args = (pred.semantic[f], pred.instance[f], gt.semantic[f], gt.instance[f], class_map)
-        assert pq_single_scan(*args) == loop_pq_single_scan(*args)
+        one = SequenceLabels([f], {f: pred.semantic[f]}, {f: pred.instance[f]})
+        one_gt = SequenceLabels([f], {f: gt.semantic[f]}, {f: gt.instance[f]})
+        assert pq_sequence(one, one_gt, class_map) == loop_pq_sequence(one, one_gt, class_map)
     # unsorted and repeated ids: a repeated id counts at its last position
     for ids in (list(class_map.all_ids), list(class_map.all_ids)[::-1] + [1, 3]):
         np.testing.assert_array_equal(
             confusion_matrix(pred, gt, ids), loop_confusion_matrix(pred, gt, ids)
         )
     return got
+
+
+def test_loop_oracles_run(monkeypatch):
+    """assert_same_as_loops calls every loop oracle it compares against."""
+    calls = collections.Counter()
+    module = sys.modules[__name__]
+    names = ("loop_confusion_matrix", "loop_s_assoc", "loop_pq_sequence")
+    for name in names:
+
+        def spy(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    scene = random_scene(np.random.default_rng(7), CM.thing_ids, CM.stuff_ids)
+    assert_same_as_loops(*labels_from_scene(scene), CM)
+    assert all(calls[name] >= 1 for name in names), calls
 
 
 WIDE_CM = ClassMap(thing_ids=(1, 2, 5, 7, 9), stuff_ids=(3, 4, 6, 8, 10, 11, 12))

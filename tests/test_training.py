@@ -5,9 +5,10 @@ import pytest
 
 import panoptic4d.autodiff as ad
 from panoptic4d.config import desk_preset
-from panoptic4d.errors import ParameterError
+from panoptic4d.errors import CapacityError, ParameterError
 from panoptic4d.heads import hungarian_match, total_loss
 from panoptic4d.model import PanopticModel, prepare_window
+from panoptic4d.optim import AdamW
 from panoptic4d.sequence import window_starts
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import (
@@ -45,6 +46,44 @@ def tiny_seq():
     return generate_sequence(
         SceneSpec(seed=1, num_frames=3, num_thing_objects=2, points_per_object=40, points_per_stuff=80)
     )
+
+
+@pytest.fixture(scope="module")
+def crowded_late_seq():
+    """Six frames whose objects 3-5 appear only in the last two: the
+    windows (0, 1) and (2, 3) hold 4 segments, the window (4, 5) holds 7."""
+    return generate_sequence(
+        SceneSpec(
+            seed=2,
+            num_frames=6,
+            num_thing_objects=5,
+            points_per_object=30,
+            points_per_stuff=60,
+            hidden=tuple((i, f) for i in (3, 4, 5) for f in range(4)),
+        )
+    )
+
+
+@pytest.mark.parametrize("augment, steps_before", [(False, 0), (True, 2)])
+def test_too_many_targets_fail_when_the_window_is_built(
+    crowded_late_seq, augment, steps_before, monkeypatch
+):
+    """A window with more segments than queries is a CapacityError naming
+    its frames: before step 0 when the windows are cached, and at the step
+    that builds it when they are augmented."""
+    steps = []
+    step = AdamW.step
+
+    def counted(opt, lr=None):
+        steps.append(lr)
+        return step(opt, lr)
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    cfg = tiny_cfg(num_queries=4, train_stride=2, steps=4, aug_translate=augment)
+    model = PanopticModel(cfg.model_config(), init_seed=0)
+    with pytest.raises(CapacityError, match=r"window frames \[4, 5\]: 7 targets exceed 4 queries"):
+        train_model(model, crowded_late_seq, cfg, log_every=0)
+    assert len(steps) == steps_before
 
 
 def test_sequence_windows_cover_all_frames(tiny_seq):
