@@ -66,13 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def _tracks(self) -> bool:
         return self.requires_grad or self._parents != ()
 
@@ -233,9 +226,9 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
 
     q is (n, D), k and v are (m, D); head h owns columns [h*D/H, (h+1)*D/H)
     and the head outputs are concatenated back into (n, D). An optional
-    (n, m) boolean mask restricts every head's softmax as in `softmax`:
-    masked keys get probability exactly 0 and zero gradient, and a query row
-    with no allowed key is a contract violation.
+    (n, m) boolean mask restricts every head's softmax: masked keys get
+    probability exactly 0 and zero gradient, and a query row with no allowed
+    key is a contract violation (callers provide fallbacks).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
@@ -395,21 +388,10 @@ def softmax_np(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) ->
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(a, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along one axis; optionally restricted to mask==True entries.
-
-    Masked entries get probability exactly 0 and receive zero gradient. A row
-    with no allowed entry is a contract violation (callers provide fallbacks).
-    """
+def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along one axis (masking is `attention`'s)."""
     a = as_tensor(a)
-    z = a.values
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != z.shape:
-            raise ShapeError(f"softmax: mask shape {mask.shape} != logits shape {z.shape}")
-        if not np.all(mask.any(axis=axis)):
-            raise ContractError("softmax: a row has no allowed entries")
-    s = softmax_np(z, mask, axis)
+    s = softmax_np(a.values, axis=axis)
 
     def vjp(g):
         dot = np.sum(g * s, axis=axis, keepdims=True)

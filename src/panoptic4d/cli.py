@@ -23,6 +23,7 @@ from .config import (
     load_scene_spec,
     save_config,
 )
+from .errors import ParameterError
 from .metrics import SequenceLabels, evaluate, report_csv
 from .model import PanopticModel, prepare_window
 from .pca import features_to_rgb, write_ply
@@ -198,6 +199,9 @@ def run_ablation(
 ) -> list[tuple[bool, bool, dict]]:
     """Train with and without the box loss, evaluate each with and without
     DBSCAN splitting on held-out scenes; returns rows of mean scores."""
+    for name, count in (("train_scenes", train_scenes), ("eval_scenes", eval_scenes)):
+        if count < 1:
+            raise ParameterError(f"{name} must be >= 1, got {count}")
     train_seqs = [
         generate_sequence(ablation_scene(base_seed + 1000 + i)) for i in range(train_scenes)
     ]

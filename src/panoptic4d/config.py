@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .heads import LossWeights
 from .model import ModelConfig, project
+from .optim import OneCycleSchedule
 from .synth import SceneSpec
 
 
@@ -67,10 +68,19 @@ class RunConfig(ModelConfig):
             raise ParameterError(
                 f"dbscan_eps {self.dbscan_eps} must be > 0, dbscan_min_pts {self.dbscan_min_pts} >= 1"
             )
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ParameterError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if self.weight_decay < 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         self.loss_weights()
+        self.schedule()
 
     def model_config(self) -> ModelConfig:
         return project(ModelConfig, self)
+
+    def schedule(self) -> OneCycleSchedule:
+        return OneCycleSchedule(self.max_lr, self.steps, self.warmup_frac)
 
     def loss_weights(self) -> LossWeights:
         return project(

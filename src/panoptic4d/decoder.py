@@ -22,6 +22,7 @@ from .geometry import VoxelGrid, farthest_point_sampling
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 
 if TYPE_CHECKING:
+    from .heads import MaskModuleOutput
     from .model import ModelConfig
 
 
@@ -96,17 +97,6 @@ class FourierEncoder:
         return collect_parameters({"spatial": self.spatial_proj, "temporal": self.temporal_proj})
 
 
-@dataclass
-class QuerySet:
-    features: Tensor  # (N_q, D)
-    anchor_positions: np.ndarray  # (N_q, 3) meters
-    anchor_frames: np.ndarray  # (N_q,)
-
-    @property
-    def num_queries(self) -> int:
-        return self.features.shape[0]
-
-
 class MultiHeadAttention:
     """Standard multi-head attention with an optional boolean key mask per query."""
 
@@ -179,9 +169,9 @@ def init_queries(
     query_bias: Tensor,
     ctx: WindowContext,
     seed: int = 0,
-) -> QuerySet:
-    """Anchor queries at FPS-selected voxel centroids; features are the anchor
-    positional encodings plus a shared learned bias."""
+) -> Tensor:
+    """(N_q, D) query features: the positional encodings of FPS-selected voxel
+    centroids (the anchors) plus a shared learned bias."""
     if num_queries > grid.num_voxels:
         raise ParameterError(
             f"{num_queries} queries requested but only {grid.num_voxels} voxels"
@@ -189,10 +179,8 @@ def init_queries(
     rng = np.random.Generator(np.random.PCG64(seed))
     seed_index = int(rng.integers(grid.num_voxels))
     anchors = farthest_point_sampling(grid.voxel_centroids, num_queries, seed_index)
-    positions = grid.voxel_centroids[anchors]
-    frames = grid.voxel_frame[anchors]
-    features = ad.add(encoder(positions, frames, ctx), query_bias)
-    return QuerySet(features=features, anchor_positions=positions, anchor_frames=frames)
+    encoding = encoder(grid.voxel_centroids[anchors], grid.voxel_frame[anchors], ctx)
+    return ad.add(encoding, query_bias)
 
 
 def propagate_foreground(
@@ -239,13 +227,13 @@ class QueryRefiner:
 
     def refine(
         self,
-        queries: QuerySet,
+        features: Tensor,
         pyramid: FeaturePyramid,
         mask_module,
         encoder: FourierEncoder,
         ctx: WindowContext,
-    ):
-        """Iteratively refine queries; returns (final QuerySet, all mask outputs).
+    ) -> list[MaskModuleOutput]:
+        """Iteratively refine (N_q, D) query features; returns every mask output.
 
         Output count is num_rounds * num_levels + 1: the prediction from the
         initial queries plus one after every level step, for deep supervision.
@@ -256,7 +244,6 @@ class QueryRefiner:
             )
         keys = self.level_keys(pyramid, encoder, ctx)
         projected_t = mask_module.project(pyramid)
-        features = queries.features
         outputs = [mask_module(features, projected_t)]
         # sigmoid(x) > tau is exactly x > logit(tau)
         tau = self.config.mask_threshold
@@ -267,9 +254,4 @@ class QueryRefiner:
                 mask = propagate_foreground(fg0, pyramid, r)
                 features = round_blocks[r](features, keys[r], mask)
                 outputs.append(mask_module(features, projected_t))
-        final = QuerySet(
-            features=features,
-            anchor_positions=queries.anchor_positions,
-            anchor_frames=queries.anchor_frames,
-        )
-        return final, outputs
+        return outputs

@@ -157,8 +157,6 @@ def build_targets(
     for t in np.flatnonzero(targets.is_thing).tolist():
         sem, inst = all_ids[class_index[t]], instance_id[t]
         pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
-        if pts.shape[0] == 0:  # only possible via voxel-majority flips
-            pts = grid.voxel_centroids[masks[t]]
         targets.boxes[t] = trajectory_box(pts, extent_min, extent_max)
     return targets
 

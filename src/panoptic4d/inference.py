@@ -269,9 +269,9 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def split_non_compact(
     instance: np.ndarray,
     cloud: SuperimposedCloud,
-    eps: float = 1.0,
-    min_pts: int = 1,
-    per_frame: bool = False,
+    eps: float,
+    min_pts: int,
+    per_frame: bool,
 ) -> np.ndarray:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
@@ -410,7 +410,7 @@ def run_sequence(
     predictor,
     sequence: ScanSequence,
     window: int,
-    stride: int | None = None,
+    stride: int,
 ) -> SequenceLabels:
     """Slide overlapping windows over a sequence and stitch the results.
 
@@ -418,16 +418,14 @@ def run_sequence(
     with window-local instance ids. Shared-frame labels are taken from the later
     window after its instances have been remapped onto existing tracks.
     """
-    n = sequence.num_frames
-    window = min(window, n)
-    if stride is None:
-        stride = max(1, window - 1)
-    if window > 1 and stride >= window:
+    starts = window_starts(sequence.num_frames, window, stride)
+    # only windows that actually form need to overlap
+    if len(starts) > 1 and window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 
     result = SequenceLabels()
     next_free_id = 1
-    for w, start in enumerate(window_starts(n, window, stride)):
+    for w, start in enumerate(starts):
         scans = sequence.scans[start : start + window]
         poses = sequence.poses[start : start + window]
         frames = [s.frame_index for s in scans]

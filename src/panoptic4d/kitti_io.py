@@ -27,16 +27,8 @@ SCAN_RECORD_BYTES = 16  # four float32 per point
 LABEL_RECORD_BYTES = 4
 
 
-def pack_label(semantic: int, instance: int) -> int:
-    """Pack (semantic, instance) into one uint32: instance * 65536 + semantic."""
-    if not 0 <= semantic < 2**16:
-        raise ParameterError(f"semantic id {semantic} does not fit in 16 bits")
-    if not 0 <= instance < 2**16:
-        raise ParameterError(f"instance id {instance} does not fit in 16 bits")
-    return instance * 65536 + semantic
-
-
 def pack_labels(semantic: np.ndarray, instance: np.ndarray) -> np.ndarray:
+    """Pack (semantic, instance) pairs into uint32: instance * 65536 + semantic."""
     semantic = np.asarray(semantic, dtype=np.int64)
     instance = np.asarray(instance, dtype=np.int64)
     if semantic.shape != instance.shape:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
-from .decoder import FourierEncoder, QueryRefiner, QuerySet, WindowContext, init_queries
+from .decoder import FourierEncoder, QueryRefiner, WindowContext, init_queries
 from .errors import ContractError, ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
@@ -142,7 +142,6 @@ def prepare_window(
 @dataclass
 class ForwardResult:
     outputs: list[MaskModuleOutput]  # one per refinement step plus the initial one
-    queries: QuerySet
     pyramid: FeaturePyramid
 
     @property
@@ -183,7 +182,7 @@ class PanopticModel:
     def forward(self, window: WindowData) -> ForwardResult:
         pyramid = self.backbone.extract(window.grid, Tensor(window.seed))
         # A window sparser than the query budget anchors one query per voxel.
-        queries = init_queries(
+        features = init_queries(
             window.grid,
             min(self.config.num_queries, window.grid.num_voxels),
             self.fourier,
@@ -191,10 +190,8 @@ class PanopticModel:
             window.ctx,
             seed=self.config.query_seed,
         )
-        final_queries, outputs = self.refiner.refine(
-            queries, pyramid, self.mask_module, self.fourier, window.ctx
-        )
-        return ForwardResult(outputs=outputs, queries=final_queries, pyramid=pyramid)
+        outputs = self.refiner.refine(features, pyramid, self.mask_module, self.fourier, window.ctx)
+        return ForwardResult(outputs=outputs, pyramid=pyramid)
 
     def window_targets(self, window: WindowData) -> Targets:
         sem, inst = window.point_labels()

@@ -113,27 +113,27 @@ class OneCycleSchedule:
     """Cosine warmup to max_lr, then cosine anneal to a much lower floor."""
 
     max_lr: float
-    total_steps: int
+    steps: int
     warmup_frac: float = 0.3
     div_start: float = 25.0
     div_end: float = 1e4
 
     def __post_init__(self):
-        if self.total_steps <= 0:
-            raise ParameterError("total_steps must be positive")
+        if self.steps <= 0:
+            raise ParameterError(f"steps must be positive, got {self.steps}")
         if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ParameterError("warmup_frac must be in [0, 1]")
+            raise ParameterError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
         if self.max_lr <= 0 or self.div_start < 1 or self.div_end < 1:
-            raise ParameterError("max_lr must be > 0 and both divisors >= 1")
+            raise ParameterError(f"max_lr {self.max_lr} must be > 0 and both divisors >= 1")
 
     @property
     def warmup_steps(self) -> int:
-        return int(round(self.warmup_frac * (self.total_steps - 1)))
+        return int(round(self.warmup_frac * (self.steps - 1)))
 
     def lr(self, step: int) -> float:
-        if not 0 <= step < self.total_steps:
+        if not 0 <= step < self.steps:
             raise ParameterError(
-                f"step {step} outside schedule of {self.total_steps} steps"
+                f"step {step} outside schedule of {self.steps} steps"
             )
         warm = self.warmup_steps
         if step <= warm:
@@ -142,7 +142,7 @@ class OneCycleSchedule:
             # cosine ramp lo -> hi
             return hi + (lo - hi) * (1.0 + np.cos(np.pi * t)) / 2.0
         lo, hi = self.max_lr / self.div_end, self.max_lr
-        span = self.total_steps - 1 - warm
+        span = self.steps - 1 - warm
         t = 1.0 if span == 0 else (step - warm) / span
         return lo + (hi - lo) * (1.0 + np.cos(np.pi * t)) / 2.0
 

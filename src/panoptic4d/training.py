@@ -18,7 +18,7 @@ from .geometry import LidarScan, Pose, rot_z
 from .heads import Targets, hungarian_match, total_loss
 from .model import PanopticModel, WindowData, prepare_window
 from .nn import load_parameters
-from .optim import AdamW, OneCycleSchedule, load_checkpoint, save_checkpoint
+from .optim import AdamW, load_checkpoint, save_checkpoint
 from .sequence import ScanSequence, window_starts
 
 log = logging.getLogger(__name__)
@@ -126,7 +126,7 @@ def train_model(
         beta2=cfg.beta2,
         weight_decay=cfg.weight_decay,
     )
-    sched = OneCycleSchedule(cfg.max_lr, cfg.steps, warmup_frac=cfg.warmup_frac)
+    sched = cfg.schedule()
     weights = cfg.loss_weights()
 
     result = TrainResult()

@@ -636,7 +636,7 @@ def finite_difference_check(
     for t in tensors:
         if not t.requires_grad:
             raise ContractError("finite_difference_check tensors must require grad")
-        t.zero_grad()
+        t.grad[...] = 0.0
     loss = f()
     ad.backward(loss)
     analytic = [t.grad.copy() for t in tensors]
@@ -683,7 +683,8 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 
 
 def loop_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
-    """Multi-head attention over projected q, k, v one head at a time."""
+    """Multi-head attention over projected q, k, v one head at a time; a mask
+    is added to the scores as 0 (allowed) or -inf (masked), as Mask2Former does."""
     head_dim = q.shape[1] // num_heads
     scale = 1.0 / np.sqrt(head_dim)
     heads = []
@@ -693,7 +694,9 @@ def loop_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -
         kh = slice_cols(k, lo, hi)
         vh = slice_cols(v, lo, hi)
         scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        attn = ad.softmax(scores, mask=mask, axis=-1)
+        if mask is not None:
+            scores = ad.add(scores, np.where(mask, 0.0, -np.inf))
+        attn = ad.softmax(scores, axis=-1)
         heads.append(ad.matmul(attn, vh))
     return ad.concat(heads, axis=1)
 

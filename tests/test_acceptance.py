@@ -25,7 +25,7 @@ from panoptic4d.heads import (
     total_loss,
 )
 from panoptic4d.inference import extract_panoptic, frame_labels, run_sequence, split_non_compact
-from panoptic4d.kitti_io import pack_label, read_labels, read_poses, read_scan, write_labels, write_poses, write_scan
+from panoptic4d.kitti_io import pack_labels, read_labels, read_poses, read_scan, write_labels, write_poses, write_scan
 from panoptic4d.metrics import SequenceLabels, lstq, pq_sequence, s_assoc, s_cls
 from panoptic4d.model import ModelConfig, PanopticModel, prepare_window
 from panoptic4d.pipeline import predict_sequence, evaluate_prediction
@@ -308,7 +308,7 @@ def test_criterion_7_extraction_totality():
                 thing_sel = np.isin(pred.semantic[f], CM.thing_ids)
                 assert np.all(pred.instance[f][thing_sel] > 0)
                 assert np.all(pred.instance[f][~thing_sel] == 0)
-            split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
+            split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1, per_frame=False)
             split = frame_labels(sem, split_inst, cloud, [0, 1])
             for f in (0, 1):
                 np.testing.assert_array_equal(split.semantic[f], pred.semantic[f])
@@ -377,7 +377,7 @@ def _assert_same_partition(a: np.ndarray, b: np.ndarray):
 def test_criterion_9_io_bit_exactness(tmp_path):
     """Scan/label/pose write-read round trips are byte-identical."""
     with criterion(9, "I/O bit-exactness and label packing"):
-        assert pack_label(10, 3) == 196618
+        assert pack_labels(np.array([10]), np.array([3])).tolist() == [3 * 65536 + 10] == [196618]
         rng = np.random.default_rng(0)
 
         pts = rng.normal(size=(100, 3)).astype(np.float32)

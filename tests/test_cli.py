@@ -214,6 +214,19 @@ def test_ablate_emits_four_rows(tmp_path, tiny_cfg_text, capsys):
     assert "S_assoc" in table
 
 
+@pytest.mark.parametrize("train_scenes, eval_scenes, bad", [(1, 0, "eval_scenes"), (0, 1, "train_scenes")])
+def test_ablation_rejects_no_scenes_before_any_work(monkeypatch, train_scenes, eval_scenes, bad):
+    from panoptic4d import cli
+    from panoptic4d.errors import ParameterError
+
+    calls = []
+    monkeypatch.setattr(cli, "generate_sequence", lambda *a: calls.append("generate"))
+    monkeypatch.setattr(cli, "train_model", lambda *a: calls.append("train"))
+    with pytest.raises(ParameterError, match=bad):
+        cli.run_ablation(desk_preset(steps=3), train_scenes=train_scenes, eval_scenes=eval_scenes)
+    assert calls == []
+
+
 def test_train_byte_deterministic(workspace, tmp_path, tiny_cfg_text):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(tiny_cfg_text.replace("steps = 30", "steps = 10"))
@@ -339,6 +352,20 @@ def test_infer_overrides_are_validated_together(workspace, tmp_path):
     )
     assert rc == 0
     assert len(os.listdir(tmp_path / "pred" / "labels")) == 3
+
+
+def test_infer_window_longer_than_sequence(workspace, tmp_path):
+    # window 4, stride 3 on the 3-scan sequence: one window, nothing to overlap
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(workspace / "seq"), "--window", "4", "--stride", "3",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert sorted(os.listdir(out / "labels")) == ["000000.label", "000001.label", "000002.label"]
 
 
 def test_infer_rejects_bad_checkpoint_config_before_any_forward(workspace, tmp_path, monkeypatch, capsys):

@@ -9,12 +9,16 @@ from panoptic4d.config import (
     config_to_text,
     desk_preset,
     load_config,
+    load_scene_spec,
     save_config,
 )
 from panoptic4d.errors import ParameterError
 from panoptic4d.heads import LossWeights
 from panoptic4d.model import ModelConfig
 from panoptic4d.synth import SceneSpec
+from panoptic4d.training import load_model
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_defaults_match_production_settings():
@@ -137,12 +141,46 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "floa
         ("dbscan_eps = 0.0\n", "dbscan_eps"),
         ("dbscan_eps = -1.0\n", "dbscan_eps"),
         ("dbscan_min_pts = 0\n", "dbscan_min_pts"),
+        ("beta1 = 1.0\n", "beta1"),
+        ("beta1 = -0.1\n", "beta1"),
+        ("beta2 = 1.0\n", "beta2"),
+        ("beta2 = 1.5\n", "beta2"),
+        ("weight_decay = -0.01\n", "weight_decay"),
+        ("steps = 0\n", "steps"),
+        ("steps = -5\n", "steps"),
+        ("max_lr = 0.0\n", "max_lr"),
+        ("max_lr = -1e-3\n", "max_lr"),
+        ("warmup_frac = 1.5\n", "warmup_frac"),
+        ("warmup_frac = -0.1\n", "warmup_frac"),
     ]
     + [(f"{name} = nan\n", name) for name in FLOAT_FIELDS],
 )
 def test_bad_values_rejected_on_load_naming_the_key(text, key):
     with pytest.raises(ParameterError, match=rf"\b{key}\b"):
         config_from_text(RunConfig, text)
+
+
+def test_training_value_boundaries_load():
+    cfg = config_from_text(
+        RunConfig, "beta1 = 0.0\nbeta2 = 0.0\nweight_decay = 0.0\nwarmup_frac = 1.0\nsteps = 1\n"
+    )
+    assert cfg.schedule().steps == 1
+
+
+# every checked-in config file with the loader its kind needs
+SHIPPED_CONFIGS = {"desk.cfg": load_config, "overfit_scene.cfg": load_scene_spec}
+
+
+def test_every_shipped_config_loads():
+    configs = ROOT / "configs"
+    assert sorted(p.name for p in configs.glob("*.cfg")) == sorted(SHIPPED_CONFIGS)
+    for name, load in SHIPPED_CONFIGS.items():
+        load(str(configs / name))
+
+
+def test_benchmark_checkpoint_config_loads():
+    _, cfg = load_model(str(ROOT / "perfbench" / "fixtures" / "desk_dense.ckpt"))
+    assert isinstance(cfg, RunConfig)
 
 
 def test_float_fields_cover_both_config_classes():

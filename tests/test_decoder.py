@@ -16,7 +16,7 @@ from panoptic4d.decoder import (
 )
 from panoptic4d.errors import ParameterError
 from panoptic4d.geometry import farthest_point_sampling
-from panoptic4d.heads import MaskModule
+from panoptic4d.heads import MaskModule, MaskModuleOutput
 from panoptic4d.model import ModelConfig
 
 from oracles import finite_difference_check, greedy_fps, loop_propagate_foreground
@@ -86,27 +86,39 @@ class TestFourier:
         np.testing.assert_allclose(diff, t_only[0] - t_only[1], atol=1e-12)
 
 
+def seed_index(grid, seed):
+    """The FPS start voxel that init_queries draws from its seed."""
+    return int(np.random.Generator(np.random.PCG64(seed)).integers(grid.num_voxels))
+
+
+def anchored_features(grid, anchors, enc, bias):
+    """Query features of the given anchor voxels, computed as init_queries does."""
+    return ad.add(enc(grid.voxel_centroids[anchors], grid.voxel_frame[anchors], CTX), bias)
+
+
 class TestInitQueries:
     def test_exhaustion_and_determinism(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, _ = small_setup(npts=30)
         k0 = grid.num_voxels
-        qs = init_queries(grid, k0, enc, bias, CTX, seed=5)
-        assert sorted(map(tuple, qs.anchor_positions.tolist())) == sorted(
-            map(tuple, grid.voxel_centroids.tolist())
+        features = init_queries(grid, k0, enc, bias, CTX, seed=5)
+        fps = farthest_point_sampling(grid.voxel_centroids, k0, seed_index(grid, 5))
+        assert sorted(fps.tolist()) == list(range(k0))
+        np.testing.assert_array_equal(
+            features.values, anchored_features(grid, fps, enc, bias).values
         )
         a = init_queries(grid, 4, enc, bias, CTX, seed=7)
         b = init_queries(grid, 4, enc, bias, CTX, seed=7)
-        np.testing.assert_array_equal(a.anchor_positions, b.anchor_positions)
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_matches_fps_oracle(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, _ = small_setup(npts=30)
-        rng2 = np.random.Generator(np.random.PCG64(3))
-        seed_index = int(rng2.integers(grid.num_voxels))
-        expected = greedy_fps(grid.voxel_centroids, 5, seed_index)
-        got = farthest_point_sampling(grid.voxel_centroids, 5, seed_index)
+        expected = greedy_fps(grid.voxel_centroids, 5, seed_index(grid, 3))
+        got = farthest_point_sampling(grid.voxel_centroids, 5, seed_index(grid, 3))
         assert got.tolist() == expected
-        qs = init_queries(grid, 5, enc, bias, CTX, seed=3)
-        np.testing.assert_allclose(qs.anchor_positions, grid.voxel_centroids[expected])
+        features = init_queries(grid, 5, enc, bias, CTX, seed=3)
+        np.testing.assert_array_equal(
+            features.values, anchored_features(grid, expected, enc, bias).values
+        )
 
     def test_too_many_queries(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, _ = small_setup(npts=10)
@@ -155,7 +167,7 @@ class TestAttention:
         z = Tensor(rng.normal(size=(4, 6)))
         mask = rng.random((4, 6)) < 0.4
         mask[:, 2] = True
-        s = ad.softmax(z, mask=mask).values
+        s = ad.softmax_np(z.values, mask)
         np.testing.assert_allclose(s.sum(axis=1), np.ones(4), atol=1e-12)
         assert np.all(s[~mask] == 0)
 
@@ -187,77 +199,76 @@ class TestRefine:
             dim=8, num_heads=2, num_rounds=0, ffn_width=16, backbone_depth=2, backbone_widths=(6, 8)
         )
         refiner0 = QueryRefiner(rng, cfg)
-        final, outputs = refiner0.refine(queries, pyramid, mm, enc, CTX)
+        outputs = refiner0.refine(queries, pyramid, mm, enc, CTX)
         assert len(outputs) == 1
-        assert final.features is queries.features
 
     def test_output_count(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, queries = small_setup(
             rounds=2, depth=2
         )
-        final, outputs = refiner.refine(queries, pyramid, mm, enc, CTX)
+        outputs = refiner.refine(queries, pyramid, mm, enc, CTX)
         assert len(outputs) == 2 * 2 + 1
 
     def test_all_foreground_equals_unmasked(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, queries = small_setup()
 
         class AllForeground:
+            """Reports every voxel as foreground and keeps the real outputs."""
+
             def __init__(self, inner):
                 self.inner = inner
+                self.real = []
 
             def project(self, pyr):
                 return self.inner.project(pyr)
 
             def __call__(self, features, projected_t):
                 out = self.inner(features, projected_t)
-                out.heatmap_logits = Tensor(np.full(out.heatmap_logits.shape, 50.0))
-                return out
+                self.real.append(out)
+                fg = Tensor(np.full(out.heatmap_logits.shape, 50.0))
+                return MaskModuleOutput(fg, out.class_logits, out.boxes)
 
         fg_mm = AllForeground(mm)
-        final_a, _ = refiner.refine(queries, pyramid, fg_mm, enc, CTX)
+        refiner.refine(queries, pyramid, fg_mm, enc, CTX)
 
         class Unmasked(QueryRefiner):
-            def refine_unmasked(self, queries, pyramid, mask_module, encoder, ctx):
+            def refine_unmasked(self, feats, pyramid, mask_module, encoder, ctx):
                 keys = self.level_keys(pyramid, encoder, ctx)
                 projected_t = mask_module.project(pyramid)
-                feats = queries.features
                 outs = [mask_module(feats, projected_t)]
                 for blocks in self.blocks:
                     for r in range(pyramid.depth - 1, -1, -1):
                         feats = blocks[r](feats, keys[r], None)
                         outs.append(mask_module(feats, projected_t))
-                return feats
+                return outs
 
         um = Unmasked.__new__(Unmasked)
         um.config = refiner.config
         um.level_projs = refiner.level_projs
         um.blocks = refiner.blocks
-        feats_b = um.refine_unmasked(queries, pyramid, fg_mm, enc, CTX)
-        np.testing.assert_allclose(final_a.features.values, feats_b.values, atol=1e-12)
+        outs_b = um.refine_unmasked(queries, pyramid, mm, enc, CTX)
+        assert len(fg_mm.real) == len(outs_b)
+        for a, b in zip(fg_mm.real, outs_b):
+            for name in ("heatmap_logits", "class_logits", "boxes"):
+                np.testing.assert_allclose(
+                    getattr(a, name).values, getattr(b, name).values, atol=1e-12
+                )
 
     def test_query_permutation_equivariance(self):
         for seed in range(3):
             rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, queries = small_setup(
                 seed=seed, nq=4
             )
-            final, outputs = refiner.refine(queries, pyramid, mm, enc, CTX)
+            outputs = refiner.refine(queries, pyramid, mm, enc, CTX)
             perm = np.random.default_rng(seed).permutation(4)
-            from panoptic4d.decoder import QuerySet
-
-            permuted = QuerySet(
-                features=Tensor(queries.features.values[perm]),
-                anchor_positions=queries.anchor_positions[perm],
-                anchor_frames=queries.anchor_frames[perm],
-            )
-            final_p, outputs_p = refiner.refine(permuted, pyramid, mm, enc, CTX)
-            np.testing.assert_allclose(
-                final_p.features.values, final.features.values[perm], atol=1e-9
-            )
-            np.testing.assert_allclose(
-                outputs_p[-1].heatmap_logits.values,
-                outputs[-1].heatmap_logits.values[perm],
-                atol=1e-9,
-            )
+            permuted = Tensor(queries.values[perm])
+            outputs_p = refiner.refine(permuted, pyramid, mm, enc, CTX)
+            assert len(outputs_p) == len(outputs)
+            for out, out_p in zip(outputs, outputs_p):
+                for name in ("heatmap_logits", "class_logits", "boxes"):
+                    np.testing.assert_allclose(
+                        getattr(out_p, name).values, getattr(out, name).values[perm], atol=1e-9
+                    )
 
     def test_gradient_flows_to_backbone(self):
         rng, grid, cfg, bb, enc, refiner, mm, bias, pyramid, queries = small_setup(npts=15)
@@ -267,7 +278,7 @@ class TestRefine:
         def loss():
             pyr = bb.extract(grid, Tensor(seed_features(grid, [0])))
             qs = init_queries(grid, 3, enc, bias, CTX, seed=0)
-            final, outputs = refiner.refine(qs, pyr, mm, enc, CTX)
+            outputs = refiner.refine(qs, pyr, mm, enc, CTX)
             return ad.tmean(outputs[-1].heatmap_logits)
 
         err = finite_difference_check(loss, list(some.values()), h=1e-6)

@@ -388,7 +388,8 @@ class TestSplitNonCompact:
         sem = np.ones(30, dtype=np.int64)
         inst = np.ones(30, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        out = frame_labels(sem, split_non_compact(inst, cloud, eps=1.0, min_pts=1), cloud, [0])
+        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=False)
+        out = frame_labels(sem, split, cloud, [0])
         assert len(set(out.instance[0].tolist())) == 1
         np.testing.assert_array_equal(out.semantic[0], pred.semantic[0])
         np.testing.assert_array_equal(inst, np.ones(30, dtype=np.int64))  # input untouched
@@ -402,7 +403,8 @@ class TestSplitNonCompact:
         sem = np.ones(40, dtype=np.int64)
         inst = np.ones(40, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        out = frame_labels(sem, split_non_compact(inst, cloud, eps=1.0, min_pts=1), cloud, [0])
+        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=False)
+        out = frame_labels(sem, split, cloud, [0])
         ids = out.instance[0]
         assert len(set(ids.tolist())) == 2
         assert len(set(ids[:20].tolist())) == 1
@@ -412,7 +414,7 @@ class TestSplitNonCompact:
     def test_all_noise_kept_as_one(self):
         pts = np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
         cloud, grid = window_from_points(pts, [0])
-        out = split_non_compact(np.ones(3, dtype=np.int64), cloud, eps=1.0, min_pts=2)
+        out = split_non_compact(np.ones(3, dtype=np.int64), cloud, eps=1.0, min_pts=2, per_frame=False)
         assert len(set(out.tolist())) == 1
         assert np.all(out > 0)
 
@@ -422,7 +424,7 @@ class TestSplitNonCompact:
         lone = np.array([[3.0, 0.0, 0.0]])  # noise, closer to blob1
         pts = np.concatenate([blob1, blob2, lone])
         cloud, grid = window_from_points(pts, [0])
-        ids = split_non_compact(np.ones(7, dtype=np.int64), cloud, eps=1.0, min_pts=2)
+        ids = split_non_compact(np.ones(7, dtype=np.int64), cloud, eps=1.0, min_pts=2, per_frame=False)
         assert ids[6] == ids[0]
         assert ids[6] != ids[3]
 
@@ -454,7 +456,7 @@ class TestSplitNonCompact:
         sem = rng.choice([1, 2, 3], size=50)
         inst = np.where(np.isin(sem, [1, 2]), rng.integers(1, 4, 50), 0)
         pred = prediction_from_labels(cloud, [0, 1], sem, inst)
-        split = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
+        split = split_non_compact(inst, cloud, eps=1.5, min_pts=1, per_frame=False)
         out = frame_labels(sem, split, cloud, [0, 1])
         for f in (0, 1):
             np.testing.assert_array_equal(out.semantic[f], pred.semantic[f])
@@ -469,7 +471,9 @@ class TestSplitNonCompact:
         cloud, _ = window_from_points(np.random.default_rng(3).uniform(0, 8, size=(30, 3)), [0, 1])
         for n in (15, 31):
             with pytest.raises(ContractError, match=f"{n} instance ids for a window of 30"):
-                split_non_compact(np.ones(n, dtype=np.int64), cloud, per_frame=per_frame)
+                split_non_compact(
+                    np.ones(n, dtype=np.int64), cloud, eps=1.0, min_pts=1, per_frame=per_frame
+                )
 
 
 def _split_windows():
@@ -534,7 +538,7 @@ class TestGroupedSplit:
 
     def test_equidistant_noise_goes_to_lower_cluster(self):
         cloud, frames, sem, inst = SPLIT_WINDOWS["equidistant_noise"]
-        out = split_non_compact(inst, cloud, eps=1.0, min_pts=2)
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=2, per_frame=False)
         assert out.tolist() == [1, 1, 1, 2, 2, 2, 1]
 
     @pytest.mark.parametrize("per_frame", [False, True])
@@ -778,6 +782,26 @@ class TestRunSequence:
                 if sel.any():
                     ids.update(pred.instance[scan.frame_index][sel].tolist())
             assert len(ids) == 1
+
+    @pytest.mark.parametrize("num_frames", [2, 3])
+    def test_window_longer_than_sequence_is_one_window(self, num_frames):
+        # window 4, stride 3 is a valid config; on a short sequence only one
+        # window forms, so there is nothing to overlap
+        from panoptic4d.synth import SceneSpec, generate_sequence
+
+        seq = generate_sequence(SceneSpec(seed=5, num_frames=num_frames, num_thing_objects=2))
+        calls = []
+        inner = gt_stub_predictor()
+
+        def counting(scans, poses, frames):
+            calls.append(list(frames))
+            return inner(scans, poses, frames)
+
+        pred = run_sequence(counting, seq, window=4, stride=3)
+        assert calls == [list(range(num_frames))]
+        assert pred.frames == list(range(num_frames))
+        for scan in seq.scans:
+            np.testing.assert_array_equal(pred.semantic[scan.frame_index], scan.semantic)
 
     def test_bad_stride(self):
         seq = self.make_sequence()

@@ -15,12 +15,19 @@ def unpack_one(raw: int) -> tuple[int, int]:
     return int(sem[0]), int(inst[0])
 
 
+def pack_one(semantic: int, instance: int) -> int:
+    """pack_labels on one-element arrays."""
+    raw = kitti_io.pack_labels(np.array([semantic]), np.array([instance]))
+    assert raw.shape == (1,)
+    return int(raw[0])
+
+
 class TestPackLabel:
     def test_known_value(self):
-        assert kitti_io.pack_label(10, 3) == 196618
+        assert pack_one(10, 3) == 196618 == 3 * 65536 + 10
 
     def test_zero(self):
-        assert kitti_io.pack_label(0, 0) == 0
+        assert pack_one(0, 0) == 0
         assert unpack_one(0) == (0, 0)
 
     def test_round_trip_random(self):
@@ -28,13 +35,13 @@ class TestPackLabel:
         for _ in range(1000):
             s = int(rng.integers(0, 2**16))
             i = int(rng.integers(0, 2**16))
-            assert unpack_one(kitti_io.pack_label(s, i)) == (s, i)
+            assert unpack_one(pack_one(s, i)) == (s, i)
 
     def test_overflow(self):
         with pytest.raises(ParameterError):
-            kitti_io.pack_label(2**16, 0)
+            pack_one(2**16, 0)
         with pytest.raises(ParameterError):
-            kitti_io.pack_label(0, 2**16)
+            pack_one(0, 2**16)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -42,7 +49,8 @@ class TestPackLabel:
         inst = rng.integers(0, 2**16, size=50)
         raw = kitti_io.pack_labels(sem, inst)
         for k in range(50):
-            assert int(raw[k]) == kitti_io.pack_label(int(sem[k]), int(inst[k]))
+            assert int(raw[k]) == pack_one(int(sem[k]), int(inst[k]))
+            assert int(raw[k]) == int(inst[k]) * 65536 + int(sem[k])
         s2, i2 = kitti_io.unpack_labels(raw)
         np.testing.assert_array_equal(s2, sem)
         np.testing.assert_array_equal(i2, inst)

@@ -120,14 +120,14 @@ class TestAdamW:
 
 class TestOneCycle:
     def test_endpoints_and_peak(self):
-        sched = OneCycleSchedule(max_lr=1.0, total_steps=101, warmup_frac=0.3)
+        sched = OneCycleSchedule(max_lr=1.0, steps=101, warmup_frac=0.3)
         warm = sched.warmup_steps
         assert sched.lr(0) == pytest.approx(1.0 / 25.0)
         assert sched.lr(warm) == pytest.approx(1.0)
         assert sched.lr(100) == pytest.approx(1.0 / 1e4)
 
     def test_monotone_ramp_then_anneal(self):
-        sched = OneCycleSchedule(max_lr=2e-4, total_steps=100, warmup_frac=0.3)
+        sched = OneCycleSchedule(max_lr=2e-4, steps=100, warmup_frac=0.3)
         warm = sched.warmup_steps
         lrs = [sched.lr(s) for s in range(100)]
         for s in range(warm):
@@ -137,7 +137,7 @@ class TestOneCycle:
         assert all(lr > 0 for lr in lrs)
 
     def test_out_of_range(self):
-        sched = OneCycleSchedule(max_lr=1.0, total_steps=10)
+        sched = OneCycleSchedule(max_lr=1.0, steps=10)
         with pytest.raises(ParameterError):
             sched.lr(10)
         with pytest.raises(ParameterError):
