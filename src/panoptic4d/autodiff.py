@@ -1,13 +1,22 @@
 """Minimal dense-tensor reverse-mode automatic differentiation.
 
-Tensors wrap float64 numpy arrays. Every primitive records its inputs and a
-backward rule on the implicit tape (creation order is the topological order);
-backward() walks the reachable records once, newest first, accumulating
-gradients into every requires_grad leaf.
+Tensors wrap float64 numpy arrays. Every primitive with a tracked input
+appends a record to the implicit tape. A record holds three things: its
+parents, its backward rule and its id (creation order is the topological
+order). A parent is another record, a leaf created with requires_grad=True,
+or None for an input that needs no gradient; no record holds a tensor's
+values. backward() walks the records reachable from a scalar loss once,
+newest first, accumulating gradients into every requires_grad leaf.
 
 Conventions:
   - only leaves created with requires_grad=True ever hold a .grad array
     (zero-initialized, so tensors not participating in a loss keep zero grad);
+  - a backward rule captures only the arrays, shapes and flags it reads, so
+    an intermediate value is freed once its Tensor is gone and no rule saved
+    it;
+  - backward drops each record's rule and parents once it has used them, so
+    a graph is differentiated once: a second backward through it raises
+    ContractError;
   - matmul/transpose/linear/attention operate on 2-D arrays, elementwise
     ops broadcast like numpy with gradients reduced back over broadcast axes;
   - linear (x @ w + b) and multi-head attention are single fused nodes, so
@@ -43,17 +52,34 @@ class no_grad:
         return False
 
 
+class _Record:
+    """One recorded op: parents (records, requires-grad leaves or None), the
+    backward rule, and the id of the tensor it made. backward sets the rule
+    to None and the parents to () once it has used them."""
+
+    __slots__ = ("_parents", "_vjp", "_id")
+
+    def __init__(self, parents: tuple, vjp: Callable, node_id: int):
+        self._parents = parents
+        self._vjp = vjp
+        self._id = node_id
+
+
 class Tensor:
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp", "_op", "_id")
+    __slots__ = ("values", "requires_grad", "grad", "_record", "_id")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.values) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable | None = None
-        self._op = "leaf"
+        self._record: _Record | None = None
         self._id = next(_node_counter)
+
+    @property
+    def _parents(self) -> tuple:
+        """The parents of the op that made this tensor: () for a leaf, an
+        unrecorded result, or a record that backward has consumed."""
+        return () if self._record is None else self._record._parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,10 +93,13 @@ class Tensor:
         return float(self.values)
 
     def _tracks(self) -> bool:
-        return self.requires_grad or self._parents != ()
+        return self.requires_grad or self._record is not None
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        return (
+            f"Tensor(shape={self.shape}, recorded={self._record is not None}, "
+            f"requires_grad={self.requires_grad})"
+        )
 
     # Arithmetic sugar; python scalars are wrapped as constants.
     def __add__(self, other):
@@ -114,14 +143,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _make(values: np.ndarray, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _make(values: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     out = Tensor(values)
-    if _grad_enabled and any(p._tracks() for p in parents):
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
-    else:
-        out._op = op
+    if _grad_enabled:
+        links = tuple(p._record or (p if p.requires_grad else None) for p in parents)
+        if any(links):
+            out._record = _Record(links, vjp, out._id)
     return out
 
 
@@ -148,16 +175,17 @@ def add(a, b) -> Tensor:
         values = a.values + b.values
     except ValueError:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return _make(values, "add", (a, b), vjp)
+    return _make(values, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _make(-a.values, "neg", (a,), lambda g: (-g,))
+    return _make(-a.values, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -169,9 +197,9 @@ def mul(a, b) -> Tensor:
     av, bv = a.values, b.values
 
     def vjp(g):
-        return _unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return _make(values, "mul", (a, b), vjp)
+    return _make(values, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -184,11 +212,11 @@ def div(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g / bv, a.shape),
-            _unbroadcast(-g * av / (bv * bv), b.shape),
+            _unbroadcast(g / bv, av.shape),
+            _unbroadcast(-g * av / (bv * bv), bv.shape),
         )
 
-    return _make(values, "div", (a, b), vjp)
+    return _make(values, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -200,7 +228,7 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         return g @ bv.T, av.T @ g
 
-    return _make(av @ bv, "matmul", (a, b), vjp)
+    return _make(av @ bv, (a, b), vjp)
 
 
 def linear(x, w, b) -> Tensor:
@@ -214,11 +242,14 @@ def linear(x, w, b) -> Tensor:
     ):
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     xv, wv = x.values, w.values
+    x_tracks = x._tracks()
 
     def vjp(g):
-        return (g @ wv.T if x._tracks() else None), xv.T @ g, g.sum(axis=0)
+        return (g @ wv.T if x_tracks else None), xv.T @ g, g.sum(axis=0)
 
-    return _make(xv @ wv + b.values, "linear", (x, w, b), vjp)
+    values = xv @ wv
+    values += b.values
+    return _make(values, (x, w, b), vjp)
 
 
 def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor:
@@ -257,7 +288,17 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
         return a.reshape(a.shape[0], num_heads, dh).transpose(1, 0, 2)
 
     qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
-    s = softmax_np((qh @ kh.transpose(0, 2, 1)) * scale, mask)  # (H, n, m)
+    s = (qh @ kh.transpose(0, 2, 1)) * scale  # scores, then probabilities (H, n, m)
+    if mask is None:
+        s = softmax_np(s)
+    else:
+        # Masked keys are set to 0 before exp and cleared after it, so exp
+        # never sees -inf (numpy's exp is several times slower on underflow).
+        s -= np.max(s, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+        np.copyto(s, 0.0, where=~mask)
+        np.exp(s, out=s)
+        s *= mask
+        s /= s.sum(axis=-1, keepdims=True)
     values = (s @ vh).transpose(1, 0, 2).reshape(n, d)
 
     def vjp(g):
@@ -269,14 +310,14 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
         dv = (s.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(m, d)
         return dq, dk, dv
 
-    return _make(values, "attention", (q, k, v), vjp)
+    return _make(values, (q, k, v), vjp)
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.values.ndim != 2:
         raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-    return _make(a.values.T.copy(), "transpose", (a,), lambda g: (g.T,))
+    return _make(a.values.T.copy(), (a,), lambda g: (g.T,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -293,7 +334,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(values, "concat", tensors, vjp)
+    return _make(values, tensors, vjp)
 
 
 def _scatter_rows(rows: np.ndarray, index: np.ndarray, num: int) -> np.ndarray:
@@ -320,7 +361,7 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     def vjp(g):
         return (_scatter_rows(g, index, num),)
 
-    return _make(a.values[index], "gather_rows", (a,), vjp)
+    return _make(a.values[index], (a,), vjp)
 
 
 def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -343,7 +384,7 @@ def segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     def vjp(g):
         return (g[segment_ids] / counts[segment_ids, None],)
 
-    return _make(values, "segment_mean", (a,), vjp)
+    return _make(values, (a,), vjp)
 
 
 def relu(a) -> Tensor:
@@ -353,7 +394,7 @@ def relu(a) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _make(a.values * mask, "relu", (a,), vjp)
+    return _make(a.values * mask, (a,), vjp)
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -374,17 +415,12 @@ def sigmoid(a) -> Tensor:
     def vjp(g):
         return (g * s * (1.0 - s),)
 
-    return _make(s, "sigmoid", (a,), vjp)
+    return _make(s, (a,), vjp)
 
 
-def softmax_np(z: np.ndarray, mask: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
-    """Softmax on raw arrays; entries where the (broadcast) mask is False get
-    exactly 0."""
-    if mask is not None:
-        z = np.where(mask, z, -np.inf)
+def softmax_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax on raw arrays."""
     e = np.exp(z - np.max(z, axis=axis, keepdims=True))
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -397,7 +433,7 @@ def softmax(a, axis: int = -1) -> Tensor:
         dot = np.sum(g * s, axis=axis, keepdims=True)
         return (s * (g - dot),)
 
-    return _make(s, "softmax", (a,), vjp)
+    return _make(s, (a,), vjp)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -408,12 +444,14 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = a.values.mean(axis=-1, keepdims=True)
-    var = a.values.var(axis=-1, keepdims=True)
+    # The steps of np.mean and np.var, with the input centred once.
+    xhat = a.values - a.values.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.values - mu) * inv
-    values = xhat * gain.values + bias.values
+    xhat *= inv
     gv = gain.values
+    values = xhat * gv
+    values += bias.values
 
     def vjp(g):
         gx = g * gv
@@ -425,7 +463,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         dbias = g.sum(axis=axes)
         return da, dgain, dbias
 
-    return _make(values, "layer_norm", (a, gain, bias), vjp)
+    return _make(values, (a, gain, bias), vjp)
 
 
 def log(a) -> Tensor:
@@ -437,7 +475,7 @@ def log(a) -> Tensor:
     def vjp(g):
         return (g / av,)
 
-    return _make(np.log(av), "log", (a,), vjp)
+    return _make(np.log(av), (a,), vjp)
 
 
 def absolute(a) -> Tensor:
@@ -447,7 +485,7 @@ def absolute(a) -> Tensor:
     def vjp(g):
         return (g * sign,)
 
-    return _make(np.abs(a.values), "abs", (a,), vjp)
+    return _make(np.abs(a.values), (a,), vjp)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -459,7 +497,7 @@ def tsum(a, axis=None) -> Tensor:
             return (np.broadcast_to(g, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _make(a.values.sum(axis=axis), "sum", (a,), vjp)
+    return _make(a.values.sum(axis=axis), (a,), vjp)
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -472,7 +510,7 @@ def tmean(a, axis=None) -> Tensor:
             return (np.broadcast_to(g / count, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
-    return _make(a.values.mean(axis=axis), "mean", (a,), vjp)
+    return _make(a.values.mean(axis=axis), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -480,32 +518,44 @@ def tmean(a, axis=None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad of every requires_grad leaf reachable from a scalar loss."""
+    """Populate .grad of every requires_grad leaf reachable from a scalar loss,
+    consuming the records it walks."""
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # Collect the reachable subgraph; creation ids give a topological order.
-    seen: dict[int, Tensor] = {}
-    stack = [loss]
+    seed = np.ones_like(loss.values)
+    if loss._record is None:
+        if loss.requires_grad:
+            loss.grad += seed
+        return
+    # Collect the reachable records; creation ids give a topological order.
+    records: dict[int, _Record] = {}
+    stack = [loss._record]
     while stack:
-        node = stack.pop()
-        if node._id in seen:
+        record = stack.pop()
+        if record._id in records:
             continue
-        seen[node._id] = node
-        stack.extend(node._parents)
-    grads: dict[int, np.ndarray] = {loss._id: np.ones_like(loss.values)}
-    for node in sorted(seen.values(), key=lambda t: t._id, reverse=True):
-        g = grads.pop(node._id, None)
+        if record._vjp is None:
+            raise ContractError("backward: the graph was already consumed by an earlier backward")
+        records[record._id] = record
+        stack.extend(p for p in record._parents if type(p) is _Record)
+    grads: dict[int, np.ndarray] = {loss._id: seed}
+    leaves: dict[int, Tensor] = {}
+    for node_id in sorted(records, reverse=True):
+        record = records.pop(node_id)
+        parents, vjp = record._parents, record._vjp
+        record._parents, record._vjp = (), None
+        g = grads.pop(node_id, None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad += g
-        if node._vjp is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None:
+        for parent, pg in zip(parents, vjp(g)):
+            if parent is None or pg is None:
                 continue
+            if type(parent) is not _Record:
+                leaves[parent._id] = parent
             if parent._id in grads:
                 grads[parent._id] = grads[parent._id] + pg
             else:
                 grads[parent._id] = pg
-
+    # A leaf's contributions are summed first, then added to .grad once.
+    for node_id, leaf in leaves.items():
+        leaf.grad += grads[node_id]

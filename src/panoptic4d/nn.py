@@ -9,6 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import FormatError
 
 
 class Linear:
@@ -68,18 +69,22 @@ def collect_parameters(modules: dict[str, object]) -> dict[str, Tensor]:
     return out
 
 
-def load_parameters(params: dict[str, Tensor], values: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into an existing parameter registry."""
-    missing = set(params) - set(values)
-    extra = set(values) - set(params)
-    if missing or extra:
-        raise ValueError(
-            f"parameter registry mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
+def load_parameters(params: dict[str, Tensor], values: dict[str, np.ndarray], path: str) -> None:
+    """Copy the arrays of checkpoint `path` into an existing parameter registry.
+
+    Nothing is copied unless every name and shape matches; otherwise a
+    FormatError names the path and the first missing, unexpected or wrongly
+    shaped parameter."""
     for name, p in params.items():
-        arr = values[name]
-        if arr.shape != p.values.shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: checkpoint {arr.shape} vs model {p.values.shape}"
+        if name not in values:
+            raise FormatError(f"checkpoint {path}: missing parameter {name!r}")
+        if values[name].shape != p.values.shape:
+            raise FormatError(
+                f"checkpoint {path}: parameter {name!r} has shape {values[name].shape}, "
+                f"the model needs {p.values.shape}"
             )
-        p.values[...] = arr
+    for name in values:
+        if name not in params:
+            raise FormatError(f"checkpoint {path}: unexpected parameter {name!r}")
+    for name, p in params.items():
+        p.values[...] = values[name]

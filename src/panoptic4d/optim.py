@@ -24,6 +24,7 @@ from .errors import ContractError, FormatError, ParameterError
 
 CHECKPOINT_MAGIC = b"P4DMODEL"
 CHECKPOINT_VERSION = 1
+STEP_CHUNK = 2**15  # elements per slice of an AdamW step; its scratch is this size
 
 
 @dataclass
@@ -38,6 +39,8 @@ class AdamW:
     to views of them, so a step is one vectorized update in place. Writing
     into a parameter (p.values[...] = x) is seen by the optimizer; rebinding
     it (p.values = x) is a contract violation that the next step reports.
+    A step walks the buffers in slices of STEP_CHUNK elements, so its
+    scratch stays chunk-sized whatever the parameter count.
     """
 
     params: dict[str, Tensor]
@@ -72,7 +75,8 @@ class AdamW:
             offset = end
         self.m = np.zeros(total)
         self.v = np.zeros(total)
-        self._scratch = (np.empty(total), np.empty(total))
+        chunk = min(total, STEP_CHUNK)
+        self._scratch = (np.empty(chunk), np.empty(chunk))
 
     def step(self, lr: float | None = None) -> None:
         if lr is None:
@@ -87,22 +91,26 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        values, g, m, v = self._values, self._grads, self.m, self.v
-        a, b = self._scratch
-        # The per-element operations and their order are those of
-        #   values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        # after the moment updates, written with out= to avoid temporaries.
-        if self.weight_decay:
-            values *= 1.0 - lr * self.weight_decay
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.sqrt(np.divide(v, bc2, out=a), out=a)
-        a += self.eps
-        np.multiply(np.divide(m, bc1, out=b), lr, out=b)
-        values -= np.divide(b, a, out=b)
+        decay = 1.0 - lr * self.weight_decay
+        for lo in range(0, self._values.size, STEP_CHUNK):
+            hi = lo + STEP_CHUNK
+            values, g = self._values[lo:hi], self._grads[lo:hi]
+            m, v = self.m[lo:hi], self.v[lo:hi]
+            a, b = (buf[: values.size] for buf in self._scratch)
+            # The per-element operations and their order are those of
+            #   values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            # after the moment updates, written with out= to avoid temporaries.
+            if self.weight_decay:
+                values *= decay
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += self.eps
+            np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+            values -= np.divide(b, a, out=b)
 
     def zero_grad(self) -> None:
         self._grads.fill(0.0)

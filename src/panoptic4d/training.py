@@ -173,5 +173,5 @@ def load_model(path: str) -> tuple[PanopticModel, RunConfig]:
     values, cfg_text = load_checkpoint(path)
     cfg = config_from_text(RunConfig, cfg_text)
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
-    load_parameters(model.parameters(), values)
+    load_parameters(model.parameters(), values, path)
     return model, cfg

@@ -679,7 +679,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
         acc[:, start:stop] = g
         return (acc,)
 
-    return ad._make(a.values[:, start:stop].copy(), "slice_cols", (a,), vjp)
+    return ad._make(a.values[:, start:stop].copy(), (a,), vjp)
 
 
 def loop_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
@@ -814,6 +814,77 @@ def loop_adamw_step(
         v *= beta2
         v += (1.0 - beta2) * g * g
         p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def whole_array_adamw_step(
+    values: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+    weight_decay: float = 0.01,
+) -> None:
+    """AdamW step number t (1-based) over whole flat arrays in place, one
+    pass per operation with two full-size scratch arrays."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    a, b = np.empty(values.size), np.empty(values.size)
+    if weight_decay:
+        values *= 1.0 - lr * weight_decay
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=a)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.sqrt(np.divide(v, bc2, out=a), out=a)
+    a += eps
+    np.multiply(np.divide(m, bc1, out=b), lr, out=b)
+    values -= np.divide(b, a, out=b)
+
+
+# ---------------------------------------------------------------------------
+# the package's original kernel formulas, kept as the bit-equality references
+# for attention's own masked softmax, the once-centred layer norm and the
+# in-place bias of linear.
+
+
+def where_masked_softmax(z: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax where entries the (broadcast) mask marks False get exactly 0:
+    masked scores become -inf before exp and 0 after it."""
+    z = np.where(mask, z, -np.inf)
+    e = np.exp(z - np.max(z, axis=axis, keepdims=True))
+    e = np.where(mask, e, 0.0)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def where_masked_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int, mask: np.ndarray
+) -> np.ndarray:
+    """The values of `ad.attention` with the masked softmax above."""
+    n, d = q.shape
+    dh = d // num_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[0], num_heads, dh).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q), heads(k), heads(v)
+    s = where_masked_softmax((qh @ kh.transpose(0, 2, 1)) * scale, mask)
+    return (s @ vh).transpose(1, 0, 2).reshape(n, d)
+
+
+def mean_var_layer_norm(
+    a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+) -> np.ndarray:
+    """Layer norm over the last axis with np.mean and np.var."""
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (a - mu) * inv * gain + bias
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +1034,7 @@ def loop_gather_rows(a, index: np.ndarray) -> Tensor:
         np.add.at(acc, index, g)
         return (acc,)
 
-    return ad._make(a.values[index], "gather_rows", (a,), vjp)
+    return ad._make(a.values[index], (a,), vjp)
 
 
 def loop_segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -986,7 +1057,7 @@ def loop_segment_mean(a, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     def vjp(g):
         return (g[segment_ids] / counts[segment_ids, None],)
 
-    return ad._make(values, "segment_mean", (a,), vjp)
+    return ad._make(values, (a,), vjp)
 
 
 def loop_propagate_foreground(

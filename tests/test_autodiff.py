@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,14 @@ import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, backward, no_grad
 from panoptic4d.errors import ContractError, ParameterError, ShapeError
 
-from oracles import finite_difference_check, loop_attention, loop_gather_rows, loop_segment_mean
+from oracles import (
+    finite_difference_check,
+    loop_attention,
+    loop_gather_rows,
+    loop_segment_mean,
+    mean_var_layer_norm,
+    where_masked_attention,
+)
 
 
 def leaf(rng, *shape):
@@ -127,6 +137,91 @@ def test_attention_matches_per_head_loop(case):
             results.append([out.values] + [t.grad for t in qkv])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _mixed_mask(rng, n, m):
+    """Sparse random rows plus one full row and one single-key row."""
+    mask = rng.random((n, m)) < 0.3
+    mask[0] = True
+    mask[1] = False
+    mask[1, rng.integers(0, m)] = True
+    mask[~mask.any(axis=1)] = True
+    return mask
+
+
+@pytest.mark.parametrize("n,m,d,num_heads", [(4, 7, 8, 2), (6, 13, 12, 4), (2, 1, 4, 1)])
+def test_attention_softmax_bit_equal_to_where_masked(n, m, d, num_heads):
+    """Attention's own masked softmax gives the values of the np.where one."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        q, k, v = (rng.normal(size=shape) * 4 for shape in [(n, d), (m, d), (m, d)])
+        mask = _mixed_mask(rng, n, m)
+        got = ad.attention(Tensor(q), Tensor(k), Tensor(v), num_heads, mask).values
+        assert np.array_equal(got, where_masked_attention(q, k, v, num_heads, mask))
+
+
+@pytest.mark.parametrize("shape", [(5, 16), (1, 7), (3, 4, 8)])
+def test_layer_norm_bit_equal_to_mean_var(shape):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * 3 + rng.normal()
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        got = ad.layer_norm(Tensor(a), Tensor(gain), Tensor(bias)).values
+        assert np.array_equal(got, mean_var_layer_norm(a, gain, bias))
+
+
+def test_linear_bit_equal_to_matmul_plus_bias():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+        assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).values, x @ w + b)
+
+
+class TestTape:
+    def test_value_no_rule_saves_is_freed_before_backward(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = ad.add(x, 1.0)  # add's rule reads no values
+        unsaved = weakref.ref(y.values)
+        loss = ad.tsum(ad.neg(y))
+        del y
+        assert unsaved() is None
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, -np.ones(3))
+
+    def test_saved_value_is_freed_by_backward(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = ad.add(x, 1.0)
+        saved = weakref.ref(y.values)
+        loss = ad.tsum(ad.mul(y, y))  # mul's rule reads both inputs
+        del y
+        assert saved() is not None
+        backward(loss)
+        assert saved() is None
+        np.testing.assert_array_equal(x.grad, 2.0 * (np.arange(3.0) + 1.0))
+
+    def test_second_backward_through_one_graph_raises(self):
+        x = Tensor(2.0, requires_grad=True)
+        y = ad.mul(x, 3.0)
+        loss = ad.mul(y, y)
+        backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(ad.mul(y, 2.0))  # a new op on a consumed intermediate
+        assert x.grad == pytest.approx(36.0)  # the first backward only
+
+    def test_graph_is_freed_without_the_cycle_collector(self):
+        """No leaf points to a record that points back to it."""
+        gc.disable()
+        try:
+            x = Tensor(np.arange(4.0), requires_grad=True)
+            value = weakref.ref(x.values)
+            loss = ad.tsum(ad.mul(ad.sigmoid(x), x))
+            assert x._parents == () and loss._parents
+            del x, loss  # the graph is never differentiated
+            assert value() is None
+        finally:
+            gc.enable()
 
 
 class TestBackward:

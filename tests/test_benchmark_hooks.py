@@ -4,7 +4,8 @@ perfbench wraps package functions and methods by name (`wrap(owner,
 "name", ...)`, `patch(owner, "name", ...)` and `owner.__dict__["name"]`).
 A rename or an import move breaks the traced run; these tests read
 `perfbench/workloads.py` as text, without importing or running it, and
-resolve every such name in the package.
+resolve every such name in the package. The traced run also reads and
+patches tensor internals at run time, which the last tests check.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib
 import inspect
 import os
 
+from panoptic4d import autodiff as ad
 from panoptic4d import model
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
@@ -76,3 +78,30 @@ def test_every_hooked_name_is_defined_on_its_owner():
 def test_prepare_window_takes_three_positional_arguments():
     """train_desk's setup calls prepare_window(scans, poses, voxel_size)."""
     inspect.signature(model.prepare_window).bind([], [], 0.05)
+
+
+def test_parents_is_truthy_only_for_a_recorded_tensor():
+    """`traced_matmul` counts a recorded product's backward from `out._parents`."""
+    x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+    assert ad.matmul(x, ad.Tensor([[1.0], [3.0]]))._parents
+    with ad.no_grad():
+        assert ad.matmul(x, ad.Tensor([[1.0], [3.0]]))._parents == ()
+    assert x._parents == ()
+
+
+def test_tensor_init_can_be_patched():
+    """The traced run counts tape nodes by wrapping `Tensor.__dict__["__init__"]`."""
+    original = ad.Tensor.__dict__["__init__"]
+    made = []
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        made.append(self)
+
+    ad.Tensor.__init__ = init
+    try:
+        out = ad.add(ad.Tensor(1.0, requires_grad=True), 2.0)
+    finally:
+        ad.Tensor.__init__ = original
+    assert len(made) == 3 and made[-1] is out
+    assert ad.Tensor.__dict__["__init__"] is original

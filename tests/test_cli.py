@@ -397,3 +397,21 @@ def test_infer_rejects_bad_checkpoint_config_before_any_forward(workspace, tmp_p
     assert calls == []
     assert "dbscan_eps" in capsys.readouterr().err
     assert not [name for _, _, files in os.walk(tmp_path) for name in files if name.endswith(".label")]
+
+
+def test_infer_checkpoint_parameter_mismatch_exits_with_path(workspace, tmp_path, capsys):
+    from panoptic4d.optim import load_checkpoint, save_checkpoint
+
+    params, cfg_text = load_checkpoint(str(workspace / "train" / "model.ckpt"))
+    del params["query_bias"]
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), params, cfg_text)
+    rc = main(
+        [
+            "infer", "--checkpoint", str(ckpt), "--sequence", str(workspace / "seq"),
+            "--out", str(tmp_path / "pred"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "missing parameter 'query_bias'" in err

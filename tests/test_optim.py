@@ -5,13 +5,14 @@ from panoptic4d.autodiff import Tensor
 from panoptic4d.errors import ContractError, FormatError, ParameterError
 from panoptic4d.nn import load_parameters
 from panoptic4d.optim import (
+    STEP_CHUNK,
     AdamW,
     OneCycleSchedule,
     load_checkpoint,
     save_checkpoint,
 )
 
-from oracles import adam_reference, loop_adamw_step
+from oracles import adam_reference, loop_adamw_step, whole_array_adamw_step
 
 
 def make_params(rng, shapes):
@@ -82,6 +83,24 @@ class TestAdamW:
             for k in flat:
                 assert np.array_equal(flat[k].values, loop[k].values), (k, t)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_chunked_step_equals_whole_array_formula(self, weight_decay):
+        rng = np.random.default_rng(8)
+        shapes = [(STEP_CHUNK + 5,), (7, 3000), (123,)]  # two slices, the second partial
+        params = make_params(rng, shapes)
+        values = np.concatenate([p.values.ravel() for p in params.values()])
+        m, v = np.zeros(values.size), np.zeros(values.size)
+        opt = AdamW(params, lr=0.02, weight_decay=weight_decay)
+        assert values.size % STEP_CHUNK
+        assert [a.shape for a in opt._scratch] == [(STEP_CHUNK,)] * 2
+        for t in range(1, 6):
+            g = rng.normal(size=values.size)
+            opt._grads[...] = g
+            opt.step(0.02 * t)
+            whole_array_adamw_step(values, g, m, v, t, 0.02 * t, weight_decay=weight_decay)
+            assert np.array_equal(opt._values, values), t
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v), t
+
     def test_rebound_parameter_fails_loudly(self):
         rng = np.random.default_rng(6)
         params = make_params(rng, [(2, 2), (3,)])
@@ -106,7 +125,7 @@ class TestAdamW:
         params = make_params(rng, [(2, 3), (4,)])
         opt = AdamW(params, lr=0.0, weight_decay=0.0)
         new = {k: rng.normal(size=p.values.shape) for k, p in params.items()}
-        load_parameters(params, new)
+        load_parameters(params, new, "new.ckpt")
         opt.step()  # zero lr: the step keeps exactly what was loaded
         for k, p in params.items():
             np.testing.assert_array_equal(p.values, new[k])
