@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .heads import LossWeights
 from .model import ModelConfig, project
 from .optim import OneCycleSchedule
@@ -177,8 +177,14 @@ def config_from_text(cls, text: str):
 
 
 def load_config(path: str, cls=RunConfig):
-    with open(path) as f:
-        return config_from_text(cls, f.read())
+    """The config of class cls in file path; every error names the path."""
+    try:
+        with open(path, "rb") as f:
+            return config_from_text(cls, f.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: config is not UTF-8 text", byte_offset=exc.start) from exc
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_config(path: str, obj) -> None:

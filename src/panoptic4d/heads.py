@@ -18,7 +18,7 @@ from .backbone import FeaturePyramid
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid, trajectory_box
 from .nn import MLP, LayerNorm, Linear, collect_parameters
-from .sequence import IGNORE_LABEL, ClassMap
+from .sequence import ClassMap
 
 EPS = 1e-7
 
@@ -114,7 +114,7 @@ def build_targets(
     """Voxel-level segments from per-point labels.
 
     Each voxel is assigned to the most frequent (class, instance) pair among
-    its member points (ignored points excluded, ties to the pair seen first).
+    its member points (points of no class excluded, ties to the pair seen first).
     Thing instances additionally get a trajectory box computed from their raw
     points, normalized by the window extent.
     """
@@ -122,17 +122,15 @@ def build_targets(
     point_instance = np.asarray(point_instance).reshape(-1)
     if point_semantic.shape[0] != cloud.num_points:
         raise ShapeError("per-point labels do not match the cloud size")
-    all_ids = np.asarray(class_map.all_ids, dtype=np.int64)
 
-    # Labelled points in index order, with their (class index, instance)
+    # Points of a class in index order, with their (class index, instance)
     # pairs numbered densely; stuff points carry instance 0.
-    sem = point_semantic.astype(np.int64)
-    idx = np.flatnonzero((sem != IGNORE_LABEL) & np.isin(sem, all_ids))
-    inst = np.where(np.isin(sem[idx], class_map.thing_ids), point_instance[idx], 0)
+    cls = class_map.index(point_semantic)
+    idx = np.flatnonzero(cls >= 0)
+    cls = cls[idx]
+    inst = np.where(class_map.thing[cls], point_instance[idx], 0)
     inst_ids, inst_rank = np.unique(inst, return_inverse=True)
-    pair_keys, pair = np.unique(
-        np.searchsorted(all_ids, sem[idx]) * inst_ids.size + inst_rank, return_inverse=True
-    )
+    pair_keys, pair = np.unique(cls * inst_ids.size + inst_rank, return_inverse=True)
     # Count the (voxel, pair) keys: each voxel takes its most frequent pair,
     # ties to the pair whose first member point comes first.
     key, first, count = np.unique(
@@ -155,7 +153,7 @@ def build_targets(
     targets = Targets(masks, class_index, instance_id, np.zeros((winners.size, 6)))
     extent_min, extent_max = cloud.extent()
     for t in np.flatnonzero(targets.is_thing).tolist():
-        sem, inst = all_ids[class_index[t]], instance_id[t]
+        sem, inst = class_map.ids[class_index[t]], instance_id[t]
         pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
         targets.boxes[t] = trajectory_box(pts, extent_min, extent_max)
     return targets

@@ -21,16 +21,13 @@ from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
 from .metrics import SequenceLabels
-from .sequence import ScanSequence, window_starts
+from .sequence import ClassMap, ScanSequence, window_starts
 
 log = logging.getLogger(__name__)
 
 
 def extract_panoptic(
-    output: MaskModuleOutput,
-    grid: VoxelGrid,
-    class_ids: np.ndarray,
-    thing_index: np.ndarray,
+    output: MaskModuleOutput, grid: VoxelGrid, class_map: ClassMap
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign every voxel to one query by confidence argmax, then expand to points.
 
@@ -43,12 +40,9 @@ def extract_panoptic(
     """
     probs = output.class_probs()  # (N_q, C+1)
     heat = output.heatmap_sigmoid()  # (N_q, K0)
-    class_ids = np.asarray(class_ids, dtype=np.int64)
-    num_classes = class_ids.shape[0]
+    num_classes = class_map.ids.size
     if probs.shape[1] != num_classes + 1:
-        raise ContractError(
-            f"{probs.shape[1]} class columns but {num_classes} class ids given"
-        )
+        raise ContractError(f"{probs.shape[1]} class columns for {num_classes} classes")
 
     best_class = probs[:, :num_classes].argmax(axis=1)
     confidence = probs[np.arange(probs.shape[0]), best_class]
@@ -62,12 +56,12 @@ def extract_panoptic(
     voxel_query = score.argmax(axis=0)  # first maximum = lowest query index
 
     # thing queries get dense local instance ids, stuff queries id 0
-    things = included & thing_index[best_class]
+    things = included & class_map.thing[best_class]
     local_id = np.zeros(probs.shape[0], dtype=np.int64)
     local_id[things] = np.arange(1, things.sum() + 1)
 
     q_of_point = voxel_query[grid.point_to_voxel]
-    return class_ids[best_class[q_of_point]], local_id[q_of_point]
+    return class_map.ids[best_class[q_of_point]], local_id[q_of_point]
 
 
 def frame_labels(

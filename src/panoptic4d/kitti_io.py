@@ -40,6 +40,14 @@ def pack_labels(semantic: np.ndarray, instance: np.ndarray) -> np.ndarray:
     return (instance.astype(np.uint32) << 16) | semantic.astype(np.uint32)
 
 
+def check_labels(sequence_dir: str, frame: int, semantic: np.ndarray, instance: np.ndarray):
+    """pack_labels' check of one frame's labels; the error names the frame and its path."""
+    try:
+        pack_labels(semantic, instance)
+    except ParameterError as exc:
+        raise type(exc)(f"frame {frame} ({label_path(sequence_dir, frame)}): {exc}") from exc
+
+
 def unpack_labels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raw = np.asarray(raw, dtype=np.uint32)
     return (raw & 0xFFFF).astype(np.int64), (raw >> 16).astype(np.int64)

@@ -171,32 +171,14 @@ def _pack(
     return rank_a * span_b + rank_b, lambda key: (values_a[key // span_b], values_b[key % span_b])
 
 
-def _class_index(class_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Position of each value in class_ids (the last one if repeated), -1 where absent."""
-    if class_ids.size == 0:
-        return np.full(values.shape, -1)
-    order = np.argsort(class_ids, kind="stable")
-    ordered = class_ids[order]
-    pos = np.searchsorted(ordered, values, side="right") - 1
-    # pos = -1 reads the largest id, which a value below the smallest cannot equal
-    return np.where(ordered[pos] == values, order[pos], -1)
-
-
-def confusion_matrix(
-    pred: SequenceLabels, gt: SequenceLabels, class_ids: list[int]
-) -> np.ndarray:
-    """(C, C) counts of (gt class, pred class), ignore-labeled points excluded."""
-    ids = np.asarray(class_ids, dtype=np.int64)
-    c = ids.size
+def confusion_matrix(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> np.ndarray:
+    """(C, C) counts of (gt class index, pred class index); points whose gt or
+    predicted id is no class (IGNORE_LABEL included) are left out."""
+    c = class_map.ids.size
     counts = np.zeros(c * c, dtype=np.int64)
     for block in _blocks(gt):
-        gt_sem = block.cat(gt.semantic)
-        keep = np.flatnonzero(gt_sem != IGNORE_LABEL)
-        key, unpack = _pack(gt_sem[keep], block.cat(pred.semantic)[keep])
-        key, size = np.unique(key, return_counts=True)
-        g, p = (_class_index(ids, v) for v in unpack(key))
-        known = (g >= 0) & (p >= 0)
-        np.add.at(counts, g[known] * c + p[known], size[known])
+        g, p = class_map.index(block.cat(gt.semantic)), class_map.index(block.cat(pred.semantic))
+        counts += np.bincount((g * c + p)[(g >= 0) & (p >= 0)], minlength=c * c)
     return counts.reshape(c, c)
 
 
@@ -215,14 +197,13 @@ def s_cls(
 def _s_cls(
     pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
 ) -> tuple[float, dict[int, float], float, float]:
-    class_ids = list(class_map.all_ids)
-    mat = confusion_matrix(pred, gt, class_ids)
+    mat = confusion_matrix(pred, gt, class_map)
     tp = np.diag(mat).astype(np.float64)
     fn = mat.sum(axis=1) - tp
     fp = mat.sum(axis=0) - tp
     union = tp + fp + fn
     per_class: dict[int, float] = {}
-    for i, cid in enumerate(class_ids):
+    for i, cid in enumerate(class_map.all_ids):
         if union[i] > 0:
             per_class[cid] = float(tp[i] / union[i])
     miou = float(np.mean(list(per_class.values()))) if per_class else 0.0
@@ -250,7 +231,7 @@ def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> fl
 
 
 def _s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
-    things = np.asarray(class_map.thing_ids, dtype=np.int64)
+    things = class_map.ids[class_map.thing]
     tubes, pred_tubes, pairs = [], [], []
     for block in _blocks(gt):
         gt_sem, gt_inst, pred_inst = map(block.cat, (gt.semantic, gt.instance, pred.instance))
@@ -336,7 +317,7 @@ def _segments(
     point_key = np.full(sem.size, -1, dtype=np.int64)
     point_key[member] = key
     seg_frame, seg_class = unpack_frame_class(unpack(keys)[0])
-    cell = seg_frame * class_map.num_classes + np.searchsorted(class_map.all_ids, seg_class)
+    cell = seg_frame * class_map.ids.size + class_map.index(seg_class)
     return point_key, keys, cell, size
 
 
@@ -346,8 +327,8 @@ def _scan_stats(
     """Per-(frame, class) panoptic statistics of the scans of one block, as
     (num_frames, C) arrays: sum of matched IoU, TP, FP, FN. Matched IoUs are
     summed in gt instance order."""
-    shape = (num_frames, class_map.num_classes)
-    cells = num_frames * class_map.num_classes
+    shape = (num_frames, class_map.ids.size)
+    cells = num_frames * class_map.ids.size
     valid = gt_sem != IGNORE_LABEL
     g_key, g_keys, g_cell, g_size = _segments(frame, gt_sem, gt_inst, valid, class_map)
     p_key, p_keys, p_cell, p_size = _segments(frame, pred_sem, pred_inst, valid, class_map)
@@ -404,7 +385,7 @@ def _pq_sequence(
 ) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
     if not gt.frames:
         return 0.0, 0.0, 0.0, {}
-    shape = (len(gt.frames), class_map.num_classes)
+    shape = (len(gt.frames), class_map.ids.size)
     iou_sum = np.zeros(shape)
     tp, fp, fn = (np.zeros(shape, dtype=np.int64) for _ in range(3))
     for block in _blocks(gt):

@@ -82,6 +82,7 @@ class ModelConfig:
             )
         if any(w <= 0 for w in self.backbone_widths):
             raise ParameterError("backbone widths must be positive")
+        self.class_map()  # rejects overlapping or unwritable class ids
 
     def class_map(self) -> ClassMap:
         return ClassMap(thing_ids=self.thing_classes, stuff_ids=self.stuff_classes)
@@ -163,7 +164,7 @@ class PanopticModel:
             rng,
             dim=config.dim,
             finest_width=config.backbone_widths[0],
-            num_classes=self.class_map.num_classes,
+            num_classes=self.class_map.ids.size,
         )
         self.query_bias = Tensor(np.zeros(config.dim), requires_grad=True)
 
@@ -196,6 +197,3 @@ class PanopticModel:
     def window_targets(self, window: WindowData) -> Targets:
         sem, inst = window.point_labels()
         return build_targets(window.cloud, window.grid, sem, inst, self.class_map)
-
-    def class_ids(self) -> np.ndarray:
-        return np.array(self.class_map.all_ids, dtype=np.int64)

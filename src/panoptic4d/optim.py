@@ -186,28 +186,34 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], str]:
     def take(n: int, what: str) -> bytes:
         nonlocal pos
         if pos + n > len(blob):
-            raise FormatError(f"checkpoint truncated while reading {what}", byte_offset=pos)
+            raise FormatError(f"checkpoint {path}: truncated reading {what}", pos)
         chunk = blob[pos : pos + n]
         pos += n
         return chunk
+
+    def text(length_format: str, what: str) -> str:  # UTF-8 after its packed length
+        (n,) = struct.unpack(length_format, take(struct.calcsize(length_format), f"{what} length"))
+        chunk = take(n, what)
+        try:
+            return chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint {path}: {what} not UTF-8", pos - n + exc.start) from exc
 
     if take(8, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"{path} is not a checkpoint file", byte_offset=0)
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", byte_offset=8)
-    (cfg_len,) = struct.unpack("<I", take(4, "config length"))
-    config_text = take(cfg_len, "config").decode("utf-8")
+        raise FormatError(f"checkpoint {path}: unsupported version {version}", byte_offset=8)
+    config_text = text("<I", "config")
     (count,) = struct.unpack("<I", take(4, "parameter count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = text("<H", "name")
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims")) if ndim else ()
         n_values = int(np.prod(dims)) if dims else 1
         payload = take(8 * n_values, f"payload of {name!r}")
         params[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     if pos != len(blob):
-        raise FormatError("trailing bytes after parameter table", byte_offset=pos)
+        raise FormatError(f"checkpoint {path}: trailing bytes after the parameters", pos)
     return params, config_text

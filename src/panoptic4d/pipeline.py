@@ -4,14 +4,15 @@ inference, and evaluation against ground truth.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .autodiff import no_grad
 from .config import RunConfig
 from .inference import extract_panoptic, frame_labels, run_sequence, split_non_compact
-from .errors import ParameterError
 from .geometry import superimpose
-from .kitti_io import label_path, pack_labels, write_labels
+from .kitti_io import check_labels, label_path, write_labels
 from .metrics import MetricReport, SequenceLabels, evaluate
 from .model import PanopticModel, prepare_window
 from .sequence import ScanSequence
@@ -19,11 +20,6 @@ from .sequence import ScanSequence
 
 def model_predictor(model: PanopticModel, cfg: RunConfig):
     """Wrap a model as a window predictor for run_sequence."""
-    class_ids = model.class_ids()
-    thing_index = np.array(
-        [model.class_map.is_thing(int(c)) for c in class_ids], dtype=bool
-    )
-
     def predict(scans, poses, frames) -> SequenceLabels:
         if not any(s.num_points for s in scans):
             # nothing to voxelize: every frame gets its empty labels
@@ -32,7 +28,7 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
         with no_grad():
             data = prepare_window(scans, poses, cfg.voxel_size)
             fwd = model.forward(data)
-        sem, inst = extract_panoptic(fwd.final, data.grid, class_ids, thing_index)
+        sem, inst = extract_panoptic(fwd.final, data.grid, model.class_map)
         if cfg.use_dbscan:
             inst = split_non_compact(
                 inst,
@@ -63,14 +59,9 @@ def write_prediction(pred: SequenceLabels, out_dir: str) -> list[str]:
     opened, so labels that cannot be written leave no partial output; the
     error names the frame and its path.
     """
-    import os
-
+    for f in pred.frames:
+        check_labels(out_dir, f, pred.semantic[f], pred.instance[f])
     paths = [label_path(out_dir, f) for f in pred.frames]
-    for f, path in zip(pred.frames, paths):
-        try:
-            pack_labels(pred.semantic[f], pred.instance[f])
-        except ParameterError as exc:
-            raise type(exc)(f"frame {f} ({path}): {exc}") from exc
     os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
     for f, path in zip(pred.frames, paths):
         write_labels(path, pred.semantic[f], pred.instance[f])

@@ -18,10 +18,15 @@ IGNORE_LABEL = 255
 
 @dataclass(frozen=True)
 class ClassMap:
-    """Partition of semantic class ids into countable things and amorphous stuff."""
+    """Partition of semantic class ids into countable things and amorphous
+    stuff, and the one class table: a class's index is its rank in `ids`.
+    Every id fits the 16-bit semantic label field and is not IGNORE_LABEL."""
 
     thing_ids: tuple[int, ...]
     stuff_ids: tuple[int, ...]
+    ids: np.ndarray = field(init=False, repr=False, compare=False)  # ascending int64
+    thing: np.ndarray = field(init=False, repr=False, compare=False)  # per class index
+    _table: np.ndarray = field(init=False, repr=False, compare=False)  # id -> index
 
     def __post_init__(self):
         overlap = set(self.thing_ids) & set(self.stuff_ids)
@@ -29,20 +34,25 @@ class ClassMap:
             raise ParameterError(f"classes {sorted(overlap)} are both thing and stuff")
         if not self.thing_ids and not self.stuff_ids:
             raise ParameterError("class map must contain at least one class")
+        for c in (*self.thing_ids, *self.stuff_ids):
+            if not 0 <= c < 2**16 or c == IGNORE_LABEL:
+                raise ParameterError(f"class id {c} is outside [0, 65536) or is {IGNORE_LABEL}")
+        # sorted(), not np.unique: a bare np.unique imports numpy.ma, about 1 MB of RSS
+        ids = np.array(sorted({*self.thing_ids, *self.stuff_ids}), dtype=np.int64)
+        table = np.full(ids[-1] + 2, -1)  # the last -1 takes every clipped id
+        table[ids] = np.arange(ids.size)
+        thing = np.isin(ids, self.thing_ids)
+        for name, value in (("ids", ids), ("thing", thing), ("_table", table)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def all_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.thing_ids) | set(self.stuff_ids)))
+        return tuple(self.ids.tolist())
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.all_ids)
-
-    def is_thing(self, class_id: int) -> bool:
-        return class_id in self.thing_ids
-
-
-DEFAULT_CLASS_MAP = ClassMap(thing_ids=(1, 2), stuff_ids=(3, 4))
+    def index(self, semantic) -> np.ndarray:
+        """The class index of every semantic id, -1 for an id outside the map."""
+        return self._table[np.clip(np.asarray(semantic, dtype=np.int64), -1, self._table.size - 1)]
 
 
 @dataclass
@@ -90,7 +100,11 @@ def window_starts(n: int, window: int, stride: int) -> list[int]:
 
 
 def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) -> list[str]:
-    """Write a sequence in the kitti_io layout; returns the created file paths."""
+    """Write a sequence in the kitti_io layout; returns the created file paths.
+    Labels that cannot be written fail before the first directory is made."""
+    for scan in seq.scans:
+        if write_labels and scan.has_labels():
+            kitti_io.check_labels(out_dir, scan.frame_index, scan.semantic, scan.instance)
     os.makedirs(os.path.join(out_dir, "velodyne"), exist_ok=True)
     created = []
     if write_labels and seq.has_labels():
@@ -111,7 +125,7 @@ def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) ->
 
 def load_sequence(
     sequence_dir: str,
-    class_map: ClassMap = DEFAULT_CLASS_MAP,
+    class_map: ClassMap,
     with_labels: bool = True,
 ) -> ScanSequence:
     """Read a sequence directory back into memory. Labels are optional."""

@@ -44,12 +44,11 @@ class SceneSpec:
             raise ParameterError("num_thing_objects must be >= 0")
         if self.points_per_object <= 0 or self.points_per_stuff <= 0:
             raise ParameterError("point counts must be positive")
-        if set(self.thing_classes) & set(self.stuff_classes):
-            raise ParameterError("thing and stuff classes must be disjoint")
         if not self.stuff_classes:
             raise ParameterError("need at least one stuff class")
         if self.num_thing_objects > 0 and not self.thing_classes:
             raise ParameterError("thing objects requested but no thing classes given")
+        self.class_map()  # rejects overlapping or unwritable class ids
 
     def class_map(self) -> ClassMap:
         return ClassMap(thing_ids=tuple(self.thing_classes), stuff_ids=tuple(self.stuff_classes))

@@ -171,7 +171,10 @@ def save_model(path: str, model: PanopticModel, cfg: RunConfig) -> None:
 
 def load_model(path: str) -> tuple[PanopticModel, RunConfig]:
     values, cfg_text = load_checkpoint(path)
-    cfg = config_from_text(RunConfig, cfg_text)
+    try:
+        cfg = config_from_text(RunConfig, cfg_text)
+    except ValueError as exc:
+        raise type(exc)(f"checkpoint {path}: {exc}") from exc
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     load_parameters(model.parameters(), values, path)
     return model, cfg

@@ -428,12 +428,24 @@ def _valid(pred_sem: np.ndarray, gt_sem: np.ndarray) -> np.ndarray:
     return gt_sem != IGNORE_LABEL
 
 
+# metrics' searchsorted id -> class index lookup, which ClassMap.index replaced
+def _class_index(class_ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in class_ids (the last one if repeated), -1 where absent."""
+    if class_ids.size == 0:
+        return np.full(values.shape, -1)
+    order = np.argsort(class_ids, kind="stable")
+    ordered = class_ids[order]
+    pos = np.searchsorted(ordered, values, side="right") - 1
+    # pos = -1 reads the largest id, which a value below the smallest cannot equal
+    return np.where(ordered[pos] == values, order[pos], -1)
+
+
 def loop_confusion_matrix(
-    pred: SequenceLabels, gt: SequenceLabels, class_ids: list[int]
+    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
 ) -> np.ndarray:
     """(C, C) counts of (gt class, pred class), ignore-labeled points excluded."""
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    c = len(class_ids)
+    index = {cid: i for i, cid in enumerate(class_map.all_ids)}
+    c = len(index)
     mat = np.zeros((c, c), dtype=np.int64)
     for f in gt.frames:
         g = gt.semantic[f]
@@ -512,7 +524,7 @@ def _scan_segments(
         sel = (sem == cid) & valid
         if not sel.any():
             continue
-        if class_map.is_thing(cid):
+        if cid in class_map.thing_ids:
             sub = inst[sel]
             idx = np.flatnonzero(sel)
             for i in np.unique(sub):
@@ -980,7 +992,7 @@ def loop_build_targets(
             sem = int(point_semantic[p])
             if sem == IGNORE_LABEL or sem not in class_index:
                 continue
-            inst = int(point_instance[p]) if class_map.is_thing(sem) else 0
+            inst = int(point_instance[p]) if sem in class_map.thing_ids else 0
             key = (sem, inst)
             counts[key] = counts.get(key, 0) + 1
         if counts:
@@ -997,7 +1009,7 @@ def loop_build_targets(
     for (sem, inst), voxels in groups.items():
         mask = np.zeros(k, dtype=bool)
         mask[voxels] = True
-        is_thing = class_map.is_thing(sem) and inst > 0
+        is_thing = sem in class_map.thing_ids and inst > 0
         box = None
         if is_thing:
             pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
@@ -1108,7 +1120,7 @@ def loop_point_labels(
 
 
 def loop_extract_points(
-    output: MaskModuleOutput, grid: VoxelGrid, class_ids: np.ndarray, thing_index: np.ndarray
+    output: MaskModuleOutput, grid: VoxelGrid, class_map: ClassMap
 ) -> tuple[np.ndarray, np.ndarray]:
     """extract_panoptic's (semantic, instance) per superimposed point, voxel by
     voxel: the included query with the highest confidence times heatmap
@@ -1116,12 +1128,13 @@ def loop_extract_points(
     numbered from 1 in query order."""
     probs = output.class_probs()
     sig = output.heatmap_sigmoid()
+    class_ids = class_map.all_ids
     nq, c = probs.shape[0], len(class_ids)
     best = [int(np.argmax(probs[q, :c])) for q in range(nq)]
     included = [q for q in range(nq) if np.argmax(probs[q]) != c] or list(range(nq))
     local = {}
     for q in included:
-        if thing_index[best[q]]:
+        if class_ids[best[q]] in class_map.thing_ids:
             local[q] = len(local) + 1
     sem = np.empty(grid.point_to_voxel.size, dtype=np.int64)
     inst = np.empty(grid.point_to_voxel.size, dtype=np.int64)

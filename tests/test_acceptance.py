@@ -285,7 +285,7 @@ def _random_window_and_output(seed: int):
     nq = 5
     out = MaskModuleOutput(
         heatmap_logits=Tensor(rng.normal(size=(nq, grid.num_voxels)) * 2),
-        class_logits=Tensor(rng.normal(size=(nq, CM.num_classes + 1))),
+        class_logits=Tensor(rng.normal(size=(nq, CM.ids.size + 1))),
         boxes=Tensor(rng.random((nq, 6))),
     )
     return cloud, grid, out
@@ -295,16 +295,14 @@ def test_criterion_7_extraction_totality():
     """Random outputs: every point gets exactly one label; splitting never
     changes semantics or drops points."""
     with criterion(7, "extraction totality and label-preserving DBSCAN split"):
-        class_ids = np.array(CM.all_ids)
-        thing_index = np.array([CM.is_thing(int(c)) for c in class_ids])
         for seed in range(10):
             cloud, grid, out = _random_window_and_output(seed)
-            sem, inst = extract_panoptic(out, grid, class_ids, thing_index)
+            sem, inst = extract_panoptic(out, grid, CM)
             pred = frame_labels(sem, inst, cloud, [0, 1])
             for f, count in ((0, 40), (1, 40)):
                 assert pred.semantic[f].shape == (count,)
                 assert pred.instance[f].shape == (count,)
-                assert np.all(np.isin(pred.semantic[f], class_ids))
+                assert np.all(np.isin(pred.semantic[f], CM.all_ids))
                 thing_sel = np.isin(pred.semantic[f], CM.thing_ids)
                 assert np.all(pred.instance[f][thing_sel] > 0)
                 assert np.all(pred.instance[f][~thing_sel] == 0)
@@ -324,8 +322,6 @@ def test_criterion_8_permutation_invariance():
     """total_loss value and extraction outcome invariant under query
     permutation, 10 seeds."""
     with criterion(8, "query-permutation invariance of loss and extraction"):
-        class_ids = np.array(CM.all_ids)
-        thing_index = np.array([CM.is_thing(int(c)) for c in class_ids])
         for seed in range(10):
             cloud, grid, out = _random_window_and_output(seed)
             k0 = grid.num_voxels
@@ -355,10 +351,8 @@ def test_criterion_8_permutation_invariance():
             loss_p, _ = total_loss([out_p], targets, match_p, weights)
             assert loss_p.item() == pytest.approx(loss.item(), abs=1e-9)
 
-            pred = frame_labels(*extract_panoptic(out, grid, class_ids, thing_index), cloud, [0, 1])
-            pred_p = frame_labels(
-                *extract_panoptic(out_p, grid, class_ids, thing_index), cloud, [0, 1]
-            )
+            pred = frame_labels(*extract_panoptic(out, grid, CM), cloud, [0, 1])
+            pred_p = frame_labels(*extract_panoptic(out_p, grid, CM), cloud, [0, 1])
             for f in (0, 1):
                 np.testing.assert_array_equal(pred.semantic[f], pred_p.semantic[f])
                 _assert_same_partition(pred.instance[f], pred_p.instance[f])

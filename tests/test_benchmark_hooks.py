@@ -4,8 +4,10 @@ perfbench wraps package functions and methods by name (`wrap(owner,
 "name", ...)`, `patch(owner, "name", ...)` and `owner.__dict__["name"]`).
 A rename or an import move breaks the traced run; these tests read
 `perfbench/workloads.py` as text, without importing or running it, and
-resolve every such name in the package. The traced run also reads and
-patches tensor internals at run time, which the last tests check.
+resolve every such name in the package, and bind every call the workloads
+make through a package module to the signature it calls. The traced run
+also reads and patches tensor internals at run time, which the last tests
+check.
 """
 
 import ast
@@ -73,6 +75,37 @@ def test_every_hooked_name_is_defined_on_its_owner():
     for expr, attr in hooks:
         owner = resolve(expr, aliases)
         assert attr in owner.__dict__, f"line {expr.lineno}: {ast.unparse(expr)} has no {attr!r}"
+
+
+def package_calls(tree: ast.Module, aliases: dict[str, object]) -> list[ast.Call]:
+    """Every call made through a package module alias, such as
+    `training.train_model(...)` or `model_mod.PanopticModel(...)`."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in aliases
+    ]
+
+
+def test_every_package_call_binds_to_its_signature():
+    """Each call's positional count and keyword names fit the signature of
+    the function or class it calls, so a renamed, added or removed
+    parameter fails here rather than in a benchmark run."""
+    tree = workloads_tree()
+    aliases = package_aliases(tree)
+    calls = package_calls(tree, aliases)
+    assert len(calls) >= 17  # the workloads call about twenty package names
+    for call in calls:
+        target = resolve(call.func, aliases)
+        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+        assert all(k.arg is not None for k in call.keywords), ast.unparse(call)
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"line {call.lineno}: {ast.unparse(call)}: {exc}") from exc
 
 
 def test_prepare_window_takes_three_positional_arguments():

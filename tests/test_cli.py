@@ -415,3 +415,72 @@ def test_infer_checkpoint_parameter_mismatch_exits_with_path(workspace, tmp_path
     assert rc == 1
     err = capsys.readouterr().err
     assert str(ckpt) in err and "missing parameter 'query_bias'" in err
+
+
+@pytest.mark.parametrize(
+    "line, bad", [("thing_classes = 70000", "70000"), ("stuff_classes = 3,255", "255")]
+)
+def test_generate_rejects_unwritable_class_id_leaving_no_file(tmp_path, capsys, line, bad):
+    spec = tmp_path / "scene.cfg"
+    spec.write_text(f"seed = 1\nnum_frames = 2\n{line}\n")
+    out = tmp_path / "seq"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {spec}: class id {bad}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"voxel_size = 0.8\nfoo = 1\n", "line 2: unknown config key 'foo'"),
+        (b"window = 0\n", "window must be >= 1"),
+        (b"\xff", "config is not UTF-8 text (at byte offset 0)"),
+    ],
+)
+def test_train_config_errors_name_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text)
+    rc = main(
+        ["train", "--config", str(cfg), "--sequence", str(tmp_path), "--out", str(tmp_path / "o")]
+    )
+    assert rc == 1
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+
+def _corrupt_checkpoint(blob: bytes, how: str) -> tuple[bytes, str]:
+    """The checkpoint bytes corrupted one way, and the message that names it.
+    Layout: magic 8, version 4, config length 4, config, count 4, then per
+    parameter name length 2, name, ..."""
+    (cfg_len,) = np.frombuffer(blob[12:16], dtype="<u4")
+    name_at = 16 + int(cfg_len) + 4 + 2
+    if how == "truncated":
+        return blob[:40], "truncated reading config (at byte offset 16)"
+    if how == "trailing":
+        return blob + b"\0", f"trailing bytes after the parameters (at byte offset {len(blob)})"
+    if how == "config not utf-8":
+        return blob[:17] + b"\xff" + blob[18:], "config not UTF-8 (at byte offset 17)"
+    if how == "name not utf-8":
+        bad = blob[:name_at] + b"\xff" + blob[name_at + 1 :]
+        return bad, f"name not UTF-8 (at byte offset {name_at})"
+    assert how == "class id"
+    text = blob[16 : 16 + int(cfg_len)].replace(b"thing_classes = 1,2", b"thing_classes = 1,2,255")
+    length = np.array([len(text)], dtype="<u4").tobytes()
+    blob = blob[:12] + length + text + blob[16 + int(cfg_len) :]
+    return blob, "class id 255"
+
+
+@pytest.mark.parametrize(
+    "how", ["truncated", "trailing", "config not utf-8", "name not utf-8", "class id"]
+)
+def test_infer_checkpoint_errors_name_the_file(workspace, tmp_path, capsys, how):
+    blob, message = _corrupt_checkpoint((workspace / "train" / "model.ckpt").read_bytes(), how)
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(blob)
+    out = tmp_path / "pred"
+    seq = str(workspace / "seq")
+    rc = main(["infer", "--checkpoint", str(ckpt), "--sequence", seq, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: {message}" in err, err
+    assert not out.exists()

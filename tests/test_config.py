@@ -12,7 +12,7 @@ from panoptic4d.config import (
     load_scene_spec,
     save_config,
 )
-from panoptic4d.errors import ParameterError
+from panoptic4d.errors import FormatError, ParameterError
 from panoptic4d.heads import LossWeights
 from panoptic4d.model import ModelConfig
 from panoptic4d.synth import SceneSpec
@@ -218,3 +218,49 @@ def test_run_config_extends_model_config():
         **{name: getattr(cfg, name) for name in model_fields}
     )
     assert type(cfg.model_config()) is ModelConfig
+
+
+@pytest.mark.parametrize("cls", [RunConfig, SceneSpec])
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("thing_classes = 70000\n", "70000"),
+        ("thing_classes = 1,65536\n", "65536"),
+        ("stuff_classes = 3,255\n", "255"),
+        ("stuff_classes = -1\n", "-1"),
+    ],
+)
+def test_unwritable_class_ids_rejected_on_load(cls, text, bad):
+    with pytest.raises(ParameterError, match=rf"class id {bad}\b"):
+        config_from_text(cls, text)
+
+
+@pytest.mark.parametrize("cls", [RunConfig, SceneSpec])
+def test_overlapping_classes_rejected_on_load(cls):
+    with pytest.raises(ParameterError, match=r"classes \[2\] are both thing and stuff"):
+        config_from_text(cls, "thing_classes = 1,2\nstuff_classes = 2,3\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"voxel_size = 0.8\nfoo = 1\n", "line 2: unknown config key 'foo'"),
+        (b"window = 0\n", "window must be >= 1"),
+        (b"window = two\n", "invalid literal"),
+        (b"stuff_classes = 3,255\n", "class id 255"),
+    ],
+)
+def test_load_config_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=message) as info:
+        load_config(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_non_utf8_config_file_is_a_format_error_at_its_offset(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\n\xff = 2\n")
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        load_scene_spec(str(path))
+    assert info.value.byte_offset == 9 and str(path) in str(info.value)

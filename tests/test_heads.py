@@ -284,7 +284,7 @@ class TestBuildTargetsMatchesLoop:
         assert np.all(targets.masks.sum(axis=0) <= 1)
         assert np.all(targets.boxes[~targets.is_thing] == 0)
         ids = np.array(self.CM.all_ids)[targets.class_index]
-        flag = [self.CM.is_thing(int(c)) and i > 0 for c, i in zip(ids, targets.instance_id)]
+        flag = [c in self.CM.thing_ids and i > 0 for c, i in zip(ids, targets.instance_id)]
         assert targets.is_thing.tolist() == flag
 
     def test_criterion_4_windows(self):

@@ -21,6 +21,7 @@ from panoptic4d.inference import (
     stitch,
 )
 from panoptic4d.metrics import SequenceLabels
+from panoptic4d.sequence import ClassMap
 
 from oracles import (
     brute_force_max_assignment,
@@ -31,8 +32,7 @@ from oracles import (
     reference_dbscan,
 )
 
-CLASS_IDS = np.array([1, 2, 3])  # 1, 2 things; 3 stuff
-THING_INDEX = np.array([True, True, False])
+CM = ClassMap(thing_ids=(1, 2), stuff_ids=(3,))
 
 
 def window_from_points(pts, frames):
@@ -63,7 +63,7 @@ class TestExtractPanoptic:
         heat = np.array([[np.log(0.8 / 0.2)], [np.log(0.9 / 0.1)]])
         conf = lambda p: np.log(np.array(p))
         cls = np.stack([conf([0.9, 0.05, 0.03, 0.02]), conf([0.6, 0.3, 0.05, 0.05])])
-        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CM)
         assert sem.tolist() == [1]
         assert inst.tolist() == [1]  # first included thing query
 
@@ -73,7 +73,7 @@ class TestExtractPanoptic:
         cloud, grid = window_from_points(pts, [0, 1])
         heat = rng.normal(size=(1, grid.num_voxels))
         cls = np.array([[4.0, 0.0, 0.0, -2.0]])
-        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CM)
         assert sem.shape == inst.shape == (20,)
         assert np.all(sem == 1)
         assert np.all(inst == 1)
@@ -86,10 +86,10 @@ class TestExtractPanoptic:
         heat = rng.normal(size=(nq, grid.num_voxels))
         cls = rng.normal(size=(nq, 4))
         out = output_for(grid, heat, cls)
-        got = extract_panoptic(out, grid, CLASS_IDS, THING_INDEX)
+        got = extract_panoptic(out, grid, CM)
 
         # independent recomputation per voxel and point
-        expected = loop_extract_points(out, grid, CLASS_IDS, THING_INDEX)
+        expected = loop_extract_points(out, grid, CM)
         for labels, want in zip(got, expected):
             assert labels.dtype == np.int64
             np.testing.assert_array_equal(labels, want)
@@ -100,9 +100,9 @@ class TestExtractPanoptic:
         cloud, grid = window_from_points(pts, [0, 1])
         heat = rng.normal(size=(4, grid.num_voxels))
         cls = rng.normal(size=(4, 4))
-        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX)
+        sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CM)
         assert sem.shape == inst.shape == (80,)
-        assert np.all(np.isin(sem, CLASS_IDS))
+        assert np.all(np.isin(sem, CM.all_ids))
 
     def test_all_no_object_fallback_warns(self):
         pts = np.array([[0.5, 0.5, 0.5], [3.5, 0.5, 0.5]])
@@ -110,9 +110,7 @@ class TestExtractPanoptic:
         heat = np.zeros((2, grid.num_voxels))
         cls = np.array([[0.0, 0.0, 0.0, 9.0], [0.0, 0.0, 0.0, 9.0]])
         with pytest.warns(UserWarning):
-            sem, inst = extract_panoptic(
-                output_for(grid, heat, cls), grid, CLASS_IDS, THING_INDEX
-            )
+            sem, inst = extract_panoptic(output_for(grid, heat, cls), grid, CM)
         assert sem.shape == inst.shape == (2,)
 
 
@@ -562,8 +560,7 @@ class TestWindowLayout:
     split_non_compact against the point-by-point conversion from superimposed
     order, which takes each point's (slot, index) from the scan sizes."""
 
-    CLASS_IDS = np.array([1, 2, 3, 4])
-    THING_INDEX = np.array([True, True, False, False])
+    CM = ClassMap(thing_ids=(1, 2), stuff_ids=(3, 4))
 
     def windows(self):
         """(cloud, grid, output, frames, scan sizes): the criterion-7 windows,
@@ -587,8 +584,8 @@ class TestWindowLayout:
 
     def test_matches_point_loop(self):
         for cloud, grid, out, frames, sizes in self.windows():
-            sem, inst = extract_panoptic(out, grid, self.CLASS_IDS, self.THING_INDEX)
-            flat = loop_extract_points(out, grid, self.CLASS_IDS, self.THING_INDEX)
+            sem, inst = extract_panoptic(out, grid, self.CM)
+            flat = loop_extract_points(out, grid, self.CM)
             pred = loop_frame_labels(*flat, sizes, frames)
             assert_same_window(frame_labels(sem, inst, cloud, frames), pred)
             for per_frame in (False, True):

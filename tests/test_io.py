@@ -178,6 +178,15 @@ class TestSequenceRoundTrip:
             np.testing.assert_array_equal(a.semantic, b.semantic)
             np.testing.assert_array_equal(a.instance, b.instance)
 
+    def test_unwritable_labels_leave_no_output(self, tmp_path):
+        seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
+        seq.scans[2].semantic[4] = 70000
+        out = tmp_path / "seq"
+        with pytest.raises(ParameterError, match="semantic ids must fit in 16 bits") as info:
+            save_sequence(seq, str(out))
+        assert f"frame 2 ({kitti_io.label_path(str(out), 2)})" in str(info.value)
+        assert not out.exists()
+
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FormatError):
             load_sequence(str(tmp_path / "nope"), ClassMap((1,), (3,)))

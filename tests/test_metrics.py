@@ -86,7 +86,7 @@ class TestSCls:
     def test_ignore_excluded(self):
         scene = manual_scene(([1, 255], [1, 0], [1, 3], [1, 0]))
         pred, gt = labels_from_scene(scene)
-        mat = confusion_matrix(pred, gt, list(CM.all_ids))
+        mat = confusion_matrix(pred, gt, CM)
         assert mat.sum() == 1
 
     def test_coverage_mismatch(self):
@@ -323,11 +323,9 @@ def assert_same_as_loops(pred, gt, class_map):
         one = SequenceLabels([f], {f: pred.semantic[f]}, {f: pred.instance[f]})
         one_gt = SequenceLabels([f], {f: gt.semantic[f]}, {f: gt.instance[f]})
         assert pq_sequence(one, one_gt, class_map) == loop_pq_sequence(one, one_gt, class_map)
-    # unsorted and repeated ids: a repeated id counts at its last position
-    for ids in (list(class_map.all_ids), list(class_map.all_ids)[::-1] + [1, 3]):
-        np.testing.assert_array_equal(
-            confusion_matrix(pred, gt, ids), loop_confusion_matrix(pred, gt, ids)
-        )
+    np.testing.assert_array_equal(
+        confusion_matrix(pred, gt, class_map), loop_confusion_matrix(pred, gt, class_map)
+    )
     return got
 
 
@@ -458,6 +456,24 @@ class TestAgainstLoopOracles:
         for seed in range(5):
             scene = random_scene(np.random.default_rng(seed), CM.thing_ids, CM.stuff_ids)
             assert_same_as_loops(*labels_from_scene(scene), class_map)
+
+    @pytest.mark.parametrize("block_points", [1 << 16, 5])
+    def test_confusion_matrix_with_ids_outside_the_map(self, block_points, monkeypatch):
+        """WIDE_CM's counts against the loop's when gt and predictions carry
+        ids the map lacks: 0, 13, IGNORE_LABEL, 2**16, a negative id, 2**40."""
+        monkeypatch.setattr(metrics, "_BLOCK_POINTS", block_points)
+        outside = [0, 13, 255, 1 << 16, -3, 1 << 40]
+        for seed in range(10):
+            rng = np.random.default_rng(300 + seed)
+            scene = random_scene(rng, WIDE_CM.thing_ids, WIDE_CM.stuff_ids, max_points=300)
+            for gt_sem, _, pred_sem, _ in scene.values():
+                for sem in (gt_sem, pred_sem):
+                    swap = rng.random(sem.size) < 0.2
+                    sem[swap] = rng.choice(outside, size=int(swap.sum()))
+            pred, gt = labels_from_scene(scene)
+            want = loop_confusion_matrix(pred, gt, WIDE_CM)
+            assert want.sum() > 0
+            np.testing.assert_array_equal(confusion_matrix(pred, gt, WIDE_CM), want)
 
     def test_unsorted_frame_numbers_and_narrow_dtypes(self, monkeypatch):
         monkeypatch.setattr(metrics, "_BLOCK_POINTS", 50)
