@@ -105,38 +105,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return add(self, neg(as_tensor(other)))
 
     def __rsub__(self, other):
         return add(as_tensor(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
 
 
 def as_tensor(x) -> Tensor:

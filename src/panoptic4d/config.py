@@ -135,7 +135,7 @@ def _parse_value(text: str, field: dataclasses.Field):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ParameterError(f"bad boolean {text!r} for key {field.name}")
+        raise ParameterError(f"bad boolean {text!r}")
     if isinstance(tp, str) and tp.startswith("tuple"):
         if not text:
             return ()
@@ -172,7 +172,10 @@ def config_from_text(cls, text: str):
             raise ParameterError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ParameterError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(value, fields[key])
+        try:
+            values[key] = _parse_value(value, fields[key])
+        except ValueError as exc:
+            raise ParameterError(f"line {lineno}: bad value for key {key!r}: {exc}") from exc
     return cls(**values)
 
 

@@ -21,7 +21,7 @@ from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import SuperimposedCloud, VoxelGrid
 from .heads import MaskModuleOutput
 from .metrics import SequenceLabels
-from .sequence import ClassMap, ScanSequence, window_starts
+from .sequence import ClassMap, ScanSequence, sequence_windows
 
 log = logging.getLogger(__name__)
 
@@ -412,16 +412,14 @@ def run_sequence(
     with window-local instance ids. Shared-frame labels are taken from the later
     window after its instances have been remapped onto existing tracks.
     """
-    starts = window_starts(sequence.num_frames, window, stride)
+    windows = sequence_windows(sequence, window, stride)
     # only windows that actually form need to overlap
-    if len(starts) > 1 and window > 1 and stride >= window:
+    if len(windows) > 1 and window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 
     result = SequenceLabels()
     next_free_id = 1
-    for w, start in enumerate(starts):
-        scans = sequence.scans[start : start + window]
-        poses = sequence.poses[start : start + window]
+    for w, (scans, poses) in enumerate(windows):
         frames = [s.frame_index for s in scans]
         pred = predictor(scans, poses, frames)
         shared = [f for f in frames if f in result.instance]

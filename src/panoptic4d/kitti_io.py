@@ -169,5 +169,5 @@ def list_frames(sequence_dir: str) -> list[int]:
             try:
                 frames.append(int(name[:-4]))
             except ValueError:
-                raise FormatError(f"unexpected scan file name {name!r}")
+                raise FormatError(f"{scan_dir}: unexpected scan file name {name!r}")
     return sorted(frames)

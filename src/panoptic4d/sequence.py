@@ -1,5 +1,5 @@
-"""Scan sequences: the class taxonomy, the in-memory sequence container, and
-loading/saving sequences in the on-disk layout of kitti_io.
+"""Scan sequences: the class taxonomy, the in-memory sequence container, its
+windows, and loading/saving sequences in the on-disk layout of kitti_io.
 """
 
 from __future__ import annotations
@@ -97,6 +97,16 @@ def window_starts(n: int, window: int, stride: int) -> list[int]:
     if starts[-1] != last:
         starts.append(last)
     return starts
+
+
+def sequence_windows(
+    seq: ScanSequence, window: int, stride: int
+) -> list[tuple[list[LidarScan], list[Pose]]]:
+    """The (scans, poses) of every window, at the starts of window_starts."""
+    return [
+        (seq.scans[s : s + window], seq.poses[s : s + window])
+        for s in window_starts(seq.num_frames, window, stride)
+    ]
 
 
 def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) -> list[str]:

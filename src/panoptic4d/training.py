@@ -14,12 +14,12 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, config_to_text, config_from_text
 from .errors import CapacityError, ParameterError
-from .geometry import LidarScan, Pose, rot_z
+from .geometry import rot_z
 from .heads import Targets, hungarian_match, total_loss
 from .model import PanopticModel, WindowData, prepare_window
 from .nn import load_parameters
 from .optim import AdamW, load_checkpoint, save_checkpoint
-from .sequence import ScanSequence, window_starts
+from .sequence import ScanSequence, sequence_windows
 
 log = logging.getLogger(__name__)
 
@@ -59,18 +59,10 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def sequence_windows(
-    seq: ScanSequence, window: int, stride: int
-) -> list[tuple[list[LidarScan], list[Pose]]]:
-    return [
-        (seq.scans[s : s + window], seq.poses[s : s + window])
-        for s in window_starts(seq.num_frames, window, stride)
-    ]
-
-
 def augmentation(cfg: RunConfig, rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
     """A random rotation about z, scale and translation of the superimposed
-    cloud (global frame), drawn from rng in that order for the enabled flags."""
+    cloud (global frame), drawn from rng in that order for the enabled flags.
+    With no flag set it draws nothing and returns the points unchanged."""
     rot = rot_z(rng.uniform(0.0, 2.0 * np.pi)) if cfg.aug_rotate else None
     scale = rng.uniform(0.95, 1.05) if cfg.aug_scale else None
     shift = rng.uniform(-1.0, 1.0, size=3) if cfg.aug_translate else None
@@ -103,7 +95,6 @@ def train_model(
     windows = []
     for s in sequences:
         windows.extend(sequence_windows(s, cfg.window, cfg.train_stride))
-    augmenting = cfg.aug_rotate or cfg.aug_translate or cfg.aug_scale
     rng = np.random.Generator(np.random.PCG64(cfg.train_seed))
 
     def prepared(scans, poses, transform=None) -> tuple[WindowData, Targets]:
@@ -116,7 +107,10 @@ def train_model(
             )
         return data, targets
 
-    cache = [] if augmenting else [prepared(*w) for w in windows]
+    # Fail before step 0 on a window over capacity; each step then prepares
+    # its own window, so memory does not grow with the number of windows.
+    for scans, poses in windows:
+        prepared(scans, poses)
 
     params = model.parameters()
     opt = AdamW(
@@ -136,11 +130,8 @@ def train_model(
         opt.zero_grad()
         breakdown = None
         for _ in range(cfg.batch_size):
-            if augmenting:
-                scans, poses = windows[counter % len(windows)]
-                data, targets = prepared(scans, poses, augmentation(cfg, rng))
-            else:
-                data, targets = cache[counter % len(windows)]
+            scans, poses = windows[counter % len(windows)]
+            data, targets = prepared(scans, poses, augmentation(cfg, rng))
             counter += 1
             fwd = model.forward(data)
             if not (

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def test_error_exit_code_and_cleanup(workspace, tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_unexpected_scan_name_names_the_directory(workspace, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(workspace / "seq", gt)
+    (gt / "velodyne" / "abc.bin").write_bytes(b"")
+    rc = main(
+        [
+            "eval", "--pred", str(workspace / "seq"), "--gt", str(gt),
+            "--out", str(tmp_path / "report.csv"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {gt / 'velodyne'}: unexpected scan file name 'abc.bin'" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_train_requires_sequence(tmp_path, tiny_cfg_text):
@@ -435,6 +452,7 @@ def test_generate_rejects_unwritable_class_id_leaving_no_file(tmp_path, capsys, 
     [
         (b"voxel_size = 0.8\nfoo = 1\n", "line 2: unknown config key 'foo'"),
         (b"window = 0\n", "window must be >= 1"),
+        (b"steps = 3\nwindow = two\n", "line 2: bad value for key 'window': invalid literal"),
         (b"\xff", "config is not UTF-8 text (at byte offset 0)"),
     ],
 )

@@ -20,9 +20,8 @@ from panoptic4d.heads import (
 )
 from panoptic4d.config import desk_preset
 from panoptic4d.model import prepare_window
-from panoptic4d.sequence import ClassMap
+from panoptic4d.sequence import ClassMap, sequence_windows
 from panoptic4d.synth import generate_sequence
-from panoptic4d.training import sequence_windows
 
 from oracles import (
     brute_force_assignment,

@@ -11,14 +11,13 @@ from panoptic4d.errors import CapacityError, FormatError, ParameterError
 from panoptic4d.heads import hungarian_match, total_loss
 from panoptic4d.model import PanopticModel, prepare_window
 from panoptic4d.optim import AdamW, load_checkpoint, save_checkpoint
-from panoptic4d.sequence import window_starts
+from panoptic4d.sequence import sequence_windows, window_starts
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import (
     TrainingDiverged,
     augmentation,
     load_model,
     save_model,
-    sequence_windows,
     train_model,
 )
 
@@ -66,13 +65,11 @@ def crowded_late_seq():
     )
 
 
-@pytest.mark.parametrize("augment, steps_before", [(False, 0), (True, 2)])
-def test_too_many_targets_fail_when_the_window_is_built(
-    crowded_late_seq, augment, steps_before, monkeypatch
-):
+@pytest.mark.parametrize("augment", [False, True])
+def test_too_many_targets_fail_when_the_window_is_built(crowded_late_seq, augment, monkeypatch):
     """A window with more segments than queries is a CapacityError naming
-    its frames: before step 0 when the windows are cached, and at the step
-    that builds it when they are augmented."""
+    its frames, raised by the pass that builds every window before step 0,
+    with augmentation or without."""
     steps = []
     step = AdamW.step
 
@@ -85,7 +82,7 @@ def test_too_many_targets_fail_when_the_window_is_built(
     model = PanopticModel(cfg.model_config(), init_seed=0)
     with pytest.raises(CapacityError, match=r"window frames \[4, 5\]: 7 targets exceed 4 queries"):
         train_model(model, crowded_late_seq, cfg, log_every=0)
-    assert len(steps) == steps_before
+    assert steps == []
 
 
 def test_sequence_windows_cover_all_frames(tiny_seq):
@@ -240,14 +237,23 @@ def test_checkpoint_round_trip(tmp_path, tiny_seq):
         np.testing.assert_array_equal(p1[k].values, p2[k].values)
 
 
+def desk_scene(num_frames: int = 4):
+    """The overfit scene of acceptance criterion 4, num_frames long."""
+    return generate_sequence(
+        SceneSpec(
+            seed=0,
+            num_frames=num_frames,
+            num_thing_objects=3,
+            points_per_object=110,
+            points_per_stuff=220,
+        )
+    )
+
+
 def desk_window():
     """The desk-preset model and the first window of the overfit scene of
     acceptance criterion 4, with its targets."""
-    seq = generate_sequence(
-        SceneSpec(
-            seed=0, num_frames=4, num_thing_objects=3, points_per_object=110, points_per_stuff=220
-        )
-    )
+    seq = desk_scene()
     cfg = desk_preset()
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     scans, poses = sequence_windows(seq, cfg.window, cfg.train_stride)[0]
@@ -346,12 +352,26 @@ def test_training_memory_bound():
             seed=0, num_frames=4, num_thing_objects=3, points_per_object=1000, points_per_stuff=2000
         )
     )
-    cfg = desk_preset(steps=3)
+    peak = desk_training_peak(seq, steps=3)
+    assert peak < 55e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def desk_training_peak(seq, steps: int) -> int:
+    """The tracemalloc peak of a desk training on seq, model included."""
+    cfg = desk_preset(steps=steps)
     tracemalloc.start()
     try:
         model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
         train_model(model, seq, cfg, log_every=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 55e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_training_memory_does_not_grow_with_windows():
+    """Each step prepares its own window, so 200 windows peak within 1.25x
+    of 20 (1.00x measured; 1.81x when every window was prepared and kept
+    before step 0)."""
+    few, many = desk_scene(21), desk_scene(201)
+    ratio = desk_training_peak(many, steps=2) / desk_training_peak(few, steps=2)
+    assert ratio < 1.25, f"200 windows peak at {ratio:.2f}x of 20"
