@@ -9,7 +9,6 @@ between queries and a feed-forward block, all pre-norm residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,42 +17,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
 from .errors import ParameterError, ShapeError
-from .geometry import VoxelGrid, farthest_point_sampling
+from .geometry import VoxelGrid, WindowContext, farthest_point_sampling
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 
 if TYPE_CHECKING:
     from .heads import MaskModuleOutput
     from .model import ModelConfig
-
-
-@dataclass(frozen=True)
-class WindowContext:
-    """Normalization frame of one superimposed window: spatial extent and time span."""
-
-    extent_min: np.ndarray  # (3,)
-    extent_max: np.ndarray  # (3,)
-    frame_lo: int
-    frame_hi: int
-
-    @property
-    def extent_size(self) -> np.ndarray:
-        return np.maximum(self.extent_max - self.extent_min, 1e-12)
-
-    @property
-    def frame_span(self) -> int:
-        return max(1, self.frame_hi - self.frame_lo)
-
-    # Coordinates map into [0, 1/2] instead of [0, 1]: with integer frequency
-    # banks, phase 2*pi*f aliases with phase 0, which would give the first and
-    # last frame of a window identical encodings. Half a period keeps the base
-    # frequency injective over the window.
-    def normalize_positions(self, positions: np.ndarray) -> np.ndarray:
-        return 0.5 * (positions - self.extent_min) / self.extent_size
-
-    def normalize_frames(self, frames: np.ndarray) -> np.ndarray:
-        return (
-            0.5 * (np.asarray(frames, dtype=np.float64) - self.frame_lo) / self.frame_span
-        )
 
 
 def fourier_features(

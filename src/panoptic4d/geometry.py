@@ -1,5 +1,6 @@
 """Point-cloud primitives: rigid transforms, scan superposition, voxelization,
-farthest point sampling, and trajectory bounding boxes.
+a window's normalization frame, farthest point sampling, and trajectory
+bounding boxes.
 
 All operations are pure functions over immutable inputs; none of them keeps
 shared mutable state, so concurrent calls are safe.
@@ -67,6 +68,13 @@ def rot_z(angle_rad: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def first_non_finite(points: np.ndarray) -> int:
+    """Index of the first row of points holding a NaN or infinity, -1 if none."""
+    finite = np.isfinite(points)
+    # the flat all() is about ten times faster than the per-row one
+    return -1 if finite.all() else int(np.argmin(finite.all(axis=1)))
+
+
 @dataclass
 class LidarScan:
     """One LiDAR sweep in the sensor frame, with optional per-point labels."""
@@ -80,6 +88,11 @@ class LidarScan:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if self.frame_index < 0:
             raise ParameterError("frame_index must be >= 0")
+        bad = first_non_finite(self.points)
+        if bad >= 0:
+            raise ParameterError(
+                f"frame {self.frame_index}: point {bad} {self.points[bad].tolist()} is not finite"
+            )
         for name in ("semantic", "instance"):
             arr = getattr(self, name)
             if arr is not None:
@@ -138,6 +151,38 @@ class VoxelGrid:
         return self.voxel_coords.shape[0]
 
 
+@dataclass(frozen=True)
+class WindowContext:
+    """Normalization frame of one superimposed window: spatial extent and time
+    span. Positions and trajectory boxes are both normalized by extent_size,
+    which floors a zero-size axis (a planar window) at 1e-12."""
+
+    extent_min: np.ndarray  # (3,)
+    extent_max: np.ndarray  # (3,)
+    frame_lo: int
+    frame_hi: int
+
+    @property
+    def extent_size(self) -> np.ndarray:
+        return np.maximum(self.extent_max - self.extent_min, 1e-12)
+
+    @property
+    def frame_span(self) -> int:
+        return max(1, self.frame_hi - self.frame_lo)
+
+    # Coordinates map into [0, 1/2] instead of [0, 1]: with integer frequency
+    # banks, phase 2*pi*f aliases with phase 0, which would give the first and
+    # last frame of a window identical encodings. Half a period keeps the base
+    # frequency injective over the window.
+    def normalize_positions(self, positions: np.ndarray) -> np.ndarray:
+        return 0.5 * (positions - self.extent_min) / self.extent_size
+
+    def normalize_frames(self, frames: np.ndarray) -> np.ndarray:
+        return (
+            0.5 * (np.asarray(frames, dtype=np.float64) - self.frame_lo) / self.frame_span
+        )
+
+
 def apply_pose(scan: LidarScan, pose: Pose) -> np.ndarray:
     """Transform a scan's points into the global frame.
 
@@ -159,8 +204,8 @@ def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
         raise ParameterError("need at least one scan")
     parts, frames = [], []
     for slot, (scan, pose) in enumerate(zip(scans, poses)):
-        if not np.isfinite(scan.points).all():
-            bad = np.flatnonzero(~np.isfinite(scan.points).all(axis=1))[0]
+        bad = first_non_finite(scan.points)
+        if bad >= 0:
             raise ParameterError(
                 f"window slot {slot} (frame {scan.frame_index}): point {bad} is not finite"
             )
@@ -253,23 +298,15 @@ def farthest_point_sampling(points: np.ndarray, k: int, seed_index: int = 0) -> 
     return chosen
 
 
-def trajectory_box(
-    points: np.ndarray,
-    extent_min: np.ndarray,
-    extent_max: np.ndarray,
-) -> np.ndarray:
-    """Axis-aligned bounds of an instance point set, normalized to a reference
-    extent, as the (6,) vector (center, dims).
+def trajectory_box(points: np.ndarray, ctx: WindowContext) -> np.ndarray:
+    """Axis-aligned bounds of an instance point set, normalized to the
+    window's extent, as the (6,) vector (center, dims).
 
     center = (box midpoint - extent_min) / extent_size, dims = box size / extent_size.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if points.shape[0] == 0:
         raise EmptyInstanceError("cannot build a trajectory box from zero points")
-    extent_min = np.asarray(extent_min, dtype=np.float64).reshape(3)
-    extent_max = np.asarray(extent_max, dtype=np.float64).reshape(3)
-    size = extent_max - extent_min
-    if np.any(size <= 0):
-        raise ParameterError("reference extent must have positive size on each axis")
     lo, hi = points.min(axis=0), points.max(axis=0)
-    return np.concatenate([((lo + hi) / 2.0 - extent_min) / size, (hi - lo) / size])
+    size = ctx.extent_size
+    return np.concatenate([((lo + hi) / 2.0 - ctx.extent_min) / size, (hi - lo) / size])

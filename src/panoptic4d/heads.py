@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
-from .geometry import SuperimposedCloud, VoxelGrid, trajectory_box
+from .geometry import SuperimposedCloud, VoxelGrid, WindowContext, trajectory_box
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 from .sequence import ClassMap
 
@@ -110,13 +110,14 @@ def build_targets(
     point_semantic: np.ndarray,
     point_instance: np.ndarray,
     class_map: ClassMap,
+    ctx: WindowContext,
 ) -> Targets:
     """Voxel-level segments from per-point labels.
 
     Each voxel is assigned to the most frequent (class, instance) pair among
     its member points (points of no class excluded, ties to the pair seen first).
     Thing instances additionally get a trajectory box computed from their raw
-    points, normalized by the window extent.
+    points, normalized by the window context's extent.
     """
     point_semantic = np.asarray(point_semantic).reshape(-1)
     point_instance = np.asarray(point_instance).reshape(-1)
@@ -151,11 +152,10 @@ def build_targets(
     class_index, rank = np.divmod(pair_keys[winners], inst_ids.size)
     instance_id = inst_ids[rank].astype(np.int64)
     targets = Targets(masks, class_index, instance_id, np.zeros((winners.size, 6)))
-    extent_min, extent_max = cloud.extent()
     for t in np.flatnonzero(targets.is_thing).tolist():
         sem, inst = class_map.ids[class_index[t]], instance_id[t]
         pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
-        targets.boxes[t] = trajectory_box(pts, extent_min, extent_max)
+        targets.boxes[t] = trajectory_box(pts, ctx)
     return targets
 
 

@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from .errors import ArityError, FormatError, InvalidPoseError, ParameterError
-from .geometry import Pose
+from .geometry import Pose, first_non_finite
 
 SCAN_RECORD_BYTES = 16  # four float32 per point
 LABEL_RECORD_BYTES = 4
@@ -80,8 +80,8 @@ def read_scan(path: str) -> tuple[np.ndarray, np.ndarray]:
         )
     rec = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
     points = rec[:, :3].copy()
-    if not np.isfinite(points).all():
-        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+    bad = first_non_finite(points)
+    if bad >= 0:
         raise FormatError(
             f"scan file {path} has a non-finite coordinate in record {bad}",
             byte_offset=bad * SCAN_RECORD_BYTES,

@@ -137,16 +137,6 @@ def _blocks(gt: SequenceLabels) -> Iterator[_Block]:
         begin, start = end, start + total
 
 
-def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Groups of equal keys in ascending key order: the index of each group's
-    first element, the group sizes, and the group of every element."""
-    keys, sizes = np.unique(key, return_counts=True)
-    group = np.searchsorted(keys, key)
-    first = np.full(keys.size, key.size, dtype=np.int64)
-    np.minimum.at(first, group, np.arange(key.size))
-    return first, sizes, group
-
-
 def _pack(
     major: np.ndarray, minor: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
@@ -239,13 +229,12 @@ def _s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> f
         g_sel = valid & np.isin(gt_sem, things, kind="sort") & (gt_inst > 0)
         p_sel = valid & (pred_inst > 0)
         idx = np.flatnonzero(g_sel)
-        key, unpack = _pack(gt_inst[idx], block.begin + block.frame[idx])
-        key, size = np.unique(key, return_counts=True)
-        tubes.append((*unpack(key), size))  # per (tube, frame), ascending
-        pred_tubes.append(np.unique(pred_inst[np.flatnonzero(p_sel)], return_counts=True))
+        t_id, first, size = np.unique(gt_inst[idx], return_index=True, return_counts=True)
+        tubes.append((t_id, block.begin + block.frame[idx[first]], size))
+        pred_tubes.append(np.unique(pred_inst[p_sel], return_counts=True))
         idx = np.flatnonzero(g_sel & p_sel)
         g, p = gt_inst[idx], pred_inst[idx]
-        first, size, _ = _group(_pack(g, p)[0])
+        _, first, size = np.unique(_pack(g, p)[0], return_index=True, return_counts=True)
         pairs.append((g[first], p[first], size, block.start + idx[first]))
 
     if not sum(t[0].size for t in tubes):
@@ -266,10 +255,8 @@ def _s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> f
     tube = np.searchsorted(t_id, pair_g)
     union = t_size[tube] + p_size[np.searchsorted(p_id, pair_p)] - overlap
     inner = np.bincount(tube, weights=overlap * (overlap / union), minlength=t_id.size)
-    total = 0.0
-    for value in (inner / t_size)[np.lexsort((t_id, t_frame))].tolist():
-        total += value
-    return total / t_id.size
+    # cumsum adds the tubes one by one, in order of (first frame, gt id)
+    return float(np.cumsum((inner / t_size)[np.lexsort((t_id, t_frame))])[-1] / t_id.size)
 
 
 def _concat(tables: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -279,11 +266,9 @@ def _concat(tables: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
 
 def _merge(key: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each distinct key's first entry (keys ascending) and the
-    summed counts per key."""
-    first, _, group = _group(key)
-    total = np.zeros(first.size, dtype=np.int64)
-    np.add.at(total, group, counts)
-    return first, total
+    summed counts per key (float64, exact below 2^53)."""
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    return first, np.bincount(group, weights=counts)
 
 
 def lstq(s_cls_value: float, s_assoc_value: float) -> float:
@@ -311,14 +296,12 @@ def _segments(
     thing = np.isin(sem, class_map.thing_ids, kind="sort")
     stuff = np.isin(sem, class_map.stuff_ids, kind="sort")
     member = np.flatnonzero(valid & ((thing & (inst > 0)) | stuff))
-    frame_class, unpack_frame_class = _pack(frame[member], sem[member])
-    key, unpack = _pack(frame_class, np.where(thing[member], inst[member], 0))
+    cell = frame[member] * class_map.ids.size + class_map.index(sem[member])
+    key, unpack = _pack(cell, np.where(thing[member], inst[member], 0))
     keys, size = np.unique(key, return_counts=True)
     point_key = np.full(sem.size, -1, dtype=np.int64)
     point_key[member] = key
-    seg_frame, seg_class = unpack_frame_class(unpack(keys)[0])
-    cell = seg_frame * class_map.ids.size + class_map.index(seg_class)
-    return point_key, keys, cell, size
+    return point_key, keys, unpack(keys)[0], size
 
 
 def _scan_stats(

@@ -12,9 +12,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
-from .decoder import FourierEncoder, QueryRefiner, WindowContext, init_queries
-from .errors import ContractError, ParameterError
-from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, superimpose, voxelize
+from .decoder import FourierEncoder, QueryRefiner, init_queries
+from .errors import ContractError, EmptyInstanceError, ParameterError
+from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, WindowContext, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
 
@@ -45,10 +45,13 @@ class ModelConfig:
     query_seed: int = 0
 
     def __post_init__(self):
-        # one rule for the float fields of this class and of its subclasses
+        # one rule for the float and the seed fields of this class and of its subclasses
         for f in dataclasses.fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
-                raise ParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
+            if f.name.endswith("_seed") and value < 0:
+                raise ParameterError(f"{f.name} must be >= 0, got {value}")
         if self.voxel_size <= 0:
             raise ParameterError("voxel_size must be positive")
         if self.window < 1:
@@ -117,26 +120,22 @@ def prepare_window(
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> WindowData:
     """Superimpose, voxelize and seed one window; transform, when given, maps
-    the superimposed (M, 3) points before voxelizing (training augmentation)."""
+    the superimposed (M, 3) points before voxelizing (training augmentation).
+    A window without points is an EmptyInstanceError naming its frames."""
     cloud = superimpose(scans, poses)
+    frames = [s.frame_index for s in scans]
+    if cloud.num_points == 0:
+        raise EmptyInstanceError(f"window frames {frames}: no points")
     if transform is not None:
         cloud.points = transform(cloud.points)
     grid = voxelize(cloud, voxel_size)
-    frames = [s.frame_index for s in scans]
-    ext_min, ext_max = cloud.extent()
-    ctx = WindowContext(
-        extent_min=ext_min,
-        extent_max=ext_max,
-        frame_lo=min(frames),
-        frame_hi=max(frames),
-    )
     return WindowData(
         frames=frames,
         scans=scans,
         cloud=cloud,
         grid=grid,
         seed=seed_features(grid, frames),
-        ctx=ctx,
+        ctx=WindowContext(*cloud.extent(), min(frames), max(frames)),
     )
 
 
@@ -196,4 +195,4 @@ class PanopticModel:
 
     def window_targets(self, window: WindowData) -> Targets:
         sem, inst = window.point_labels()
-        return build_targets(window.cloud, window.grid, sem, inst, self.class_map)
+        return build_targets(window.cloud, window.grid, sem, inst, self.class_map, window.ctx)

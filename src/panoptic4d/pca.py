@@ -1,5 +1,5 @@
-"""Feature inspection: top principal components via power iteration with
-deflation, RGB mapping, and ASCII PLY output.
+"""Feature inspection: top principal components from a symmetric
+eigendecomposition, RGB mapping, and ASCII PLY output.
 """
 
 from __future__ import annotations
@@ -13,44 +13,28 @@ from .errors import ParameterError
 _VARIANCE_FLOOR = 1e-12
 
 
-def top_components(
-    features: np.ndarray, k: int = 3, iters: int = 300
-) -> tuple[np.ndarray, np.ndarray]:
+def top_components(features: np.ndarray, k: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Leading k principal directions of (n, d) features.
 
-    Power iteration on the covariance with deflation after each component.
-    Signs are fixed by making each component's largest-magnitude entry
-    positive. Returns (components (k, d), projections (n, k)); components of
-    exhausted variance come back as zero rows.
+    The eigenvectors of the covariance (np.linalg.eigh) in order of
+    decreasing eigenvalue. Signs are fixed by making each component's
+    largest-magnitude entry positive. Returns (components (k, d), projections
+    (n, k)); components of exhausted variance (eigenvalue at most 1e-12) come
+    back as zero rows.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ParameterError(f"features must be 2-D, got shape {features.shape}")
+    if features.ndim != 2 or features.shape[1] < 1:
+        raise ParameterError(f"features must be 2-D with a column, got shape {features.shape}")
     n, d = features.shape
     if k < 1:
         raise ParameterError("k must be >= 1")
     centered = features - features.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / max(1, n)
+    eigenvalues, vectors = np.linalg.eigh(centered.T @ centered / max(1, n))
+    top = vectors[:, ::-1][:, : min(k, d)].T  # eigh sorts eigenvalues ascending
+    top = top[eigenvalues[::-1][: min(k, d)] > _VARIANCE_FLOOR]
+    pivot = top[np.arange(len(top)), np.argmax(np.abs(top), axis=1)]
     components = np.zeros((k, d))
-    for c in range(min(k, d)):
-        if np.trace(cov) <= _VARIANCE_FLOOR:
-            break
-        v = np.ones(d) / np.sqrt(d)
-        for _ in range(iters):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm <= _VARIANCE_FLOOR:
-                v = np.zeros(d)
-                break
-            v = w / norm
-        if not v.any():
-            break
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        components[c] = v
-        lam = float(v @ cov @ v)
-        cov = cov - lam * np.outer(v, v)
+    components[: len(top)] = top * np.sign(pivot)[:, None]
     return components, centered @ components.T
 
 

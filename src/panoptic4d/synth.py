@@ -38,6 +38,8 @@ class SceneSpec:
     hidden: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.num_frames <= 0:
             raise ParameterError("num_frames must be positive")
         if self.num_thing_objects < 0:

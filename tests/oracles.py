@@ -17,13 +17,13 @@ import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor
 from panoptic4d.backbone import FeaturePyramid, seed_features
 from panoptic4d.config import RunConfig
-from panoptic4d.decoder import WindowContext
 from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
 from panoptic4d.geometry import (
     LidarScan,
     Pose,
     SuperimposedCloud,
     VoxelGrid,
+    WindowContext,
     rot_z,
     superimpose,
     trajectory_box,
@@ -968,13 +968,14 @@ def loop_build_targets(
     point_semantic: np.ndarray,
     point_instance: np.ndarray,
     class_map: ClassMap,
+    ctx: WindowContext,
 ) -> Targets:
     """Voxel-level segments from per-point labels.
 
     Each voxel is assigned to the most frequent (class, instance) pair among
     its member points (ignored points excluded, ties to the pair seen first).
     Thing instances additionally get a trajectory box computed from their raw
-    points, normalized by the window extent.
+    points, normalized by the window context's extent.
     """
     point_semantic = np.asarray(point_semantic).reshape(-1)
     point_instance = np.asarray(point_instance).reshape(-1)
@@ -1004,7 +1005,6 @@ def loop_build_targets(
         if key is not None:
             groups.setdefault(key, []).append(v)
 
-    extent_min, extent_max = cloud.extent()
     segments = []
     for (sem, inst), voxels in groups.items():
         mask = np.zeros(k, dtype=bool)
@@ -1015,7 +1015,7 @@ def loop_build_targets(
             pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]
             if pts.shape[0] == 0:  # only possible via voxel-majority flips
                 pts = grid.voxel_centroids[mask]
-            box = trajectory_box(pts, extent_min, extent_max)
+            box = trajectory_box(pts, ctx)
         segments.append((mask, class_index[sem], inst, box))
     return target_table(segments, k)
 

@@ -466,6 +466,39 @@ def test_train_config_errors_name_the_file(tmp_path, capsys, text, message):
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, in_file, argv",
+    [
+        ("train_seed", "0", ["--seed", "-1"]),
+        ("train_seed", "-1", []),
+        ("model_seed", "-2", []),
+        ("query_seed", "-2", []),
+    ],
+)
+def test_train_rejects_negative_seed_naming_the_key(
+    workspace, tmp_path, tiny_cfg_text, monkeypatch, capsys, key, in_file, argv
+):
+    """A negative seed, given on the command line or in the config file,
+    fails at load with its key, before any training."""
+    monkeypatch.setattr("panoptic4d.cli.train_model", lambda *a, **k: pytest.fail("trained"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny_cfg_text.replace(f"{key} = 0", f"{key} = {in_file}"))
+    out = tmp_path / "o"
+    seq = str(workspace / "seq")
+    rc = main(["train", "--config", str(cfg), "--sequence", seq, *argv, "--out", str(out)])
+    assert rc == 1
+    value, prefix = (argv[1], "error: ") if argv else (in_file, f"error: {cfg}: ")
+    assert f"{prefix}{key} must be >= 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "seq"
+    assert main(["generate", "--seed", "-1", "--out", str(out)]) == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _corrupt_checkpoint(blob: bytes, how: str) -> tuple[bytes, str]:
     """The checkpoint bytes corrupted one way, and the message that names it.
     Layout: magic 8, version 4, config length 4, config, count 4, then per

@@ -9,13 +9,12 @@ from panoptic4d.decoder import (
     FourierEncoder,
     MultiHeadAttention,
     QueryRefiner,
-    WindowContext,
     fourier_features,
     init_queries,
     propagate_foreground,
 )
 from panoptic4d.errors import ParameterError
-from panoptic4d.geometry import farthest_point_sampling
+from panoptic4d.geometry import WindowContext, farthest_point_sampling
 from panoptic4d.heads import MaskModule, MaskModuleOutput
 from panoptic4d.model import ModelConfig
 

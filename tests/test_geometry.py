@@ -17,6 +17,7 @@ from panoptic4d.geometry import (
     LidarScan,
     Pose,
     SuperimposedCloud,
+    WindowContext,
     apply_pose,
     farthest_point_sampling,
     rot_z,
@@ -121,12 +122,22 @@ class TestSuperimpose:
         )
         np.testing.assert_allclose(d_before, d_after, atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scan_rejects_non_finite_point_naming_frame_and_point(self, bad):
+        pts = np.ones((4, 3))
+        pts[2, 1] = bad
+        pts[3, 0] = np.nan
+        with pytest.raises(ParameterError, match=rf"frame 5: point 2 \[1.0, {bad}, 1.0\] is not finite"):
+            LidarScan(points=pts, frame_index=5)
+        with pytest.raises(ParameterError, match=r"frame 0: point 0 \[nan, 0.0, inf\]"):
+            LidarScan(points=[[np.nan, 0, np.inf]], frame_index=0)
+
     def test_non_finite_point_names_slot_frame_and_point(self):
         good = LidarScan(points=np.zeros((4, 3)), frame_index=3)
-        pts = np.ones((5, 3))
-        pts[2, 1] = np.nan
-        pts[4, 0] = np.inf
-        bad = LidarScan(points=pts, frame_index=7)
+        bad = LidarScan(points=np.ones((5, 3)), frame_index=7)
+        # scans are mutable, so superimpose checks the points it is given
+        bad.points[2, 1] = np.nan
+        bad.points[4, 0] = np.inf
         with pytest.raises(ParameterError, match=r"slot 1 \(frame 7\): point 2 "):
             superimpose([good, bad], [Pose.identity(), Pose.identity()])
 
@@ -332,28 +343,32 @@ class TestFarthestPointSampling:
 
 
 class TestTrajectoryBox:
+    CTX = WindowContext(np.zeros(3), np.full(3, 10.0), 0, 0)
+
     def test_basic_arithmetic(self):
-        box = trajectory_box(
-            [[0.0, 0, 0], [2.0, 4.0, 6.0]], np.zeros(3), np.full(3, 10.0)
-        )
+        box = trajectory_box([[0.0, 0, 0], [2.0, 4.0, 6.0]], self.CTX)
         assert box.shape == (6,) and box.dtype == np.float64
         np.testing.assert_allclose(box[:3], [0.1, 0.2, 0.3])
         np.testing.assert_allclose(box[3:], [0.2, 0.4, 0.6])
 
     def test_single_point(self):
-        box = trajectory_box([[5.0, 5.0, 5.0]], np.zeros(3), np.full(3, 10.0))
+        box = trajectory_box([[5.0, 5.0, 5.0]], self.CTX)
         np.testing.assert_allclose(box[:3], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(box[3:], [0.0, 0.0, 0.0])
 
     def test_full_span(self):
-        box = trajectory_box(
-            [[0.0, 0, 0], [10.0, 10, 10]], np.zeros(3), np.full(3, 10.0)
-        )
+        box = trajectory_box([[0.0, 0, 0], [10.0, 10, 10]], self.CTX)
         np.testing.assert_allclose(box[:3], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(box[3:], [1.0, 1.0, 1.0])
 
     def test_errors(self):
         with pytest.raises(EmptyInstanceError):
-            trajectory_box(np.zeros((0, 3)), np.zeros(3), np.ones(3))
-        with pytest.raises(ParameterError):
-            trajectory_box([[0.0, 0, 0]], np.zeros(3), np.array([1.0, 0.0, 1.0]))
+            trajectory_box(np.zeros((0, 3)), self.CTX)
+
+    def test_zero_size_axis_uses_the_context_floor(self):
+        """A planar window (one axis of zero size) gives finite boxes, scaled
+        by the same floored extent that normalizes the positions."""
+        ctx = WindowContext(np.zeros(3), np.array([2.0, 4.0, 0.0]), 0, 0)
+        box = trajectory_box([[0.0, 0, 0], [1.0, 2.0, 0.0]], ctx)
+        np.testing.assert_array_equal(box, [0.25, 0.25, 0.0, 0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(ctx.extent_size, [2.0, 4.0, 1e-12])

@@ -4,7 +4,7 @@ import pytest
 import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, backward
 from panoptic4d.errors import CapacityError, ContractError, ShapeError
-from panoptic4d.geometry import superimpose, voxelize, LidarScan, Pose
+from panoptic4d.geometry import superimpose, voxelize, LidarScan, Pose, WindowContext
 from panoptic4d.heads import (
     LossWeights,
     MaskModuleOutput,
@@ -206,6 +206,11 @@ class TestHungarianMatch:
         )
 
 
+def context(cloud):
+    """The normalization frame of a one-frame window holding cloud."""
+    return WindowContext(*cloud.extent(), 0, 0)
+
+
 class TestBuildTargets:
     def make_window(self):
         rng = np.random.default_rng(0)
@@ -224,12 +229,12 @@ class TestBuildTargets:
 
     def test_segments_cover_all_voxels_disjointly(self):
         cloud, grid, sem, inst = self.make_window()
-        targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)))
+        targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)), context(cloud))
         assert np.all(targets.masks.sum(axis=0) == 1)
 
     def test_things_have_boxes_stuff_does_not(self):
         cloud, grid, sem, inst = self.make_window()
-        targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)))
+        targets = build_targets(cloud, grid, sem, inst, ClassMap((1, 2), (3, 4)), context(cloud))
         things = targets.is_thing
         assert things.sum() == 2 and (~things).sum() == 1
         v = targets.boxes[things]
@@ -241,7 +246,7 @@ class TestBuildTargets:
         cloud, grid, sem, inst = self.make_window()
         sem2 = sem.copy()
         sem2[:10] = 255
-        targets = build_targets(cloud, grid, sem2, inst, ClassMap((1, 2), (3, 4)))
+        targets = build_targets(cloud, grid, sem2, inst, ClassMap((1, 2), (3, 4)), context(cloud))
         # voxels whose points are all ignored appear in no mask
         assert np.all(targets.masks.sum(axis=0) <= 1)
 
@@ -289,8 +294,9 @@ class TestBuildTargetsMatchesLoop:
     def test_criterion_4_windows(self):
         count = 0
         for data, sem, inst in criterion_4_windows():
-            got = build_targets(data.cloud, data.grid, sem, inst, self.CM)
-            assert_same_targets(got, loop_build_targets(data.cloud, data.grid, sem, inst, self.CM))
+            got = build_targets(data.cloud, data.grid, sem, inst, self.CM, data.ctx)
+            want = loop_build_targets(data.cloud, data.grid, sem, inst, self.CM, data.ctx)
+            assert_same_targets(got, want)
             self.assert_table_invariants(got, data.grid.num_voxels)
             assert got.is_thing.any() and got.masks.any(axis=1).all()
             count += 1
@@ -302,15 +308,15 @@ class TestBuildTargetsMatchesLoop:
         sems = [[1, 3, 255], [1, 2, 3, 4, 255, 9], [255, 255, 2], [3, 4]][seed % 4]
         insts = [[0, 1, 2], [0, 5, -3, 1 << 40], [7]][seed % 3]
         cloud, grid, sem, inst = labelled_cloud(seed, 60 + 40 * seed, 3.0 / (2 + seed % 5), sems, insts)
-        got = build_targets(cloud, grid, sem, inst, self.CM)
-        assert_same_targets(got, loop_build_targets(cloud, grid, sem, inst, self.CM))
+        got = build_targets(cloud, grid, sem, inst, self.CM, context(cloud))
+        assert_same_targets(got, loop_build_targets(cloud, grid, sem, inst, self.CM, context(cloud)))
         self.assert_table_invariants(got, grid.num_voxels)
 
     def test_every_point_ignored(self):
         cloud, grid, sem, inst = labelled_cloud(0, 50, 0.5, [255, 9], [0, 1])
-        targets = build_targets(cloud, grid, sem, inst, self.CM)
+        targets = build_targets(cloud, grid, sem, inst, self.CM, context(cloud))
         assert len(targets) == 0
-        assert len(loop_build_targets(cloud, grid, sem, inst, self.CM)) == 0
+        assert len(loop_build_targets(cloud, grid, sem, inst, self.CM, context(cloud))) == 0
         assert targets.masks.shape == (0, grid.num_voxels)
         assert targets.class_index.shape == targets.instance_id.shape == (0,)
         assert targets.boxes.shape == (0, 6)
@@ -333,7 +339,7 @@ class TestBuildTargetsMatchesLoop:
         inst = np.array([0, 0, 4, 5])
         cloud = superimpose([LidarScan(points=pts, frame_index=0)], [Pose.identity()])
         grid = voxelize(cloud, 1.0)
-        targets = build_targets(cloud, grid, sem, inst, self.CM)
+        targets = build_targets(cloud, grid, sem, inst, self.CM, context(cloud))
         assert list(zip(targets.class_index.tolist(), targets.instance_id.tolist())) == [(2, 0)]
 
 

@@ -285,6 +285,13 @@ class TestAgainstOraclesRandom:
         for v in rep.as_row().values():
             assert 0.0 <= v <= 1.0
 
+    def test_scores_are_python_floats(self):
+        """np.float64 subclasses float, so the type is compared exactly."""
+        pred, gt = labels_from_scene(random_scene(np.random.default_rng(6), CM.thing_ids, CM.stuff_ids))
+        rep = evaluate(pred, gt, CM)
+        assert [type(v) for v in rep.as_row().values()] == [float] * 8
+        assert type(s_assoc(pred, gt, CM)) is float
+
 
 # ---------------------------------------------------------------------------
 # bit-exact agreement with the original per-point loops

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 import panoptic4d.autodiff as ad
 from panoptic4d.config import desk_preset
-from panoptic4d.errors import CapacityError, FormatError, ParameterError
+from panoptic4d.errors import CapacityError, EmptyInstanceError, FormatError, ParameterError
 from panoptic4d.heads import hungarian_match, total_loss
 from panoptic4d.model import PanopticModel, prepare_window
 from panoptic4d.optim import AdamW, load_checkpoint, save_checkpoint
@@ -83,6 +84,27 @@ def test_too_many_targets_fail_when_the_window_is_built(crowded_late_seq, augmen
     with pytest.raises(CapacityError, match=r"window frames \[4, 5\]: 7 targets exceed 4 queries"):
         train_model(model, crowded_late_seq, cfg, log_every=0)
     assert steps == []
+
+
+def test_planar_scene_trains():
+    """A desk training on a scene whose points all lie at z = 0 completes:
+    its boxes are normalized by the window context's floored extent."""
+    seq = desk_scene()
+    for scan in seq.scans:
+        scan.points[:, 2] = 0.0
+    cfg = desk_preset(steps=2)
+    model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
+    result = train_model(model, seq, cfg, log_every=0)
+    assert len(result.rows) == 2 and np.isfinite(result.final_loss)
+
+
+def test_empty_window_fails_naming_its_frames(tiny_seq):
+    seq = copy.deepcopy(tiny_seq)
+    for scan in seq.scans[:2]:
+        scan.points, scan.semantic, scan.instance = np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int)
+    cfg = tiny_cfg(steps=2)
+    with pytest.raises(EmptyInstanceError, match=r"window frames \[0, 1\]: no points"):
+        train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
 
 
 def test_sequence_windows_cover_all_frames(tiny_seq):
@@ -205,8 +227,6 @@ def test_csv_columns(tiny_seq):
 
 
 def test_unlabeled_sequence_rejected(tiny_seq):
-    import copy
-
     seq = copy.deepcopy(tiny_seq)
     for scan in seq.scans:
         scan.semantic = None
