@@ -23,12 +23,13 @@ from .config import (
     load_scene_spec,
     save_config,
 )
+from .autodiff import no_grad
 from .errors import ParameterError
 from .metrics import SequenceLabels, evaluate, report_csv
 from .model import PanopticModel, prepare_window
 from .pca import features_to_rgb, write_ply
 from .pipeline import evaluate_prediction, predict_sequence, write_prediction
-from .sequence import load_sequence, save_sequence, window_starts
+from .sequence import load_sequence, save_sequence, sequence_windows
 from .synth import SceneSpec, generate_sequence
 from .training import load_model, save_model, train_model
 from . import kitti_io
@@ -141,8 +142,11 @@ def _labels_from_dir(label_dir: str, gt_seq) -> SequenceLabels:
 def cmd_eval(args, out: _Outputs) -> int:
     cfg = _load_run_config(args)
     gt_seq = load_sequence(args.gt, cfg.class_map())
+    try:
+        gt = SequenceLabels.from_scans(gt_seq)
+    except ValueError as exc:
+        raise type(exc)(f"{args.gt}: {exc}") from exc
     pred = _labels_from_dir(args.pred, gt_seq)
-    gt = SequenceLabels.from_scans(gt_seq)
     report = evaluate(pred, gt, gt_seq.class_map)
     print(report.table())
     if args.out:
@@ -236,14 +240,12 @@ def run_ablation(
 def cmd_inspect(args, out: _Outputs) -> int:
     model, cfg = load_model(args.checkpoint)
     seq = load_sequence(args.sequence, cfg.class_map(), with_labels=False)
-    start, starts = args.window_start, window_starts(seq.num_frames, cfg.window, 1)
-    if start not in starts:
-        print(f"inspect: window start {start} outside [0, {starts[-1]}]", file=sys.stderr)
+    # with stride 1, window i starts at scan i
+    start, windows = args.window_start, sequence_windows(seq, cfg.window, 1)
+    if not 0 <= start < len(windows):
+        print(f"inspect: window start {start} outside [0, {len(windows) - 1}]", file=sys.stderr)
         return 2
-    scans = seq.scans[start : start + cfg.window]
-    poses = seq.poses[start : start + cfg.window]
-    from .autodiff import no_grad
-
+    scans, poses = windows[start]
     with no_grad():
         data = prepare_window(scans, poses, cfg.voxel_size)
         fwd = model.forward(data)

@@ -17,9 +17,9 @@ import warnings
 
 import numpy as np
 
+from . import heads
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
-from .geometry import SuperimposedCloud, VoxelGrid
-from .heads import MaskModuleOutput
+from .geometry import SuperimposedCloud, VoxelGrid, first_non_finite
 from .metrics import SequenceLabels
 from .sequence import ClassMap, ScanSequence, sequence_windows
 
@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 
 def extract_panoptic(
-    output: MaskModuleOutput, grid: VoxelGrid, class_map: ClassMap
+    output: heads.MaskModuleOutput, grid: VoxelGrid, class_map: ClassMap
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign every voxel to one query by confidence argmax, then expand to points.
 
@@ -106,12 +106,9 @@ def dbscan(
         raise ParameterError("min_pts must be >= 1")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ParameterError(
-            f"{int((~finite).sum())} of {n} points have non-finite coordinates, "
-            f"first at index {int(np.argmin(finite))}"
-        )
+    bad = first_non_finite(points)
+    if bad >= 0:
+        raise ParameterError(f"point {bad} of {n} has non-finite coordinates")
     if groups is None:
         group_rank = np.zeros(n, dtype=np.int64)
     else:
@@ -351,17 +348,20 @@ def stitch(
 
     Overlap counts on the shared frames feed a maximum-weight assignment;
     matched locals inherit the previous id (only with overlap >= 1 point),
-    everything else gets a fresh globally unique id. Returns the local -> global
-    mapping and the updated fresh-id counter.
+    everything else gets a fresh globally unique id, in ascending local id
+    order. Without shared frames (a first window, single-scan windows) every
+    local id is fresh; a shared frame not labelled on both sides with equal
+    point counts raises ContractError. Returns the local -> global mapping
+    and the updated fresh-id counter.
     """
-    shared = [f for f in shared_frames if f in prev.instance and f in nxt.instance]
-    if not shared:
-        raise ContractError("stitch requires at least one shared frame")
-    for f in shared:
+    for f in shared_frames:
+        if f not in prev.instance or f not in nxt.instance:
+            raise ContractError(f"shared frame {f} is not labelled on both sides")
         if prev.instance[f].shape != nxt.instance[f].shape:
             raise ContractError(f"shared frame {f} has mismatched point counts")
-    a = np.concatenate([prev.instance[f] for f in shared], dtype=np.int64)
-    b = np.concatenate([nxt.instance[f] for f in shared], dtype=np.int64)
+    empty = [np.zeros(0, dtype=np.int64)]  # no shared frames: nothing to match
+    a = np.concatenate(empty + [prev.instance[f] for f in shared_frames], dtype=np.int64)
+    b = np.concatenate(empty + [nxt.instance[f] for f in shared_frames], dtype=np.int64)
     both = (a > 0) & (b > 0)
     pg, nl = a[both], b[both]
 
@@ -375,13 +375,10 @@ def stitch(
         l_idx = np.searchsorted(locals_, pair % radix)
         counts = np.zeros((prevs.size, len(locals_)))
         counts[p_idx, l_idx] = overlap
-        # looked up per call, so a wrapper on heads.solve_assignment sees stitch matrices
-        from .heads import solve_assignment
-
         if prevs.size <= len(locals_):
-            pairs = solve_assignment(-counts)
+            pairs = heads.solve_assignment(-counts)
         else:
-            pairs = [(i, j) for j, i in solve_assignment(-counts.T)]
+            pairs = [(i, j) for j, i in heads.solve_assignment(-counts.T)]
         for i, j in pairs:
             if counts[i, j] >= 1:
                 mapping[locals_[j]] = int(prevs[i])
@@ -423,14 +420,7 @@ def run_sequence(
         frames = [s.frame_index for s in scans]
         pred = predictor(scans, poses, frames)
         shared = [f for f in frames if f in result.instance]
-        if not shared:
-            # first window, or single-scan windows: no tracking context yet
-            mapping = {}
-            for nl in _local_ids(pred):
-                mapping[nl] = next_free_id
-                next_free_id += 1
-        else:
-            mapping, next_free_id = stitch(result, pred, shared, next_free_id)
+        mapping, next_free_id = stitch(result, pred, shared, next_free_id)
         log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())

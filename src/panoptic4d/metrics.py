@@ -39,8 +39,9 @@ class SequenceLabels:
 
     @staticmethod
     def from_scans(seq: ScanSequence) -> "SequenceLabels":
-        if not seq.has_labels():
-            raise ContractError("sequence has no ground-truth labels")
+        for scan in seq.scans:
+            if not scan.has_labels():
+                raise ContractError(f"frame {scan.frame_index} has no ground-truth labels")
         return SequenceLabels(
             frames=[s.frame_index for s in seq.scans],
             semantic={s.frame_index: s.semantic for s in seq.scans},

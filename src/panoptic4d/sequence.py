@@ -117,7 +117,7 @@ def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) ->
             kitti_io.check_labels(out_dir, scan.frame_index, scan.semantic, scan.instance)
     os.makedirs(os.path.join(out_dir, "velodyne"), exist_ok=True)
     created = []
-    if write_labels and seq.has_labels():
+    if write_labels and any(scan.has_labels() for scan in seq.scans):
         os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
     for scan in seq.scans:
         spath = kitti_io.scan_path(out_dir, scan.frame_index)

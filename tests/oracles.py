@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import itertools
+import logging
 import warnings
 from typing import Callable, Sequence
 
@@ -40,10 +41,12 @@ from panoptic4d.heads import (
     box_l1_loss,
     ce_loss,
 )
-from panoptic4d.inference import dbscan
+from panoptic4d.inference import _local_ids, dbscan, stitch
 from panoptic4d.metrics import SequenceLabels
 from panoptic4d.model import WindowData
-from panoptic4d.sequence import IGNORE_LABEL, ClassMap
+from panoptic4d.sequence import IGNORE_LABEL, ClassMap, ScanSequence, sequence_windows
+
+log = logging.getLogger(__name__)
 
 
 def brute_force_assignment(cost: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -1264,3 +1267,44 @@ def _augmented_window(
         seed=seed_features(grid, frames),
         ctx=ctx,
     )
+
+
+def two_path_run_sequence(
+    predictor,
+    sequence: ScanSequence,
+    window: int,
+    stride: int,
+) -> SequenceLabels:
+    """run_sequence as it was with two ways of numbering tracks: a window
+    without shared frames numbered its locals itself, every other window went
+    through stitch."""
+    windows = sequence_windows(sequence, window, stride)
+    # only windows that actually form need to overlap
+    if len(windows) > 1 and window > 1 and stride >= window:
+        raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
+
+    result = SequenceLabels()
+    next_free_id = 1
+    for w, (scans, poses) in enumerate(windows):
+        frames = [s.frame_index for s in scans]
+        pred = predictor(scans, poses, frames)
+        shared = [f for f in frames if f in result.instance]
+        if not shared:
+            # first window, or single-scan windows: no tracking context yet
+            mapping = {}
+            for nl in _local_ids(pred):
+                mapping[nl] = next_free_id
+                next_free_id += 1
+        else:
+            mapping, next_free_id = stitch(result, pred, shared, next_free_id)
+        log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
+        lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
+        lookup[list(mapping)] = list(mapping.values())
+        for f in frames:
+            if f not in result.instance:
+                result.frames.append(f)
+            inst = pred.instance[f]
+            result.semantic[f] = pred.semantic[f].copy()
+            result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
+    result.frames.sort()
+    return result

@@ -204,6 +204,21 @@ def test_eval_unexpected_scan_name_names_the_directory(workspace, tmp_path, caps
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_eval_missing_gt_label_names_frame_and_directory(workspace, tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(workspace / "seq", gt)
+    (gt / "labels" / "000002.label").unlink()
+    rc = main(
+        [
+            "eval", "--pred", str(workspace / "seq"), "--gt", str(gt),
+            "--out", str(tmp_path / "report.csv"),
+        ]
+    )
+    assert rc == 1
+    assert f"error: {gt}: frame 2 has no ground-truth labels" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_train_requires_sequence(tmp_path, tiny_cfg_text):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(tiny_cfg_text)

@@ -1,4 +1,5 @@
-"""Package modules use each other only through public names."""
+"""Package modules use each other only through public names, and import
+only at module level."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,58 @@ def test_private_imports_are_found(tmp_path):
         "from . import __version__\n"
     )
     assert private_imports(src) == ["line 1: inference._flat", "line 2: panoptic4d.metrics._helper"]
+
+
+def _type_checking_block(node: ast.AST) -> bool:
+    test = getattr(node, "test", None)
+    return isinstance(node, ast.If) and (
+        (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING")
+        or (isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+    )
+
+
+def function_imports(path: Path) -> list[str]:
+    """'line N' for every import statement inside a function body of path,
+    outside `if TYPE_CHECKING:` blocks."""
+    found = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if _type_checking_block(node):
+            return
+        if in_function and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(f"line {node.lineno}")
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    return found
+
+
+def test_no_function_body_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    offenders = {p.name: function_imports(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_function_imports_are_found(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .model import ModelConfig\n"
+        "def f():\n"
+        "    import json\n"
+        "    if TYPE_CHECKING:\n"
+        "        from .heads import Targets\n"
+        "    class Inner:\n"
+        "        def g(self):\n"
+        "            from . import heads\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        if True:\n"
+        "            from .autodiff import no_grad\n"
+    )
+    assert function_imports(src) == ["line 6", "line 11", "line 15"]

@@ -21,7 +21,7 @@ from panoptic4d.inference import (
     stitch,
 )
 from panoptic4d.metrics import SequenceLabels
-from panoptic4d.sequence import ClassMap
+from panoptic4d.sequence import ClassMap, ScanSequence
 
 from oracles import (
     brute_force_max_assignment,
@@ -30,6 +30,7 @@ from oracles import (
     loop_split_non_compact,
     quadratic_dbscan,
     reference_dbscan,
+    two_path_run_sequence,
 )
 
 CM = ClassMap(thing_ids=(1, 2), stuff_ids=(3,))
@@ -219,8 +220,8 @@ class TestDbscan:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         pts = np.zeros((4, 3))
-        pts[2, 1] = bad
-        with pytest.raises(ParameterError, match="non-finite"):
+        pts[2, 1] = pts[3, 0] = bad
+        with pytest.raises(ParameterError, match="point 2 of 4 has non-finite coordinates"):
             dbscan(pts, eps=1.0, min_pts=1)
 
     @pytest.mark.parametrize("min_pts", [1, 3, 8])
@@ -688,11 +689,53 @@ class TestStitch:
         m2, f2 = stitch(prev, nxt, [2], next_free_id=10)
         assert m1 == m2 and f1 == f2
 
-    def test_no_shared_frame_rejected(self):
-        prev = self.prev_with(0, [1])
-        nxt = self.next_with(1, [1])
-        with pytest.raises(ContractError):
-            stitch(prev, nxt, [], next_free_id=5)
+    def test_wrapper_on_solve_assignment_sees_stitch_matrices(self, monkeypatch):
+        seen, solve = [], inference.heads.solve_assignment
+
+        def spy(cost):
+            seen.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(inference.heads, "solve_assignment", spy)
+        prev = self.prev_with(5, [0, 7, 7, 3, 0])
+        nxt = self.next_with(5, [0, 0, 2, 4, 4])
+        mapping, _ = stitch(prev, nxt, [5], next_free_id=100)
+        assert seen == [(2, 2)] and mapping == {2: 7, 4: 3}
+
+    def test_no_shared_frames_gives_fresh_ascending_ids(self, monkeypatch):
+        def no_solve(cost):
+            raise AssertionError("no assignment without shared frames")
+
+        monkeypatch.setattr(inference.heads, "solve_assignment", no_solve)
+        prev = self.prev_with(0, [12, 4])
+        nxt = SequenceLabels(
+            frames=[0, 1],
+            semantic={0: np.ones(3, dtype=np.int64), 1: np.ones(2, dtype=np.int64)},
+            instance={0: np.array([0, 12, 4]), 1: np.array([9, 4])},
+        )
+        mapping, free = stitch(prev, nxt, [], next_free_id=5)
+        assert list(mapping.items()) == [(4, 5), (9, 6), (12, 7)]
+        assert free == 8
+
+    @pytest.mark.parametrize(
+        "prev_frames, next_frames, problem",
+        [
+            ({3: 2, 4: 2}, {3: 2}, "frame 4 is not labelled on both sides"),
+            ({3: 2}, {3: 2, 4: 2}, "frame 4 is not labelled on both sides"),
+            ({3: 2, 4: 2}, {3: 2, 4: 3}, "frame 4 has mismatched point counts"),
+        ],
+    )
+    def test_named_shared_frame_must_match_on_both_sides(self, prev_frames, next_frames, problem):
+        prev, nxt = (
+            SequenceLabels(
+                frames=list(sizes),
+                semantic={f: np.ones(n, dtype=np.int64) for f, n in sizes.items()},
+                instance={f: np.ones(n, dtype=np.int64) for f, n in sizes.items()},
+            )
+            for sizes in (prev_frames, next_frames)
+        )
+        with pytest.raises(ContractError, match=problem):
+            stitch(prev, nxt, [3, 4], next_free_id=5)
 
 
 def gt_stub_predictor(renumber=True):
@@ -810,3 +853,72 @@ class TestRunSequence:
         for window in (1, 2):
             with pytest.raises(ParameterError, match="stride must be >= 1"):
                 run_sequence(gt_stub_predictor(), seq, window=window, stride=0)
+
+
+@st.composite
+def tracked_sequences(draw):
+    """A labelled sequence of 1-9 frames, empty scans and frames without
+    instances included, with a window and a stride of 1-4 each."""
+    scans = []
+    for f in range(draw(st.integers(1, 9))):
+        size = draw(st.integers(0, 8))
+        inst = draw(arrays(np.int64, size, elements=st.sampled_from([0, 1, 2, 5, 40])))
+        if draw(st.booleans()):
+            inst[:] = 0
+        sem = np.where(inst > 0, 1, 3)
+        scans.append(LidarScan(np.zeros((size, 3)), f, semantic=sem, instance=inst))
+    poses = [Pose(np.eye(3), np.zeros(3)) for _ in scans]
+    window, stride = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return ScanSequence(scans, poses, CM), window, stride
+
+
+def noisy_predictor(numbering, dtype, seed):
+    """Window predictor from ground truth that drops about a fifth of the
+    instance points per window and gives locals the raw ids, dense ids in
+    order of appearance, or ids shuffled and offset per window."""
+
+    def predict(scans, poses, frames):
+        rng = np.random.default_rng((seed, frames[0], len(frames)))
+        raw = [np.where(rng.random(s.num_points) < 0.8, s.instance, 0) for s in scans]
+        ids, first = np.unique(np.concatenate(raw), return_index=True)
+        ids, first = ids[ids > 0], first[ids > 0]
+        if numbering == "raw":
+            local = ids
+        elif numbering == "dense":
+            local = np.empty_like(ids)
+            local[np.argsort(first)] = np.arange(1, ids.size + 1)
+        else:
+            local = rng.permutation(ids.size) + int(rng.integers(1, 100))
+        lookup = np.zeros(41, dtype=np.int64)
+        lookup[ids] = local
+        return SequenceLabels(
+            frames=list(frames),
+            semantic={s.frame_index: s.semantic.copy() for s in scans},
+            instance={s.frame_index: lookup[r].astype(dtype) for s, r in zip(scans, raw)},
+        )
+
+    return predict
+
+
+@settings(max_examples=300)
+@given(
+    tracked_sequences(),
+    st.sampled_from(["raw", "dense", "shuffled"]),
+    st.sampled_from([np.int64, np.int32]),
+    st.integers(0, 2**16),
+)
+def test_run_sequence_matches_two_path_oracle(case, numbering, dtype, seed):
+    seq, window, stride = case
+    predictor = noisy_predictor(numbering, dtype, seed)
+    try:
+        want = two_path_run_sequence(predictor, seq, window, stride)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError, match=str(exc)):
+            run_sequence(predictor, seq, window, stride)
+        return
+    got = run_sequence(predictor, seq, window, stride)
+    assert got.frames == want.frames
+    for f in want.frames:
+        for name in ("semantic", "instance"):
+            a, b = getattr(got, name)[f], getattr(want, name)[f]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, f)

@@ -178,6 +178,18 @@ class TestSequenceRoundTrip:
             np.testing.assert_array_equal(a.semantic, b.semantic)
             np.testing.assert_array_equal(a.instance, b.instance)
 
+    def test_partly_labelled_round_trip(self, tmp_path):
+        seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
+        seq.scans[1].semantic = seq.scans[1].instance = None
+        out = str(tmp_path / "seq")
+        created = save_sequence(seq, out)
+        assert kitti_io.label_path(out, 1) not in created
+        back = load_sequence(out, seq.class_map)
+        assert [s.has_labels() for s in back.scans] == [True, False, True]
+        for a, b in zip(seq.scans[::2], back.scans[::2]):
+            np.testing.assert_array_equal(a.semantic, b.semantic)
+            np.testing.assert_array_equal(a.instance, b.instance)
+
     def test_unwritable_labels_leave_no_output(self, tmp_path):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
         seq.scans[2].semantic[4] = 70000
