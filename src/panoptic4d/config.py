@@ -1,10 +1,10 @@
 """Run configuration and the plain-text key-value config format.
 
 Files hold one `key = value` pair per line; blank lines and lines starting
-with '#' are skipped. Tuples are comma-separated, booleans are true/false,
-and the (instance, frame) hide list uses `instance:frame` pairs. Unknown keys
-are rejected so typos fail loudly, and load -> serialize -> load is the
-identity.
+with '#' are skipped. Tuples are comma-separated, a `tuple[float, float]`
+takes exactly two values, booleans are true/false, and the (instance, frame)
+hide list uses `instance:frame` pairs. Unknown keys are rejected so typos
+fail loudly, and load -> serialize -> load is the identity.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class RunConfig(ModelConfig):
     lambda_ce: float = LossWeights.lambda_ce
     lambda_box: float = LossWeights.lambda_box
     no_object_weight: float = LossWeights.no_object_weight
-    cost_reduction: str = LossWeights.cost_reduction
     use_box_loss: bool = True
     train_stride: int = 1
     train_seed: int = 0
@@ -50,7 +49,6 @@ class RunConfig(ModelConfig):
     use_dbscan: bool = True
     dbscan_eps: float = 1.0
     dbscan_min_pts: int = 1
-    dbscan_per_frame: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -121,33 +119,40 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(text: str, field: dataclasses.Field):
+def _parse_value(text: str, tp: str):
+    """The value of type annotation tp in text; a ValueError when it does not parse."""
     text = text.strip()
-    tp = field.type
-    if tp in ("int", int):
+    if tp == "int":
         return int(text)
-    if tp in ("float", float):
+    if tp == "float":
         return float(text)
-    if tp in ("str", str):
+    if tp == "str":
         return text
-    if tp in ("bool", bool):
+    if tp == "bool":
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ParameterError(f"bad boolean {text!r}")
-    if isinstance(tp, str) and tp.startswith("tuple"):
-        if not text:
-            return ()
-        if ":" in text:
-            return tuple(
-                tuple(int(x) for x in part.split(":")) for part in text.split(",")
-            )
-        items = [p.strip() for p in text.split(",") if p.strip()]
-        if "float" in tp:
-            return tuple(float(p) for p in items)
+    items = [p.strip() for p in text.split(",") if p.strip()]
+    if tp == "tuple[int, ...]":
         return tuple(int(p) for p in items)
-    raise ParameterError(f"unsupported config field type {tp!r} for {field.name}")
+    if tp == "tuple[float, float]":
+        if len(items) != 2:
+            raise ParameterError(f"expected two comma-separated values, got {text!r}")
+        return tuple(float(p) for p in items)
+    if tp == "tuple[tuple[int, int], ...]":
+        pairs = [p.split(":") for p in items]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ParameterError(f"expected comma-separated a:b pairs, got {text!r}")
+        return tuple((int(a), int(b)) for a, b in pairs)
+    raise ParameterError(f"unsupported config field type {tp!r}")
+
+
+# Keys that earlier versions wrote into run configs and checkpoints, each with
+# the one value the code still runs. A RunConfig text may hold a retired key
+# at that value, which is skipped; any other value is an error.
+RETIRED_KEYS = {"cost_reduction": "mean", "dbscan_per_frame": False}
 
 
 def config_to_text(obj) -> str:
@@ -159,7 +164,7 @@ def config_to_text(obj) -> str:
 
 def config_from_text(cls, text: str):
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    values = {}
+    values, seen = {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -168,12 +173,20 @@ def config_from_text(cls, text: str):
             raise ParameterError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        retired = key in RETIRED_KEYS and issubclass(cls, RunConfig)
+        if key not in fields and not retired:
             raise ParameterError(f"line {lineno}: unknown config key {key!r}")
-        if key in values:
+        if key in seen:
             raise ParameterError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
-            values[key] = _parse_value(value, fields[key])
+            if not retired:
+                values[key] = _parse_value(value, fields[key].type)
+            elif _parse_value(value, type(RETIRED_KEYS[key]).__name__) != RETIRED_KEYS[key]:
+                raise ParameterError(
+                    f"the key was removed; only its old value "
+                    f"{_format_value(RETIRED_KEYS[key])} is accepted, got {value.strip()!r}"
+                )
         except ValueError as exc:
             raise ParameterError(f"line {lineno}: bad value for key {key!r}: {exc}") from exc
     return cls(**values)

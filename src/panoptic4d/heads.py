@@ -165,18 +165,18 @@ def build_targets(
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Loss-term weights. A mask's BCE is always averaged over the window's
+    voxels, in the matching cost and the loss alike (as in Mask2Former)."""
+
     lambda_dice: float = 2.0
     lambda_bce: float = 5.0
     lambda_ce: float = 2.0
     lambda_box: float = 1.0
     no_object_weight: float = 0.1
-    cost_reduction: str = "mean"  # or "sum": BCE summed instead of averaged over voxels
 
     def __post_init__(self):
         if min(self.lambda_dice, self.lambda_bce, self.lambda_ce, self.lambda_box) < 0:
             raise ParameterError("loss weights must be nonnegative")
-        if self.cost_reduction not in ("mean", "sum"):
-            raise ParameterError(f"unknown cost reduction {self.cost_reduction!r}")
 
 
 def ce_loss(class_logits: Tensor, target_classes: np.ndarray) -> Tensor:
@@ -279,8 +279,7 @@ def matching_cost_matrix(
     log_p = np.log(sig + EPS)
     log_n = np.log(1.0 - sig + EPS)
     bce = -(log_p @ masks.T + log_n @ (1.0 - masks).T)
-    if weights.cost_reduction == "mean":
-        bce /= k0
+    bce /= k0
     ce = -np.log(probs[:, targets.class_index] + EPS)  # (N_q, T)
     cost = weights.lambda_dice * dice + weights.lambda_bce * bce + weights.lambda_ce * ce
     return cost.T  # rows = targets
@@ -370,9 +369,7 @@ def total_loss(
         bce_elems = ad.mul(ad.log(sig + EPS), masks) + ad.mul(
             ad.log((1.0 - sig) + EPS), 1.0 - masks
         )
-        bce_vec = ad.neg(ad.tsum(bce_elems, axis=1))
-        if weights.cost_reduction == "mean":
-            bce_vec = ad.mul(bce_vec, 1.0 / k0)
+        bce_vec = ad.mul(ad.neg(ad.tsum(bce_elems, axis=1)), 1.0 / k0)
         per_row = [("dice", dice_vec, weights.lambda_dice), ("bce", bce_vec, weights.lambda_bce)]
         things = targets.is_thing[target]
         if things.any() and weights.lambda_box > 0:

@@ -75,8 +75,8 @@ def frame_labels(
     if sum(sizes) != cloud.num_points:
         raise ContractError(f"frames {frames} count {sum(sizes)} of {cloud.num_points} points")
     cuts = np.cumsum(sizes)[:-1]
-    per_frame = [dict(zip(frames, np.split(a, cuts))) for a in (semantic, instance)]
-    return SequenceLabels(list(frames), *per_frame)
+    by_frame = [dict(zip(frames, np.split(a, cuts))) for a in (semantic, instance)]
+    return SequenceLabels(list(frames), *by_frame)
 
 
 def dbscan(
@@ -258,23 +258,17 @@ def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def split_non_compact(
-    instance: np.ndarray,
-    cloud: SuperimposedCloud,
-    eps: float,
-    min_pts: int,
-    per_frame: bool,
+    instance: np.ndarray, cloud: SuperimposedCloud, eps: float, min_pts: int
 ) -> np.ndarray:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
     Takes and returns int64 instance ids per point in superimposed order.
-    Every cluster becomes its own instance; noise points join the nearest
-    cluster by centroid distance (ties to the lowest cluster). An instance
-    whose points are all noise is kept as a single instance. New ids run from
-    1 in (instance, cluster) order, and stuff points (id 0) stay 0.
-
-    One grouped dbscan call covers every instance of the window, grouped by
-    instance (or by instance and frame with per_frame, whose pieces are then
-    merged across frames).
+    Every cluster over the whole window becomes its own instance; noise
+    points join the nearest cluster by centroid distance (ties to the lowest
+    cluster). An instance whose points are all noise is kept as a single
+    instance. New ids run from 1 in (instance, cluster) order, and stuff
+    points (id 0) stay 0. One dbscan call, grouped by instance, covers every
+    instance of the window.
     """
     inst = np.asarray(instance, dtype=np.int64)
     if inst.shape != (cloud.num_points,):
@@ -287,12 +281,7 @@ def split_non_compact(
     n = order.size
     bounds = np.append(bounds, n)
     pts = cloud.points[order]
-    if per_frame:
-        frame = np.unique(cloud.frame_of[order], return_inverse=True)[1]
-        cl = dbscan(pts, eps, min_pts, groups=local * n + frame)
-        cl = _merge_frame_pieces(pts, cl, bounds, eps)
-    else:
-        cl = dbscan(pts, eps, min_pts, groups=local)
+    cl = dbscan(pts, eps, min_pts, groups=local)
 
     for i in np.unique(local[cl == -1]):  # noise exists only with min_pts > 1
         c, p = cl[bounds[i] : bounds[i + 1]], pts[bounds[i] : bounds[i + 1]]
@@ -309,33 +298,6 @@ def split_non_compact(
     new_inst = np.zeros_like(inst)
     new_inst[order] = np.unique(key, return_inverse=True)[1] + 1
     return new_inst
-
-
-def _merge_frame_pieces(pts, cl, bounds, eps):
-    """Join each instance's per-frame clusters (pieces) whose centroids lie
-    within eps of each other (single linkage); the merged clusters of an
-    instance are numbered from 1 in order of their first point."""
-    out = np.full_like(cl, -1)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        c, p = cl[lo:hi], pts[lo:hi]
-        pieces = np.unique(c[c >= 1])
-        if not pieces.size:
-            continue
-        centroids = [p[c == k].mean(axis=0) for k in pieces]
-        close = [
-            (a, b)
-            for a in range(pieces.size)
-            for b in range(a + 1, pieces.size)
-            if np.linalg.norm(centroids[a] - centroids[b]) <= eps
-        ]
-        root = np.arange(pieces.size)
-        if close:
-            _join(root, *np.array(close).T)
-        clustered = np.flatnonzero(c >= 1)
-        merged = root[np.searchsorted(pieces, c[clustered])]
-        _, first, merged = np.unique(merged, return_index=True, return_inverse=True)
-        out[lo + clustered] = np.argsort(np.argsort(first))[merged] + 1
-    return out
 
 
 def stitch(
@@ -407,7 +369,9 @@ def run_sequence(
 
     predictor(scans, poses, frames) must return the window's SequenceLabels
     with window-local instance ids. Shared-frame labels are taken from the later
-    window after its instances have been remapped onto existing tracks.
+    window after its instances have been remapped onto existing tracks. A
+    window whose tracks need an id that does not fit 16 bits raises
+    CapacityError before the next window is predicted.
     """
     windows = sequence_windows(sequence, window, stride)
     # only windows that actually form need to overlap
@@ -421,6 +385,11 @@ def run_sequence(
         pred = predictor(scans, poses, frames)
         shared = [f for f in frames if f in result.instance]
         mapping, next_free_id = stitch(result, pred, shared, next_free_id)
+        if next_free_id > 2**16:  # fail here, not when the labels are written
+            raise CapacityError(
+                f"window {w} frames {frames}: track id {next_free_id - 1} exceeds "
+                f"the 16-bit instance id limit {2**16 - 1}"
+            )
         log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())

@@ -31,11 +31,7 @@ def model_predictor(model: PanopticModel, cfg: RunConfig):
         sem, inst = extract_panoptic(fwd.final, data.grid, model.class_map)
         if cfg.use_dbscan:
             inst = split_non_compact(
-                inst,
-                data.cloud,
-                eps=cfg.dbscan_eps,
-                min_pts=cfg.dbscan_min_pts,
-                per_frame=cfg.dbscan_per_frame,
+                inst, data.cloud, eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts
             )
         return frame_labels(sem, inst, data.cloud, frames)
 

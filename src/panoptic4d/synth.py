@@ -50,6 +50,18 @@ class SceneSpec:
             raise ParameterError("need at least one stuff class")
         if self.num_thing_objects > 0 and not self.thing_classes:
             raise ParameterError("thing objects requested but no thing classes given")
+        speeds = np.asarray(self.object_speed_range, dtype=np.float64)
+        if speeds.shape != (2,) or not np.isfinite(speeds).all() or not 0 <= speeds[0] <= speeds[1]:
+            raise ParameterError(
+                f"object_speed_range must be two finite values lo,hi with 0 <= lo <= hi, "
+                f"got {self.object_speed_range}"
+            )
+        for inst, frame in self.hidden:
+            if not (1 <= inst <= self.num_thing_objects and 0 <= frame < self.num_frames):
+                raise ParameterError(
+                    f"hidden pair {inst}:{frame} is outside instances [1, "
+                    f"{self.num_thing_objects}] or frames [0, {self.num_frames})"
+                )
         self.class_map()  # rejects overlapping or unwritable class ids
 
     def class_map(self) -> ClassMap:

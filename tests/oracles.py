@@ -741,9 +741,7 @@ def _single_output_loss(
         bce_elems = ad.mul(ad.log(sig + EPS), masks) + ad.mul(
             ad.log((1.0 - sig) + EPS), 1.0 - masks
         )
-        bce_vec = ad.neg(ad.tsum(bce_elems, axis=1))
-        if weights.cost_reduction == "mean":
-            bce_vec = ad.mul(bce_vec, 1.0 / k0)
+        bce_vec = ad.mul(ad.neg(ad.tsum(bce_elems, axis=1)), 1.0 / k0)
         ce_vec = ce_loss(ad.gather_rows(output.class_logits, q_idx), classes)
 
         dice_term = ad.mul(ad.tsum(dice_vec), weights.lambda_dice / norm)
@@ -1153,16 +1151,14 @@ def loop_extract_points(
     return sem, inst
 
 
-# The per-instance DBSCAN split that made one dbscan call per instance (and
-# one per instance and frame in per-frame mode), kept verbatim as the
-# reference for the grouped single-call split.
+# The per-instance DBSCAN split that made one dbscan call per instance, kept
+# verbatim as the reference for the grouped single-call split.
 def loop_split_non_compact(
     pred: SequenceLabels,
     cloud: SuperimposedCloud,
     frames: list[int],
     eps: float = 1.0,
     min_pts: int = 1,
-    per_frame: bool = False,
 ) -> SequenceLabels:
     """Split each thing instance into spatially compact DBSCAN clusters.
 
@@ -1178,10 +1174,7 @@ def loop_split_non_compact(
     for local in sorted(int(i) for i in np.unique(inst) if i > 0):
         idx = np.flatnonzero(inst == local)
         pts = cloud.points[idx]
-        if per_frame:
-            cl = loop_per_frame_clusters(pts, cloud.frame_of[idx], eps, min_pts)
-        else:
-            cl = dbscan(pts, eps, min_pts)
+        cl = dbscan(pts, eps, min_pts)
         cluster_ids = sorted(int(c) for c in np.unique(cl) if c >= 1)
         if not cluster_ids:  # everything noise: keep the instance whole
             new_inst[idx] = nxt
@@ -1195,47 +1188,6 @@ def loop_split_non_compact(
         new_inst[idx] = nxt + np.searchsorted(cluster_ids, cl)
         nxt += len(cluster_ids)
     return loop_frame_labels(sem, new_inst, sizes, frames)
-
-
-def loop_per_frame_clusters(pts, frame_of, eps, min_pts):
-    """DBSCAN per frame, then merge clusters across frames whose centroids lie
-    within eps of each other (single linkage)."""
-    n = pts.shape[0]
-    cl = np.full(n, -1, dtype=np.int64)
-    offset = 0
-    pieces = []
-    for f in sorted(set(int(f) for f in frame_of)):
-        sel = np.flatnonzero(frame_of == f)
-        sub = dbscan(pts[sel], eps, min_pts)
-        keep = sub >= 1
-        cl[sel[keep]] = sub[keep] + offset
-        for c in sorted(int(c) for c in np.unique(sub) if c >= 1):
-            pieces.append((c + offset, pts[sel][sub == c].mean(axis=0)))
-        offset += int(sub.max()) if sub.size and sub.max() > 0 else 0
-    if not pieces:
-        return cl
-    # union pieces whose centroids are close
-    parent = {pid: pid for pid, _ in pieces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if np.linalg.norm(pieces[i][1] - pieces[j][1]) <= eps:
-                parent[find(pieces[i][0])] = find(pieces[j][0])
-    roots = {}
-    out = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        if cl[k] >= 1:
-            r = find(int(cl[k]))
-            if r not in roots:
-                roots[r] = len(roots) + 1
-            out[k] = roots[r]
-    return out
 
 
 def _augmented_window(

@@ -306,7 +306,7 @@ def test_criterion_7_extraction_totality():
                 thing_sel = np.isin(pred.semantic[f], CM.thing_ids)
                 assert np.all(pred.instance[f][thing_sel] > 0)
                 assert np.all(pred.instance[f][~thing_sel] == 0)
-            split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1, per_frame=False)
+            split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
             split = frame_labels(sem, split_inst, cloud, [0, 1])
             for f in (0, 1):
                 np.testing.assert_array_equal(split.semantic[f], pred.semantic[f])

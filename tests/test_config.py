@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from panoptic4d.config import (
+    RETIRED_KEYS,
     RunConfig,
     config_from_text,
     config_to_text,
@@ -15,6 +16,7 @@ from panoptic4d.config import (
 from panoptic4d.errors import FormatError, ParameterError
 from panoptic4d.heads import LossWeights
 from panoptic4d.model import ModelConfig
+from panoptic4d.optim import load_checkpoint
 from panoptic4d.synth import SceneSpec
 from panoptic4d.training import load_model
 
@@ -53,6 +55,8 @@ def test_unknown_key_rejected():
 def test_duplicate_key_rejected():
     with pytest.raises(ParameterError, match="duplicate"):
         config_from_text(RunConfig, "steps = 3\nsteps = 4\n")
+    with pytest.raises(ParameterError, match="line 2: duplicate key 'cost_reduction'"):
+        config_from_text(RunConfig, "cost_reduction = mean\ncost_reduction = mean\n")
 
 
 def test_comments_and_blank_lines():
@@ -178,9 +182,54 @@ def test_every_shipped_config_loads():
         load(str(configs / name))
 
 
+def test_every_shipped_config_is_the_serialization_of_what_it_loads():
+    """So no shipped file keeps a comment, an unusual spelling or a retired key."""
+    for path in sorted((ROOT / "configs").glob("*.cfg")):
+        loaded = SHIPPED_CONFIGS[path.name](str(path))
+        assert config_to_text(loaded).encode() == path.read_bytes(), path.name
+
+
+FIXTURE_CHECKPOINT = ROOT / "perfbench" / "fixtures" / "desk_dense.ckpt"
+
+
 def test_benchmark_checkpoint_config_loads():
-    _, cfg = load_model(str(ROOT / "perfbench" / "fixtures" / "desk_dense.ckpt"))
+    _, cfg = load_model(str(FIXTURE_CHECKPOINT))
     assert isinstance(cfg, RunConfig)
+
+
+def test_retired_keys_are_the_checkpoint_keys_run_config_lacks():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert not set(RETIRED_KEYS) & fields
+    text = load_checkpoint(str(FIXTURE_CHECKPOINT))[1]
+    keys = {line.partition("=")[0].strip() for line in text.splitlines() if line.strip()}
+    assert keys - fields == set(RETIRED_KEYS)
+
+
+def test_retired_keys_at_their_kept_values_are_skipped():
+    base = "steps = 7\ndbscan_eps = 0.5\n"
+    old = "steps = 7\ncost_reduction = mean\ndbscan_eps = 0.5\ndbscan_per_frame = false\n"
+    assert config_from_text(RunConfig, old) == config_from_text(RunConfig, base)
+    assert "cost_reduction" not in config_to_text(desk_preset())
+    assert "dbscan_per_frame" not in config_to_text(desk_preset())
+
+
+@pytest.mark.parametrize(
+    "text, key, reason",
+    [
+        ("steps = 7\ndbscan_per_frame = true\n", "dbscan_per_frame", "the key was removed"),
+        ("steps = 7\ncost_reduction = sum\n", "cost_reduction", "the key was removed"),
+        ("steps = 7\ndbscan_per_frame = maybe\n", "dbscan_per_frame", "bad boolean"),
+    ],
+)
+def test_retired_key_at_another_value_names_line_and_key(text, key, reason):
+    with pytest.raises(ParameterError, match=rf"^line 2: bad value for key '{key}': {reason}"):
+        config_from_text(RunConfig, text)
+
+
+@pytest.mark.parametrize("text", ["cost_reduction = mean\n", "dbscan_per_frame = false\n"])
+def test_retired_key_is_unknown_to_scene_spec(text):
+    with pytest.raises(ParameterError, match="line 1: unknown config key"):
+        config_from_text(SceneSpec, text)
 
 
 def test_float_fields_cover_both_config_classes():
@@ -203,9 +252,7 @@ def test_strides_below_one_rejected_for_any_window(fields):
 
 
 def test_desk_cfg_is_desk_preset():
-    path = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
-    assert load_config(str(path)) == desk_preset()
-    assert config_to_text(desk_preset()).encode() == path.read_bytes()
+    assert load_config(str(ROOT / "configs" / "desk.cfg")) == desk_preset()
 
 
 def test_run_config_extends_model_config():
@@ -264,3 +311,47 @@ def test_non_utf8_config_file_is_a_format_error_at_its_offset(tmp_path):
     with pytest.raises(FormatError, match="not UTF-8") as info:
         load_scene_spec(str(path))
     assert info.value.byte_offset == 9 and str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "cls, text, key",
+    [
+        (RunConfig, "thing_classes = 1:2\n", "thing_classes"),
+        (SceneSpec, "thing_classes = 1:2\n", "thing_classes"),
+        (SceneSpec, "hidden = 1\n", "hidden"),
+        (SceneSpec, "hidden = 1:2:3\n", "hidden"),
+        (SceneSpec, "hidden = 1:2,3\n", "hidden"),
+        (SceneSpec, "object_speed_range = 0.2\n", "object_speed_range"),
+        (SceneSpec, "object_speed_range = 0.9,0.1,0.5\n", "object_speed_range"),
+        (SceneSpec, "object_speed_range = \n", "object_speed_range"),
+    ],
+)
+def test_tuple_values_parse_by_their_declared_shape(cls, text, key):
+    with pytest.raises(ParameterError, match=rf"^line 1: bad value for key '{key}'"):
+        config_from_text(cls, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("object_speed_range = 0.9,0.1\n", "object_speed_range"),
+        ("object_speed_range = -0.1,0.5\n", "object_speed_range"),
+        ("object_speed_range = 0.1,nan\n", "object_speed_range"),
+        ("object_speed_range = 0.1,inf\n", "object_speed_range"),
+        ("num_thing_objects = 2\nhidden = 3:0\n", "hidden pair 3:0"),
+        ("num_thing_objects = 2\nhidden = 0:1\n", "hidden pair 0:1"),
+        ("num_frames = 4\nhidden = 1:4\n", "hidden pair 1:4"),
+        ("hidden = 1:-1\n", "hidden pair 1:-1"),
+    ],
+)
+def test_scene_spec_rejects_unusable_speeds_and_hide_pairs(text, message):
+    with pytest.raises(ParameterError, match=message):
+        config_from_text(SceneSpec, text)
+
+
+def test_scene_spec_boundary_values_load():
+    spec = config_from_text(
+        SceneSpec,
+        "num_frames = 3\nnum_thing_objects = 2\nobject_speed_range = 0.0,0.0\nhidden = 1:0,2:2\n",
+    )
+    assert spec.object_speed_range == (0.0, 0.0) and spec.hidden == ((1, 0), (2, 2))

@@ -179,20 +179,18 @@ class TestHungarianMatch:
         assert sorted(match.pairs) == [(0, 1), (1, 0)]
         assert match.unmatched_queries().size == 0
 
-    def test_sum_reduction_scales_bce_by_mask_length(self):
+    def test_bce_cost_is_averaged_over_voxels(self):
         heat = np.array([[0.3, -0.7, 1.2, 0.1]])
-        cls = np.zeros((1, 3))
-        out = output_from_arrays(heat, cls)
+        out = output_from_arrays(heat, np.zeros((1, 3)))
         t = table(segment([1, 0, 1, 0]))
-        mean_cost = matching_cost_matrix(out, t, LossWeights(cost_reduction="mean"))
-        sum_cost = matching_cost_matrix(out, t, LossWeights(cost_reduction="sum"))
         lw = LossWeights()
-        # dice and ce terms are identical, so the difference isolates the BCE scale
-        diff = sum_cost[0, 0] - mean_cost[0, 0]
         p = 1 / (1 + np.exp(-heat[0]))
         g = np.array([1.0, 0, 1.0, 0])
+        dice = 1 - 2 * (p * g).sum() / (p.sum() + g.sum() + 1e-7)
         bce = -(g * np.log(p + 1e-7) + (1 - g) * np.log(1 - p + 1e-7))
-        assert diff == pytest.approx(lw.lambda_bce * (bce.sum() - bce.mean()), abs=1e-9)
+        ce = -np.log(1 / 3 + 1e-7)  # uniform class probabilities
+        want = lw.lambda_dice * dice + lw.lambda_bce * bce.mean() + lw.lambda_ce * ce
+        assert matching_cost_matrix(out, t, lw)[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_box_cost_excluded(self):
         heat = np.array([[2.0, -2.0], [-2.0, 2.0]])
@@ -482,7 +480,6 @@ LOSS_ORACLE_CASES = {
     "no_free_queries": (7, 3, dict(), [(0, True), (1, False), (2, False)]),
     "stuff_only": (7, 4, dict(), [(1, False), (2, False)]),
     "no_box_weight": (7, 5, dict(lambda_box=0.0), [(0, True), (2, False)]),
-    "sum_reduction": (7, 5, dict(cost_reduction="sum"), [(0, True), (1, True), (2, False)]),
 }
 
 

@@ -387,7 +387,7 @@ class TestSplitNonCompact:
         sem = np.ones(30, dtype=np.int64)
         inst = np.ones(30, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=False)
+        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
         out = frame_labels(sem, split, cloud, [0])
         assert len(set(out.instance[0].tolist())) == 1
         np.testing.assert_array_equal(out.semantic[0], pred.semantic[0])
@@ -402,7 +402,7 @@ class TestSplitNonCompact:
         sem = np.ones(40, dtype=np.int64)
         inst = np.ones(40, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
-        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=False)
+        split = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
         out = frame_labels(sem, split, cloud, [0])
         ids = out.instance[0]
         assert len(set(ids.tolist())) == 2
@@ -413,7 +413,7 @@ class TestSplitNonCompact:
     def test_all_noise_kept_as_one(self):
         pts = np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
         cloud, grid = window_from_points(pts, [0])
-        out = split_non_compact(np.ones(3, dtype=np.int64), cloud, eps=1.0, min_pts=2, per_frame=False)
+        out = split_non_compact(np.ones(3, dtype=np.int64), cloud, eps=1.0, min_pts=2)
         assert len(set(out.tolist())) == 1
         assert np.all(out > 0)
 
@@ -423,11 +423,11 @@ class TestSplitNonCompact:
         lone = np.array([[3.0, 0.0, 0.0]])  # noise, closer to blob1
         pts = np.concatenate([blob1, blob2, lone])
         cloud, grid = window_from_points(pts, [0])
-        ids = split_non_compact(np.ones(7, dtype=np.int64), cloud, eps=1.0, min_pts=2, per_frame=False)
+        ids = split_non_compact(np.ones(7, dtype=np.int64), cloud, eps=1.0, min_pts=2)
         assert ids[6] == ids[0]
         assert ids[6] != ids[3]
 
-    def test_per_frame_mode_merges_aligned_clusters(self):
+    def test_object_seen_in_two_frames_stays_one_instance(self):
         rng = np.random.default_rng(5)
         # one object seen in both frames at nearly the same place
         f0 = rng.normal(size=(10, 3)) * 0.1
@@ -435,17 +435,17 @@ class TestSplitNonCompact:
         pts = np.concatenate([f0, f1])
         cloud, grid = window_from_points(pts, [0, 1])
         inst = np.ones(20, dtype=np.int64)
-        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=True)
-        assert len(set(out.tolist())) == 1  # per-frame clusters merged across frames
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
+        assert len(set(out.tolist())) == 1  # one cluster over the 4D window
 
-    def test_per_frame_mode_keeps_distant_frames_apart(self):
+    def test_distant_frames_split_apart(self):
         rng = np.random.default_rng(6)
         f0 = rng.normal(size=(10, 3)) * 0.1
         f1 = rng.normal(size=(10, 3)) * 0.1 + np.array([8.0, 0, 0])
         pts = np.concatenate([f0, f1])
         cloud, grid = window_from_points(pts, [0, 1])
         inst = np.ones(20, dtype=np.int64)
-        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1, per_frame=True)
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
         assert len(set(out.tolist())) == 2
 
     def test_never_loses_points_or_changes_semantics(self):
@@ -455,7 +455,7 @@ class TestSplitNonCompact:
         sem = rng.choice([1, 2, 3], size=50)
         inst = np.where(np.isin(sem, [1, 2]), rng.integers(1, 4, 50), 0)
         pred = prediction_from_labels(cloud, [0, 1], sem, inst)
-        split = split_non_compact(inst, cloud, eps=1.5, min_pts=1, per_frame=False)
+        split = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
         out = frame_labels(sem, split, cloud, [0, 1])
         for f in (0, 1):
             np.testing.assert_array_equal(out.semantic[f], pred.semantic[f])
@@ -465,14 +465,12 @@ class TestSplitNonCompact:
         after = len({i for f in (0, 1) for i in out.instance[f] if i > 0})
         assert after >= before
 
-    @pytest.mark.parametrize("per_frame", [False, True])
-    def test_wrong_length_rejected(self, per_frame):
+    @pytest.mark.parametrize("too_long", [False, True])
+    def test_wrong_length_rejected(self, too_long):
         cloud, _ = window_from_points(np.random.default_rng(3).uniform(0, 8, size=(30, 3)), [0, 1])
-        for n in (15, 31):
-            with pytest.raises(ContractError, match=f"{n} instance ids for a window of 30"):
-                split_non_compact(
-                    np.ones(n, dtype=np.int64), cloud, eps=1.0, min_pts=1, per_frame=per_frame
-                )
+        n = 31 if too_long else 15
+        with pytest.raises(ContractError, match=f"{n} instance ids for a window of 30"):
+            split_non_compact(np.ones(n, dtype=np.int64), cloud, eps=1.0, min_pts=1)
 
 
 def _split_windows():
@@ -511,6 +509,12 @@ def _split_windows():
 SPLIT_WINDOWS = {w[0]: w[1:] for w in _split_windows()}
 
 
+def relabelled(inst):
+    """Instance ids sent through an increasing map far from their values;
+    the split reads ids only through their order, so its output is unchanged."""
+    return np.where(inst > 0, inst * 3 + 2**33, 0)
+
+
 def assert_same_window(got, want):
     """Equal frames, and equal labels and dtypes in every frame."""
     assert got.frames == want.frames
@@ -522,28 +526,31 @@ def assert_same_window(got, want):
 
 
 class TestGroupedSplit:
-    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("relabel", [False, True])
     @pytest.mark.parametrize("min_pts", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(SPLIT_WINDOWS))
-    def test_matches_per_instance_loop(self, name, min_pts, per_frame):
+    def test_matches_per_instance_loop(self, name, min_pts, relabel):
         cloud, frames, sem, inst = SPLIT_WINDOWS[name]
-        pred = prediction_from_labels(cloud, frames, sem, inst)
+        ids = relabelled(inst) if relabel else inst
+        pred = prediction_from_labels(cloud, frames, sem, ids)
         for eps in (0.6, 1.0, 1.8):
-            got = prediction_from_labels(
-                cloud, frames, sem, split_non_compact(inst, cloud, eps, min_pts, per_frame)
-            )
-            want = loop_split_non_compact(pred, cloud, frames, eps, min_pts, per_frame)
+            split = split_non_compact(ids, cloud, eps, min_pts)
+            if relabel:
+                np.testing.assert_array_equal(split, split_non_compact(inst, cloud, eps, min_pts))
+            got = prediction_from_labels(cloud, frames, sem, split)
+            want = loop_split_non_compact(pred, cloud, frames, eps, min_pts)
             assert_same_window(got, want)
 
     def test_equidistant_noise_goes_to_lower_cluster(self):
         cloud, frames, sem, inst = SPLIT_WINDOWS["equidistant_noise"]
-        out = split_non_compact(inst, cloud, eps=1.0, min_pts=2, per_frame=False)
+        out = split_non_compact(inst, cloud, eps=1.0, min_pts=2)
         assert out.tolist() == [1, 1, 1, 2, 2, 2, 1]
 
-    @pytest.mark.parametrize("per_frame", [False, True])
+    @pytest.mark.parametrize("relabel", [False, True])
     @pytest.mark.parametrize("name", sorted(SPLIT_WINDOWS))
-    def test_one_dbscan_call_per_window(self, monkeypatch, name, per_frame):
+    def test_one_dbscan_call_per_window(self, monkeypatch, name, relabel):
         cloud, frames, sem, inst = SPLIT_WINDOWS[name]
+        inst = relabelled(inst) if relabel else inst
         calls = []
         real = inference.dbscan
 
@@ -552,7 +559,7 @@ class TestGroupedSplit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(inference, "dbscan", spy)
-        split_non_compact(inst, cloud, eps=1.0, min_pts=2, per_frame=per_frame)
+        split_non_compact(inst, cloud, eps=1.0, min_pts=2)
         assert calls == [int((inst > 0).sum())]
 
 
@@ -589,11 +596,10 @@ class TestWindowLayout:
             flat = loop_extract_points(out, grid, self.CM)
             pred = loop_frame_labels(*flat, sizes, frames)
             assert_same_window(frame_labels(sem, inst, cloud, frames), pred)
-            for per_frame in (False, True):
-                split = split_non_compact(inst, cloud, 1.5, 2, per_frame)
-                got = frame_labels(sem, split, cloud, frames)
-                want = loop_split_non_compact(pred, cloud, frames, 1.5, 2, per_frame)
-                assert_same_window(got, want)
+            split = split_non_compact(inst, cloud, 1.5, 2)
+            got = frame_labels(sem, split, cloud, frames)
+            want = loop_split_non_compact(pred, cloud, frames, 1.5, 2)
+            assert_same_window(got, want)
 
     def test_repeated_frame_rejected(self):
         pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
@@ -842,6 +848,23 @@ class TestRunSequence:
         assert pred.frames == list(range(num_frames))
         for scan in seq.scans:
             np.testing.assert_array_equal(pred.semantic[scan.frame_index], scan.semantic)
+
+    def test_track_ids_past_16_bits_fail_at_their_window(self):
+        """30000 fresh ids per one-scan window: window 2 needs id 90000, so
+        the third predictor call is the last, long before labels are written."""
+        n = 30000
+        scans = [LidarScan(points=np.zeros((n, 3)), frame_index=f) for f in range(5)]
+        seq = ScanSequence(scans, [Pose.identity()] * 5, ClassMap(thing_ids=(1,), stuff_ids=(2,)))
+        calls = []
+
+        def fresh_ids(scans, poses, frames):
+            calls.append(list(frames))
+            ones, ids = np.ones(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64)
+            return SequenceLabels(list(frames), {f: ones for f in frames}, {f: ids for f in frames})
+
+        with pytest.raises(CapacityError, match=r"window 2 frames \[2\]: .* 16-bit .* 65535"):
+            run_sequence(fresh_ids, seq, window=1, stride=1)
+        assert calls == [[0], [1], [2]]
 
     def test_bad_stride(self):
         seq = self.make_sequence()

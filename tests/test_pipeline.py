@@ -190,9 +190,9 @@ def test_production_defaults_forward_pass():
     assert len(fwd.outputs) == cfg.num_rounds * cfg.backbone_depth + 1
 
 
-@pytest.mark.parametrize("per_frame", [False, True])
+@pytest.mark.parametrize("use_dbscan", [False, True])
 @pytest.mark.parametrize("min_pts", [1, 3])
-def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, per_frame):
+def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, use_dbscan):
     import panoptic4d.inference as inference
     import panoptic4d.pipeline as pipeline
 
@@ -217,9 +217,9 @@ def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, per_frame):
     monkeypatch.setattr(pipeline, "extract_panoptic", extract_spy)
     monkeypatch.setattr(pipeline, "frame_labels", cut_spy)
     run_cfg = dataclasses.replace(
-        cfg, window=2, stride=1, dbscan_min_pts=min_pts, dbscan_per_frame=per_frame
+        cfg, window=2, stride=1, dbscan_min_pts=min_pts, use_dbscan=use_dbscan
     )
     predict_sequence(model, seq, run_cfg)
     assert windows == [[0, 1], [1, 2]]  # one cut per window
     assert len(extract_calls) == len(windows)
-    assert len(dbscan_calls) == len(windows)
+    assert len(dbscan_calls) == (len(windows) if use_dbscan else 0)
