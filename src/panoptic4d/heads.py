@@ -104,6 +104,19 @@ class Targets:
         return self.instance_id > 0
 
 
+def label_pairs(point_semantic: np.ndarray, point_instance: np.ndarray, class_map: ClassMap):
+    """The points of a class in index order, the instance ids, the distinct (class index,
+    instance) pairs keyed class * len(ids) + instance rank, and each point's pair; stuff points
+    carry instance 0. Every target is one pair under any transform, so len(keys) bounds them."""
+    cls = class_map.index(point_semantic)
+    idx = np.flatnonzero(cls >= 0)
+    cls = cls[idx]
+    inst = np.where(class_map.thing[cls], point_instance[idx], 0)
+    inst_ids, inst_rank = np.unique(inst, return_inverse=True)
+    pair_keys, pair = np.unique(cls * inst_ids.size + inst_rank, return_inverse=True)
+    return idx, inst_ids, pair_keys, pair
+
+
 def build_targets(
     cloud: SuperimposedCloud,
     grid: VoxelGrid,
@@ -124,14 +137,7 @@ def build_targets(
     if point_semantic.shape[0] != cloud.num_points:
         raise ShapeError("per-point labels do not match the cloud size")
 
-    # Points of a class in index order, with their (class index, instance)
-    # pairs numbered densely; stuff points carry instance 0.
-    cls = class_map.index(point_semantic)
-    idx = np.flatnonzero(cls >= 0)
-    cls = cls[idx]
-    inst = np.where(class_map.thing[cls], point_instance[idx], 0)
-    inst_ids, inst_rank = np.unique(inst, return_inverse=True)
-    pair_keys, pair = np.unique(cls * inst_ids.size + inst_rank, return_inverse=True)
+    idx, inst_ids, pair_keys, pair = label_pairs(point_semantic, point_instance, class_map)
     # Count the (voxel, pair) keys: each voxel takes its most frequent pair,
     # ties to the pair whose first member point comes first.
     key, first, count = np.unique(
@@ -291,8 +297,6 @@ def hungarian_match(
     """Globally optimal one-to-one target-to-query assignment; every target is
     matched, leftover queries later count as "no object"."""
     nq = output.num_queries
-    if len(targets) > nq:
-        raise CapacityError(f"{len(targets)} targets exceed {nq} queries")
     if len(targets) == 0:
         return MatchResult(pairs=[], num_queries=nq)
     cost = matching_cost_matrix(output, targets, weights)

@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
 from .decoder import FourierEncoder, QueryRefiner, init_queries
-from .errors import ContractError, EmptyInstanceError, ParameterError
+from .errors import ContractError, ParameterError
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, WindowContext, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
@@ -102,15 +102,16 @@ class WindowData:
     seed: np.ndarray  # (K0, SEED_DIM)
     ctx: WindowContext
 
-    def point_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per superimposed point (semantic, instance) pulled from the scans."""
-        n = self.cloud.num_points
-        sem = np.concatenate([s.semantic for s in self.scans], dtype=np.int64)
-        inst = np.concatenate([s.instance for s in self.scans], dtype=np.int64)
-        for flat in (sem, inst):
-            if flat.shape != (n,):
-                raise ContractError(f"{flat.size} labels for a window of {n} points")
-        return sem, inst
+
+def point_labels(scans: list[LidarScan], cloud: SuperimposedCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Per superimposed point (semantic, instance) pulled from the scans."""
+    n = cloud.num_points
+    sem = np.concatenate([s.semantic for s in scans], dtype=np.int64)
+    inst = np.concatenate([s.instance for s in scans], dtype=np.int64)
+    for flat in (sem, inst):
+        if flat.shape != (n,):
+            raise ContractError(f"{flat.size} labels for a window of {n} points")
+    return sem, inst
 
 
 def prepare_window(
@@ -121,11 +122,9 @@ def prepare_window(
 ) -> WindowData:
     """Superimpose, voxelize and seed one window; transform, when given, maps
     the superimposed (M, 3) points before voxelizing (training augmentation).
-    A window without points is an EmptyInstanceError naming its frames."""
+    The window must have points."""
     cloud = superimpose(scans, poses)
     frames = [s.frame_index for s in scans]
-    if cloud.num_points == 0:
-        raise EmptyInstanceError(f"window frames {frames}: no points")
     if transform is not None:
         cloud.points = transform(cloud.points)
     grid = voxelize(cloud, voxel_size)
@@ -194,5 +193,5 @@ class PanopticModel:
         return ForwardResult(outputs=outputs, pyramid=pyramid)
 
     def window_targets(self, window: WindowData) -> Targets:
-        sem, inst = window.point_labels()
+        sem, inst = point_labels(window.scans, window.cloud)
         return build_targets(window.cloud, window.grid, sem, inst, self.class_map, window.ctx)

@@ -83,9 +83,6 @@ class ScanSequence:
     def num_frames(self) -> int:
         return len(self.scans)
 
-    def has_labels(self) -> bool:
-        return all(s.has_labels() for s in self.scans)
-
 
 def window_starts(n: int, window: int, stride: int) -> list[int]:
     """Window starts over n frames: every stride-th one plus a last one that

@@ -13,10 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import RunConfig, config_to_text, config_from_text
-from .errors import CapacityError, ParameterError
-from .geometry import rot_z
-from .heads import Targets, hungarian_match, total_loss
-from .model import PanopticModel, WindowData, prepare_window
+from .errors import CapacityError, EmptyInstanceError, ParameterError
+from .geometry import rot_z, superimpose
+from .heads import hungarian_match, label_pairs, total_loss
+from .model import PanopticModel, point_labels, prepare_window
 from .nn import load_parameters
 from .optim import AdamW, load_checkpoint, save_checkpoint
 from .sequence import ScanSequence, sequence_windows
@@ -86,31 +86,30 @@ def train_model(
     log_every: int = 100,
 ) -> TrainResult:
     """Optimize the model on one or more sequences under a single schedule;
-    returns the per-step loss trace."""
+    returns the per-step loss trace. One pass first checks each window, with
+    no voxels: it has points, valid poses, finite points and at most
+    `num_queries` distinct labelled (class, instance) pairs. The pairs bound
+    the targets under any augmentation, so no step fails later; a window is
+    rejected on its pairs even if its voxel winners would fit."""
     sequences = seq if isinstance(seq, list) else [seq]
     if not sequences or any(s.num_frames == 0 for s in sequences):
         raise ParameterError("cannot train on an empty sequence")
-    if not all(s.has_labels() for s in sequences):
-        raise ParameterError("training sequence has no labels")
     windows = []
-    for s in sequences:
+    for i, s in enumerate(sequences):
+        unlabelled = [scan.frame_index for scan in s.scans if not scan.has_labels()]
+        if unlabelled:
+            raise ParameterError(f"training sequence {i}: frame {unlabelled[0]} has no labels")
         windows.extend(sequence_windows(s, cfg.window, cfg.train_stride))
-    rng = np.random.Generator(np.random.PCG64(cfg.train_seed))
-
-    def prepared(scans, poses, transform=None) -> tuple[WindowData, Targets]:
-        data = prepare_window(scans, poses, cfg.voxel_size, transform=transform)
-        targets = model.window_targets(data)
-        if len(targets) > model.config.num_queries:
-            raise CapacityError(
-                f"window frames {data.frames}: {len(targets)} targets exceed "
-                f"{model.config.num_queries} queries"
-            )
-        return data, targets
-
-    # Fail before step 0 on a window over capacity; each step then prepares
-    # its own window, so memory does not grow with the number of windows.
+    limit = model.config.num_queries
     for scans, poses in windows:
-        prepared(scans, poses)
+        frames = [s.frame_index for s in scans]
+        cloud = superimpose(scans, poses)
+        if cloud.num_points == 0:
+            raise EmptyInstanceError(f"window frames {frames}: no points")
+        pairs = len(label_pairs(*point_labels(scans, cloud), model.class_map)[2])
+        if pairs > limit:
+            raise CapacityError(f"window frames {frames}: {pairs} targets exceed {limit} queries")
+    rng = np.random.Generator(np.random.PCG64(cfg.train_seed))
 
     params = model.parameters()
     opt = AdamW(
@@ -124,15 +123,14 @@ def train_model(
     weights = cfg.loss_weights()
 
     result = TrainResult()
-    counter = 0
     for step in range(cfg.steps):
         lr = sched.lr(step)
         opt.zero_grad()
         breakdown = None
-        for _ in range(cfg.batch_size):
-            scans, poses = windows[counter % len(windows)]
-            data, targets = prepared(scans, poses, augmentation(cfg, rng))
-            counter += 1
+        for b in range(cfg.batch_size):
+            scans, poses = windows[(step * cfg.batch_size + b) % len(windows)]
+            data = prepare_window(scans, poses, cfg.voxel_size, transform=augmentation(cfg, rng))
+            targets = model.window_targets(data)
             fwd = model.forward(data)
             if not (
                 np.all(np.isfinite(fwd.final.heatmap_logits.values))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor, backward
@@ -14,14 +16,16 @@ from panoptic4d.heads import (
     build_targets,
     ce_loss,
     hungarian_match,
+    label_pairs,
     matching_cost_matrix,
     solve_assignment,
     total_loss,
 )
 from panoptic4d.config import desk_preset
-from panoptic4d.model import prepare_window
+from panoptic4d.model import point_labels, prepare_window
 from panoptic4d.sequence import ClassMap, sequence_windows
 from panoptic4d.synth import generate_sequence
+from panoptic4d.training import augmentation
 
 from oracles import (
     brute_force_assignment,
@@ -262,7 +266,7 @@ def criterion_4_windows():
     seq = generate_sequence(OVERFIT_SPEC)
     for scans, poses in sequence_windows(seq, cfg.window, cfg.stride):
         data = prepare_window(scans, poses, cfg.voxel_size)
-        yield (data, *data.point_labels())
+        yield (data, *point_labels(data.scans, data.cloud))
 
 
 def labelled_cloud(seed, n, voxel_size, sem_choices, inst_choices):
@@ -297,6 +301,7 @@ class TestBuildTargetsMatchesLoop:
             assert_same_targets(got, want)
             self.assert_table_invariants(got, data.grid.num_voxels)
             assert got.is_thing.any() and got.masks.any(axis=1).all()
+            assert len(got) == len(label_pairs(sem, inst, self.CM)[2])
             count += 1
         assert count >= 2
 
@@ -339,6 +344,38 @@ class TestBuildTargetsMatchesLoop:
         grid = voxelize(cloud, 1.0)
         targets = build_targets(cloud, grid, sem, inst, self.CM, context(cloud))
         assert list(zip(targets.class_index.tolist(), targets.instance_id.tolist())) == [(2, 0)]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 150),
+    st.sampled_from([0.05, 0.3, 0.8, 2.0, 10.0]),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+)
+@settings(max_examples=200)
+def test_label_pairs_bound_the_targets_under_augmentation(seed, num_scans, n, voxel_size, flags):
+    """The distinct labelled (class index, instance) pairs, instance 0 for
+    stuff, are those of a set built point by point, and every target of an
+    augmented window is one of them. The labels hold ids outside the map
+    (255, 9, -1) and thing points of instance 0."""
+    cm = TestBuildTargetsMatchesLoop.CM
+    rng = np.random.default_rng(seed)
+    scans = []
+    for f in range(num_scans):
+        sem = rng.choice([1, 2, 3, 4, 255, 9, -1], size=n)
+        inst = rng.choice([0, 1, 2, 7, -3], size=n)
+        scans.append(LidarScan(rng.uniform(-2.0, 2.0, size=(n, 3)), f, sem, inst))
+    cfg = desk_preset(aug_rotate=flags[0], aug_translate=flags[1], aug_scale=flags[2])
+    data = prepare_window(scans, [Pose.identity()] * num_scans, voxel_size, augmentation(cfg, rng))
+    sem, inst = point_labels(data.scans, data.cloud)
+    _, inst_ids, keys, _ = label_pairs(sem, inst, cm)
+    cls = cm.index(sem)
+    pairs = {(c, i if cm.thing[c] else 0) for c, i in zip(cls.tolist(), inst.tolist()) if c >= 0}
+    assert sorted(pairs) == [(k // inst_ids.size, inst_ids[k % inst_ids.size]) for k in keys]
+    targets = build_targets(data.cloud, data.grid, sem, inst, cm, data.ctx)
+    assert set(zip(targets.class_index.tolist(), targets.instance_id.tolist())) <= pairs
+    assert len(targets) <= len(keys)
 
 
 class TestTotalLoss:

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 import panoptic4d.autodiff as ad
+from panoptic4d import training
 from panoptic4d.config import desk_preset
-from panoptic4d.errors import CapacityError, EmptyInstanceError, FormatError, ParameterError
+from panoptic4d.errors import (
+    CapacityError,
+    EmptyInstanceError,
+    FormatError,
+    InvalidPoseError,
+    ParameterError,
+)
+from panoptic4d.geometry import LidarScan, Pose
 from panoptic4d.heads import hungarian_match, total_loss
 from panoptic4d.model import PanopticModel, prepare_window
 from panoptic4d.optim import AdamW, load_checkpoint, save_checkpoint
-from panoptic4d.sequence import sequence_windows, window_starts
+from panoptic4d.sequence import ScanSequence, sequence_windows, window_starts
 from panoptic4d.synth import SceneSpec, generate_sequence
 from panoptic4d.training import (
     TrainingDiverged,
@@ -84,6 +92,101 @@ def test_too_many_targets_fail_when_the_window_is_built(crowded_late_seq, augmen
     with pytest.raises(CapacityError, match=r"window frames \[4, 5\]: 7 targets exceed 4 queries"):
         train_model(model, crowded_late_seq, cfg, log_every=0)
     assert steps == []
+
+
+@pytest.fixture
+def optimizer_steps(monkeypatch):
+    """The learning rate of every AdamW step taken, in order."""
+    steps = []
+    step = AdamW.step
+
+    def counted(opt, lr=None):
+        steps.append(lr)
+        return step(opt, lr)
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    return steps
+
+
+def capacity_scene() -> ScanSequence:
+    """Two scans at identity poses: 200 class-3 stuff points on z = 0, 40
+    points each of class-1 instances 1 and 2, and one class-2 point of
+    instance 3 next to instance 1. At 0.8 m voxels that point wins no voxel
+    at the identity, so counting voxel winners finds 3 targets, while a
+    translation can give it a voxel of its own: 4 targets."""
+    rng = np.random.default_rng(0)
+    scans = []
+    for frame in range(2):
+        stuff = np.column_stack([rng.uniform(-10, 10, size=(200, 2)), np.zeros(200)])
+        near = rng.normal((0.3, 0.3, 0.3), 0.005, size=(40, 3))
+        far = rng.normal((-4.0, -3.0, 1.0), 0.3, size=(40, 3))
+        points = np.concatenate([stuff, near, far, [[0.36, 0.3, 0.3]]])
+        semantic = np.r_[np.full(200, 3), np.full(80, 1), 2]
+        instance = np.r_[np.zeros(200, dtype=int), np.full(40, 1), np.full(40, 2), 3]
+        scans.append(LidarScan(points, frame, semantic, instance))
+    return ScanSequence(scans, [Pose.identity()] * 2, desk_preset().class_map())
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_label_pairs_over_capacity_fail_before_the_first_step(augment, optimizer_steps):
+    """Four labelled pairs for three queries fail before step 0, with
+    augmentation or without; counting the identity voxelization's targets
+    let the augmented run fail after 11 optimizer steps."""
+    cfg = desk_preset(num_queries=3, aug_translate=augment, steps=60)
+    model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
+    with pytest.raises(CapacityError, match=r"window frames \[0, 1\]: 4 targets exceed 3 queries"):
+        train_model(model, capacity_scene(), cfg, log_every=0)
+    assert optimizer_steps == []
+
+
+def empty_scans(seq):
+    for scan in seq.scans[2:]:
+        scan.points, scan.semantic, scan.instance = np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int)
+
+
+def non_finite_point(seq):
+    seq.scans[3].points[5] = np.nan
+
+
+def reflected_pose(seq):
+    seq.poses[3] = Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, message",
+    [
+        (empty_scans, EmptyInstanceError, r"window frames \[2, 3\]: no points"),
+        (non_finite_point, ParameterError, r"window slot 1 \(frame 3\): point 5 is not finite"),
+        (reflected_pose, InvalidPoseError, "determinant"),
+    ],
+    ids=["empty", "non_finite", "invalid_pose"],
+)
+def test_bad_last_window_fails_before_the_first_step(corrupt, error, message, optimizer_steps):
+    seq = generate_sequence(
+        SceneSpec(seed=1, num_frames=4, num_thing_objects=2, points_per_object=40, points_per_stuff=80)
+    )
+    corrupt(seq)
+    cfg = tiny_cfg(steps=4, train_stride=2)  # windows (0, 1) and (2, 3)
+    with pytest.raises(error, match=message):
+        train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
+    assert optimizer_steps == []
+
+
+def test_each_step_prepares_only_its_own_windows(tiny_seq, monkeypatch):
+    """prepare_window runs once per batch item and nowhere else: nothing is
+    voxelized before step 0 (a pass that prepared every window made one more
+    call per window)."""
+    calls = []
+    prepare = training.prepare_window
+
+    def counted(*args, **kwargs):
+        calls.append(args[0][0].frame_index)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(training, "prepare_window", counted)
+    cfg = tiny_cfg(steps=3, batch_size=2)
+    train_model(PanopticModel(cfg.model_config(), init_seed=0), tiny_seq, cfg, log_every=0)
+    assert calls == [0, 1, 0, 1, 0, 1]
 
 
 def test_planar_scene_trains():
@@ -227,11 +330,13 @@ def test_csv_columns(tiny_seq):
 
 
 def test_unlabeled_sequence_rejected(tiny_seq):
+    """The error names the sequence and its first frame without labels."""
     seq = copy.deepcopy(tiny_seq)
-    for scan in seq.scans:
+    for scan in seq.scans[1:]:
         scan.semantic = None
-    with pytest.raises(ParameterError):
-        train_model(PanopticModel(tiny_cfg().model_config(), init_seed=0), seq, tiny_cfg())
+    model = PanopticModel(tiny_cfg().model_config(), init_seed=0)
+    with pytest.raises(ParameterError, match="training sequence 1: frame 1 has no labels"):
+        train_model(model, [tiny_seq, seq], tiny_cfg())
 
 
 def test_diverged_loss_aborts(tiny_seq, monkeypatch):
