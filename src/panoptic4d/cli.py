@@ -25,7 +25,7 @@ from .config import (
 )
 from .autodiff import no_grad
 from .errors import ParameterError
-from .metrics import SequenceLabels, evaluate, report_csv
+from .metrics import evaluate, report_csv
 from .model import PanopticModel, prepare_window
 from .pca import features_to_rgb, write_ply
 from .pipeline import evaluate_prediction, predict_sequence, write_prediction
@@ -104,7 +104,10 @@ def cmd_train(args, out: _Outputs) -> int:
         return 2
     seq = load_sequence(cfg.sequence_dir, cfg.class_map())
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
-    result = train_model(model, seq, cfg)
+    try:
+        result = train_model(model, seq, cfg)
+    except ValueError as exc:
+        raise type(exc)(f"{cfg.sequence_dir}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "model.ckpt")
     save_model(ckpt, model, cfg)
@@ -128,26 +131,11 @@ def cmd_infer(args, out: _Outputs) -> int:
     return 0
 
 
-def _labels_from_dir(label_dir: str, gt_seq) -> SequenceLabels:
-    labels = SequenceLabels()
-    for scan in gt_seq.scans:
-        f = scan.frame_index
-        labels.frames.append(f)
-        labels.semantic[f], labels.instance[f] = kitti_io.read_labels(
-            kitti_io.label_path(label_dir, f), expected_count=scan.num_points
-        )
-    return labels
-
-
 def cmd_eval(args, out: _Outputs) -> int:
     cfg = _load_run_config(args)
-    gt_seq = load_sequence(args.gt, cfg.class_map())
-    try:
-        gt = SequenceLabels.from_scans(gt_seq)
-    except ValueError as exc:
-        raise type(exc)(f"{args.gt}: {exc}") from exc
-    pred = _labels_from_dir(args.pred, gt_seq)
-    report = evaluate(pred, gt, gt_seq.class_map)
+    gt = kitti_io.LabelFiles(args.gt, "ground-truth")
+    pred = kitti_io.LabelFiles(args.pred, "predicted")
+    report = evaluate(pred, gt, cfg.class_map())
     print(report.table())
     if args.out:
         with open(args.out, "w") as f:

@@ -33,6 +33,10 @@ class CapacityError(ContractError):
     """More targets than available slots (e.g. ground-truth segments than queries)."""
 
 
+class MissingLabelsError(ContractError):
+    """A frame that must be labelled has no label file; names the frame and path."""
+
+
 class FormatError(ValueError):
     """A file does not follow its documented binary or text layout."""
 

@@ -12,6 +12,9 @@ Directory layout of a sequence:
   <sequence>/velodyne/NNNNNN.bin
   <sequence>/labels/NNNNNN.label
   <sequence>/poses.txt
+
+`LabelFiles` serves the labels of such a directory to metrics.evaluate one
+block of frames at a time, taking point counts from file sizes alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 
 import numpy as np
 
-from .errors import ArityError, FormatError, InvalidPoseError, ParameterError
+from .errors import ArityError, FormatError, InvalidPoseError, MissingLabelsError, ParameterError
 from .geometry import Pose, first_non_finite
 
 SCAN_RECORD_BYTES = 16  # four float32 per point
@@ -53,6 +56,22 @@ def unpack_labels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (raw & 0xFFFF).astype(np.int64), (raw >> 16).astype(np.int64)
 
 
+def _records(path: str, nbytes: int, record_bytes: int, kind: str) -> int:
+    """The number of records in a file of nbytes; a partial last record is a
+    FormatError at its offset."""
+    if nbytes % record_bytes:
+        raise FormatError(
+            f"{kind} file {path} is not a whole number of {record_bytes}-byte records",
+            byte_offset=nbytes - nbytes % record_bytes,
+        )
+    return nbytes // record_bytes
+
+
+def _expect_records(path: str, count: int, expected: int) -> None:
+    if count != expected:
+        raise ArityError(f"label file {path} has {count} records, expected {expected}")
+
+
 def write_scan(path: str, points: np.ndarray, intensity: np.ndarray | None = None) -> None:
     points = np.asarray(points, dtype=np.float32).reshape(-1, 3)
     rec = np.zeros((points.shape[0], 4), dtype="<f4")
@@ -73,11 +92,7 @@ def read_scan(path: str) -> tuple[np.ndarray, np.ndarray]:
     """
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) % SCAN_RECORD_BYTES != 0:
-        raise FormatError(
-            f"scan file {path} is not a whole number of 16-byte records",
-            byte_offset=len(blob) - len(blob) % SCAN_RECORD_BYTES,
-        )
+    _records(path, len(blob), SCAN_RECORD_BYTES, "scan")
     rec = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)
     points = rec[:, :3].copy()
     bad = first_non_finite(points)
@@ -99,16 +114,10 @@ def read_labels(path: str, expected_count: int | None = None) -> tuple[np.ndarra
     """Read a .label file; returns (semantic, instance) int64 arrays."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) % LABEL_RECORD_BYTES != 0:
-        raise FormatError(
-            f"label file {path} is not a whole number of 4-byte records",
-            byte_offset=len(blob) - len(blob) % LABEL_RECORD_BYTES,
-        )
+    _records(path, len(blob), LABEL_RECORD_BYTES, "label")
     raw = np.frombuffer(blob, dtype="<u4")
-    if expected_count is not None and raw.shape[0] != expected_count:
-        raise ArityError(
-            f"label file {path} has {raw.shape[0]} records, expected {expected_count}"
-        )
+    if expected_count is not None:
+        _expect_records(path, raw.shape[0], expected_count)
     return unpack_labels(raw)
 
 
@@ -171,3 +180,52 @@ def list_frames(sequence_dir: str) -> list[int]:
             except ValueError:
                 raise FormatError(f"{scan_dir}: unexpected scan file name {name!r}")
     return sorted(frames)
+
+
+class LabelFiles:
+    """The labels of a sequence directory, read one block of frames at a time:
+    the on-disk counterpart of metrics.SequenceLabels.
+
+    Ground truth names the frames (its velodyne/ listing) and each frame's
+    point count (its .bin size): no point and no pose is ever read. `kind`
+    ("ground-truth", "predicted") names the labels in errors.
+    """
+
+    def __init__(self, sequence_dir: str, kind: str):
+        self.sequence_dir = sequence_dir
+        self.kind = kind
+
+    def check_coverage(self, other: "LabelFiles") -> tuple[list[int], list[int]]:
+        """This ground truth's frames and point counts, after checking that
+        every .bin and every .label of both sides holds whole records and
+        each .label one record per point. Only file sizes are read."""
+        frames = list_frames(self.sequence_dir)
+        if not frames:
+            raise ParameterError(f"no scans found under {self.sequence_dir}")
+        sizes = []
+        for f in frames:
+            path = scan_path(self.sequence_dir, f)
+            sizes.append(_records(path, os.stat(path).st_size, SCAN_RECORD_BYTES, "scan"))
+        for side in (self, other):
+            for f, n in zip(frames, sizes):
+                side._check_size(f, n)
+        return frames, sizes
+
+    def _check_size(self, frame: int, expected: int) -> None:
+        path = label_path(self.sequence_dir, frame)
+        try:
+            nbytes = os.stat(path).st_size
+        except FileNotFoundError:
+            raise MissingLabelsError(
+                f"{self.sequence_dir}: frame {frame} has no {self.kind} labels ({path} not found)"
+            ) from None
+        _expect_records(path, _records(path, nbytes, LABEL_RECORD_BYTES, "label"), expected)
+
+    def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The frames' (semantic, instance) labels, concatenated int64."""
+        labels = [
+            read_labels(label_path(self.sequence_dir, f), expected_count=n)
+            for f, n in zip(frames, sizes)
+        ]
+        semantic, instance = zip(*labels)
+        return np.concatenate(semantic), np.concatenate(instance)

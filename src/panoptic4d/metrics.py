@@ -8,17 +8,24 @@ predicted instance id. The association score averages, over ground-truth
 tubes, the size-normalized sum of |overlap| * IoU against every predicted tube
 that touches it.
 
-Points are counted with np.unique / np.bincount on packed integer keys, one
-block of consecutive frames at a time, so memory stays bounded on long
-sequences. Floating-point sums keep the order of the per-point loops this
-replaced (kept as test oracles), so every report is bit-identical to theirs.
+Labels come from a LabelSource: SequenceLabels in memory, or
+kitti_io.LabelFiles, which reads only .label files and takes each frame's
+point count from its .bin size (no point and no pose is read, so a broken
+poses.txt or a non-finite coordinate does not fail an evaluation). Every
+size is checked before the first block is read. `evaluate` then makes one
+pass over blocks of consecutive frames, reading each block once per side and
+feeding it to the confusion, association and PQ counts, so memory stays
+bounded on long sequences. Points are counted with np.unique / np.bincount
+on packed integer keys. Floating-point sums keep the order of the per-point
+loops this replaced (kept as test oracles), so every report is bit-identical
+to theirs.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -48,9 +55,10 @@ class SequenceLabels:
             instance={s.frame_index: s.instance for s in seq.scans},
         )
 
-    def check_coverage(self, other: "SequenceLabels") -> None:
-        """Both sides label the same frames, each frame with one-dimensional
-        integer semantic and instance arrays of one length."""
+    def check_coverage(self, other: "SequenceLabels") -> tuple[list[int], list[int]]:
+        """The frames and each frame's point count, after checking that both
+        sides label the same frames, each frame with one-dimensional integer
+        semantic and instance arrays of one length."""
         if self.frames != other.frames:
             raise ContractError(
                 f"frame sets differ: {self.frames} vs {other.frames}"
@@ -70,6 +78,15 @@ class SequenceLabels:
                 )
             if any(np.asarray(a).dtype.kind not in "iu" for a in arrays):
                 raise ContractError(f"frame {f}: labels must be integer arrays")
+        return self.frames, [len(self.semantic[f]) for f in self.frames]
+
+    def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The frames' (semantic, instance) labels, concatenated int64 (the
+        sizes are those check_coverage returned, which the arrays have)."""
+        return tuple(
+            np.concatenate([labels[f] for f in frames], dtype=np.int64)
+            for labels in (self.semantic, self.instance)
+        )
 
 
 @dataclass
@@ -104,38 +121,76 @@ class MetricReport:
         return f"{header}\n{values}"
 
 
+class LabelSource(Protocol):
+    """Per-frame labels that evaluation reads one block of frames at a time:
+    SequenceLabels in memory, kitti_io.LabelFiles on disk. `check_coverage`
+    is called on the ground truth with the prediction, before any block is
+    read."""
+
+    def check_coverage(self, other) -> tuple[list[int], list[int]]: ...
+
+    def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]: ...
+
+
 # Labels are counted over runs of consecutive frames holding at most this
 # many points (a larger frame forms a run alone), so the working memory of
 # every metric stays bounded however long the sequence is.
 _BLOCK_POINTS = 1 << 16
 
 
+class _Side(NamedTuple):
+    """One side's labels of a block."""
+
+    cls: np.ndarray  # class index, -1 for an id outside the class map
+    thing: np.ndarray  # the class is a thing
+    inst: np.ndarray
+
+
 class _Block(NamedTuple):
-    """Consecutive frames of a sequence."""
+    """Consecutive frames of a sequence, with both sides' labels."""
 
     start: int  # index of the block's first point in the whole sequence
     begin: int  # position of the block's first frame in the frame list
-    frames: list[int]
     frame: np.ndarray  # each point's frame, counted from the block's first
+    num_frames: int
+    valid: np.ndarray  # the ground truth is not IGNORE_LABEL
+    gt: _Side
+    pred: _Side
 
-    def cat(self, labels: dict[int, np.ndarray]) -> np.ndarray:
-        """The block's labels from one per-frame dict, concatenated as int64."""
-        return np.concatenate([labels[f] for f in self.frames], dtype=np.int64)
 
+def _blocks(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> Iterator[_Block]:
+    """The sequence in frame order as blocks of at most _BLOCK_POINTS points.
 
-def _blocks(gt: SequenceLabels) -> Iterator[_Block]:
-    """The sequence in frame order as blocks of at most _BLOCK_POINTS points."""
-    sizes = [len(gt.semantic[f]) for f in gt.frames]
+    Both sides are checked in full before the first block is read, and each
+    block's labels are read once per side."""
+    frames, sizes = gt.check_coverage(pred)
     begin = start = 0
     while begin < len(sizes):
         end, total = begin + 1, sizes[begin]
         while end < len(sizes) and total + sizes[end] <= _BLOCK_POINTS:
             total += sizes[end]
             end += 1
+        span = frames[begin:end], sizes[begin:end]
+        (gt_sem, gt_inst), (pred_sem, pred_inst) = gt.read(*span), pred.read(*span)
+        gt_cls, pred_cls = class_map.index(gt_sem), class_map.index(pred_sem)
         yield _Block(
-            start, begin, gt.frames[begin:end], np.repeat(np.arange(end - begin), sizes[begin:end])
+            start,
+            begin,
+            np.repeat(np.arange(end - begin), span[1]),
+            end - begin,
+            gt_sem != IGNORE_LABEL,
+            _Side(gt_cls, class_map.thing[gt_cls] & (gt_cls >= 0), gt_inst),
+            _Side(pred_cls, class_map.thing[pred_cls] & (pred_cls >= 0), pred_inst),
         )
         begin, start = end, start + total
+
+
+def _fold(pred: LabelSource, gt: LabelSource, class_map: ClassMap, *metrics) -> list:
+    """Every metric's result after one pass that feeds it each block."""
+    for block in _blocks(pred, gt, class_map):
+        for metric in metrics:
+            metric.add(block)
+    return [metric.result() for metric in metrics]
 
 
 def _pack(
@@ -162,33 +217,41 @@ def _pack(
     return rank_a * span_b + rank_b, lambda key: (values_a[key // span_b], values_b[key % span_b])
 
 
-def confusion_matrix(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> np.ndarray:
+class _Confusion:
+    """The counts of confusion_matrix, summed block by block."""
+
+    def __init__(self, class_map: ClassMap):
+        self.size = class_map.ids.size
+        self.counts = np.zeros(self.size * self.size, dtype=np.int64)
+
+    def add(self, block: _Block) -> None:
+        c, g, p = self.size, block.gt.cls, block.pred.cls
+        self.counts += np.bincount((g * c + p)[(g >= 0) & (p >= 0)], minlength=c * c)
+
+    def result(self) -> np.ndarray:
+        return self.counts.reshape(self.size, self.size)
+
+
+def confusion_matrix(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> np.ndarray:
     """(C, C) counts of (gt class index, pred class index); points whose gt or
     predicted id is no class (IGNORE_LABEL included) are left out."""
-    c = class_map.ids.size
-    counts = np.zeros(c * c, dtype=np.int64)
-    for block in _blocks(gt):
-        g, p = class_map.index(block.cat(gt.semantic)), class_map.index(block.cat(pred.semantic))
-        counts += np.bincount((g * c + p)[(g >= 0) & (p >= 0)], minlength=c * c)
-    return counts.reshape(c, c)
+    return _fold(pred, gt, class_map, _Confusion(class_map))[0]
 
 
 def s_cls(
-    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+    pred: LabelSource, gt: LabelSource, class_map: ClassMap
 ) -> tuple[float, dict[int, float], float, float]:
     """Instance-agnostic mIoU; returns (miou, per-class IoU, stuff IoU, thing IoU).
 
     Classes absent from both prediction and ground truth are left out of every
     average.
     """
-    gt.check_coverage(pred)
-    return _s_cls(pred, gt, class_map)
+    return _class_scores(confusion_matrix(pred, gt, class_map), class_map)
 
 
-def _s_cls(
-    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+def _class_scores(
+    mat: np.ndarray, class_map: ClassMap
 ) -> tuple[float, dict[int, float], float, float]:
-    mat = confusion_matrix(pred, gt, class_map)
     tp = np.diag(mat).astype(np.float64)
     fn = mat.sum(axis=1) - tp
     fp = mat.sum(axis=0) - tp
@@ -205,7 +268,7 @@ def _s_cls(
     return miou, per_class, iou_st, iou_th
 
 
-def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
+def s_assoc(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> float:
     """Class-agnostic association quality over whole-sequence tubes.
 
     For every ground-truth thing tube t:  (1/|t|) * sum over predicted tubes p
@@ -217,47 +280,50 @@ def s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> fl
     order its (gt, pred) pairs first occur, and the tubes are summed in
     order of (first frame, gt id).
     """
-    gt.check_coverage(pred)
-    return _s_assoc(pred, gt, class_map)
+    return _fold(pred, gt, class_map, _Association())[0]
 
 
-def _s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
-    things = class_map.ids[class_map.thing]
-    tubes, pred_tubes, pairs = [], [], []
-    for block in _blocks(gt):
-        gt_sem, gt_inst, pred_inst = map(block.cat, (gt.semantic, gt.instance, pred.instance))
-        valid = gt_sem != IGNORE_LABEL
-        g_sel = valid & np.isin(gt_sem, things, kind="sort") & (gt_inst > 0)
-        p_sel = valid & (pred_inst > 0)
+class _Association:
+    """S_assoc from per-block tables of gt tubes, predicted tubes and
+    (gt, pred) overlaps."""
+
+    def __init__(self):
+        self.tubes, self.pred_tubes, self.pairs = [], [], []
+
+    def add(self, block: _Block) -> None:
+        gt_inst, pred_inst = block.gt.inst, block.pred.inst
+        g_sel = block.gt.thing & (gt_inst > 0)
+        p_sel = block.valid & (pred_inst > 0)
         idx = np.flatnonzero(g_sel)
         t_id, first, size = np.unique(gt_inst[idx], return_index=True, return_counts=True)
-        tubes.append((t_id, block.begin + block.frame[idx[first]], size))
-        pred_tubes.append(np.unique(pred_inst[p_sel], return_counts=True))
+        self.tubes.append((t_id, block.begin + block.frame[idx[first]], size))
+        self.pred_tubes.append(np.unique(pred_inst[p_sel], return_counts=True))
         idx = np.flatnonzero(g_sel & p_sel)
         g, p = gt_inst[idx], pred_inst[idx]
         _, first, size = np.unique(_pack(g, p)[0], return_index=True, return_counts=True)
-        pairs.append((g[first], p[first], size, block.start + idx[first]))
+        self.pairs.append((g[first], p[first], size, block.start + idx[first]))
 
-    if not sum(t[0].size for t in tubes):
-        warnings.warn("no ground-truth thing tubes; association score defined as 1.0")
-        return 1.0
-    # Merge the blocks; a key's first entry comes from the earliest block.
-    t_id, t_frame, t_size = _concat(tubes)
-    first, t_size = _merge(t_id, t_size)
-    t_id, t_frame = t_id[first], t_frame[first]
-    p_id, p_size = _concat(pred_tubes)
-    first, p_size = _merge(p_id, p_size)
-    p_id = p_id[first]
-    pair_g, pair_p, overlap, seen = _concat(pairs)
-    first, overlap = _merge(_pack(pair_g, pair_p)[0], overlap)
-    order = np.argsort(seen[first])
-    pair_g, pair_p, overlap = pair_g[first][order], pair_p[first][order], overlap[order]
+    def result(self) -> float:
+        if not sum(t[0].size for t in self.tubes):
+            warnings.warn("no ground-truth thing tubes; association score defined as 1.0")
+            return 1.0
+        # Merge the blocks; a key's first entry comes from the earliest block.
+        t_id, t_frame, t_size = _concat(self.tubes)
+        first, t_size = _merge(t_id, t_size)
+        t_id, t_frame = t_id[first], t_frame[first]
+        p_id, p_size = _concat(self.pred_tubes)
+        first, p_size = _merge(p_id, p_size)
+        p_id = p_id[first]
+        pair_g, pair_p, overlap, seen = _concat(self.pairs)
+        first, overlap = _merge(_pack(pair_g, pair_p)[0], overlap)
+        order = np.argsort(seen[first])
+        pair_g, pair_p, overlap = pair_g[first][order], pair_p[first][order], overlap[order]
 
-    tube = np.searchsorted(t_id, pair_g)
-    union = t_size[tube] + p_size[np.searchsorted(p_id, pair_p)] - overlap
-    inner = np.bincount(tube, weights=overlap * (overlap / union), minlength=t_id.size)
-    # cumsum adds the tubes one by one, in order of (first frame, gt id)
-    return float(np.cumsum((inner / t_size)[np.lexsort((t_id, t_frame))])[-1] / t_id.size)
+        tube = np.searchsorted(t_id, pair_g)
+        union = t_size[tube] + p_size[np.searchsorted(p_id, pair_p)] - overlap
+        inner = np.bincount(tube, weights=overlap * (overlap / union), minlength=t_id.size)
+        # cumsum adds the tubes one by one, in order of (first frame, gt id)
+        return float(np.cumsum((inner / t_size)[np.lexsort((t_id, t_frame))])[-1] / t_id.size)
 
 
 def _concat(tables: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
@@ -285,51 +351,72 @@ def lstq(s_cls_value: float, s_assoc_value: float) -> float:
 
 
 def _segments(
-    frame: np.ndarray, sem: np.ndarray, inst: np.ndarray, valid: np.ndarray, class_map: ClassMap
+    frame: np.ndarray, side: _Side, valid: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Segments of the scans of one block: thing instances plus one segment
-    per stuff class, ordered by (frame, class, instance id).
+    """Segments of one side of a block: thing instances plus one segment per
+    stuff class and scan, ordered by (frame, class, instance id).
 
     Returns each point's segment key (-1 outside every segment), the sorted
     segment keys, and each segment's (frame, class) cell, numbered
     frame * C + class index, and size.
     """
-    thing = np.isin(sem, class_map.thing_ids, kind="sort")
-    stuff = np.isin(sem, class_map.stuff_ids, kind="sort")
-    member = np.flatnonzero(valid & ((thing & (inst > 0)) | stuff))
-    cell = frame[member] * class_map.ids.size + class_map.index(sem[member])
-    key, unpack = _pack(cell, np.where(thing[member], inst[member], 0))
+    stuff = (side.cls >= 0) & ~side.thing
+    member = np.flatnonzero(valid & ((side.thing & (side.inst > 0)) | stuff))
+    cell = frame[member] * num_classes + side.cls[member]
+    key, unpack = _pack(cell, np.where(side.thing[member], side.inst[member], 0))
     keys, size = np.unique(key, return_counts=True)
-    point_key = np.full(sem.size, -1, dtype=np.int64)
+    point_key = np.full(side.cls.size, -1, dtype=np.int64)
     point_key[member] = key
     return point_key, keys, unpack(keys)[0], size
 
 
-def _scan_stats(
-    pred_sem, pred_inst, gt_sem, gt_inst, frame, num_frames, class_map
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(frame, class) panoptic statistics of the scans of one block, as
-    (num_frames, C) arrays: sum of matched IoU, TP, FP, FN. Matched IoUs are
-    summed in gt instance order."""
-    shape = (num_frames, class_map.ids.size)
-    cells = num_frames * class_map.ids.size
-    valid = gt_sem != IGNORE_LABEL
-    g_key, g_keys, g_cell, g_size = _segments(frame, gt_sem, gt_inst, valid, class_map)
-    p_key, p_keys, p_cell, p_size = _segments(frame, pred_sem, pred_inst, valid, class_map)
-    both = np.flatnonzero((g_key >= 0) & (p_key >= 0) & (gt_sem == pred_sem))
-    pair, unpack = _pack(g_key[both], p_key[both])
-    pair, inter = np.unique(pair, return_counts=True)
-    g_pair, p_pair = unpack(pair)
-    g = np.searchsorted(g_keys, g_pair)
-    iou = inter / (g_size[g] + p_size[np.searchsorted(p_keys, p_pair)] - inter)
-    hit = iou > 0.5  # > 0.5 matches are unique per segment
-    tp = np.bincount(g_cell[g[hit]], minlength=cells)
-    return (
-        np.bincount(g_cell[g[hit]], weights=iou[hit], minlength=cells).reshape(shape),
-        tp.reshape(shape),
-        (np.bincount(p_cell, minlength=cells) - tp).reshape(shape),
-        (np.bincount(g_cell, minlength=cells) - tp).reshape(shape),
-    )
+class _Panoptic:
+    """Scan-wise PQ from per-(frame, class) statistics: sum of matched IoU,
+    TP, FP, FN."""
+
+    def __init__(self, class_map: ClassMap):
+        self.class_map = class_map
+        self.stats: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, block: _Block) -> None:
+        """The block's statistics as (frames, C) arrays; matched IoUs are
+        summed in gt instance order."""
+        num_classes = self.class_map.ids.size
+        shape = (block.num_frames, num_classes)
+        cells = block.num_frames * num_classes
+        g_key, g_keys, g_cell, g_size = _segments(block.frame, block.gt, block.valid, num_classes)
+        p_key, p_keys, p_cell, p_size = _segments(block.frame, block.pred, block.valid, num_classes)
+        both = np.flatnonzero((g_key >= 0) & (p_key >= 0) & (block.gt.cls == block.pred.cls))
+        pair, unpack = _pack(g_key[both], p_key[both])
+        pair, inter = np.unique(pair, return_counts=True)
+        g_pair, p_pair = unpack(pair)
+        g = np.searchsorted(g_keys, g_pair)
+        iou = inter / (g_size[g] + p_size[np.searchsorted(p_keys, p_pair)] - inter)
+        hit = iou > 0.5  # > 0.5 matches are unique per segment
+        tp = np.bincount(g_cell[g[hit]], minlength=cells)
+        self.stats.append((
+            np.bincount(g_cell[g[hit]], weights=iou[hit], minlength=cells).reshape(shape),
+            tp.reshape(shape),
+            (np.bincount(p_cell, minlength=cells) - tp).reshape(shape),
+            (np.bincount(g_cell, minlength=cells) - tp).reshape(shape),
+        ))
+
+    def result(self) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
+        if not self.stats:
+            return 0.0, 0.0, 0.0, {}
+        iou_sum, tp, fp, fn = _concat(self.stats)
+        present = (tp + fp + fn) > 0
+        per_scan = [_present_mean(v, present) for v in _quality(iou_sum, tp, fp, fn)]
+        pq, sq, rq = (float(np.mean(v)) for v in per_scan)
+        # cumsum adds the frames in order, as the per-class sums always have
+        totals = _quality(
+            np.cumsum(iou_sum, axis=0)[-1], tp.sum(axis=0), fp.sum(axis=0), fn.sum(axis=0)
+        )
+        return pq, sq, rq, {
+            cid: tuple(float(v[i]) for v in totals)
+            for i, cid in enumerate(self.class_map.all_ids)
+            if present[:, i].any()
+        }
 
 
 def _quality(iou_sum, tp, fp, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,7 +439,7 @@ def _present_mean(values: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 
 def pq_sequence(
-    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
+    pred: LabelSource, gt: LabelSource, class_map: ClassMap
 ) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
     """Scan-wise panoptic quality, averaged over scans.
 
@@ -360,44 +447,16 @@ def pq_sequence(
     unique. Per-class values aggregate the per-scan statistics over the whole
     sequence; the scalar PQ/SQ/RQ average the per-scan class means.
     """
-    gt.check_coverage(pred)
-    return _pq_sequence(pred, gt, class_map)
+    return _fold(pred, gt, class_map, _Panoptic(class_map))[0]
 
 
-def _pq_sequence(
-    pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap
-) -> tuple[float, float, float, dict[int, tuple[float, float, float]]]:
-    if not gt.frames:
-        return 0.0, 0.0, 0.0, {}
-    shape = (len(gt.frames), class_map.ids.size)
-    iou_sum = np.zeros(shape)
-    tp, fp, fn = (np.zeros(shape, dtype=np.int64) for _ in range(3))
-    for block in _blocks(gt):
-        labels = (pred.semantic, pred.instance, gt.semantic, gt.instance)
-        stats = _scan_stats(*map(block.cat, labels), block.frame, len(block.frames), class_map)
-        for total, part in zip((iou_sum, tp, fp, fn), stats):
-            total[block.begin : block.begin + len(block.frames)] = part
-    present = (tp + fp + fn) > 0
-    per_scan = [_present_mean(v, present) for v in _quality(iou_sum, tp, fp, fn)]
-    pq, sq, rq = (float(np.mean(v)) for v in per_scan)
-    # cumsum adds the frames in order, as the per-class sums always have
-    totals = _quality(
-        np.cumsum(iou_sum, axis=0)[-1], tp.sum(axis=0), fp.sum(axis=0), fn.sum(axis=0)
+def evaluate(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> MetricReport:
+    """Full metric report for one sequence, from one pass over its blocks:
+    the labels are checked once and each block is read once per side."""
+    confusion, assoc, (pq, sq, rq, per_class_pq) = _fold(
+        pred, gt, class_map, _Confusion(class_map), _Association(), _Panoptic(class_map)
     )
-    per_class = {
-        cid: tuple(float(v[i]) for v in totals)
-        for i, cid in enumerate(class_map.all_ids)
-        if present[:, i].any()
-    }
-    return pq, sq, rq, per_class
-
-
-def evaluate(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> MetricReport:
-    """Full metric report for one sequence; the labels are checked once."""
-    gt.check_coverage(pred)
-    miou, per_class, iou_st, iou_th = _s_cls(pred, gt, class_map)
-    assoc = _s_assoc(pred, gt, class_map)
-    pq, sq, rq, per_class_pq = _pq_sequence(pred, gt, class_map)
+    miou, per_class, iou_st, iou_th = _class_scores(confusion, class_map)
     return MetricReport(
         s_cls=miou,
         s_assoc=assoc,

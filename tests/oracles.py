@@ -42,9 +42,16 @@ from panoptic4d.heads import (
     ce_loss,
 )
 from panoptic4d.inference import _local_ids, dbscan, stitch
-from panoptic4d.metrics import SequenceLabels
+from panoptic4d.kitti_io import label_path, read_labels
+from panoptic4d.metrics import MetricReport, SequenceLabels, evaluate
 from panoptic4d.model import WindowData
-from panoptic4d.sequence import IGNORE_LABEL, ClassMap, ScanSequence, sequence_windows
+from panoptic4d.sequence import (
+    IGNORE_LABEL,
+    ClassMap,
+    ScanSequence,
+    load_sequence,
+    sequence_windows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -630,6 +637,26 @@ def loop_pq_sequence(
     else:
         pq = sq = rq = 0.0
     return pq, sq, rq, per_class
+
+
+def scan_loading_eval(pred_dir: str, gt_dir: str, class_map: ClassMap) -> MetricReport:
+    """The `eval` command's report as it was computed before labels were
+    streamed: the whole ground-truth sequence (points, poses, labels) is
+    loaded to learn each frame's point count, every prediction file is read
+    up front, and the in-memory labels are scored."""
+    gt_seq = load_sequence(gt_dir, class_map)
+    try:
+        gt = SequenceLabels.from_scans(gt_seq)
+    except ValueError as exc:
+        raise type(exc)(f"{gt_dir}: {exc}") from exc
+    pred = SequenceLabels()
+    for scan in gt_seq.scans:
+        f = scan.frame_index
+        pred.frames.append(f)
+        pred.semantic[f], pred.instance[f] = read_labels(
+            label_path(pred_dir, f), expected_count=scan.num_points
+        )
+    return evaluate(pred, gt, class_map)
 
 
 def finite_difference_check(

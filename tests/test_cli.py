@@ -1,11 +1,17 @@
 import os
+import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from panoptic4d import kitti_io, metrics
 from panoptic4d.cli import main
 from panoptic4d.config import config_to_text, desk_preset
+from panoptic4d.errors import ArityError, FormatError, MissingLabelsError
+
+from oracles import scan_loading_eval
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +223,189 @@ def test_eval_missing_gt_label_names_frame_and_directory(workspace, tmp_path, ca
     assert rc == 1
     assert f"error: {gt}: frame 2 has no ground-truth labels" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+def eval_dirs(workspace, tmp_path):
+    """A copy of the workspace sequence as ground truth and of its labels as
+    the prediction."""
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    shutil.copytree(workspace / "seq", gt)
+    shutil.copytree(workspace / "seq" / "labels", pred / "labels")
+    return gt, pred
+
+
+def eval_fails_before_scoring(gt, pred, tmp_path, monkeypatch, capsys, error, message):
+    """`evaluate` over the two directories raises `error` matching `message`
+    before any label file is read, and the eval command exits 1 with that
+    message and leaves no report."""
+    reads = []
+    read_labels = kitti_io.read_labels
+
+    def counted(*args, **kwargs):
+        reads.append(args[0])
+        return read_labels(*args, **kwargs)
+
+    monkeypatch.setattr(kitti_io, "read_labels", counted)
+    with pytest.raises(error, match=re.escape(message)):
+        metrics.evaluate(
+            kitti_io.LabelFiles(str(pred), "predicted"),
+            kitti_io.LabelFiles(str(gt), "ground-truth"),
+            desk_preset().class_map(),
+        )
+    report = tmp_path / "report.csv"
+    rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(report)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert reads == []
+    assert not report.exists()
+
+
+def truncate(path, nbytes):
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) + nbytes)
+
+
+def test_eval_missing_pred_label_is_a_typed_error(workspace, tmp_path, monkeypatch, capsys):
+    gt, pred = eval_dirs(workspace, tmp_path)
+    path = pred / "labels" / "000001.label"
+    path.unlink()
+    eval_fails_before_scoring(
+        gt, pred, tmp_path, monkeypatch, capsys, MissingLabelsError,
+        f"{pred}: frame 1 has no predicted labels ({path} not found)",
+    )
+
+
+@pytest.mark.parametrize("side", ["gt", "pred"])
+def test_eval_truncated_label_is_a_format_error_at_its_offset(
+    workspace, tmp_path, monkeypatch, capsys, side
+):
+    gt, pred = eval_dirs(workspace, tmp_path)
+    path = dict(gt=gt, pred=pred)[side] / "labels" / "000002.label"
+    truncate(path, -2)
+    offset = os.path.getsize(path) - 2
+    eval_fails_before_scoring(
+        gt, pred, tmp_path, monkeypatch, capsys, FormatError,
+        f"label file {path} is not a whole number of 4-byte records (at byte offset {offset})",
+    )
+
+
+def test_eval_label_count_must_match_the_scan_size(workspace, tmp_path, monkeypatch, capsys):
+    gt, pred = eval_dirs(workspace, tmp_path)
+    truncate(gt / "velodyne" / "000001.bin", -16)
+    n = os.path.getsize(gt / "labels" / "000001.label") // 4
+    eval_fails_before_scoring(
+        gt, pred, tmp_path, monkeypatch, capsys, ArityError,
+        f"label file {gt / 'labels' / '000001.label'} has {n} records, expected {n - 1}",
+    )
+
+
+def test_eval_scan_size_must_be_whole_records(workspace, tmp_path, monkeypatch, capsys):
+    gt, pred = eval_dirs(workspace, tmp_path)
+    path = gt / "velodyne" / "000002.bin"
+    offset = os.path.getsize(path)
+    truncate(path, 5)
+    eval_fails_before_scoring(
+        gt, pred, tmp_path, monkeypatch, capsys, FormatError,
+        f"scan file {path} is not a whole number of 16-byte records (at byte offset {offset})",
+    )
+
+
+def test_eval_reads_no_points_and_no_poses(workspace, tmp_path, monkeypatch):
+    """eval needs only label files and scan sizes: scans full of NaN and an
+    unreadable poses.txt score as the intact sequence does."""
+    gt, pred = eval_dirs(workspace, tmp_path)
+    intact = tmp_path / "intact.csv"
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(intact)]) == 0
+    for name in os.listdir(gt / "velodyne"):
+        path = gt / "velodyne" / name
+        path.write_bytes(np.full(os.path.getsize(path) // 4, np.nan, dtype="<f4").tobytes())
+    (gt / "poses.txt").write_text("not a pose\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval read points or poses")
+
+    monkeypatch.setattr(kitti_io, "read_scan", forbidden)
+    monkeypatch.setattr(kitti_io, "read_poses", forbidden)
+    broken = tmp_path / "broken.csv"
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(broken)]) == 0
+    assert broken.read_text() == intact.read_text()
+
+
+def test_eval_csv_equals_the_scan_loading_reference(workspace, tmp_path):
+    """The CLI's report against the earlier path that loaded every scan and
+    pose of the ground truth, on predictions that differ from it."""
+    gt, pred = eval_dirs(workspace, tmp_path)
+    rng = np.random.default_rng(0)
+    class_ids = desk_preset().class_map().all_ids
+    for name in os.listdir(pred / "labels"):
+        sem, inst = kitti_io.read_labels(str(pred / "labels" / name))
+        flip = rng.random(sem.size) < 0.2
+        sem[flip] = rng.choice(class_ids, size=int(flip.sum()))
+        inst[rng.random(sem.size) < 0.2] = 7
+        kitti_io.write_labels(str(pred / "labels" / name), sem, inst)
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(report)]) == 0
+    want = scan_loading_eval(str(pred), str(gt), desk_preset().class_map())
+    assert 0.0 < want.lstq < 1.0
+    assert report.read_text() == metrics.report_csv({"sequence": want})
+
+
+def write_label_sequence(root, num_frames, points, rng):
+    """A ground-truth directory of `num_frames` scans of `points` points each
+    (the .bin files hold zeros: eval reads only their size) and a
+    prediction directory: 16 objects of two thing classes, ids kept across
+    scans, 4% ignore labels, and predictions that flip 5% of the classes
+    and move 5% of the points to another id."""
+    class_ids = np.array(desk_preset().class_map().all_ids)
+    gt, pred = root / "gt", root / "pred"
+    for d in (gt / "velodyne", gt / "labels", pred / "labels"):
+        d.mkdir(parents=True)
+    for f in range(num_frames):
+        with open(kitti_io.scan_path(gt, f), "wb") as out:
+            out.truncate(points * kitti_io.SCAN_RECORD_BYTES)
+        inst = rng.integers(0, 17, size=points)
+        sem = np.where(inst > 0, 1 + inst % 2, rng.choice(class_ids, size=points))
+        inst = np.where(np.isin(sem, (1, 2)), inst, 0)
+        sem[rng.random(points) < 0.04] = 255
+        kitti_io.write_labels(kitti_io.label_path(gt, f), sem, inst)
+        flip = rng.random(points) < 0.05
+        sem = np.where(flip, rng.choice(class_ids, size=points), sem)
+        inst = np.where(rng.random(points) < 0.05, rng.integers(0, 40, size=points), inst)
+        kitti_io.write_labels(kitti_io.label_path(pred, f), np.where(sem == 255, 3, sem), inst)
+    return gt, pred
+
+
+def test_eval_memory_does_not_grow_with_sequence_length(tmp_path):
+    """The tracemalloc peak of a 200-scan eval stays within 1.25x of a
+    20-scan one. 12k-point scans make the 20-scan run span about four
+    2^16-point blocks, so both runs hold full blocks."""
+    peaks = {}
+    for num_frames in (20, 200):
+        gt, pred = write_label_sequence(
+            tmp_path / str(num_frames), num_frames, 12_000, np.random.default_rng(num_frames)
+        )
+        argv = ["eval", "--pred", str(pred), "--gt", str(gt)]
+        assert main(argv) == 0  # warm: imports, logging and numpy set-up
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[num_frames] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= 1.25 * peaks[20], peaks
+
+
+def test_train_missing_label_names_the_directory(workspace, tmp_path, capsys):
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    (seq / "labels" / "000002.label").unlink()
+    out = tmp_path / "run"
+    rc = main(
+        ["train", "--config", str(workspace / "run.cfg"), "--sequence", str(seq), "--out", str(out)]
+    )
+    assert rc == 1
+    assert f"error: {seq}: training sequence 0: frame 2 has no labels" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 def test_train_requires_sequence(tmp_path, tiny_cfg_text):

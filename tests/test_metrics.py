@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panoptic4d import metrics, synth
+from panoptic4d import kitti_io, metrics, synth
 from panoptic4d.errors import ContractError
 from panoptic4d.metrics import (
     MetricReport,
@@ -525,6 +525,74 @@ class TestAgainstLoopOracles:
             mp.setattr(metrics, "_BLOCK_POINTS", block_points)
             assert_same_as_loops(pred, gt, CM)
 
+
+
+# ---------------------------------------------------------------------------
+# labels streamed from files equal labels held in memory
+
+
+def write_scene(scene, root):
+    """The scene as a ground-truth sequence directory (velodyne .bin files of
+    the right size, .label files) and a prediction directory (labels only);
+    returns their LabelFiles sources."""
+    gt_dir, pred_dir = root / "gt", root / "pred"
+    for d in (gt_dir / "velodyne", gt_dir / "labels", pred_dir / "labels"):
+        d.mkdir(parents=True)
+    for f, (gt_sem, gt_inst, pred_sem, pred_inst) in scene.items():
+        kitti_io.write_scan(kitti_io.scan_path(gt_dir, f), np.zeros((gt_sem.size, 3)))
+        kitti_io.write_labels(kitti_io.label_path(gt_dir, f), gt_sem, gt_inst)
+        kitti_io.write_labels(kitti_io.label_path(pred_dir, f), pred_sem, pred_inst)
+    return (
+        kitti_io.LabelFiles(str(pred_dir), "predicted"),
+        kitti_io.LabelFiles(str(gt_dir), "ground-truth"),
+    )
+
+
+def report_bits(rep: MetricReport) -> list:
+    """Every report value as float.hex, so -0.0 and 0.0 differ."""
+    def bits(x):
+        return [bits(v) for v in x] if isinstance(x, tuple) else float(x).hex()
+
+    return [
+        [bits(v) for v in rep.as_row().values()],
+        sorted((c, bits(v)) for c, v in rep.per_class_iou.items()),
+        sorted((c, bits(v)) for c, v in rep.per_class_pq.items()),
+    ]
+
+
+FILE_SCENES = {
+    "empty frames and ids outside the map": manual_scene(
+        ([], [], [], []),
+        ([1, 1, 3, 0, 13, 65535, 255], [2, 2, 0, 1, 1, 7, 3], [1, 1, 3, 3, 1, 65535, 1], [5, 5, 0, 0, 9, 4, 5]),
+        ([], [], [], []),
+        ([2, 2, 4, 255, 1], [65535, 65535, 0, 0, 1], [2, 2, 4, 4, 0], [1, 1, 0, 2, 3]),
+    ),
+    "random": random_scene(np.random.default_rng(41), CM.thing_ids, CM.stuff_ids, max_points=600),
+    "random with late ids": late_ids_and_missing_classes(
+        random_scene(np.random.default_rng(42), CM.thing_ids, CM.stuff_ids, max_points=600),
+        np.random.default_rng(43),
+        CM,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:no ground-truth thing tubes")
+@pytest.mark.parametrize("block_points", [1 << 16, 64, 3, 1])
+@pytest.mark.parametrize("name", sorted(FILE_SCENES))
+def test_label_files_score_like_labels_in_memory(name, block_points, tmp_path, monkeypatch):
+    """Blocks of 1 and 3 points make every non-empty frame larger than a
+    block; frame numbers need not be consecutive on disk."""
+    monkeypatch.setattr(metrics, "_BLOCK_POINTS", block_points)
+    scene = dict(zip([0, 3, 4, 10, 11], FILE_SCENES[name].values()))
+    files = write_scene(scene, tmp_path)
+    pred, gt = labels_from_scene(scene)
+    want = evaluate(pred, gt, CM)
+    got = evaluate(*files, CM)
+    assert got == want
+    assert report_bits(got) == report_bits(want)
+    assert s_assoc(*files, CM) == want.s_assoc
+    assert pq_sequence(*files, CM) == pq_sequence(pred, gt, CM)
+    np.testing.assert_array_equal(confusion_matrix(*files, CM), confusion_matrix(pred, gt, CM))
 
 
 @pytest.fixture(scope="module")
