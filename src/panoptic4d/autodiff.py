@@ -231,8 +231,9 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
     q is (n, D), k and v are (m, D); head h owns columns [h*D/H, (h+1)*D/H)
     and the head outputs are concatenated back into (n, D). An optional
     (n, m) boolean mask restricts every head's softmax: masked keys get
-    probability exactly 0 and zero gradient, and a query row with no allowed
-    key is a contract violation (callers provide fallbacks).
+    probability exactly 0 and zero gradient. A query row with no allowed key
+    attends to every key (Mask2Former's fallback for a query whose predicted
+    mask is empty); the caller's mask is not changed.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if (
@@ -252,8 +253,9 @@ def attention(q, k, v, num_heads: int, mask: np.ndarray | None = None) -> Tensor
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, m):
             raise ShapeError(f"attention: mask shape {mask.shape} does not match ({n}, {m})")
-        if not np.all(mask.any(axis=1)):
-            raise ContractError("attention: a query row has no allowed keys")
+        empty = ~mask.any(axis=1, keepdims=True)
+        if empty.any():
+            mask = mask | empty
     dh = d // num_heads
     scale = 1.0 / np.sqrt(dh)
 

@@ -10,9 +10,9 @@ fail loudly, and load -> serialize -> load is the identity.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, domain
 from .heads import LossWeights
 from .model import ModelConfig, project
 from .optim import OneCycleSchedule
@@ -23,55 +23,41 @@ from .synth import SceneSpec
 class RunConfig(ModelConfig):
     """Model fields (inherited, listed first) plus training and inference."""
 
-    model_seed: int = 0
-    # training
+    model_seed: int = field(default=0, metadata=domain(0))
+    # training; the schedule and loss-weight fields take their domains from
+    # OneCycleSchedule and LossWeights, which __post_init__ builds
     steps: int = 2000
-    batch_size: int = 1
+    batch_size: int = field(default=1, metadata=domain(1))
     max_lr: float = 2e-4
     warmup_frac: float = 0.3
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
+    weight_decay: float = field(default=0.01, metadata=domain(0))
+    beta1: float = field(default=0.9, metadata=domain(0, 1, below=True))
+    beta2: float = field(default=0.999, metadata=domain(0, 1, below=True))
     lambda_dice: float = LossWeights.lambda_dice
     lambda_bce: float = LossWeights.lambda_bce
     lambda_ce: float = LossWeights.lambda_ce
     lambda_box: float = LossWeights.lambda_box
     no_object_weight: float = LossWeights.no_object_weight
     use_box_loss: bool = True
-    train_stride: int = 1
-    train_seed: int = 0
+    train_stride: int = field(default=1, metadata=domain(1))
+    train_seed: int = field(default=0, metadata=domain(0))
     aug_rotate: bool = False
     aug_translate: bool = False
     aug_scale: bool = False
     sequence_dir: str = ""
     # inference / tracking
-    stride: int = 1
+    stride: int = field(default=1, metadata=domain(1))
     use_dbscan: bool = True
-    dbscan_eps: float = 1.0
-    dbscan_min_pts: int = 1
+    dbscan_eps: float = field(default=1.0, metadata=domain(0, above=True))
+    dbscan_min_pts: int = field(default=1, metadata=domain(1))
 
     def __post_init__(self):
         super().__post_init__()
-        if self.stride < 1 or self.train_stride < 1:
-            raise ParameterError(
-                f"stride {self.stride} and train_stride {self.train_stride} must be >= 1"
-            )
         if self.window > 1 and self.stride >= self.window:
             raise ParameterError(
                 f"stride {self.stride} must be in [1, window) for window {self.window}"
             )
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.dbscan_eps <= 0 or self.dbscan_min_pts < 1:
-            raise ParameterError(
-                f"dbscan_eps {self.dbscan_eps} must be > 0, dbscan_min_pts {self.dbscan_min_pts} >= 1"
-            )
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ParameterError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        self.loss_weights()
+        project(LossWeights, self)  # lambda_box too, whether or not use_box_loss
         self.schedule()
 
     def model_config(self) -> ModelConfig:

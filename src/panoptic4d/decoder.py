@@ -99,11 +99,8 @@ class DecoderBlock:
         self.ffn = MLP(rng, [d, config.ffn_width, d])
 
     def cross_attend(self, queries: Tensor, keys: Tensor, mask: np.ndarray | None) -> Tensor:
-        if mask is not None:
-            mask = mask.copy()
-            empty = ~mask.any(axis=1)
-            # Queries whose predicted mask is empty fall back to full attention.
-            mask[empty, :] = True
+        """Masked cross-attention with a residual; a query whose mask row is
+        empty attends to every key (`ad.attention`'s fallback)."""
         return ad.add(queries, self.cross(self.norm_cross(queries), keys, mask))
 
     def self_attend(self, queries: Tensor) -> Tensor:

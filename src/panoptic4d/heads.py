@@ -8,14 +8,14 @@ matching and only enters the training loss for matched thing targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
-from .errors import CapacityError, ContractError, ParameterError, ShapeError
+from .errors import CapacityError, ContractError, ParameterError, ShapeError, check_fields, domain
 from .geometry import SuperimposedCloud, VoxelGrid, WindowContext, trajectory_box
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 from .sequence import ClassMap
@@ -174,15 +174,14 @@ class LossWeights:
     """Loss-term weights. A mask's BCE is always averaged over the window's
     voxels, in the matching cost and the loss alike (as in Mask2Former)."""
 
-    lambda_dice: float = 2.0
-    lambda_bce: float = 5.0
-    lambda_ce: float = 2.0
-    lambda_box: float = 1.0
-    no_object_weight: float = 0.1
+    lambda_dice: float = field(default=2.0, metadata=domain(0))
+    lambda_bce: float = field(default=5.0, metadata=domain(0))
+    lambda_ce: float = field(default=2.0, metadata=domain(0))
+    lambda_box: float = field(default=1.0, metadata=domain(0))
+    no_object_weight: float = field(default=0.1, metadata=domain(0))
 
     def __post_init__(self):
-        if min(self.lambda_dice, self.lambda_bce, self.lambda_ce, self.lambda_box) < 0:
-            raise ParameterError("loss weights must be nonnegative")
+        check_fields(self)
 
 
 def ce_loss(class_logits: Tensor, target_classes: np.ndarray) -> Tensor:

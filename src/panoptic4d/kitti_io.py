@@ -195,10 +195,10 @@ class LabelFiles:
         self.sequence_dir = sequence_dir
         self.kind = kind
 
-    def check_coverage(self, other: "LabelFiles") -> tuple[list[int], list[int]]:
-        """This ground truth's frames and point counts, after checking that
-        every .bin and every .label of both sides holds whole records and
-        each .label one record per point. Only file sizes are read."""
+    def check_coverage(self, other) -> tuple[list[int], list[int]]:
+        """This ground truth's frames and point counts (from its .bin sizes),
+        after `check_sizes` on this side, then on the other (a
+        metrics.LabelSource). Only file sizes are read."""
         frames = list_frames(self.sequence_dir)
         if not frames:
             raise ParameterError(f"no scans found under {self.sequence_dir}")
@@ -207,19 +207,21 @@ class LabelFiles:
             path = scan_path(self.sequence_dir, f)
             sizes.append(_records(path, os.stat(path).st_size, SCAN_RECORD_BYTES, "scan"))
         for side in (self, other):
-            for f, n in zip(frames, sizes):
-                side._check_size(f, n)
+            side.check_sizes(frames, sizes)
         return frames, sizes
 
-    def _check_size(self, frame: int, expected: int) -> None:
-        path = label_path(self.sequence_dir, frame)
-        try:
-            nbytes = os.stat(path).st_size
-        except FileNotFoundError:
-            raise MissingLabelsError(
-                f"{self.sequence_dir}: frame {frame} has no {self.kind} labels ({path} not found)"
-            ) from None
-        _expect_records(path, _records(path, nbytes, LABEL_RECORD_BYTES, "label"), expected)
+    def check_sizes(self, frames: list[int], sizes: list[int]) -> None:
+        """Check that every frame has a .label file of whole records, one
+        record per point of its size."""
+        for frame, expected in zip(frames, sizes):
+            path = label_path(self.sequence_dir, frame)
+            try:
+                nbytes = os.stat(path).st_size
+            except FileNotFoundError:
+                raise MissingLabelsError(
+                    f"{self.sequence_dir}: frame {frame} has no {self.kind} labels ({path} not found)"
+                ) from None
+            _expect_records(path, _records(path, nbytes, LABEL_RECORD_BYTES, "label"), expected)
 
     def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The frames' (semantic, instance) labels, concatenated int64."""

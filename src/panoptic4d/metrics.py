@@ -55,30 +55,30 @@ class SequenceLabels:
             instance={s.frame_index: s.instance for s in seq.scans},
         )
 
-    def check_coverage(self, other: "SequenceLabels") -> tuple[list[int], list[int]]:
-        """The frames and each frame's point count, after checking that both
-        sides label the same frames, each frame with one-dimensional integer
-        semantic and instance arrays of one length."""
-        if self.frames != other.frames:
-            raise ContractError(
-                f"frame sets differ: {self.frames} vs {other.frames}"
-            )
-        for f in self.frames:
-            arrays = [
-                labels.get(f)
-                for labels in (self.semantic, self.instance, other.semantic, other.instance)
-            ]
-            if any(a is None for a in arrays):
+    def check_coverage(self, other: "LabelSource") -> tuple[list[int], list[int]]:
+        """The frames and each frame's point count (its semantic array's
+        length), after `check_sizes` on this side, then on the other."""
+        sizes = [np.size(self.semantic.get(f, ())) for f in self.frames]
+        for side in (self, other):
+            side.check_sizes(self.frames, sizes)
+        return self.frames, sizes
+
+    def check_sizes(self, frames: list[int], sizes: list[int]) -> None:
+        """Check that these labels hold exactly the given frames, each with
+        one-dimensional integer semantic and instance arrays of its size."""
+        if self.frames != frames:
+            raise ContractError(f"frame sets differ: expected {frames}, got {self.frames}")
+        for f, n in zip(frames, sizes):
+            sem, inst = self.semantic.get(f), self.instance.get(f)
+            if sem is None or inst is None:
                 raise ContractError(f"frame {f}: labels missing")
-            shapes = [np.shape(a) for a in arrays]
-            if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            if np.shape(sem) != (n,) or np.shape(inst) != (n,):
                 raise ContractError(
-                    f"frame {f}: labels must be 1-D arrays of one length, got semantic "
-                    f"{shapes[0]}, instance {shapes[1]} vs semantic {shapes[2]}, instance {shapes[3]}"
+                    f"frame {f}: labels must be 1-D arrays of one length ({n} points), "
+                    f"got semantic {np.shape(sem)}, instance {np.shape(inst)}"
                 )
-            if any(np.asarray(a).dtype.kind not in "iu" for a in arrays):
+            if np.asarray(sem).dtype.kind not in "iu" or np.asarray(inst).dtype.kind not in "iu":
                 raise ContractError(f"frame {f}: labels must be integer arrays")
-        return self.frames, [len(self.semantic[f]) for f in self.frames]
 
     def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The frames' (semantic, instance) labels, concatenated int64 (the
@@ -123,11 +123,15 @@ class MetricReport:
 
 class LabelSource(Protocol):
     """Per-frame labels that evaluation reads one block of frames at a time:
-    SequenceLabels in memory, kitti_io.LabelFiles on disk. `check_coverage`
-    is called on the ground truth with the prediction, before any block is
-    read."""
+    SequenceLabels in memory, kitti_io.LabelFiles on disk, either one on
+    either side. `check_coverage` is called on the ground truth with the
+    prediction, before any block is read: the ground truth names the frames
+    and their point counts, and calls `check_sizes` on itself and then on
+    the prediction, which reads only public methods of the other side."""
 
-    def check_coverage(self, other) -> tuple[list[int], list[int]]: ...
+    def check_coverage(self, other: "LabelSource") -> tuple[list[int], list[int]]: ...
+
+    def check_sizes(self, frames: list[int], sizes: list[int]) -> None: ...
 
     def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]: ...
 

@@ -5,7 +5,7 @@ mask predictions, plus checkpoint save/load with an embedded config.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
 from .decoder import FourierEncoder, QueryRefiner, init_queries
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_fields, domain
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, WindowContext, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
@@ -28,63 +28,34 @@ def project(cls, obj, **overrides):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    voxel_size: float = 0.05
-    window: int = 2  # scans superimposed per spatio-temporal cloud
-    num_queries: int = 100
-    dim: int = 64
-    num_heads: int = 4
-    num_rounds: int = 3
-    ffn_width: int = 128
-    mask_threshold: float = 0.5
-    num_frequencies: int = 6
-    freq_base: float = 2.0
-    backbone_depth: int = 4
-    backbone_widths: tuple[int, ...] = (32, 64, 96, 128)
+    voxel_size: float = field(default=0.05, metadata=domain(0, above=True))
+    # scans superimposed per spatio-temporal cloud
+    window: int = field(default=2, metadata=domain(1))
+    num_queries: int = field(default=100, metadata=domain(1))
+    dim: int = field(default=64, metadata=domain(1))
+    num_heads: int = field(default=4, metadata=domain(1))
+    num_rounds: int = field(default=3, metadata=domain(0))
+    ffn_width: int = field(default=128, metadata=domain(1))
+    # the decoder compares logits with logit(mask_threshold)
+    mask_threshold: float = field(default=0.5, metadata=domain(0, 1, above=True, below=True))
+    num_frequencies: int = field(default=6, metadata=domain(1))
+    freq_base: float = field(default=2.0, metadata=domain(1, above=True))  # a geometric bank
+    backbone_depth: int = field(default=4, metadata=domain(1))
+    backbone_widths: tuple[int, ...] = field(default=(32, 64, 96, 128), metadata=domain(1))
     thing_classes: tuple[int, ...] = (1, 2)
     stuff_classes: tuple[int, ...] = (3, 4)
-    query_seed: int = 0
+    query_seed: int = field(default=0, metadata=domain(0))
 
     def __post_init__(self):
-        # one rule for the float and the seed fields of this class and of its subclasses
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not np.isfinite(value):
-                raise ParameterError(f"{f.name} must be finite, got {value}")
-            if f.name.endswith("_seed") and value < 0:
-                raise ParameterError(f"{f.name} must be >= 0, got {value}")
-        if self.voxel_size <= 0:
-            raise ParameterError("voxel_size must be positive")
-        if self.window < 1:
-            raise ParameterError("window must be >= 1")
-        if self.num_queries < 1:
-            raise ParameterError("need at least one query")
-        if self.num_heads < 1:
-            raise ParameterError("num_heads must be >= 1")
-        if self.dim < 1 or self.ffn_width < 1:
-            raise ParameterError(f"dim {self.dim} and ffn_width {self.ffn_width} must be >= 1")
+        check_fields(self)
         if self.dim % self.num_heads != 0:
             raise ParameterError(
                 f"dim {self.dim} is not divisible by {self.num_heads} heads"
             )
-        if self.num_rounds < 0:
-            raise ParameterError("num_rounds must be >= 0")
-        # the decoder compares logits with logit(mask_threshold)
-        if not 0.0 < self.mask_threshold < 1.0:
-            raise ParameterError(
-                f"mask_threshold must be in (0, 1), got {self.mask_threshold}"
-            )
-        if self.num_frequencies < 1:
-            raise ParameterError("need at least one frequency")
-        if self.freq_base <= 1.0:
-            raise ParameterError("freq_base must be > 1 for a geometric bank")
-        if self.backbone_depth < 1:
-            raise ParameterError("backbone depth must be >= 1")
         if len(self.backbone_widths) != self.backbone_depth:
             raise ParameterError(
                 f"got {len(self.backbone_widths)} widths for depth {self.backbone_depth}"
             )
-        if any(w <= 0 for w in self.backbone_widths):
-            raise ParameterError("backbone widths must be positive")
         self.class_map()  # rejects overlapping or unwritable class ids
 
     def class_map(self) -> ClassMap:

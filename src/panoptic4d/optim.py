@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError, FormatError, ParameterError
+from .errors import ContractError, FormatError, ParameterError, check_fields, domain
 
 CHECKPOINT_MAGIC = b"P4DMODEL"
 CHECKPOINT_VERSION = 1
@@ -120,19 +120,14 @@ class AdamW:
 class OneCycleSchedule:
     """Cosine warmup to max_lr, then cosine anneal to a much lower floor."""
 
-    max_lr: float
-    steps: int
-    warmup_frac: float = 0.3
-    div_start: float = 25.0
-    div_end: float = 1e4
+    max_lr: float = field(metadata=domain(0, above=True))
+    steps: int = field(metadata=domain(1))
+    warmup_frac: float = field(default=0.3, metadata=domain(0, 1))
+    div_start: float = field(default=25.0, metadata=domain(1))
+    div_end: float = field(default=1e4, metadata=domain(1))
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ParameterError(f"steps must be positive, got {self.steps}")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ParameterError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if self.max_lr <= 0 or self.div_start < 1 or self.div_end < 1:
-            raise ParameterError(f"max_lr {self.max_lr} must be > 0 and both divisors >= 1")
+        check_fields(self)
 
     @property
     def warmup_steps(self) -> int:

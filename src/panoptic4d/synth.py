@@ -8,11 +8,11 @@ bit-identical sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_fields, domain
 from .geometry import LidarScan, Pose, rot_z
 from .sequence import ClassMap, ObjectTrack, ScanSequence
 
@@ -21,40 +21,35 @@ from .sequence import ClassMap, ObjectTrack, ScanSequence
 class SceneSpec:
     """Parameters of one synthetic scene."""
 
-    seed: int = 0
-    num_frames: int = 4
-    num_thing_objects: int = 3
+    seed: int = field(default=0, metadata=domain(0))
+    num_frames: int = field(default=4, metadata=domain(1))
+    num_thing_objects: int = field(default=3, metadata=domain(0))
     thing_classes: tuple[int, ...] = (1, 2)
     stuff_classes: tuple[int, ...] = (3, 4)
-    points_per_object: int = 120
-    points_per_stuff: int = 300
+    points_per_object: int = field(default=120, metadata=domain(1))
+    points_per_stuff: int = field(default=300, metadata=domain(1))
     ego_speed: float = 1.0  # meters per frame
     ego_turn_rate: float = 0.0  # radians per frame
-    object_speed_range: tuple[float, float] = (0.2, 0.8)  # meters per frame
-    arena_extent: float = 28.0  # side length of the square arena, meters
+    # meters per frame
+    object_speed_range: tuple[float, float] = field(default=(0.2, 0.8), metadata=domain(0))
+    # side length of the square arena, meters; objects start at least 2 m
+    # inside its edges, which needs a side of 4 m
+    arena_extent: float = field(default=28.0, metadata=domain(4))
     min_object_separation: float = 6.0
     # (instance_id, frame) pairs during which an object emits no points,
     # simulating e.g. dropping below the sensor's field of view.
     hidden: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.num_frames <= 0:
-            raise ParameterError("num_frames must be positive")
-        if self.num_thing_objects < 0:
-            raise ParameterError("num_thing_objects must be >= 0")
-        if self.points_per_object <= 0 or self.points_per_stuff <= 0:
-            raise ParameterError("point counts must be positive")
+        check_fields(self)
         if not self.stuff_classes:
             raise ParameterError("need at least one stuff class")
         if self.num_thing_objects > 0 and not self.thing_classes:
             raise ParameterError("thing objects requested but no thing classes given")
-        speeds = np.asarray(self.object_speed_range, dtype=np.float64)
-        if speeds.shape != (2,) or not np.isfinite(speeds).all() or not 0 <= speeds[0] <= speeds[1]:
+        speeds = self.object_speed_range
+        if len(speeds) != 2 or speeds[0] > speeds[1]:
             raise ParameterError(
-                f"object_speed_range must be two finite values lo,hi with 0 <= lo <= hi, "
-                f"got {self.object_speed_range}"
+                f"object_speed_range must be two values lo,hi with lo <= hi, got {speeds}"
             )
         for inst, frame in self.hidden:
             if not (1 <= inst <= self.num_thing_objects and 0 <= frame < self.num_frames):

@@ -78,12 +78,26 @@ class TestAttention:
         v.values[4] += 100.0
         np.testing.assert_array_equal(ad.attention(q, k, v, 2, mask=mask).values, out.values)
 
-    def test_empty_row_rejected(self):
-        q, k, v = self.qkv(1)
-        mask = np.ones((3, 5), dtype=bool)
+    def test_empty_row_attends_to_every_key(self):
+        """A row with no allowed key gives the values and gradients of the
+        same row unmasked, and the caller's mask is left as it was."""
+        rng = np.random.default_rng(1)
+        arrays = [rng.normal(size=shape) for shape in [(3, 8), (5, 8), (5, 8)]]
+        weight = rng.normal(size=(3, 8))
+        mask = rng.random((3, 5)) < 0.5
+        mask[:, 0] = True
         mask[1] = False
-        with pytest.raises(ContractError):
-            ad.attention(q, k, v, 2, mask=mask)
+        unmasked = mask.copy()
+        unmasked[1] = True
+        results = []
+        for m in (mask, unmasked):
+            qkv = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = ad.attention(*qkv, 2, mask=m)
+            backward(ad.tsum(ad.mul(out, weight)))
+            results.append([out.values] + [t.grad for t in qkv])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        assert not mask[1].any()
 
     def test_wrong_mask_shape_rejected(self):
         q, k, v = self.qkv(2)

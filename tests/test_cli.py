@@ -652,6 +652,31 @@ def test_generate_rejects_unwritable_class_id_leaving_no_file(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "value, message", [("nan", "must be finite, got nan"), ("-5", "must be >= 4, got -5.0")]
+)
+def test_generate_rejects_unusable_arena_extent_leaving_no_file(tmp_path, capsys, value, message):
+    spec = tmp_path / "scene.cfg"
+    spec.write_text(f"seed = 1\nnum_frames = 2\narena_extent = {value}\n")
+    out = tmp_path / "seq"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert f"error: {spec}: arena_extent {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_negative_no_object_weight_before_training(
+    workspace, tmp_path, tiny_cfg_text, monkeypatch, capsys
+):
+    monkeypatch.setattr("panoptic4d.cli.train_model", lambda *a, **k: pytest.fail("trained"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(tiny_cfg_text.replace("no_object_weight = 0.1", "no_object_weight = -1"))
+    out = tmp_path / "o"
+    seq = str(workspace / "seq")
+    assert main(["train", "--config", str(cfg), "--sequence", seq, "--out", str(out)]) == 1
+    assert f"error: {cfg}: no_object_weight must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (b"voxel_size = 0.8\nfoo = 1\n", "line 2: unknown config key 'foo'"),

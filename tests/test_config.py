@@ -1,6 +1,7 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from panoptic4d.config import (
@@ -16,7 +17,7 @@ from panoptic4d.config import (
 from panoptic4d.errors import FormatError, ParameterError
 from panoptic4d.heads import LossWeights
 from panoptic4d.model import ModelConfig
-from panoptic4d.optim import load_checkpoint
+from panoptic4d.optim import OneCycleSchedule, load_checkpoint
 from panoptic4d.synth import SceneSpec
 from panoptic4d.training import load_model
 
@@ -96,7 +97,7 @@ def test_loss_weight_defaults_match_loss_weights():
 
 @pytest.mark.parametrize(
     "text, message",
-    [("lambda_dice = -1.0\n", "nonnegative"), ("cost_reduction = median\n", "median")],
+    [("lambda_dice = -1.0\n", "lambda_dice must be >= 0"), ("cost_reduction = median\n", "median")],
 )
 def test_bad_loss_weights_rejected_on_load(text, message):
     with pytest.raises(ParameterError, match=message):
@@ -111,11 +112,11 @@ def test_bad_loss_weights_rejected_on_load(text, message):
         ("num_rounds = -1\n", "num_rounds"),
         ("mask_threshold = 1.5\n", "mask_threshold"),
         ("mask_threshold = 0.0\n", "mask_threshold"),
-        ("num_frequencies = 0\n", "at least one frequency"),
+        ("num_frequencies = 0\n", "num_frequencies must be >= 1"),
         ("freq_base = 1.0\n", "freq_base"),
         ("backbone_depth = 4\nbackbone_widths = 24,48,64\n", "3 widths for depth 4"),
-        ("backbone_depth = 0\nbackbone_widths = \n", "backbone depth"),
-        ("backbone_depth = 3\nbackbone_widths = 24,0,64\n", "widths must be positive"),
+        ("backbone_depth = 0\nbackbone_widths = \n", "backbone_depth must be >= 1"),
+        ("backbone_depth = 3\nbackbone_widths = 24,0,64\n", "backbone_widths must be >= 1"),
     ],
 )
 def test_bad_model_values_rejected_on_load(text, message):
@@ -162,6 +163,106 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "floa
 def test_bad_values_rejected_on_load_naming_the_key(text, key):
     with pytest.raises(ParameterError, match=rf"\b{key}\b"):
         config_from_text(RunConfig, text)
+
+
+# ---------------------------------------------------------------------------
+# one range rule: every numeric field is checked, each domain at both ends
+
+CHECKED_CLASSES = [RunConfig, SceneSpec, LossWeights, OneCycleSchedule]
+# RunConfig copies these fields and builds the classes that declare their domains
+BUILT_FIELDS = {f.name: f for cls in (LossWeights, OneCycleSchedule) for f in dataclasses.fields(cls)}
+# float fields whose every finite value is usable
+FINITE_ONLY = {"ego_speed", "ego_turn_rate", "min_object_separation"}
+# values a config needs besides the one under test: fields without a default,
+# and what a boundary value needs to meet the cross-field rules
+REQUIRED = {OneCycleSchedule: {"max_lr": "0.001", "steps": "10"}}
+CONTEXT = {"dim": {"num_heads": "1"}, "backbone_depth": {"backbone_widths": "32"}}
+
+
+def _domain(cls, f):
+    if "domain" in f.metadata:
+        return f.metadata["domain"]
+    if cls is RunConfig and f.name in BUILT_FIELDS:
+        return BUILT_FIELDS[f.name].metadata.get("domain")
+    return None
+
+
+@pytest.mark.parametrize("cls", CHECKED_CLASSES, ids=lambda c: c.__name__)
+def test_every_numeric_field_declares_its_check(cls):
+    """So a new int or float field cannot arrive unchecked."""
+    for f in dataclasses.fields(cls):
+        if f.type in ("int", "float") and f.name not in FINITE_ONLY:
+            assert _domain(cls, f) is not None, f"{cls.__name__}.{f.name} declares no domain"
+    finite_only = {f.name: f.type for f in dataclasses.fields(SceneSpec) if f.name in FINITE_ONLY}
+    assert finite_only == dict.fromkeys(FINITE_ONLY, "float")
+
+
+def _step(value, toward, is_int):
+    if is_int:
+        return value + (1 if toward > value else -1)
+    return float(np.nextafter(value, toward))
+
+
+def _domain_cases():
+    """(cls, key, value just outside an end, the value at that end or just
+    inside an open one) for every declared domain and each of its ends."""
+    for cls in CHECKED_CLASSES:
+        for f in dataclasses.fields(cls):
+            bounds = _domain(cls, f)
+            if bounds is None:
+                continue
+            lo, hi, above, below = bounds
+            is_int = "int" in f.type
+            yield cls, f.name, (lo, _step(lo, np.inf, is_int)) if above else (_step(lo, -np.inf, is_int), lo)
+            if hi is not None:
+                yield cls, f.name, (hi, _step(hi, -np.inf, is_int)) if below else (_step(hi, np.inf, is_int), hi)
+
+
+DOMAIN_CASES = list(_domain_cases())
+
+
+def _config_text(cls, key, value) -> str:
+    values = {**REQUIRED.get(cls, {}), **CONTEXT.get(key, {})}
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == key)
+    text = repr(value) if isinstance(value, float) else str(value)
+    values[key] = ",".join([text] * len(default)) if isinstance(default, tuple) else text
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.mark.parametrize(
+    "cls, key, values", DOMAIN_CASES, ids=[f"{c.__name__}-{k}-{v[0]}" for c, k, v in DOMAIN_CASES]
+)
+def test_values_just_outside_a_domain_fail_naming_the_key_and_its_ends_load(cls, key, values):
+    outside, boundary = values
+    with pytest.raises(ParameterError, match=rf"^{key} must be (>=? |in [\[(]).*, got "):
+        config_from_text(cls, _config_text(cls, key, outside))
+    loaded = getattr(config_from_text(cls, _config_text(cls, key, boundary)), key)
+    assert loaded == boundary or loaded == (boundary,) * len(loaded)
+
+
+def test_domain_cases_cover_the_bounds_this_rule_added():
+    keys = {(cls, key) for cls, key, _ in DOMAIN_CASES}
+    assert {(RunConfig, "no_object_weight"), (LossWeights, "no_object_weight")} <= keys
+    assert {(SceneSpec, "arena_extent"), (SceneSpec, "object_speed_range")} <= keys
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        (cls, f.name)
+        for cls in (SceneSpec, LossWeights, OneCycleSchedule)
+        for f in dataclasses.fields(cls)
+        if "float" in f.type
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_floats_fail_naming_the_key(cls, key, value):
+    values = {**REQUIRED.get(cls, {}), key: value}
+    if key == "object_speed_range":
+        values[key] = f"0.2,{value}"
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ParameterError, match=rf"^{key} must be finite, got {value}"):
+        config_from_text(cls, text)
 
 
 def test_training_value_boundaries_load():

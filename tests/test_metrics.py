@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panoptic4d import kitti_io, metrics, synth
-from panoptic4d.errors import ContractError
+from panoptic4d.errors import ArityError, ContractError
 from panoptic4d.metrics import (
     MetricReport,
     SequenceLabels,
@@ -593,6 +593,35 @@ def test_label_files_score_like_labels_in_memory(name, block_points, tmp_path, m
     assert s_assoc(*files, CM) == want.s_assoc
     assert pq_sequence(*files, CM) == pq_sequence(pred, gt, CM)
     np.testing.assert_array_equal(confusion_matrix(*files, CM), confusion_matrix(pred, gt, CM))
+
+
+@pytest.mark.filterwarnings("ignore:no ground-truth thing tubes")
+@pytest.mark.parametrize("name", sorted(FILE_SCENES))
+def test_mixed_label_sources_score_like_same_kind_pairs(name, tmp_path):
+    """Files on one side and labels in memory on the other, in both orders."""
+    scene = dict(zip([0, 3, 4, 10, 11], FILE_SCENES[name].values()))
+    pred_files, gt_files = write_scene(scene, tmp_path)
+    pred, gt = labels_from_scene(scene)
+    want = evaluate(pred, gt, CM)
+    assert report_bits(evaluate(pred_files, gt_files, CM)) == report_bits(want)
+    for got in (evaluate(pred, gt_files, CM), evaluate(pred_files, gt, CM)):
+        assert got == want
+        assert report_bits(got) == report_bits(want)
+
+
+@pytest.mark.parametrize(
+    "in_memory, error, message",
+    [("pred", ContractError, r"frame 10: labels must be 1-D"), ("gt", ArityError, r"000010\.label")],
+)
+def test_mixed_label_sources_name_the_frame_of_a_size_mismatch(in_memory, error, message, tmp_path):
+    scene = dict(zip([0, 3, 4, 10, 11], FILE_SCENES["random"].values()))
+    pred_files, gt_files = write_scene(scene, tmp_path)
+    labels = dict(zip(["pred", "gt"], labels_from_scene(scene)))
+    for arrays in (labels[in_memory].semantic, labels[in_memory].instance):
+        arrays[10] = np.append(arrays[10], 1)  # one point more than the files hold
+    sources = {"pred": pred_files, "gt": gt_files, in_memory: labels[in_memory]}
+    with pytest.raises(error, match=message):
+        evaluate(sources["pred"], sources["gt"], CM)
 
 
 @pytest.fixture(scope="module")
