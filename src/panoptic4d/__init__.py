@@ -14,7 +14,6 @@ from .geometry import (
     Pose,
     SuperimposedCloud,
     VoxelGrid,
-    apply_pose,
     farthest_point_sampling,
     superimpose,
     trajectory_box,
@@ -43,7 +42,6 @@ __all__ = [
     "SequenceLabels",
     "SuperimposedCloud",
     "VoxelGrid",
-    "apply_pose",
     "dbscan",
     "desk_preset",
     "evaluate",

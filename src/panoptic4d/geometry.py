@@ -24,30 +24,39 @@ ORTHONORMAL_TOL = 1e-6
 _GRAM_TOL = ORTHONORMAL_TOL + 1e-5 * np.eye(3)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid body transform: world_point = rotation @ point + translation.
 
-    rotation must be orthonormal with determinant +1 (within 1e-6).
+    A proper rotation, orthonormal with determinant +1 (within 1e-6), and a
+    finite translation, checked on construction: else InvalidPoseError.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
-
-    def validate(self) -> None:
-        r = self.rotation
+        r, t = _frozen(self.rotation), _frozen(np.reshape(self.translation, 3))
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
         if r.shape != (3, 3):
             raise InvalidPoseError(f"rotation must be 3x3, got {r.shape}")
         if not (np.abs(r.T @ r - np.eye(3)) <= _GRAM_TOL).all():
             raise InvalidPoseError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
             raise InvalidPoseError("rotation determinant is not +1")
-        if not np.isfinite(self.translation).all():
+        if not np.isfinite(t).all():
             raise InvalidPoseError("translation is not finite")
+
+    def __reduce__(self):  # copies and pickles go through the constructor
+        return Pose, (self.rotation, self.translation)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -75,9 +84,11 @@ def first_non_finite(points: np.ndarray) -> int:
     return -1 if finite.all() else int(np.argmin(finite.all(axis=1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LidarScan:
-    """One LiDAR sweep in the sensor frame, with optional per-point labels."""
+    """One LiDAR sweep in the sensor frame, with optional per-point labels
+    (writable, one entry per point). Its points are a read-only, finite
+    float64 copy: copies and pickles go through the constructor too."""
 
     points: np.ndarray  # (N, 3) meters, sensor frame
     frame_index: int
@@ -85,23 +96,27 @@ class LidarScan:
     instance: np.ndarray | None = None  # (N,) int, 0 for stuff
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        points = _frozen(np.reshape(self.points, (-1, 3)))
+        object.__setattr__(self, "points", points)
         if self.frame_index < 0:
             raise ParameterError("frame_index must be >= 0")
-        bad = first_non_finite(self.points)
+        bad = first_non_finite(points)
         if bad >= 0:
             raise ParameterError(
-                f"frame {self.frame_index}: point {bad} {self.points[bad].tolist()} is not finite"
+                f"frame {self.frame_index}: point {bad} {points[bad].tolist()} is not finite"
             )
         for name in ("semantic", "instance"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr, dtype=np.int64).reshape(-1)
-                if arr.shape[0] != self.points.shape[0]:
+                if arr.shape[0] != points.shape[0]:
                     raise ArityError(
-                        f"{name} has {arr.shape[0]} entries for {self.points.shape[0]} points"
+                        f"{name} has {arr.shape[0]} entries for {points.shape[0]} points"
                     )
-                setattr(self, name, arr)
+                object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return LidarScan, (self.points, self.frame_index, self.semantic, self.instance)
 
     @property
     def num_points(self) -> int:
@@ -183,37 +198,15 @@ class WindowContext:
         )
 
 
-def apply_pose(scan: LidarScan, pose: Pose) -> np.ndarray:
-    """Transform a scan's points into the global frame.
-
-    Raises InvalidPoseError if the rotation is not a proper rotation.
-    """
-    pose.validate()
-    return pose.apply(scan.points)
-
-
 def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
-    """Concatenate pose-transformed scans into one spatio-temporal point set.
-
-    A non-finite point is a ParameterError naming its window slot, frame
-    and index.
-    """
+    """Concatenate pose-transformed scans into one spatio-temporal point set."""
     if len(scans) != len(poses):
         raise ArityError(f"{len(scans)} scans but {len(poses)} poses")
     if not scans:
         raise ParameterError("need at least one scan")
-    parts, frames = [], []
-    for slot, (scan, pose) in enumerate(zip(scans, poses)):
-        bad = first_non_finite(scan.points)
-        if bad >= 0:
-            raise ParameterError(
-                f"window slot {slot} (frame {scan.frame_index}): point {bad} is not finite"
-            )
-        parts.append(apply_pose(scan, pose))
-        frames.append(np.full(scan.num_points, scan.frame_index, dtype=np.int64))
     return SuperimposedCloud(
-        points=np.concatenate(parts, axis=0),
-        frame_of=np.concatenate(frames),
+        points=np.concatenate([pose.apply(s.points) for s, pose in zip(scans, poses)], axis=0),
+        frame_of=np.concatenate([np.full(s.num_points, s.frame_index, dtype=np.int64) for s in scans]),
     )
 
 
@@ -258,11 +251,21 @@ def voxelize(cloud: SuperimposedCloud, voxel_size: float) -> VoxelGrid:
     """Assign each point to the voxel floor(p / voxel_size), componentwise.
 
     Voxels are enumerated in first-occurrence order. Centroids and mean frame
-    indices are averaged over member points.
+    indices are averaged over member points. A point whose |p / voxel_size|
+    is not below 2^63 has no int64 voxel: a ParameterError names it.
     """
     if not (np.isfinite(voxel_size) and voxel_size > 0):
         raise ParameterError(f"voxel_size must be positive and finite, got {voxel_size}")
-    coords = np.floor(cloud.points / voxel_size).astype(np.int64)
+    scaled = cloud.points / voxel_size
+    fits = np.abs(scaled) < 2.0**63
+    if not fits.all():
+        i = int(np.argmin(fits.all(axis=1)))
+        frame = cloud.frame_of[i]
+        raise ParameterError(
+            f"frame {frame}: point {i - int(np.argmax(cloud.frame_of == frame))} "
+            f"{cloud.points[i].tolist()} is too far out for int64 voxels of size {voxel_size}"
+        )
+    coords = np.floor(scaled).astype(np.int64)
     voxel_coords, point_to_voxel, centroids, frame = pool_coords(
         coords, cloud.points, cloud.frame_of
     )

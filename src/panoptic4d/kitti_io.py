@@ -5,8 +5,8 @@ Formats:
   - label (.label): little-endian uint32 records, semantic in the lower 16
     bits, instance in the upper 16 bits.
   - poses.txt: one scan per line, 12 whitespace-separated floats, the
-    row-major 3x4 [R|t] matrix of the KITTI odometry convention; the rotation
-    must pass Pose.validate.
+    row-major 3x4 [R|t] matrix of the KITTI odometry convention; each line
+    must make a valid geometry.Pose (a proper rotation, a finite translation).
 
 Directory layout of a sequence:
   <sequence>/velodyne/NNNNNN.bin
@@ -72,8 +72,23 @@ def _expect_records(path: str, count: int, expected: int) -> None:
         raise ArityError(f"label file {path} has {count} records, expected {expected}")
 
 
+def check_scan(path: str, points: np.ndarray) -> np.ndarray:
+    """The points as the (N, 3) float32 records of a scan file at path; a
+    coordinate that is not finite in float32 is a ParameterError naming the
+    path and the record."""
+    with np.errstate(over="ignore"):
+        points = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+    bad = first_non_finite(points)
+    if bad >= 0:
+        raise ParameterError(
+            f"scan file {path}: record {bad} {points[bad].tolist()} is not finite in float32"
+        )
+    return points
+
+
 def write_scan(path: str, points: np.ndarray, intensity: np.ndarray | None = None) -> None:
-    points = np.asarray(points, dtype=np.float32).reshape(-1, 3)
+    """Write a .bin scan; points are checked by check_scan before the file opens."""
+    points = check_scan(path, points)
     rec = np.zeros((points.shape[0], 4), dtype="<f4")
     rec[:, :3] = points
     if intensity is not None:
@@ -146,12 +161,10 @@ def read_poses(path: str) -> list[Pose]:
                 mat = np.array([float(v) for v in vals]).reshape(3, 4)
             except ValueError as exc:
                 raise FormatError(f"pose line {lineno} of {path}: {exc}") from exc
-            pose = Pose(mat[:, :3], mat[:, 3])
             try:
-                pose.validate()
+                poses.append(Pose(mat[:, :3], mat[:, 3]))
             except InvalidPoseError as exc:
                 raise InvalidPoseError(f"pose line {lineno} of {path}: {exc}") from exc
-            poses.append(pose)
     return poses
 
 
@@ -195,10 +208,9 @@ class LabelFiles:
         self.sequence_dir = sequence_dir
         self.kind = kind
 
-    def check_coverage(self, other) -> tuple[list[int], list[int]]:
-        """This ground truth's frames and point counts (from its .bin sizes),
-        after `check_sizes` on this side, then on the other (a
-        metrics.LabelSource). Only file sizes are read."""
+    def frame_sizes(self) -> tuple[list[int], list[int]]:
+        """The frames of this directory and their point counts, taken from
+        the .bin sizes alone."""
         frames = list_frames(self.sequence_dir)
         if not frames:
             raise ParameterError(f"no scans found under {self.sequence_dir}")
@@ -206,8 +218,6 @@ class LabelFiles:
         for f in frames:
             path = scan_path(self.sequence_dir, f)
             sizes.append(_records(path, os.stat(path).st_size, SCAN_RECORD_BYTES, "scan"))
-        for side in (self, other):
-            side.check_sizes(frames, sizes)
         return frames, sizes
 
     def check_sizes(self, frames: list[int], sizes: list[int]) -> None:

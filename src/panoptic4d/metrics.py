@@ -55,13 +55,10 @@ class SequenceLabels:
             instance={s.frame_index: s.instance for s in seq.scans},
         )
 
-    def check_coverage(self, other: "LabelSource") -> tuple[list[int], list[int]]:
+    def frame_sizes(self) -> tuple[list[int], list[int]]:
         """The frames and each frame's point count (its semantic array's
-        length), after `check_sizes` on this side, then on the other."""
-        sizes = [np.size(self.semantic.get(f, ())) for f in self.frames]
-        for side in (self, other):
-            side.check_sizes(self.frames, sizes)
-        return self.frames, sizes
+        length)."""
+        return self.frames, [np.size(self.semantic.get(f, ())) for f in self.frames]
 
     def check_sizes(self, frames: list[int], sizes: list[int]) -> None:
         """Check that these labels hold exactly the given frames, each with
@@ -82,7 +79,7 @@ class SequenceLabels:
 
     def read(self, frames: list[int], sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The frames' (semantic, instance) labels, concatenated int64 (the
-        sizes are those check_coverage returned, which the arrays have)."""
+        sizes are those check_sizes accepted, which the arrays have)."""
         return tuple(
             np.concatenate([labels[f] for f in frames], dtype=np.int64)
             for labels in (self.semantic, self.instance)
@@ -124,12 +121,11 @@ class MetricReport:
 class LabelSource(Protocol):
     """Per-frame labels that evaluation reads one block of frames at a time:
     SequenceLabels in memory, kitti_io.LabelFiles on disk, either one on
-    either side. `check_coverage` is called on the ground truth with the
-    prediction, before any block is read: the ground truth names the frames
-    and their point counts, and calls `check_sizes` on itself and then on
-    the prediction, which reads only public methods of the other side."""
+    either side. Before any block is read, the ground truth's `frame_sizes`
+    names the frames and their point counts, and `check_sizes` checks them
+    on the ground truth and then on the prediction."""
 
-    def check_coverage(self, other: "LabelSource") -> tuple[list[int], list[int]]: ...
+    def frame_sizes(self) -> tuple[list[int], list[int]]: ...
 
     def check_sizes(self, frames: list[int], sizes: list[int]) -> None: ...
 
@@ -167,7 +163,9 @@ def _blocks(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> Iterator
 
     Both sides are checked in full before the first block is read, and each
     block's labels are read once per side."""
-    frames, sizes = gt.check_coverage(pred)
+    frames, sizes = gt.frame_sizes()
+    gt.check_sizes(frames, sizes)
+    pred.check_sizes(frames, sizes)
     begin = start = 0
     while begin < len(sizes):
         end, total = begin + 1, sizes[begin]
@@ -287,12 +285,44 @@ def s_assoc(pred: LabelSource, gt: LabelSource, class_map: ClassMap) -> float:
     return _fold(pred, gt, class_map, _Association())[0]
 
 
+class _Tally:
+    """A table whose rows are merged by key: each key keeps its first row,
+    with column `count` summed (float64, exact below 2^53), and the merged
+    rows are in ascending key order. Added rows wait until they are as many
+    as the merged ones, so the rows held stay within twice the distinct keys
+    plus one addition, however many additions come."""
+
+    def __init__(self, count: int, key: Callable[[list[np.ndarray]], np.ndarray]):
+        self.count, self.key = count, key
+        self.tables: list[tuple[np.ndarray, ...]] = []  # the merged table first
+        self.merged = self.rows = 0
+
+    def add(self, *columns: np.ndarray) -> None:
+        self.tables.append(columns)
+        self.rows += columns[0].size
+        if self.rows >= 2 * self.merged:
+            self.merge()
+
+    def merge(self) -> list[np.ndarray]:
+        table = _concat(self.tables)
+        _, first, group = np.unique(self.key(table), return_index=True, return_inverse=True)
+        merged = [column[first] for column in table]
+        merged[self.count] = np.bincount(group, weights=table[self.count])
+        self.tables = [tuple(merged)]
+        self.merged = self.rows = first.size
+        return merged
+
+
 class _Association:
-    """S_assoc from per-block tables of gt tubes, predicted tubes and
-    (gt, pred) overlaps."""
+    """S_assoc from running tables of gt tubes, predicted tubes and
+    (gt, pred) overlaps, merged by key as the blocks come in, so the rows
+    held follow the distinct keys rather than the blocks."""
 
     def __init__(self):
-        self.tubes, self.pred_tubes, self.pairs = [], [], []
+        self.tubes = _Tally(2, lambda t: t[0])  # (gt id, first frame, size)
+        self.pred_tubes = _Tally(1, lambda t: t[0])  # (predicted id, size)
+        # (gt id, predicted id, overlap, index of the pair's first point)
+        self.pairs = _Tally(2, lambda t: _pack(t[0], t[1])[0])
 
     def add(self, block: _Block) -> None:
         gt_inst, pred_inst = block.gt.inst, block.pred.inst
@@ -300,28 +330,23 @@ class _Association:
         p_sel = block.valid & (pred_inst > 0)
         idx = np.flatnonzero(g_sel)
         t_id, first, size = np.unique(gt_inst[idx], return_index=True, return_counts=True)
-        self.tubes.append((t_id, block.begin + block.frame[idx[first]], size))
-        self.pred_tubes.append(np.unique(pred_inst[p_sel], return_counts=True))
+        self.tubes.add(t_id, block.begin + block.frame[idx[first]], size)
+        self.pred_tubes.add(*np.unique(pred_inst[p_sel], return_counts=True))
         idx = np.flatnonzero(g_sel & p_sel)
         g, p = gt_inst[idx], pred_inst[idx]
         _, first, size = np.unique(_pack(g, p)[0], return_index=True, return_counts=True)
-        self.pairs.append((g[first], p[first], size, block.start + idx[first]))
+        self.pairs.add(g[first], p[first], size, block.start + idx[first])
 
     def result(self) -> float:
-        if not sum(t[0].size for t in self.tubes):
+        if not self.tubes.rows:
             warnings.warn("no ground-truth thing tubes; association score defined as 1.0")
             return 1.0
-        # Merge the blocks; a key's first entry comes from the earliest block.
-        t_id, t_frame, t_size = _concat(self.tubes)
-        first, t_size = _merge(t_id, t_size)
-        t_id, t_frame = t_id[first], t_frame[first]
-        p_id, p_size = _concat(self.pred_tubes)
-        first, p_size = _merge(p_id, p_size)
-        p_id = p_id[first]
-        pair_g, pair_p, overlap, seen = _concat(self.pairs)
-        first, overlap = _merge(_pack(pair_g, pair_p)[0], overlap)
-        order = np.argsort(seen[first])
-        pair_g, pair_p, overlap = pair_g[first][order], pair_p[first][order], overlap[order]
+        # a key's first row comes from the earliest block
+        t_id, t_frame, t_size = self.tubes.merge()
+        p_id, p_size = self.pred_tubes.merge()
+        pair_g, pair_p, overlap, seen = self.pairs.merge()
+        order = np.argsort(seen)
+        pair_g, pair_p, overlap = pair_g[order], pair_p[order], overlap[order]
 
         tube = np.searchsorted(t_id, pair_g)
         union = t_size[tube] + p_size[np.searchsorted(p_id, pair_p)] - overlap
@@ -333,13 +358,6 @@ class _Association:
 def _concat(tables: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
     """Column-wise concatenation of per-block tables."""
     return [np.concatenate(column) for column in zip(*tables)]
-
-
-def _merge(key: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each distinct key's first entry (keys ascending) and the
-    summed counts per key (float64, exact below 2^53)."""
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    return first, np.bincount(group, weights=counts)
 
 
 def lstq(s_cls_value: float, s_assoc_value: float) -> float:

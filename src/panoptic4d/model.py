@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backbone import Backbone, FeaturePyramid, seed_features
 from .decoder import FourierEncoder, QueryRefiner, init_queries
-from .errors import ContractError, ParameterError, check_fields, domain
+from .errors import ParameterError, check_fields, domain
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, WindowContext, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
@@ -74,15 +74,10 @@ class WindowData:
     ctx: WindowContext
 
 
-def point_labels(scans: list[LidarScan], cloud: SuperimposedCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Per superimposed point (semantic, instance) pulled from the scans."""
-    n = cloud.num_points
-    sem = np.concatenate([s.semantic for s in scans], dtype=np.int64)
-    inst = np.concatenate([s.instance for s in scans], dtype=np.int64)
-    for flat in (sem, inst):
-        if flat.shape != (n,):
-            raise ContractError(f"{flat.size} labels for a window of {n} points")
-    return sem, inst
+def point_labels(scans: list[LidarScan]) -> tuple[np.ndarray, np.ndarray]:
+    """Per superimposed point (semantic, instance) pulled from the scans,
+    each of which holds one label per point."""
+    return tuple(np.concatenate([getattr(s, k) for s in scans]) for k in ("semantic", "instance"))
 
 
 def prepare_window(
@@ -164,5 +159,5 @@ class PanopticModel:
         return ForwardResult(outputs=outputs, pyramid=pyramid)
 
     def window_targets(self, window: WindowData) -> Targets:
-        sem, inst = point_labels(window.scans, window.cloud)
+        sem, inst = point_labels(window.scans)
         return build_targets(window.cloud, window.grid, sem, inst, self.class_map, window.ctx)

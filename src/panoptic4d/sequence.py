@@ -108,8 +108,10 @@ def sequence_windows(
 
 def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) -> list[str]:
     """Write a sequence in the kitti_io layout; returns the created file paths.
-    Labels that cannot be written fail before the first directory is made."""
+    Scans and labels that cannot be written fail before the first directory
+    is made."""
     for scan in seq.scans:
+        kitti_io.check_scan(kitti_io.scan_path(out_dir, scan.frame_index), scan.points)
         if write_labels and scan.has_labels():
             kitti_io.check_labels(out_dir, scan.frame_index, scan.semantic, scan.instance)
     os.makedirs(os.path.join(out_dir, "velodyne"), exist_ok=True)

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import RunConfig, config_to_text, config_from_text
 from .errors import CapacityError, EmptyInstanceError, ParameterError
-from .geometry import rot_z, superimpose
+from .geometry import rot_z
 from .heads import hungarian_match, label_pairs, total_loss
 from .model import PanopticModel, point_labels, prepare_window
 from .nn import load_parameters
@@ -87,10 +87,10 @@ def train_model(
 ) -> TrainResult:
     """Optimize the model on one or more sequences under a single schedule;
     returns the per-step loss trace. One pass first checks each window, with
-    no voxels: it has points, valid poses, finite points and at most
-    `num_queries` distinct labelled (class, instance) pairs. The pairs bound
-    the targets under any augmentation, so no step fails later; a window is
-    rejected on its pairs even if its voxel winners would fit."""
+    no voxels (its scans and poses are valid by construction): it has points
+    and at most `num_queries` distinct labelled (class, instance) pairs. The
+    pairs bound the targets under any augmentation, so no step fails later;
+    a window is rejected on its pairs even if its voxel winners would fit."""
     sequences = seq if isinstance(seq, list) else [seq]
     if not sequences or any(s.num_frames == 0 for s in sequences):
         raise ParameterError("cannot train on an empty sequence")
@@ -101,12 +101,11 @@ def train_model(
             raise ParameterError(f"training sequence {i}: frame {unlabelled[0]} has no labels")
         windows.extend(sequence_windows(s, cfg.window, cfg.train_stride))
     limit = model.config.num_queries
-    for scans, poses in windows:
+    for scans, _ in windows:
         frames = [s.frame_index for s in scans]
-        cloud = superimpose(scans, poses)
-        if cloud.num_points == 0:
+        if not any(s.num_points for s in scans):
             raise EmptyInstanceError(f"window frames {frames}: no points")
-        pairs = len(label_pairs(*point_labels(scans, cloud), model.class_map)[2])
+        pairs = len(label_pairs(*point_labels(scans), model.class_map)[2])
         if pairs > limit:
             raise CapacityError(f"window frames {frames}: {pairs} targets exceed {limit} queries")
     rng = np.random.Generator(np.random.PCG64(cfg.train_seed))

@@ -478,6 +478,14 @@ def _tubes(labels: SequenceLabels, select: dict[int, np.ndarray]) -> dict[int, i
     return sizes
 
 
+def check_both_sides(pred: SequenceLabels, gt: SequenceLabels) -> None:
+    """The size checks of metrics.evaluate: the ground truth's frames and
+    point counts, checked on the ground truth, then on the prediction."""
+    frames, sizes = gt.frame_sizes()
+    gt.check_sizes(frames, sizes)
+    pred.check_sizes(frames, sizes)
+
+
 def loop_s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) -> float:
     """Class-agnostic association quality over whole-sequence tubes.
 
@@ -486,7 +494,7 @@ def loop_s_assoc(pred: SequenceLabels, gt: SequenceLabels, class_map: ClassMap) 
     tubes uniformly. Predicted tube sizes count all points carrying that
     predicted instance id. 1.0 (with a warning) when there are no gt tubes.
     """
-    gt.check_coverage(pred)
+    check_both_sides(pred, gt)
     thing_set = set(class_map.thing_ids)
     gt_select = {}
     pred_select = {}
@@ -610,7 +618,7 @@ def loop_pq_sequence(
     Per-class values aggregate the per-scan statistics over the whole
     sequence; the scalar PQ/SQ/RQ average the per-scan class means.
     """
-    gt.check_coverage(pred)
+    check_both_sides(pred, gt)
     per_scan = []
     accum: dict[int, list[float]] = {}
     for f in gt.frames:

@@ -554,6 +554,27 @@ def test_infer_rejects_bad_pose_before_any_forward(workspace, tmp_path, monkeypa
     assert "poses.txt" in err and "line 5" in err and "orthonormal" in err
 
 
+def test_infer_rejects_a_point_beyond_int64_voxels_writing_nothing(workspace, tmp_path, capsys):
+    """A translation of 1e19 m puts every point past the int64 voxel range;
+    voxel indices used to wrap silently and infer wrote labels from them."""
+    seq_dir = tmp_path / "seq"
+    assert main(["generate", "--out", str(seq_dir)]) == 0
+    poses = [line.split() for line in (seq_dir / "poses.txt").read_text().splitlines()]
+    for fields in poses:
+        fields[3] = "1e19"  # x translation
+    (seq_dir / "poses.txt").write_text("\n".join(" ".join(f) for f in poses) + "\n")
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(seq_dir), "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "frame 0: point 0 [1e+19, " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_overrides_are_validated_together(workspace, tmp_path):
     # a window-4 stride-3 checkpoint run as window 2, stride 1: valid only as a whole
     from panoptic4d.model import PanopticModel
@@ -718,6 +739,17 @@ def test_train_rejects_negative_seed_naming_the_key(
     assert rc == 1
     value, prefix = (argv[1], "error: ") if argv else (in_file, f"error: {cfg}: ")
     assert f"{prefix}{key} must be >= 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_points_beyond_float32_leaving_no_file(tmp_path, capsys):
+    """At 1e200 m per frame the sensor-frame points of frame 1 are finite in
+    float64 but not in float32; generate used to write them as inf."""
+    spec = tmp_path / "scene.cfg"
+    spec.write_text("ego_speed = 1e200\n")
+    out = tmp_path / "seq"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "000001.bin: record 0 [-inf, " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -18,7 +21,6 @@ from panoptic4d.geometry import (
     Pose,
     SuperimposedCloud,
     WindowContext,
-    apply_pose,
     farthest_point_sampling,
     rot_z,
     superimpose,
@@ -41,28 +43,50 @@ def make_cloud(points, frames=None):
     return superimpose(scans, poses)
 
 
-class TestApplyPose:
+class TestPose:
     def test_pure_translation(self):
-        scan = LidarScan(points=[[0.0, 0.0, 0.0]], frame_index=0)
-        out = apply_pose(scan, Pose(np.eye(3), [1.0, 0.0, 0.0]))
+        out = Pose(np.eye(3), [1.0, 0.0, 0.0]).apply([[0.0, 0.0, 0.0]])
         np.testing.assert_allclose(out, [[1.0, 0.0, 0.0]])
 
     def test_axis_rotation(self):
-        scan = LidarScan(points=[[1.0, 0.0, 0.0]], frame_index=0)
-        out = apply_pose(scan, Pose(rot_z(np.pi / 2), np.zeros(3)))
+        out = Pose(rot_z(np.pi / 2), np.zeros(3)).apply([[1.0, 0.0, 0.0]])
         np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-9)
 
     def test_empty_scan(self):
         scan = LidarScan(points=np.zeros((0, 3)), frame_index=0)
-        assert apply_pose(scan, Pose.identity()).shape == (0, 3)
+        assert Pose.identity().apply(scan.points).shape == (0, 3)
 
-    def test_invalid_rotation_rejected(self):
-        scan = LidarScan(points=[[1.0, 2.0, 3.0]], frame_index=0)
-        with pytest.raises(InvalidPoseError):
-            apply_pose(scan, Pose(np.eye(3) * 2.0, np.zeros(3)))
-        with pytest.raises(InvalidPoseError):
+    @pytest.mark.parametrize(
+        "rotation, translation, message",
+        [
+            (np.eye(2), np.zeros(3), r"rotation must be 3x3, got \(2, 2\)"),
+            (np.eye(3) * 2.0, np.zeros(3), "not orthonormal"),
             # orthonormal but determinant -1 (a reflection)
-            apply_pose(scan, Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3)))
+            (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "determinant is not \\+1"),
+            (np.eye(3), [0.0, np.inf, 0.0], "translation is not finite"),
+            (np.eye(3), [np.nan, 0.0, 0.0], "translation is not finite"),
+        ],
+    )
+    def test_each_rule_raises_on_construction(self, rotation, translation, message):
+        with pytest.raises(InvalidPoseError, match=message):
+            Pose(rotation, translation)
+
+    def test_arrays_are_read_only_copies(self):
+        rotation, translation = rot_z(0.3), np.array([1.0, 2.0, 3.0])
+        pose = Pose(rotation, translation)
+        rotation[0, 0] = translation[0] = 5.0
+        assert pose.rotation[0, 0] == np.cos(0.3) and pose.translation[0] == 1.0
+        for arr in (pose.rotation, pose.translation, pose.inverse().rotation):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_copies_are_rebuilt_through_the_constructor(self, clone):
+        pose = Pose(rot_z(0.3), [1.0, 2.0, 3.0])
+        twin = clone(pose)
+        np.testing.assert_array_equal(twin.rotation, pose.rotation)
+        np.testing.assert_array_equal(twin.translation, pose.translation)
+        assert not twin.rotation.flags.writeable and not twin.translation.flags.writeable
 
     def test_orthonormality_check_is_np_allclose(self):
         # perturbations straddle the tolerance; a few entries are non-finite
@@ -74,7 +98,7 @@ class TestApplyPose:
                 r[i % 3, (i // 3) % 3] = (np.nan, np.inf, -np.inf)[(i // 100) % 3]
             want = np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL)
             try:
-                Pose(r, np.zeros(3)).validate()
+                Pose(r, np.zeros(3))
                 accepted = True
             except InvalidPoseError as exc:
                 accepted = "orthonormal" not in str(exc)
@@ -132,19 +156,68 @@ class TestSuperimpose:
         with pytest.raises(ParameterError, match=r"frame 0: point 0 \[nan, 0.0, inf\]"):
             LidarScan(points=[[np.nan, 0, np.inf]], frame_index=0)
 
-    def test_non_finite_point_names_slot_frame_and_point(self):
-        good = LidarScan(points=np.zeros((4, 3)), frame_index=3)
-        bad = LidarScan(points=np.ones((5, 3)), frame_index=7)
-        # scans are mutable, so superimpose checks the points it is given
-        bad.points[2, 1] = np.nan
-        bad.points[4, 0] = np.inf
-        with pytest.raises(ParameterError, match=r"slot 1 \(frame 7\): point 2 "):
-            superimpose([good, bad], [Pose.identity(), Pose.identity()])
 
-    def test_non_finite_pose_translation_rejected(self):
-        scan = LidarScan(points=np.zeros((3, 3)), frame_index=0)
-        with pytest.raises(InvalidPoseError, match="translation"):
-            superimpose([scan], [Pose(np.eye(3), [np.inf, 0.0, 0.0])])
+class TestLidarScanIsFrozen:
+    def scan(self):
+        labels = np.arange(5)
+        return LidarScan(points=np.ones((5, 3)), frame_index=7, semantic=labels, instance=labels % 2)
+
+    def test_points_are_a_read_only_copy(self):
+        points = np.ones((5, 3))
+        scan = LidarScan(points=points, frame_index=7)
+        points[2, 1] = np.nan
+        assert np.isfinite(scan.points).all()
+        with pytest.raises(ValueError, match="read-only"):
+            scan.points[2, 1] = np.nan
+
+    @pytest.mark.parametrize("name", ["points", "frame_index", "semantic", "instance"])
+    def test_fields_cannot_be_rebound(self, name):
+        scan = self.scan()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scan, name, getattr(scan, name))
+
+    def test_labels_stay_writable(self):
+        scan = self.scan()
+        scan.semantic[0] = scan.instance[0] = 9
+        assert scan.semantic[0] == scan.instance[0] == 9
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda s: pickle.loads(pickle.dumps(s)),
+            lambda s: dataclasses.replace(s, frame_index=8),
+        ],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_every_copy_has_checked_read_only_points(self, clone):
+        scan = self.scan()
+        twin = clone(scan)
+        np.testing.assert_array_equal(twin.points, scan.points)
+        np.testing.assert_array_equal(twin.semantic, scan.semantic)
+        assert not twin.points.flags.writeable
+        assert twin.semantic.flags.writeable and twin.instance.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            twin.points[0, 0] = np.nan
+
+    def test_non_finite_points_through_any_copy_raise(self):
+        scan = self.scan()
+        bad = scan.points.copy()
+        bad[2, 1] = np.nan
+        message = r"frame 7: point 2 \[1.0, nan, 1.0\] is not finite"
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(scan, points=bad)
+        with pytest.raises(ParameterError, match=message):
+            # the memo hands deepcopy the corrupted array in place of the points
+            copy.deepcopy(scan, memo={id(scan.points): bad})
+        marked = scan.points.copy()
+        marked[2, 1] = 1234.5
+        payload = pickle.dumps(dataclasses.replace(scan, points=marked))
+        value = np.float64(1234.5).tobytes()
+        assert payload.count(value) == 1
+        with pytest.raises(ParameterError, match=message):
+            pickle.loads(payload.replace(value, np.float64(np.nan).tobytes()))
 
 
 class TestVoxelize:
@@ -153,6 +226,17 @@ class TestVoxelize:
         grid = voxelize(cloud, 0.05)
         assert grid.num_voxels == 1
         assert grid.voxel_coords.tolist() == [[0, 0, 0]]
+
+    @pytest.mark.parametrize("x", [2.0**63 * 0.05, -(2.0**63) * 0.05, 1e300])
+    def test_point_beyond_int64_voxels_rejected(self, x):
+        cloud = make_cloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, x, 0.0]], frames=[3, 4])
+        with pytest.raises(ParameterError, match=r"frame 4: point 1 \[0.0, .*\] .* size 0.05"):
+            voxelize(cloud, 0.05)
+
+    def test_largest_fitting_coordinate_accepted(self):
+        below = np.nextafter(2.0**63, 0.0)
+        grid = voxelize(make_cloud([[below, -below, 0.0]]), 1.0)
+        assert grid.voxel_coords.tolist() == [[int(below), -int(below), 0]]
 
     def test_negative_floor(self):
         cloud = make_cloud([[0.12, 0.0, -0.07]])

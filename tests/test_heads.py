@@ -266,7 +266,7 @@ def criterion_4_windows():
     seq = generate_sequence(OVERFIT_SPEC)
     for scans, poses in sequence_windows(seq, cfg.window, cfg.stride):
         data = prepare_window(scans, poses, cfg.voxel_size)
-        yield (data, *point_labels(data.scans, data.cloud))
+        yield (data, *point_labels(data.scans))
 
 
 def labelled_cloud(seed, n, voxel_size, sem_choices, inst_choices):
@@ -368,7 +368,7 @@ def test_label_pairs_bound_the_targets_under_augmentation(seed, num_scans, n, vo
         scans.append(LidarScan(rng.uniform(-2.0, 2.0, size=(n, 3)), f, sem, inst))
     cfg = desk_preset(aug_rotate=flags[0], aug_translate=flags[1], aug_scale=flags[2])
     data = prepare_window(scans, [Pose.identity()] * num_scans, voxel_size, augmentation(cfg, rng))
-    sem, inst = point_labels(data.scans, data.cloud)
+    sem, inst = point_labels(data.scans)
     _, inst_ids, keys, _ = label_pairs(sem, inst, cm)
     cls = cm.index(sem)
     pairs = {(c, i if cm.thing[c] else 0) for c, i in zip(cls.tolist(), inst.tolist()) if c >= 0}

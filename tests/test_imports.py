@@ -94,3 +94,48 @@ def test_function_imports_are_found(tmp_path):
         "            from .autodiff import no_grad\n"
     )
     assert function_imports(src) == ["line 6", "line 11", "line 15"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    """'line N: name' for every name path imports and never uses: no
+    ast.Name of it (an attribute chain starts with one) and no entry in
+    `__all__`. `from __future__` imports are directives, not names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = getattr(node, "targets", [])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(elt.value for elt in node.value.elts)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_every_imported_name_is_used():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    offenders = {p.name: unused_imports(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_unused_imports_are_found(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .errors import ContractError, ParameterError\n"
+        "from .geometry import Pose\n"
+        "from . import heads\n"
+        "__all__ = ['Pose']\n"
+        "def f(x: np.ndarray) -> None:\n"
+        "    raise ParameterError(heads.name)\n"
+    )
+    assert unused_imports(src) == ["line 2: os", "line 4: ContractError"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,10 +91,21 @@ class TestScanFiles:
         pts[5, 0] = bad
         intensity = np.full(6, np.nan)  # intensity is not a coordinate
         path = str(tmp_path / "bad.bin")
-        kitti_io.write_scan(path, pts, intensity)
+        # write_scan refuses such points, so the records are written by hand
+        np.column_stack([pts, intensity]).astype("<f4").tofile(path)
         with pytest.raises(FormatError, match="bad.bin") as exc:
             kitti_io.read_scan(path)
         assert exc.value.byte_offset == 3 * kitti_io.SCAN_RECORD_BYTES
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39, -1e200])
+    def test_write_rejects_a_point_not_finite_in_float32(self, tmp_path, bad):
+        pts = np.zeros((6, 3))
+        pts[3, 2] = bad
+        pts[5, 0] = bad
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ParameterError, match=r"scan file .*bad.bin: record 3 \[0.0, 0.0, -?(nan|inf)\]"):
+            kitti_io.write_scan(str(path), pts)
+        assert not path.exists()
 
     def test_non_finite_intensity_is_read(self, tmp_path):
         path = str(tmp_path / "scan.bin")
@@ -180,7 +193,7 @@ class TestSequenceRoundTrip:
 
     def test_partly_labelled_round_trip(self, tmp_path):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
-        seq.scans[1].semantic = seq.scans[1].instance = None
+        seq.scans[1] = dataclasses.replace(seq.scans[1], semantic=None, instance=None)
         out = str(tmp_path / "seq")
         created = save_sequence(seq, out)
         assert kitti_io.label_path(out, 1) not in created
@@ -189,6 +202,17 @@ class TestSequenceRoundTrip:
         for a, b in zip(seq.scans[::2], back.scans[::2]):
             np.testing.assert_array_equal(a.semantic, b.semantic)
             np.testing.assert_array_equal(a.instance, b.instance)
+
+    def test_unwritable_scan_leaves_no_output(self, tmp_path):
+        """A coordinate that overflows float32 fails before any directory is made."""
+        seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
+        points = seq.scans[2].points.copy()
+        points[4, 0] = 1e39
+        seq.scans[2] = dataclasses.replace(seq.scans[2], points=points)
+        out = tmp_path / "seq"
+        with pytest.raises(ParameterError, match=r"000002.bin: record 4 \[inf, "):
+            save_sequence(seq, str(out))
+        assert not out.exists()
 
     def test_unwritable_labels_leave_no_output(self, tmp_path):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))

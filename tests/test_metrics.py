@@ -119,22 +119,26 @@ class TestSCls:
 
 
 class TestEvaluateChecksOnce:
-    def test_one_coverage_check_per_evaluate(self, monkeypatch):
+    def test_one_size_check_per_side_per_evaluate(self, monkeypatch):
         calls = []
-        check = SequenceLabels.check_coverage
+        frame_sizes, check_sizes = SequenceLabels.frame_sizes, SequenceLabels.check_sizes
 
-        def counted(self, other):
-            calls.append(1)
-            return check(self, other)
+        def counted_frame_sizes(self):
+            calls.append(("frame_sizes", self))
+            return frame_sizes(self)
 
-        monkeypatch.setattr(SequenceLabels, "check_coverage", counted)
+        def counted_check_sizes(self, frames, sizes):
+            calls.append(("check_sizes", self))
+            return check_sizes(self, frames, sizes)
+
+        monkeypatch.setattr(SequenceLabels, "frame_sizes", counted_frame_sizes)
+        monkeypatch.setattr(SequenceLabels, "check_sizes", counted_check_sizes)
         scene = manual_scene(([1, 3], [1, 0], [1, 3], [1, 0]), ([2, 4], [5, 0], [2, 4], [6, 0]))
-        evaluate(*labels_from_scene(scene), CM)
-        assert len(calls) == 1
-        for score in (s_cls, s_assoc, pq_sequence):
+        for score in (evaluate, s_cls, s_assoc, pq_sequence):
             calls.clear()
-            score(*labels_from_scene(scene), CM)
-            assert len(calls) == 1
+            pred, gt = labels_from_scene(scene)
+            score(pred, gt, CM)
+            assert calls == [("frame_sizes", gt), ("check_sizes", gt), ("check_sizes", pred)]
 
     def test_short_pred_instance_array_names_the_frame(self):
         scene = manual_scene(([1, 3], [1, 0], [1, 3], [1, 0]), ([1, 3, 3], [1, 0, 0], [1, 3, 3], [1, 0, 0]))
@@ -622,6 +626,27 @@ def test_mixed_label_sources_name_the_frame_of_a_size_mismatch(in_memory, error,
     sources = {"pred": pred_files, "gt": gt_files, in_memory: labels[in_memory]}
     with pytest.raises(error, match=message):
         evaluate(sources["pred"], sources["gt"], CM)
+
+
+def test_association_rows_follow_distinct_keys_not_blocks(monkeypatch):
+    """300 one-frame blocks of three gt tubes, five predicted ids and four
+    (gt, pred) pairs: the running tables hold fewer than twice the distinct
+    keys after every block, where a table per block held 300 times them."""
+    monkeypatch.setattr(metrics, "_BLOCK_POINTS", 8)
+    sem = np.array([1, 1, 2, 2, 1, 3, 3, 4])
+    gt_inst = np.array([1, 1, 2, 2, 3, 0, 0, 0])
+    pred_inst = np.array([5, 6, 2, 2, 7, 8, 0, 0])
+    frames = list(range(300))
+    gt = SequenceLabels(frames, dict.fromkeys(frames, sem), dict.fromkeys(frames, gt_inst))
+    pred = SequenceLabels(frames, dict.fromkeys(frames, sem), dict.fromkeys(frames, pred_inst))
+    assoc = metrics._Association()
+    held = []
+    for block in metrics._blocks(pred, gt, CM):
+        assoc.add(block)
+        held.append(assoc.tubes.rows + assoc.pred_tubes.rows + assoc.pairs.rows)
+    assert len(held) == 300
+    assert max(held) < 2 * (3 + 5 + 4)
+    assert assoc.result() == loop_s_assoc(pred, gt, CM)
 
 
 @pytest.fixture(scope="module")

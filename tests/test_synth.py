@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from panoptic4d.errors import ParameterError
-from panoptic4d.geometry import apply_pose
 from panoptic4d.synth import SceneSpec, generate_sequence
 
 
@@ -72,7 +71,7 @@ def test_object_points_near_track_center():
     seq = generate_sequence(spec)
     track = seq.tracks[0]
     for f, scan in enumerate(seq.scans):
-        world = apply_pose(scan, seq.poses[f])
+        world = seq.poses[f].apply(scan.points)
         sel = scan.instance == track.instance_id
         d = np.linalg.norm(world[sel] - track.centers[f], axis=1)
         assert d.max() <= np.linalg.norm(track.shape) / 2 + 1e-9

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import itertools
 import tracemalloc
@@ -139,13 +140,18 @@ def test_label_pairs_over_capacity_fail_before_the_first_step(augment, optimizer
     assert optimizer_steps == []
 
 
+def emptied(scan):
+    return dataclasses.replace(scan, points=np.zeros((0, 3)), semantic=np.zeros(0, int), instance=np.zeros(0, int))
+
+
 def empty_scans(seq):
-    for scan in seq.scans[2:]:
-        scan.points, scan.semantic, scan.instance = np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int)
+    seq.scans[2:] = [emptied(scan) for scan in seq.scans[2:]]
 
 
 def non_finite_point(seq):
-    seq.scans[3].points[5] = np.nan
+    points = seq.scans[3].points.copy()
+    points[5] = np.nan
+    seq.scans[3] = dataclasses.replace(seq.scans[3], points=points)
 
 
 def reflected_pose(seq):
@@ -156,18 +162,21 @@ def reflected_pose(seq):
     "corrupt, error, message",
     [
         (empty_scans, EmptyInstanceError, r"window frames \[2, 3\]: no points"),
-        (non_finite_point, ParameterError, r"window slot 1 \(frame 3\): point 5 is not finite"),
+        (non_finite_point, ParameterError, r"frame 3: point 5 \[nan, .*\] is not finite"),
         (reflected_pose, InvalidPoseError, "determinant"),
     ],
     ids=["empty", "non_finite", "invalid_pose"],
 )
 def test_bad_last_window_fails_before_the_first_step(corrupt, error, message, optimizer_steps):
+    """An empty window fails in train_model's check pass; a non-finite point
+    or an improper rotation cannot reach it, since building the scan or the
+    pose raises."""
     seq = generate_sequence(
         SceneSpec(seed=1, num_frames=4, num_thing_objects=2, points_per_object=40, points_per_stuff=80)
     )
-    corrupt(seq)
     cfg = tiny_cfg(steps=4, train_stride=2)  # windows (0, 1) and (2, 3)
     with pytest.raises(error, match=message):
+        corrupt(seq)
         train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
     assert optimizer_steps == []
 
@@ -193,8 +202,7 @@ def test_planar_scene_trains():
     """A desk training on a scene whose points all lie at z = 0 completes:
     its boxes are normalized by the window context's floored extent."""
     seq = desk_scene()
-    for scan in seq.scans:
-        scan.points[:, 2] = 0.0
+    seq.scans[:] = [dataclasses.replace(s, points=np.column_stack([s.points[:, :2], np.zeros(s.num_points)])) for s in seq.scans]
     cfg = desk_preset(steps=2)
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     result = train_model(model, seq, cfg, log_every=0)
@@ -203,8 +211,7 @@ def test_planar_scene_trains():
 
 def test_empty_window_fails_naming_its_frames(tiny_seq):
     seq = copy.deepcopy(tiny_seq)
-    for scan in seq.scans[:2]:
-        scan.points, scan.semantic, scan.instance = np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, int)
+    seq.scans[:2] = [emptied(scan) for scan in seq.scans[:2]]
     cfg = tiny_cfg(steps=2)
     with pytest.raises(EmptyInstanceError, match=r"window frames \[0, 1\]: no points"):
         train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
@@ -332,8 +339,7 @@ def test_csv_columns(tiny_seq):
 def test_unlabeled_sequence_rejected(tiny_seq):
     """The error names the sequence and its first frame without labels."""
     seq = copy.deepcopy(tiny_seq)
-    for scan in seq.scans[1:]:
-        scan.semantic = None
+    seq.scans[1:] = [dataclasses.replace(scan, semantic=None) for scan in seq.scans[1:]]
     model = PanopticModel(tiny_cfg().model_config(), init_seed=0)
     with pytest.raises(ParameterError, match="training sequence 1: frame 1 has no labels"):
         train_model(model, [tiny_seq, seq], tiny_cfg())
