@@ -27,6 +27,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -318,8 +319,8 @@ def _scatter_rows(rows: np.ndarray, index: np.ndarray, num: int) -> np.ndarray:
     One bincount over flattened (index, column) bins; it adds each bin's
     terms in order of j, as np.add.at does, so the sums are bit-identical.
     """
-    flat = rows.reshape(rows.shape[0], -1)
-    width = flat.shape[1]
+    width = math.prod(rows.shape[1:])  # explicit, as -1 cannot be inferred for zero rows
+    flat = rows.reshape(rows.shape[0], width)
     bins = (index * width)[:, None] + np.arange(width)
     sums = np.bincount(bins.reshape(-1), weights=flat.reshape(-1), minlength=num * width)
     return sums.reshape((num,) + rows.shape[1:])

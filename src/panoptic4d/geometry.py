@@ -1,6 +1,6 @@
 """Point-cloud primitives: rigid transforms, scan superposition, voxelization,
-a window's normalization frame, farthest point sampling, and trajectory
-bounding boxes.
+a window's normalization frame, farthest point sampling, trajectory bounding
+boxes, and the one integer-key rule (pack_keys, first_occurrence_groups).
 
 All operations are pure functions over immutable inputs; none of them keeps
 shared mutable state, so concurrent calls are safe.
@@ -9,6 +9,7 @@ shared mutable state, so concurrent calls are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -210,25 +211,42 @@ def superimpose(scans: list[LidarScan], poses: list[Pose]) -> SuperimposedCloud:
     )
 
 
-def unique_rows_first_occurrence(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows in order of first occurrence, plus the inverse mapping.
+def pack_keys(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """Collision-free int64 keys ordered like the pairs (major, minor) of two
+    int64 arrays, and the function that turns keys back into pairs.
 
-    One stable lexsort over the columns groups equal rows with their lowest
-    index first; nothing is packed into a wider key, so any int64 values work.
+    The strides come from the value ranges; when the ranges are too wide for
+    int64 keys, each side is first replaced by the ranks of its values.
     """
-    n = coords.shape[0]
-    order = np.lexsort(coords.T[::-1])
-    ranked = coords[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.cumsum(starts) - 1  # lexicographic group of each sorted row
-    first = order[starts]  # lowest point index of each group
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    new_id = np.cumsum(is_first) - 1  # at first occurrences: the group's rank
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = new_id[first][group]
-    return coords[is_first], inverse
+    if major.size == 0:
+        return major, lambda key: (key, key)
+    lo_a, lo_b = int(major.min()), int(minor.min())
+    span_b = int(minor.max()) - lo_b + 1
+    if (int(major.max()) - lo_a + 1) * span_b < 1 << 63:
+        key = major - lo_a
+        key *= span_b
+        key += minor - lo_b
+        return key, lambda key: (key // span_b + lo_a, key % span_b + lo_b)
+    values_a, rank_a = np.unique(major, return_inverse=True)
+    values_b, rank_b = np.unique(minor, return_inverse=True)
+    span_b = values_b.size
+    return rank_a * span_b + rank_b, lambda key: (values_a[key // span_b], values_b[key % span_b])
+
+
+def first_occurrence_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct key's first entry, in order of first
+    occurrence, and each entry's group: the position of its key there."""
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[group]  # argsort inverts a permutation
+
+
+def unique_rows_first_occurrence(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of (N, 3) integer coordinates in order of first
+    occurrence, plus each row's group; any int64 values work."""
+    xy = pack_keys(coords[:, 0], coords[:, 1])[0]
+    first, group = first_occurrence_groups(pack_keys(xy, coords[:, 2])[0])
+    return coords[first], group
 
 
 def pool_coords(

@@ -16,7 +16,14 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
 from .errors import CapacityError, ContractError, ParameterError, ShapeError, check_fields, domain
-from .geometry import SuperimposedCloud, VoxelGrid, WindowContext, trajectory_box
+from .geometry import (
+    SuperimposedCloud,
+    VoxelGrid,
+    WindowContext,
+    first_occurrence_groups,
+    pack_keys,
+    trajectory_box,
+)
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 from .sequence import ClassMap
 
@@ -105,16 +112,15 @@ class Targets:
 
 
 def label_pairs(point_semantic: np.ndarray, point_instance: np.ndarray, class_map: ClassMap):
-    """The points of a class in index order, the instance ids, the distinct (class index,
-    instance) pairs keyed class * len(ids) + instance rank, and each point's pair; stuff points
-    carry instance 0. Every target is one pair under any transform, so len(keys) bounds them."""
+    """The points of a class in index order, the unpack of the pair keys, the distinct (class
+    index, instance) pair keys ascending, and each point's pair; stuff points carry instance 0.
+    Every target is one pair under any transform, so len(keys) bounds them."""
     cls = class_map.index(point_semantic)
     idx = np.flatnonzero(cls >= 0)
     cls = cls[idx]
-    inst = np.where(class_map.thing[cls], point_instance[idx], 0)
-    inst_ids, inst_rank = np.unique(inst, return_inverse=True)
-    pair_keys, pair = np.unique(cls * inst_ids.size + inst_rank, return_inverse=True)
-    return idx, inst_ids, pair_keys, pair
+    key, unpack = pack_keys(cls, np.where(class_map.thing[cls], point_instance[idx], 0))
+    pair_keys, pair = np.unique(key, return_inverse=True)
+    return idx, unpack, pair_keys, pair
 
 
 def build_targets(
@@ -137,27 +143,22 @@ def build_targets(
     if point_semantic.shape[0] != cloud.num_points:
         raise ShapeError("per-point labels do not match the cloud size")
 
-    idx, inst_ids, pair_keys, pair = label_pairs(point_semantic, point_instance, class_map)
+    idx, unpack, pair_keys, pair = label_pairs(point_semantic, point_instance, class_map)
     # Count the (voxel, pair) keys: each voxel takes its most frequent pair,
     # ties to the pair whose first member point comes first.
-    key, first, count = np.unique(
-        grid.point_to_voxel[idx] * pair_keys.size + pair, return_index=True, return_counts=True
-    )
-    voxel, pair = np.divmod(key, pair_keys.size)
+    key, to_pairs = pack_keys(grid.point_to_voxel[idx], pair)
+    key, first, count = np.unique(key, return_index=True, return_counts=True)
+    voxel, pair = to_pairs(key)
     order = np.lexsort((first, -count, voxel))
     order = order[np.diff(voxel[order], prepend=-1) != 0]
     voxel, pair = voxel[order], pair[order]  # the winners, voxels ascending
 
     # One segment per winning pair, in order of its first voxel.
-    _, first_voxel = np.unique(pair, return_index=True)
-    winners = pair[np.sort(first_voxel)]
-    segment_of = np.empty(pair_keys.size, dtype=np.int64)
-    segment_of[winners] = np.arange(winners.size)
-    masks = np.zeros((winners.size, grid.num_voxels), dtype=bool)
-    masks[segment_of[pair], voxel] = True
-    class_index, rank = np.divmod(pair_keys[winners], inst_ids.size)
-    instance_id = inst_ids[rank].astype(np.int64)
-    targets = Targets(masks, class_index, instance_id, np.zeros((winners.size, 6)))
+    winner, segment = first_occurrence_groups(pair)
+    masks = np.zeros((winner.size, grid.num_voxels), dtype=bool)
+    masks[segment, voxel] = True
+    class_index, instance_id = unpack(pair_keys[pair[winner]])
+    targets = Targets(masks, class_index, instance_id, np.zeros((winner.size, 6)))
     for t in np.flatnonzero(targets.is_thing).tolist():
         sem, inst = class_map.ids[class_index[t]], instance_id[t]
         pts = cloud.points[(point_instance == inst) & (point_semantic == sem)]

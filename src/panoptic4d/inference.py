@@ -19,7 +19,7 @@ import numpy as np
 
 from . import heads
 from .errors import CapacityError, ContractError, ParameterError, ShapeError
-from .geometry import SuperimposedCloud, VoxelGrid, first_non_finite
+from .geometry import SuperimposedCloud, VoxelGrid, first_non_finite, pack_keys
 from .metrics import SequenceLabels
 from .sequence import ClassMap, ScanSequence, sequence_windows
 
@@ -182,7 +182,8 @@ def _grid_neighbor_pairs(points: np.ndarray, eps2, group: np.ndarray):
         cells[:, k] = np.concatenate(([1], 1 + np.cumsum(steps)))[inverse]
     # Coordinates 0 and radix - 1 stay empty, so a forward offset never
     # carries into the next axis, and the group rank in front keeps every
-    # group in its own block of keys.
+    # group in its own block of keys: offsets need those empty border
+    # cells, which geometry.pack_keys does not leave, so it is not used here.
     radix = [int(r) for r in cells.max(axis=0) + 2]
     if (int(group.max()) + 1) * radix[0] * radix[1] * radix[2] >= 2**63:
         raise CapacityError(f"{n} points span too many grid cells for int64 keys")
@@ -278,8 +279,7 @@ def split_non_compact(
     order = np.flatnonzero(inst > 0)
     order = order[np.argsort(inst[order], kind="stable")]
     _, bounds, local = np.unique(inst[order], return_index=True, return_inverse=True)
-    n = order.size
-    bounds = np.append(bounds, n)
+    bounds = np.append(bounds, order.size)
     pts = cloud.points[order]
     cl = dbscan(pts, eps, min_pts, groups=local)
 
@@ -294,9 +294,8 @@ def split_non_compact(
         c[noise] = cluster_ids[d.argmin(axis=1)]
 
     # an all-noise instance keeps cluster -1, its single key
-    key = local * (n + 2) + cl + 1
     new_inst = np.zeros_like(inst)
-    new_inst[order] = np.unique(key, return_inverse=True)[1] + 1
+    new_inst[order] = np.unique(pack_keys(local, cl)[0], return_inverse=True)[1] + 1
     return new_inst
 
 
@@ -331,10 +330,11 @@ def stitch(
     mapping: dict[int, int] = {}
     if pg.size:
         # overlap counts of (previous id, local id) pairs via packed keys
-        radix = int(nl.max()) + 1
-        pair, overlap = np.unique(pg * radix + nl, return_counts=True)
-        prevs, p_idx = np.unique(pair // radix, return_inverse=True)
-        l_idx = np.searchsorted(locals_, pair % radix)
+        pair, unpack = pack_keys(pg, nl)
+        pair, overlap = np.unique(pair, return_counts=True)
+        pair_prev, pair_local = unpack(pair)
+        prevs, p_idx = np.unique(pair_prev, return_inverse=True)
+        l_idx = np.searchsorted(locals_, pair_local)
         counts = np.zeros((prevs.size, len(locals_)))
         counts[p_idx, l_idx] = overlap
         if prevs.size <= len(locals_):
@@ -399,5 +399,4 @@ def run_sequence(
             inst = pred.instance[f]
             result.semantic[f] = pred.semantic[f].copy()
             result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
-    result.frames.sort()
     return result

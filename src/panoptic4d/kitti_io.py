@@ -8,7 +8,8 @@ Formats:
     row-major 3x4 [R|t] matrix of the KITTI odometry convention; each line
     must make a valid geometry.Pose (a proper rotation, a finite translation).
 
-Directory layout of a sequence:
+Directory layout of a sequence, NNNNNN being the frame in ASCII digits,
+zero-padded to six as scan_path writes it (any other .bin name is an error):
   <sequence>/velodyne/NNNNNN.bin
   <sequence>/labels/NNNNNN.label
   <sequence>/poses.txt
@@ -181,17 +182,22 @@ def poses_path(sequence_dir: str) -> str:
 
 
 def list_frames(sequence_dir: str) -> list[int]:
-    """Frame indices present under velodyne/, sorted ascending."""
+    """Frame indices present under velodyne/, sorted ascending. A .bin file
+    must be named as scan_path names its frame (ASCII digits, at least six);
+    any other .bin name is a FormatError, and no scan at all a ParameterError."""
     scan_dir = os.path.join(sequence_dir, "velodyne")
     if not os.path.isdir(scan_dir):
         raise FormatError(f"{sequence_dir} has no velodyne/ directory")
     frames = []
     for name in os.listdir(scan_dir):
         if name.endswith(".bin"):
-            try:
-                frames.append(int(name[:-4]))
-            except ValueError:
+            stem = name[:-4]
+            frame = int(stem) if stem.isdecimal() else -1
+            if frame < 0 or name != os.path.basename(scan_path(sequence_dir, frame)):
                 raise FormatError(f"{scan_dir}: unexpected scan file name {name!r}")
+            frames.append(frame)
+    if not frames:
+        raise ParameterError(f"no scans found under {sequence_dir}")
     return sorted(frames)
 
 
@@ -212,8 +218,6 @@ class LabelFiles:
         """The frames of this directory and their point counts, taken from
         the .bin sizes alone."""
         frames = list_frames(self.sequence_dir)
-        if not frames:
-            raise ParameterError(f"no scans found under {self.sequence_dir}")
         sizes = []
         for f in frames:
             path = scan_path(self.sequence_dir, f)

@@ -30,6 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Protocol
 import numpy as np
 
 from .errors import ContractError
+from .geometry import pack_keys
 from .sequence import IGNORE_LABEL, ClassMap, ScanSequence
 
 _EXPECTED_COLUMNS = ["LSTQ", "S_assoc", "S_cls", "IoU_St", "IoU_Th", "PQ", "SQ", "RQ"]
@@ -195,30 +196,6 @@ def _fold(pred: LabelSource, gt: LabelSource, class_map: ClassMap, *metrics) -> 
     return [metric.result() for metric in metrics]
 
 
-def _pack(
-    major: np.ndarray, minor: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
-    """Collision-free int64 keys ordered like the pairs (major, minor), and
-    the function that turns keys back into pairs.
-
-    The strides come from the value ranges; when the ranges are too wide for
-    int64 keys, each side is first replaced by the ranks of its values.
-    """
-    if major.size == 0:
-        return major, lambda key: (key, key)
-    lo_a, lo_b = int(major.min()), int(minor.min())
-    span_b = int(minor.max()) - lo_b + 1
-    if (int(major.max()) - lo_a + 1) * span_b < 1 << 63:
-        key = major - lo_a
-        key *= span_b
-        key += minor - lo_b
-        return key, lambda key: (key // span_b + lo_a, key % span_b + lo_b)
-    values_a, rank_a = np.unique(major, return_inverse=True)
-    values_b, rank_b = np.unique(minor, return_inverse=True)
-    span_b = values_b.size
-    return rank_a * span_b + rank_b, lambda key: (values_a[key // span_b], values_b[key % span_b])
-
-
 class _Confusion:
     """The counts of confusion_matrix, summed block by block."""
 
@@ -228,6 +205,7 @@ class _Confusion:
 
     def add(self, block: _Block) -> None:
         c, g, p = self.size, block.gt.cls, block.pred.cls
+        # dense (gt class, pred class) bins of one C x C table, not pack_keys
         self.counts += np.bincount((g * c + p)[(g >= 0) & (p >= 0)], minlength=c * c)
 
     def result(self) -> np.ndarray:
@@ -322,7 +300,7 @@ class _Association:
         self.tubes = _Tally(2, lambda t: t[0])  # (gt id, first frame, size)
         self.pred_tubes = _Tally(1, lambda t: t[0])  # (predicted id, size)
         # (gt id, predicted id, overlap, index of the pair's first point)
-        self.pairs = _Tally(2, lambda t: _pack(t[0], t[1])[0])
+        self.pairs = _Tally(2, lambda t: pack_keys(t[0], t[1])[0])
 
     def add(self, block: _Block) -> None:
         gt_inst, pred_inst = block.gt.inst, block.pred.inst
@@ -334,7 +312,7 @@ class _Association:
         self.pred_tubes.add(*np.unique(pred_inst[p_sel], return_counts=True))
         idx = np.flatnonzero(g_sel & p_sel)
         g, p = gt_inst[idx], pred_inst[idx]
-        _, first, size = np.unique(_pack(g, p)[0], return_index=True, return_counts=True)
+        _, first, size = np.unique(pack_keys(g, p)[0], return_index=True, return_counts=True)
         self.pairs.add(g[first], p[first], size, block.start + idx[first])
 
     def result(self) -> float:
@@ -384,8 +362,10 @@ def _segments(
     """
     stuff = (side.cls >= 0) & ~side.thing
     member = np.flatnonzero(valid & ((side.thing & (side.inst > 0)) | stuff))
+    # (frame, class) cells are dense bins of the block's bincount tables; only
+    # the (cell, instance) segment key goes through pack_keys
     cell = frame[member] * num_classes + side.cls[member]
-    key, unpack = _pack(cell, np.where(side.thing[member], side.inst[member], 0))
+    key, unpack = pack_keys(cell, np.where(side.thing[member], side.inst[member], 0))
     keys, size = np.unique(key, return_counts=True)
     point_key = np.full(side.cls.size, -1, dtype=np.int64)
     point_key[member] = key
@@ -409,7 +389,7 @@ class _Panoptic:
         g_key, g_keys, g_cell, g_size = _segments(block.frame, block.gt, block.valid, num_classes)
         p_key, p_keys, p_cell, p_size = _segments(block.frame, block.pred, block.valid, num_classes)
         both = np.flatnonzero((g_key >= 0) & (p_key >= 0) & (block.gt.cls == block.pred.cls))
-        pair, unpack = _pack(g_key[both], p_key[both])
+        pair, unpack = pack_keys(g_key[both], p_key[both])
         pair, inter = np.unique(pair, return_counts=True)
         g_pair, p_pair = unpack(pair)
         g = np.searchsorted(g_keys, g_pair)

@@ -68,7 +68,8 @@ class ObjectTrack:
 
 @dataclass
 class ScanSequence:
-    """Ordered scans with ego poses, optional labels, and optional gt tracks."""
+    """Scans in strictly increasing frame order with ego poses, optional
+    labels, and optional gt tracks."""
 
     scans: list[LidarScan]
     poses: list[Pose]
@@ -78,6 +79,13 @@ class ScanSequence:
     def __post_init__(self):
         if len(self.scans) != len(self.poses):
             raise ArityError(f"{len(self.scans)} scans but {len(self.poses)} poses")
+        frames = [scan.frame_index for scan in self.scans]
+        for i in range(1, len(frames)):
+            if frames[i] <= frames[i - 1]:
+                raise ParameterError(
+                    f"frames must be strictly increasing: position {i} holds frame "
+                    f"{frames[i]} after frame {frames[i - 1]}"
+                )
 
     @property
     def num_frames(self) -> int:
@@ -139,8 +147,6 @@ def load_sequence(
 ) -> ScanSequence:
     """Read a sequence directory back into memory. Labels are optional."""
     frames = kitti_io.list_frames(sequence_dir)
-    if not frames:
-        raise ParameterError(f"no scans found under {sequence_dir}")
     poses = kitti_io.read_poses(kitti_io.poses_path(sequence_dir))
     if len(poses) != len(frames):
         raise ArityError(

@@ -954,6 +954,19 @@ def loop_unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq[order], rank[inverse]
 
 
+def loop_first_occurrence_groups(keys: np.ndarray) -> tuple[list[int], list[int]]:
+    """The index of each distinct key's first entry, in order of first
+    occurrence, and each entry's group, from a dict filled key by key."""
+    group_of: dict[int, int] = {}
+    first, group = [], []
+    for i, key in enumerate(keys.tolist()):
+        if key not in group_of:
+            group_of[key] = len(first)
+            first.append(i)
+        group.append(group_of[key])
+    return first, group
+
+
 def loop_pyramid_geometry(cloud: SuperimposedCloud, voxel_size: float, depth: int):
     """The mean pooling of voxelize and of Backbone.extract as each did it
     alone: per pyramid level the coordinates, the parent map (None at the

@@ -409,13 +409,15 @@ class TestSegmentMean:
 
 def _scatter_cases():
     """(rows, columns, index, output rows): repeated ids, ids in reverse and
-    random order, a single id, and magnitudes that make summation order show."""
+    random order, a single id, no rows at all, and magnitudes that make
+    summation order show."""
     rng = np.random.default_rng(23)
     cases = {
         "repeated": (np.array([0, 0, 0, 1, 1, 2]), 3),
         "reversed": (np.arange(40)[::-1] % 7, 7),
         "one_id": (np.zeros(9, dtype=np.int64), 1),
         "random": (rng.permutation(np.r_[np.arange(50), rng.integers(0, 50, 200)]), 50),
+        "empty": (np.zeros(0, dtype=np.int64), 0),
     }
     out = {}
     for name, (index, num) in cases.items():

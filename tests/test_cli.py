@@ -210,6 +210,24 @@ def test_eval_unexpected_scan_name_names_the_directory(workspace, tmp_path, caps
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "infer", "train"])
+def test_aliased_scan_name_fails_before_any_output(workspace, tmp_path, capsys, command):
+    # 1.bin would name frame 1 a second time, beside 000001.bin
+    seq = tmp_path / "seq"
+    shutil.copytree(workspace / "seq", seq)
+    shutil.copy(seq / "velodyne" / "000001.bin", seq / "velodyne" / "1.bin")
+    out = tmp_path / "out"
+    args = {
+        "eval": ["--pred", str(workspace / "seq"), "--gt", str(seq)],
+        "infer": ["--checkpoint", str(workspace / "train" / "model.ckpt"), "--sequence", str(seq)],
+        "train": ["--config", str(workspace / "run.cfg"), "--sequence", str(seq)],
+    }[command]
+    assert main([command, *args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{seq / 'velodyne'}: unexpected scan file name '1.bin'" in err
+    assert not out.exists()
+
+
 def test_eval_missing_gt_label_names_frame_and_directory(workspace, tmp_path, capsys):
     gt = tmp_path / "gt"
     shutil.copytree(workspace / "seq", gt)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,8 @@ from panoptic4d.geometry import (
     SuperimposedCloud,
     WindowContext,
     farthest_point_sampling,
+    first_occurrence_groups,
+    pack_keys,
     rot_z,
     superimpose,
     trajectory_box,
@@ -29,7 +31,12 @@ from panoptic4d.geometry import (
     voxelize,
 )
 
-from oracles import floor_voxel_oracle, greedy_fps, loop_unique_rows
+from oracles import (
+    floor_voxel_oracle,
+    greedy_fps,
+    loop_first_occurrence_groups,
+    loop_unique_rows,
+)
 
 
 def make_cloud(points, frames=None):
@@ -339,6 +346,53 @@ def test_unique_rows_match_loop_oracle(case):
     assert rows.shape == want_rows.shape and rows.dtype == want_rows.dtype
     assert inverse.shape == want_inverse.shape and inverse.dtype == want_inverse.dtype
     assert (rows == want_rows).all() and (inverse == want_inverse).all()
+
+
+INT64 = np.iinfo(np.int64)
+# small values repeat often; the extremes make the ranges too wide for int64
+# keys, so pack_keys falls back to ranks
+int64s = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(2**62), 2**62, int(INT64.min), int(INT64.max)]),
+    st.integers(int(INT64.min), int(INT64.max)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(int64s, int64s), max_size=40))
+@example([])
+@example([(5, -7)])
+@example([(-3, -1), (-3, -2), (-4, 9)])
+@example([(1, 2), (1, 2), (0, 2), (1, 2)])
+@example([(2**62, -(2**62)), (-(2**62), 2**62), (0, 0)])
+@example([(int(INT64.min), int(INT64.max)), (int(INT64.max), int(INT64.min)), (0, 0)])
+def test_pack_keys_are_collision_free_ordered_and_invertible(pairs):
+    major = np.array([a for a, _ in pairs], dtype=np.int64)
+    minor = np.array([b for _, b in pairs], dtype=np.int64)
+    keys, unpack = pack_keys(major, minor)
+    assert keys.dtype == np.int64 and keys.shape == (len(pairs),)
+    assert len(set(keys.tolist())) == len(set(pairs))
+    # with distinct keys for distinct pairs, sorting by key sorts the pairs
+    assert [pairs[i] for i in np.argsort(keys, kind="stable")] == sorted(pairs)
+    back_major, back_minor = unpack(keys)
+    assert back_major.tolist() == major.tolist() and back_minor.tolist() == minor.tolist()
+
+
+@settings(max_examples=200)
+@given(arrays(np.int64, st.tuples(st.integers(0, 30), st.just(3)), elements=int64s))
+def test_unique_rows_fold_matches_loop_oracle(coords):
+    rows, inverse = unique_rows_first_occurrence(coords)
+    want_rows, want_inverse = loop_unique_rows(coords)
+    assert rows.shape == want_rows.shape and (rows == want_rows).all()
+    assert inverse.dtype == want_inverse.dtype and (inverse == want_inverse).all()
+
+
+@settings(max_examples=200)
+@given(arrays(np.int64, st.integers(0, 40), elements=int64s))
+def test_first_occurrence_groups_match_dict_loop(keys):
+    first, group = first_occurrence_groups(keys)
+    want_first, want_group = loop_first_occurrence_groups(keys)
+    assert first.tolist() == want_first and group.tolist() == want_group
 
 
 @pytest.mark.parametrize(

@@ -369,10 +369,10 @@ def test_label_pairs_bound_the_targets_under_augmentation(seed, num_scans, n, vo
     cfg = desk_preset(aug_rotate=flags[0], aug_translate=flags[1], aug_scale=flags[2])
     data = prepare_window(scans, [Pose.identity()] * num_scans, voxel_size, augmentation(cfg, rng))
     sem, inst = point_labels(data.scans)
-    _, inst_ids, keys, _ = label_pairs(sem, inst, cm)
+    _, unpack, keys, _ = label_pairs(sem, inst, cm)
     cls = cm.index(sem)
     pairs = {(c, i if cm.thing[c] else 0) for c, i in zip(cls.tolist(), inst.tolist()) if c >= 0}
-    assert sorted(pairs) == [(k // inst_ids.size, inst_ids[k % inst_ids.size]) for k in keys]
+    assert sorted(pairs) == list(zip(*(half.tolist() for half in unpack(keys))))
     targets = build_targets(data.cloud, data.grid, sem, inst, cm, data.ctx)
     assert set(zip(targets.class_index.tolist(), targets.instance_id.tolist())) <= pairs
     assert len(targets) <= len(keys)

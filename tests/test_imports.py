@@ -139,3 +139,62 @@ def test_unused_imports_are_found(tmp_path):
         "    raise ParameterError(heads.name)\n"
     )
     assert unused_imports(src) == ["line 2: os", "line 4: ContractError"]
+
+
+def unused_private_names(path: Path) -> list[str]:
+    """'line N: name' for every _private function, class or constant path
+    defines at module level and never reads: no ast.Name load of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [
+                name.id
+                for target in targets
+                if target is not None
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and name not in read:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_every_private_name_is_used():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    offenders = {p.name: unused_private_names(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_unused_private_names_are_found(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import numpy as np\n"
+        "_USED = 1\n"
+        "_STALE: int = 2\n"
+        "_a, _b = 3, 4\n"
+        "__version__ = '1'\n"
+        "def _pack(major, minor):\n"
+        "    return major * 2 + minor\n"
+        "def _helper():\n"
+        "    return _helper_of_helper() + _USED + _a\n"
+        "def _helper_of_helper():\n"
+        "    return 0\n"
+        "class _Tally:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert unused_private_names(src) == [
+        "line 3: _STALE", "line 4: _b", "line 6: _pack", "line 12: _Tally",
+    ]

@@ -5,8 +5,8 @@ import pytest
 
 from panoptic4d import kitti_io
 from panoptic4d.errors import ArityError, FormatError, InvalidPoseError, ParameterError
-from panoptic4d.geometry import Pose, rot_z
-from panoptic4d.sequence import ClassMap, load_sequence, save_sequence
+from panoptic4d.geometry import LidarScan, Pose, rot_z
+from panoptic4d.sequence import ClassMap, ScanSequence, load_sequence, save_sequence
 from panoptic4d.synth import SceneSpec, generate_sequence
 
 
@@ -175,6 +175,50 @@ class TestPoseFiles:
         with pytest.raises(InvalidPoseError, match=reason) as info:
             kitti_io.read_poses(str(path))
         assert f"pose line 3 of {path}" in str(info.value)
+
+
+class TestListFrames:
+    def test_frames_are_named_as_scan_path_names_them(self, tmp_path):
+        (tmp_path / "velodyne").mkdir()
+        for frame in (12, 1234567, 0):
+            open(kitti_io.scan_path(str(tmp_path), frame), "wb").close()
+        (tmp_path / "velodyne" / "notes.txt").write_text("not a scan")
+        assert kitti_io.list_frames(str(tmp_path)) == [0, 12, 1234567]
+
+    # int() reads the first seven as frames 1, 1, 1, 10, -1, 1 and 1, and
+    # "\u00b2" (superscript two) is a digit that int() rejects
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "1.bin", "+1.bin", "0000001.bin", "1_0.bin", "-1.bin", " 000001.bin",
+            "00000\u0661.bin", "-00001.bin", "00000\u00b2.bin", ".bin",
+        ],
+    )
+    def test_any_other_scan_name_is_rejected(self, tmp_path, name):
+        scan_dir = tmp_path / "velodyne"
+        scan_dir.mkdir()
+        (scan_dir / "000001.bin").write_bytes(b"")
+        (scan_dir / name).write_bytes(b"")
+        with pytest.raises(FormatError) as info:
+            kitti_io.list_frames(str(tmp_path))
+        assert str(info.value) == f"{scan_dir}: unexpected scan file name {name!r}"
+
+    def test_no_scans(self, tmp_path):
+        (tmp_path / "velodyne").mkdir()
+        with pytest.raises(ParameterError) as info:
+            kitti_io.list_frames(str(tmp_path))
+        assert str(info.value) == f"no scans found under {tmp_path}"
+
+
+@pytest.mark.parametrize("frames, position, before", [([0, 1, 1, 3], 2, 1), ([0, 4, 2], 2, 4)])
+def test_scan_sequence_frames_must_increase(frames, position, before):
+    scans = [LidarScan(np.zeros((2, 3)), f) for f in frames]
+    with pytest.raises(ParameterError) as info:
+        ScanSequence(scans, [Pose.identity()] * len(frames), ClassMap((1,), (3,)))
+    assert str(info.value) == (
+        f"frames must be strictly increasing: position {position} holds frame "
+        f"{frames[position]} after frame {before}"
+    )
 
 
 class TestSequenceRoundTrip:
