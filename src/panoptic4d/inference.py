@@ -3,9 +3,9 @@
 extract_panoptic resolves the overlapping per-query heatmaps into one query
 per voxel by confidence argmax and split_non_compact breaks spatially
 scattered instances apart with DBSCAN, both on flat per-point arrays in
-superimposed order; frame_labels cuts a window's flat labels into frames, and
-stitch/run_sequence carry instance ids across overlapping windows so a whole
-sequence gets consistent tracks.
+superimposed order; stitch carries instance ids across overlapping windows on
+those flat arrays, and run_sequence, the one place that cuts a window's labels
+into frames (frame_labels), gives a whole sequence consistent tracks.
 """
 
 from __future__ import annotations
@@ -64,19 +64,21 @@ def extract_panoptic(
     return class_map.ids[best_class[q_of_point]], local_id[q_of_point]
 
 
-def frame_labels(
-    semantic: np.ndarray, instance: np.ndarray, cloud: SuperimposedCloud, frames: list[int]
-) -> SequenceLabels:
+def frame_labels(semantic: np.ndarray, instance: np.ndarray, scans) -> SequenceLabels:
     """A window's labels in superimposed point order cut into one array per
-    frame at the counts of each frame in cloud.frame_of; an empty scan keeps
-    its empty array. The counts must cover the window exactly, so a repeated
-    or foreign frame raises ContractError."""
-    sizes = [np.count_nonzero(cloud.frame_of == f) for f in frames]
-    if sum(sizes) != cloud.num_points:
-        raise ContractError(f"frames {frames} count {sum(sizes)} of {cloud.num_points} points")
+    frame at each scan's num_points; an empty scan keeps its empty array.
+    Each frame gets a copy, so a kept frame does not hold the whole window.
+    Arrays that do not hold one label per window point raise ContractError."""
+    frames, sizes = [s.frame_index for s in scans], [s.num_points for s in scans]
+    n = sum(sizes)
+    if np.shape(semantic) != (n,) or np.shape(instance) != (n,):
+        raise ContractError(
+            f"frames {frames}: {np.size(semantic)} semantic and {np.size(instance)} "
+            f"instance labels for {n} points"
+        )
     cuts = np.cumsum(sizes)[:-1]
-    by_frame = [dict(zip(frames, np.split(a, cuts))) for a in (semantic, instance)]
-    return SequenceLabels(list(frames), *by_frame)
+    by_frame = [dict(zip(frames, map(np.copy, np.split(a, cuts)))) for a in (semantic, instance)]
+    return SequenceLabels(frames, *by_frame)
 
 
 def dbscan(
@@ -301,32 +303,33 @@ def split_non_compact(
 
 def stitch(
     prev: SequenceLabels,
-    nxt: SequenceLabels,
+    nxt: np.ndarray,
     shared_frames: list[int],
     next_free_id: int,
 ) -> tuple[dict[int, int], int]:
     """One-to-one match of window-local instances against existing track ids.
 
-    Overlap counts on the shared frames feed a maximum-weight assignment;
-    matched locals inherit the previous id (only with overlap >= 1 point),
-    everything else gets a fresh globally unique id, in ascending local id
-    order. Without shared frames (a first window, single-scan windows) every
-    local id is fresh; a shared frame not labelled on both sides with equal
-    point counts raises ContractError. Returns the local -> global mapping
-    and the updated fresh-id counter.
+    nxt holds the window's instance ids in superimposed order; windows are
+    increasing, contiguous runs of frames, so the shared frames' points lead
+    it. Their overlap counts feed a maximum-weight assignment; matched locals
+    inherit the previous id (only with overlap >= 1 point), everything else
+    gets a fresh globally unique id, in ascending local id order, as does
+    every local without shared frames. A shared frame that prev has not
+    labelled, or shared points past the end of nxt, raise ContractError.
+    Returns the local -> global mapping and the updated fresh-id counter.
     """
     for f in shared_frames:
-        if f not in prev.instance or f not in nxt.instance:
-            raise ContractError(f"shared frame {f} is not labelled on both sides")
-        if prev.instance[f].shape != nxt.instance[f].shape:
-            raise ContractError(f"shared frame {f} has mismatched point counts")
+        if f not in prev.instance:
+            raise ContractError(f"shared frame {f} is not labelled by the previous windows")
     empty = [np.zeros(0, dtype=np.int64)]  # no shared frames: nothing to match
     a = np.concatenate(empty + [prev.instance[f] for f in shared_frames], dtype=np.int64)
-    b = np.concatenate(empty + [nxt.instance[f] for f in shared_frames], dtype=np.int64)
+    if a.size > nxt.size:
+        raise ContractError(f"shared frames {shared_frames}: {a.size} points past nxt's {nxt.size}")
+    b = nxt[: a.size].astype(np.int64)
     both = (a > 0) & (b > 0)
     pg, nl = a[both], b[both]
 
-    locals_ = _local_ids(nxt)
+    locals_ = np.unique(nxt[nxt > 0]).tolist()
     mapping: dict[int, int] = {}
     if pg.size:
         # overlap counts of (previous id, local id) pairs via packed keys
@@ -351,14 +354,6 @@ def stitch(
     return mapping, next_free_id
 
 
-def _local_ids(labels: SequenceLabels) -> list[int]:
-    """The positive instance ids of every frame, ascending."""
-    ids: set[int] = set()
-    for arr in labels.instance.values():
-        ids.update(np.unique(arr[arr > 0]).tolist())
-    return sorted(ids)
-
-
 def run_sequence(
     predictor,
     sequence: ScanSequence,
@@ -367,9 +362,10 @@ def run_sequence(
 ) -> SequenceLabels:
     """Slide overlapping windows over a sequence and stitch the results.
 
-    predictor(scans, poses, frames) must return the window's SequenceLabels
-    with window-local instance ids. Shared-frame labels are taken from the later
-    window after its instances have been remapped onto existing tracks. A
+    predictor(scans, poses, frames) returns the window's (semantic, instance)
+    int arrays per point in superimposed order, with window-local instance
+    ids. Each window is remapped onto the tracks at once and then cut into
+    frames, here only; shared frames take the later window's labels. A
     window whose tracks need an id that does not fit 16 bits raises
     CapacityError before the next window is predicted.
     """
@@ -382,9 +378,9 @@ def run_sequence(
     next_free_id = 1
     for w, (scans, poses) in enumerate(windows):
         frames = [s.frame_index for s in scans]
-        pred = predictor(scans, poses, frames)
+        semantic, instance = predictor(scans, poses, frames)
         shared = [f for f in frames if f in result.instance]
-        mapping, next_free_id = stitch(result, pred, shared, next_free_id)
+        mapping, next_free_id = stitch(result, instance, shared, next_free_id)
         if next_free_id > 2**16:  # fail here, not when the labels are written
             raise CapacityError(
                 f"window {w} frames {frames}: track id {next_free_id - 1} exceeds "
@@ -393,10 +389,9 @@ def run_sequence(
         log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())
-        for f in frames:
-            if f not in result.instance:
-                result.frames.append(f)
-            inst = pred.instance[f]
-            result.semantic[f] = pred.semantic[f].copy()
-            result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
+        tracked = lookup[np.maximum(instance, 0)].astype(instance.dtype, copy=False)
+        cut = frame_labels(semantic, tracked, scans)
+        result.frames += [f for f in frames if f not in result.instance]
+        result.semantic.update(cut.semantic)
+        result.instance.update(cut.instance)
     return result

@@ -24,7 +24,14 @@ import os
 
 import numpy as np
 
-from .errors import ArityError, FormatError, InvalidPoseError, MissingLabelsError, ParameterError
+from .errors import (
+    ArityError,
+    ContractError,
+    FormatError,
+    InvalidPoseError,
+    MissingLabelsError,
+    ParameterError,
+)
 from .geometry import Pose, first_non_finite
 
 SCAN_RECORD_BYTES = 16  # four float32 per point
@@ -201,6 +208,22 @@ def list_frames(sequence_dir: str) -> list[int]:
     return sorted(frames)
 
 
+def check_no_stray(sequence_dir: str, path_of, frames, error: type, what: str) -> None:
+    """Raise error when the directory of path_of (scan_path or label_path)
+    holds an entry other than the files path_of names for frames; the
+    message names the directory and the first such entry in sorted order,
+    followed by what. A missing directory holds nothing."""
+    directory = os.path.dirname(path_of(sequence_dir, 0))
+    try:
+        entries = os.listdir(directory)
+    except FileNotFoundError:
+        return
+    names = {os.path.basename(path_of(sequence_dir, f)) for f in frames}
+    stray = min(set(entries) - names, default=None)
+    if stray is not None:
+        raise error(f"{directory}: {stray!r} {what}")
+
+
 class LabelFiles:
     """The labels of a sequence directory, read one block of frames at a time:
     the on-disk counterpart of metrics.SequenceLabels.
@@ -226,7 +249,11 @@ class LabelFiles:
 
     def check_sizes(self, frames: list[int], sizes: list[int]) -> None:
         """Check that every frame has a .label file of whole records, one
-        record per point of its size."""
+        record per point of its size, and that labels/ holds nothing else."""
+        check_no_stray(
+            self.sequence_dir, label_path, frames, ContractError,
+            f"is not the {self.kind} label file of any frame",
+        )
         for frame, expected in zip(frames, sizes):
             path = label_path(self.sequence_dir, frame)
             try:

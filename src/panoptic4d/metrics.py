@@ -38,8 +38,8 @@ _EXPECTED_COLUMNS = ["LSTQ", "S_assoc", "S_cls", "IoU_St", "IoU_Th", "PQ", "SQ",
 
 @dataclass
 class SequenceLabels:
-    """Per-frame (semantic, instance) label arrays: ground truth, one window's
-    prediction (window-local instance ids) or a stitched sequence."""
+    """Per-frame (semantic, instance) label arrays: ground truth, a stitched
+    prediction, or one window's labels cut into frames."""
 
     frames: list[int] = field(default_factory=list)
     semantic: dict[int, np.ndarray] = field(default_factory=dict)

@@ -66,17 +66,22 @@ class ObjectTrack:
     visible: np.ndarray  # (num_frames,) bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanSequence:
-    """Scans in strictly increasing frame order with ego poses, optional
-    labels, and optional gt tracks."""
+    """At least one scan in strictly increasing frame order, with ego poses,
+    optional labels and optional gt tracks. Frozen, with tuple fields built
+    from any iterables, so the order holds; dataclasses.replace checks again."""
 
-    scans: list[LidarScan]
-    poses: list[Pose]
+    scans: tuple[LidarScan, ...]
+    poses: tuple[Pose, ...]
     class_map: ClassMap
-    tracks: list[ObjectTrack] = field(default_factory=list)
+    tracks: tuple[ObjectTrack, ...] = ()
 
     def __post_init__(self):
+        for name in ("scans", "poses", "tracks"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.scans:
+            raise ParameterError("a sequence needs at least one scan")
         if len(self.scans) != len(self.poses):
             raise ArityError(f"{len(self.scans)} scans but {len(self.poses)} poses")
         frames = [scan.frame_index for scan in self.scans]
@@ -106,8 +111,8 @@ def window_starts(n: int, window: int, stride: int) -> list[int]:
 
 def sequence_windows(
     seq: ScanSequence, window: int, stride: int
-) -> list[tuple[list[LidarScan], list[Pose]]]:
-    """The (scans, poses) of every window, at the starts of window_starts."""
+) -> list[tuple[tuple[LidarScan, ...], tuple[Pose, ...]]]:
+    """The (scans, poses) tuple slices of every window, at window_starts."""
     return [
         (seq.scans[s : s + window], seq.poses[s : s + window])
         for s in window_starts(seq.num_frames, window, stride)
@@ -117,14 +122,21 @@ def sequence_windows(
 def save_sequence(seq: ScanSequence, out_dir: str, write_labels: bool = True) -> list[str]:
     """Write a sequence in the kitti_io layout; returns the created file paths.
     Scans and labels that cannot be written fail before the first directory
-    is made."""
+    is made, and so does a file under velodyne/ or labels/ that this
+    sequence would not overwrite."""
+    labelled = []
     for scan in seq.scans:
         kitti_io.check_scan(kitti_io.scan_path(out_dir, scan.frame_index), scan.points)
         if write_labels and scan.has_labels():
             kitti_io.check_labels(out_dir, scan.frame_index, scan.semantic, scan.instance)
+            labelled.append(scan.frame_index)
+    frames = [scan.frame_index for scan in seq.scans]
+    stray = "is not a file of this sequence; write it to a new directory"
+    kitti_io.check_no_stray(out_dir, kitti_io.scan_path, frames, ParameterError, stray)
+    kitti_io.check_no_stray(out_dir, kitti_io.label_path, labelled, ParameterError, stray)
     os.makedirs(os.path.join(out_dir, "velodyne"), exist_ok=True)
     created = []
-    if write_labels and any(scan.has_labels() for scan in seq.scans):
+    if labelled:
         os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
     for scan in seq.scans:
         spath = kitti_io.scan_path(out_dir, scan.frame_index)

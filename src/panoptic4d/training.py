@@ -92,7 +92,7 @@ def train_model(
     pairs bound the targets under any augmentation, so no step fails later;
     a window is rejected on its pairs even if its voxel winners would fit."""
     sequences = seq if isinstance(seq, list) else [seq]
-    if not sequences or any(s.num_frames == 0 for s in sequences):
+    if not sequences:
         raise ParameterError("cannot train on an empty sequence")
     windows = []
     for i, s in enumerate(sequences):

@@ -25,6 +25,7 @@ from panoptic4d.geometry import (
     SuperimposedCloud,
     VoxelGrid,
     WindowContext,
+    pack_keys,
     rot_z,
     superimpose,
     trajectory_box,
@@ -40,8 +41,9 @@ from panoptic4d.heads import (
     Targets,
     box_l1_loss,
     ce_loss,
+    solve_assignment,
 )
-from panoptic4d.inference import _local_ids, dbscan, stitch
+from panoptic4d.inference import dbscan
 from panoptic4d.kitti_io import label_path, read_labels
 from panoptic4d.metrics import MetricReport, SequenceLabels, evaluate
 from panoptic4d.model import WindowData
@@ -1277,7 +1279,8 @@ def two_path_run_sequence(
 ) -> SequenceLabels:
     """run_sequence as it was with two ways of numbering tracks: a window
     without shared frames numbered its locals itself, every other window went
-    through stitch."""
+    through stitch. The predictor returns per-frame SequenceLabels, as for
+    per_frame_run_sequence."""
     windows = sequence_windows(sequence, window, stride)
     # only windows that actually form need to overlap
     if len(windows) > 1 and window > 1 and stride >= window:
@@ -1292,11 +1295,11 @@ def two_path_run_sequence(
         if not shared:
             # first window, or single-scan windows: no tracking context yet
             mapping = {}
-            for nl in _local_ids(pred):
+            for nl in _per_frame_local_ids(pred):
                 mapping[nl] = next_free_id
                 next_free_id += 1
         else:
-            mapping, next_free_id = stitch(result, pred, shared, next_free_id)
+            mapping, next_free_id = per_frame_stitch(result, pred, shared, next_free_id)
         log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
         lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
         lookup[list(mapping)] = list(mapping.values())
@@ -1307,4 +1310,136 @@ def two_path_run_sequence(
             result.semantic[f] = pred.semantic[f].copy()
             result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
     result.frames.sort()
+    return result
+
+
+# The per-frame window path that run_sequence replaced, kept verbatim as the
+# reference: each window's predictor output cut into frames by counting
+# cloud.frame_of, stitched frame by frame, and remapped frame by frame.
+def per_frame_labels(
+    semantic: np.ndarray, instance: np.ndarray, cloud: SuperimposedCloud, frames: list[int]
+) -> SequenceLabels:
+    """A window's labels in superimposed point order cut into one array per
+    frame at the counts of each frame in cloud.frame_of; an empty scan keeps
+    its empty array. The counts must cover the window exactly, so a repeated
+    or foreign frame raises ContractError."""
+    sizes = [np.count_nonzero(cloud.frame_of == f) for f in frames]
+    if sum(sizes) != cloud.num_points:
+        raise ContractError(f"frames {frames} count {sum(sizes)} of {cloud.num_points} points")
+    cuts = np.cumsum(sizes)[:-1]
+    by_frame = [dict(zip(frames, np.split(a, cuts))) for a in (semantic, instance)]
+    return SequenceLabels(list(frames), *by_frame)
+
+
+def per_frame_predictor(predictor):
+    """A flat window predictor, (semantic, instance) per superimposed point,
+    as a predictor of per-frame SequenceLabels cut by per_frame_labels."""
+
+    def predict(scans, poses, frames):
+        semantic, instance = predictor(scans, poses, frames)
+        return per_frame_labels(semantic, instance, superimpose(scans, poses), frames)
+
+    return predict
+
+
+def per_frame_stitch(
+    prev: SequenceLabels,
+    nxt: SequenceLabels,
+    shared_frames: list[int],
+    next_free_id: int,
+) -> tuple[dict[int, int], int]:
+    """One-to-one match of window-local instances against existing track ids.
+
+    Overlap counts on the shared frames feed a maximum-weight assignment;
+    matched locals inherit the previous id (only with overlap >= 1 point),
+    everything else gets a fresh globally unique id, in ascending local id
+    order. Without shared frames (a first window, single-scan windows) every
+    local id is fresh; a shared frame not labelled on both sides with equal
+    point counts raises ContractError. Returns the local -> global mapping
+    and the updated fresh-id counter.
+    """
+    for f in shared_frames:
+        if f not in prev.instance or f not in nxt.instance:
+            raise ContractError(f"shared frame {f} is not labelled on both sides")
+        if prev.instance[f].shape != nxt.instance[f].shape:
+            raise ContractError(f"shared frame {f} has mismatched point counts")
+    empty = [np.zeros(0, dtype=np.int64)]  # no shared frames: nothing to match
+    a = np.concatenate(empty + [prev.instance[f] for f in shared_frames], dtype=np.int64)
+    b = np.concatenate(empty + [nxt.instance[f] for f in shared_frames], dtype=np.int64)
+    both = (a > 0) & (b > 0)
+    pg, nl = a[both], b[both]
+
+    locals_ = _per_frame_local_ids(nxt)
+    mapping: dict[int, int] = {}
+    if pg.size:
+        # overlap counts of (previous id, local id) pairs via packed keys
+        pair, unpack = pack_keys(pg, nl)
+        pair, overlap = np.unique(pair, return_counts=True)
+        pair_prev, pair_local = unpack(pair)
+        prevs, p_idx = np.unique(pair_prev, return_inverse=True)
+        l_idx = np.searchsorted(locals_, pair_local)
+        counts = np.zeros((prevs.size, len(locals_)))
+        counts[p_idx, l_idx] = overlap
+        if prevs.size <= len(locals_):
+            pairs = solve_assignment(-counts)
+        else:
+            pairs = [(i, j) for j, i in solve_assignment(-counts.T)]
+        for i, j in pairs:
+            if counts[i, j] >= 1:
+                mapping[locals_[j]] = int(prevs[i])
+    for nl in locals_:
+        if nl not in mapping:
+            mapping[nl] = next_free_id
+            next_free_id += 1
+    return mapping, next_free_id
+
+
+def _per_frame_local_ids(labels: SequenceLabels) -> list[int]:
+    """The positive instance ids of every frame, ascending."""
+    ids: set[int] = set()
+    for arr in labels.instance.values():
+        ids.update(np.unique(arr[arr > 0]).tolist())
+    return sorted(ids)
+
+
+def per_frame_run_sequence(
+    predictor,
+    sequence: ScanSequence,
+    window: int,
+    stride: int,
+) -> SequenceLabels:
+    """Slide overlapping windows over a sequence and stitch the results.
+
+    predictor(scans, poses, frames) must return the window's SequenceLabels
+    with window-local instance ids. Shared-frame labels are taken from the later
+    window after its instances have been remapped onto existing tracks. A
+    window whose tracks need an id that does not fit 16 bits raises
+    CapacityError before the next window is predicted.
+    """
+    windows = sequence_windows(sequence, window, stride)
+    # only windows that actually form need to overlap
+    if len(windows) > 1 and window > 1 and stride >= window:
+        raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
+
+    result = SequenceLabels()
+    next_free_id = 1
+    for w, (scans, poses) in enumerate(windows):
+        frames = [s.frame_index for s in scans]
+        pred = predictor(scans, poses, frames)
+        shared = [f for f in frames if f in result.instance]
+        mapping, next_free_id = per_frame_stitch(result, pred, shared, next_free_id)
+        if next_free_id > 2**16:  # fail here, not when the labels are written
+            raise CapacityError(
+                f"window {w} frames {frames}: track id {next_free_id - 1} exceeds "
+                f"the 16-bit instance id limit {2**16 - 1}"
+            )
+        log.debug("window %d frames %s: %d local instances", w, frames, len(mapping))
+        lookup = np.zeros(max(mapping, default=0) + 1, dtype=np.int64)
+        lookup[list(mapping)] = list(mapping.values())
+        for f in frames:
+            if f not in result.instance:
+                result.frames.append(f)
+            inst = pred.instance[f]
+            result.semantic[f] = pred.semantic[f].copy()
+            result.instance[f] = lookup[np.maximum(inst, 0)].astype(inst.dtype)
     return result

@@ -42,7 +42,7 @@ from oracles import (
     random_scene,
 )
 from test_autodiff import PRIMITIVE_CASES
-from test_inference import gt_stub_predictor
+from test_inference import gt_stub_predictor, sized_scans
 
 CM = ClassMap(thing_ids=(1, 2), stuff_ids=(3, 4))
 
@@ -298,7 +298,8 @@ def test_criterion_7_extraction_totality():
         for seed in range(10):
             cloud, grid, out = _random_window_and_output(seed)
             sem, inst = extract_panoptic(out, grid, CM)
-            pred = frame_labels(sem, inst, cloud, [0, 1])
+            scans = sized_scans([0, 1], [40, 40])
+            pred = frame_labels(sem, inst, scans)
             for f, count in ((0, 40), (1, 40)):
                 assert pred.semantic[f].shape == (count,)
                 assert pred.instance[f].shape == (count,)
@@ -307,7 +308,7 @@ def test_criterion_7_extraction_totality():
                 assert np.all(pred.instance[f][thing_sel] > 0)
                 assert np.all(pred.instance[f][~thing_sel] == 0)
             split_inst = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
-            split = frame_labels(sem, split_inst, cloud, [0, 1])
+            split = frame_labels(sem, split_inst, scans)
             for f in (0, 1):
                 np.testing.assert_array_equal(split.semantic[f], pred.semantic[f])
                 np.testing.assert_array_equal(
@@ -351,8 +352,9 @@ def test_criterion_8_permutation_invariance():
             loss_p, _ = total_loss([out_p], targets, match_p, weights)
             assert loss_p.item() == pytest.approx(loss.item(), abs=1e-9)
 
-            pred = frame_labels(*extract_panoptic(out, grid, CM), cloud, [0, 1])
-            pred_p = frame_labels(*extract_panoptic(out_p, grid, CM), cloud, [0, 1])
+            scans = sized_scans([0, 1], [40, 40])
+            pred = frame_labels(*extract_panoptic(out, grid, CM), scans)
+            pred_p = frame_labels(*extract_panoptic(out_p, grid, CM), scans)
             for f in (0, 1):
                 np.testing.assert_array_equal(pred.semantic[f], pred_p.semantic[f])
                 _assert_same_partition(pred.instance[f], pred_p.instance[f])

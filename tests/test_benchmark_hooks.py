@@ -16,7 +16,8 @@ import inspect
 import os
 
 from panoptic4d import autodiff as ad
-from panoptic4d import cli, kitti_io, model, synth
+from panoptic4d import cli, inference, kitti_io, model, pipeline, synth
+from panoptic4d.config import desk_preset
 from panoptic4d.sequence import save_sequence
 
 WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
@@ -112,6 +113,46 @@ def test_every_package_call_binds_to_its_signature():
 def test_prepare_window_takes_three_positional_arguments():
     """train_desk's setup calls prepare_window(scans, poses, voxel_size)."""
     inspect.signature(model.prepare_window).bind([], [], 0.05)
+
+
+def test_predictor_and_stitch_keep_the_call_shapes_the_benchmark_wraps(monkeypatch):
+    """infer_dense's `timed` wraps the window predictor of
+    `pipeline.model_predictor` with exactly three positional parameters, and
+    the traced run's `on_stitch` reads `args[3]` of `inference.stitch` and
+    unpacks its `(mapping, next_free_id)` result. Dropping the predictor's
+    unused `frames` parameter would break every infer_dense run."""
+    model_predictor, stitch = pipeline.model_predictor, inference.stitch
+    windows, births = [], []
+
+    def wrapped_predictor(model, cfg):
+        predict = model_predictor(model, cfg)
+
+        def timed(scans, poses, frames):
+            windows.append(list(frames))
+            return predict(scans, poses, frames)
+
+        return timed
+
+    def wrapped_stitch(*args):
+        out = stitch(*args)
+        mapping, next_free = out
+        assert isinstance(mapping, dict) and isinstance(next_free, int)
+        births.append(next_free - args[3])
+        return out
+
+    monkeypatch.setattr(pipeline, "model_predictor", wrapped_predictor)
+    monkeypatch.setattr(inference, "stitch", wrapped_stitch)
+    cfg = desk_preset(
+        voxel_size=1.0, num_queries=6, dim=16, num_heads=2, num_rounds=1, ffn_width=24,
+        num_frequencies=2, backbone_depth=2, backbone_widths=(8, 12), window=2, stride=1,
+    )
+    seq = synth.generate_sequence(
+        synth.SceneSpec(seed=2, num_frames=3, points_per_object=30, points_per_stuff=60)
+    )
+    net = model.PanopticModel(cfg.model_config(), init_seed=0)
+    pred = pipeline.predict_sequence(net, seq, cfg)
+    assert windows == [[0, 1], [1, 2]] and len(births) == 2
+    assert pred.frames == [0, 1, 2]
 
 
 def test_eval_reads_every_label_inside_evaluate(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from panoptic4d import kitti_io, metrics
 from panoptic4d.cli import main
 from panoptic4d.config import config_to_text, desk_preset
-from panoptic4d.errors import ArityError, FormatError, MissingLabelsError
+from panoptic4d.errors import ArityError, ContractError, FormatError, MissingLabelsError
 
 from oracles import scan_loading_eval
 
@@ -326,6 +326,57 @@ def test_eval_scan_size_must_be_whole_records(workspace, tmp_path, monkeypatch, 
         gt, pred, tmp_path, monkeypatch, capsys, FormatError,
         f"scan file {path} is not a whole number of 16-byte records (at byte offset {offset})",
     )
+
+
+@pytest.mark.parametrize("side", ["gt", "pred"])
+@pytest.mark.parametrize("name", ["000007.label", "abc.label"])
+def test_eval_rejects_a_label_file_of_no_frame(workspace, tmp_path, monkeypatch, capsys, side, name):
+    """A label file that names a frame the ground truth lacks, or no frame
+    at all, fails on either side instead of being skipped."""
+    gt, pred = eval_dirs(workspace, tmp_path)
+    labels = dict(gt=gt, pred=pred)[side] / "labels"
+    shutil.copy(labels / "000001.label", labels / name)
+    kind = dict(gt="ground-truth", pred="predicted")[side]
+    eval_fails_before_scoring(
+        gt, pred, tmp_path, monkeypatch, capsys, ContractError,
+        f"{labels}: {name!r} is not the {kind} label file of any frame",
+    )
+
+
+def test_generate_into_another_sequence_fails_leaving_it_whole(tmp_path, capsys):
+    """A 4-frame sequence written over a 6-frame one would leave two of the
+    old scans beside four new poses; rewriting the same sequence works."""
+    spec = tmp_path / "six.cfg"
+    spec.write_text("num_frames = 6\n")
+    seq = tmp_path / "seq"
+    assert main(["generate", "--spec", str(spec), "--seed", "1", "--out", str(seq)]) == 0
+    before = {p: p.read_bytes() for p in seq.rglob("*") if p.is_file()}
+    assert main(["generate", "--seed", "2", "--out", str(seq)]) == 1
+    assert (
+        f"error: {seq / 'velodyne'}: '000004.bin' is not a file of this sequence; "
+        "write it to a new directory"
+    ) in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in seq.rglob("*") if p.is_file()} == before
+    assert main(["generate", "--spec", str(spec), "--seed", "1", "--out", str(seq)]) == 0
+    assert {p: p.read_bytes() for p in seq.rglob("*") if p.is_file()} == before
+
+
+def test_infer_beside_labels_of_other_frames_writes_nothing(workspace, tmp_path, capsys):
+    out = tmp_path / "pred"
+    (out / "labels").mkdir(parents=True)
+    (out / "labels" / "000007.label").write_bytes(b"")
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(workspace / "seq"), "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert (
+        f"error: {out / 'labels'}: '000007.label' is not a file of this prediction; "
+        "write it to a new directory"
+    ) in capsys.readouterr().err
+    assert os.listdir(out / "labels") == ["000007.label"]
 
 
 def test_eval_reads_no_points_and_no_poses(workspace, tmp_path, monkeypatch):

@@ -28,6 +28,8 @@ from oracles import (
     loop_extract_points,
     loop_frame_labels,
     loop_split_non_compact,
+    per_frame_predictor,
+    per_frame_run_sequence,
     quadratic_dbscan,
     reference_dbscan,
     two_path_run_sequence,
@@ -379,6 +381,17 @@ def prediction_from_labels(cloud, frames, sem, inst):
     return loop_frame_labels(sem, inst, [cloud.num_points // len(frames)] * len(frames), frames)
 
 
+def sized_scans(frames, sizes):
+    """Stand-in scans with these frames and point counts: all that
+    frame_labels reads of a window's scans."""
+    return [LidarScan(points=np.zeros((n, 3)), frame_index=f) for f, n in zip(frames, sizes)]
+
+
+def even_scans(cloud, frames):
+    """Stand-in scans of a window_from_points window (equal scan sizes)."""
+    return sized_scans(frames, [cloud.num_points // len(frames)] * len(frames))
+
+
 class TestSplitNonCompact:
     def test_compact_instance_unchanged(self):
         rng = np.random.default_rng(0)
@@ -388,7 +401,7 @@ class TestSplitNonCompact:
         inst = np.ones(30, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
         split = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
-        out = frame_labels(sem, split, cloud, [0])
+        out = frame_labels(sem, split, even_scans(cloud, [0]))
         assert len(set(out.instance[0].tolist())) == 1
         np.testing.assert_array_equal(out.semantic[0], pred.semantic[0])
         np.testing.assert_array_equal(inst, np.ones(30, dtype=np.int64))  # input untouched
@@ -403,7 +416,7 @@ class TestSplitNonCompact:
         inst = np.ones(40, dtype=np.int64)
         pred = prediction_from_labels(cloud, [0], sem, inst)
         split = split_non_compact(inst, cloud, eps=1.0, min_pts=1)
-        out = frame_labels(sem, split, cloud, [0])
+        out = frame_labels(sem, split, even_scans(cloud, [0]))
         ids = out.instance[0]
         assert len(set(ids.tolist())) == 2
         assert len(set(ids[:20].tolist())) == 1
@@ -456,7 +469,7 @@ class TestSplitNonCompact:
         inst = np.where(np.isin(sem, [1, 2]), rng.integers(1, 4, 50), 0)
         pred = prediction_from_labels(cloud, [0, 1], sem, inst)
         split = split_non_compact(inst, cloud, eps=1.5, min_pts=1)
-        out = frame_labels(sem, split, cloud, [0, 1])
+        out = frame_labels(sem, split, even_scans(cloud, [0, 1]))
         for f in (0, 1):
             np.testing.assert_array_equal(out.semantic[f], pred.semantic[f])
             assert out.instance[f].shape == pred.instance[f].shape
@@ -595,25 +608,21 @@ class TestWindowLayout:
             sem, inst = extract_panoptic(out, grid, self.CM)
             flat = loop_extract_points(out, grid, self.CM)
             pred = loop_frame_labels(*flat, sizes, frames)
-            assert_same_window(frame_labels(sem, inst, cloud, frames), pred)
+            scans = sized_scans(frames, sizes)
+            assert_same_window(frame_labels(sem, inst, scans), pred)
             split = split_non_compact(inst, cloud, 1.5, 2)
-            got = frame_labels(sem, split, cloud, frames)
+            got = frame_labels(sem, split, scans)
             want = loop_split_non_compact(pred, cloud, frames, 1.5, 2)
             assert_same_window(got, want)
 
-    def test_repeated_frame_rejected(self):
-        pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
-        cloud, _ = window_from_points(pts, [0, 0])
-        ones = np.ones(30, dtype=np.int64)
-        with pytest.raises(ContractError, match="count 60 of 30 points"):
-            frame_labels(ones, ones, cloud, [0, 0])
-
-    def test_foreign_frame_rejected(self):
-        pts = np.random.default_rng(3).uniform(0, 8, size=(30, 3))
-        cloud, _ = window_from_points(pts, [0, 1])
-        ones = np.ones(30, dtype=np.int64)
-        with pytest.raises(ContractError, match="count 15 of 30 points"):
-            frame_labels(ones, ones, cloud, [0, 5])
+    @pytest.mark.parametrize("semantic, instance", [(29, 30), (30, 31), (0, 0)])
+    def test_labels_not_one_per_point_rejected(self, semantic, instance):
+        scans = sized_scans([4, 7], [15, 15])
+        with pytest.raises(
+            ContractError,
+            match=rf"frames \[4, 7\]: {semantic} semantic and {instance} instance labels for 30 points",
+        ):
+            frame_labels(np.ones(semantic, np.int64), np.ones(instance, np.int64), scans)
 
 
 class TestStitch:
@@ -624,7 +633,9 @@ class TestStitch:
             instance={frame: np.asarray(inst, dtype=np.int64)},
         )
 
-    next_with = prev_with
+    def next_with(self, frame, inst):
+        """A window of the one frame: its flat instance ids."""
+        return np.asarray(inst, dtype=np.int64)
 
     def test_unique_overlap_inherits_id(self):
         prev = self.prev_with(5, [0, 7, 7, 7, 0])
@@ -666,18 +677,16 @@ class TestStitch:
     def test_sparse_ids_over_two_shared_frames(self):
         rng = np.random.default_rng(9)
         prev = SequenceLabels()
-        nxt = SequenceLabels(frames=[4, 5])
         for f in (4, 5):
             prev.frames.append(f)
-            prev.semantic[f] = nxt.semantic[f] = np.ones(50, dtype=np.int64)
+            prev.semantic[f] = np.ones(50, dtype=np.int64)
             prev.instance[f] = rng.choice([0, 3, 17, 400, 65000], size=50)
-            nxt.instance[f] = rng.choice([0, 2, 9, 31], size=50)
+        nxt = rng.choice([0, 2, 9, 31], size=100)
         mapping, free = stitch(prev, nxt, [4, 5], next_free_id=70000)
 
         overlap = collections.Counter(
             (int(p), int(l))
-            for f in (4, 5)
-            for p, l in zip(prev.instance[f], nxt.instance[f])
+            for p, l in zip(np.concatenate([prev.instance[4], prev.instance[5]]), nxt)
             if p > 0 and l > 0
         )
         prevs = sorted({p for p, _ in overlap})
@@ -714,53 +723,43 @@ class TestStitch:
 
         monkeypatch.setattr(inference.heads, "solve_assignment", no_solve)
         prev = self.prev_with(0, [12, 4])
-        nxt = SequenceLabels(
-            frames=[0, 1],
-            semantic={0: np.ones(3, dtype=np.int64), 1: np.ones(2, dtype=np.int64)},
-            instance={0: np.array([0, 12, 4]), 1: np.array([9, 4])},
-        )
+        nxt = np.array([0, 12, 4, 9, 4])  # frames 0 and 1
         mapping, free = stitch(prev, nxt, [], next_free_id=5)
         assert list(mapping.items()) == [(4, 5), (9, 6), (12, 7)]
         assert free == 8
 
     @pytest.mark.parametrize(
-        "prev_frames, next_frames, problem",
+        "prev_frames, next_size, problem",
         [
-            ({3: 2, 4: 2}, {3: 2}, "frame 4 is not labelled on both sides"),
-            ({3: 2}, {3: 2, 4: 2}, "frame 4 is not labelled on both sides"),
-            ({3: 2, 4: 2}, {3: 2, 4: 3}, "frame 4 has mismatched point counts"),
+            ({3: 2, 4: 2}, 2, r"frames \[3, 4\]: 4 points past nxt's 2"),
+            ({3: 2}, 4, "shared frame 4 is not labelled by the previous windows"),
+            ({3: 2, 4: 3}, 4, r"frames \[3, 4\]: 5 points past nxt's 4"),
         ],
     )
-    def test_named_shared_frame_must_match_on_both_sides(self, prev_frames, next_frames, problem):
-        prev, nxt = (
-            SequenceLabels(
-                frames=list(sizes),
-                semantic={f: np.ones(n, dtype=np.int64) for f, n in sizes.items()},
-                instance={f: np.ones(n, dtype=np.int64) for f, n in sizes.items()},
-            )
-            for sizes in (prev_frames, next_frames)
+    def test_named_shared_frame_must_match_on_both_sides(self, prev_frames, next_size, problem):
+        prev = SequenceLabels(
+            frames=list(prev_frames),
+            semantic={f: np.ones(n, dtype=np.int64) for f, n in prev_frames.items()},
+            instance={f: np.ones(n, dtype=np.int64) for f, n in prev_frames.items()},
         )
         with pytest.raises(ContractError, match=problem):
-            stitch(prev, nxt, [3, 4], next_free_id=5)
+            stitch(prev, np.ones(next_size, dtype=np.int64), [3, 4], next_free_id=5)
 
 
 def gt_stub_predictor(renumber=True):
     """Window predictor that returns ground-truth labels with window-local ids."""
 
     def predict(scans, poses, frames):
-        semantic, instance = {}, {}
+        sem = np.concatenate([scan.semantic for scan in scans])
+        raw_ids = np.concatenate([scan.instance for scan in scans])
+        inst = np.zeros_like(raw_ids)
         mapping = {}
-        for scan in scans:
-            sem = scan.semantic.copy()
-            inst = np.zeros_like(scan.instance)
-            for i, raw in enumerate(scan.instance):
-                if raw > 0:
-                    if raw not in mapping:
-                        mapping[raw] = len(mapping) + 1 if renumber else int(raw)
-                    inst[i] = mapping[raw]
-            semantic[scan.frame_index] = sem
-            instance[scan.frame_index] = inst
-        return SequenceLabels(frames=list(frames), semantic=semantic, instance=instance)
+        for i, raw in enumerate(raw_ids):
+            if raw > 0:
+                if raw not in mapping:
+                    mapping[raw] = len(mapping) + 1 if renumber else int(raw)
+                inst[i] = mapping[raw]
+        return sem, inst
 
     return predict
 
@@ -859,8 +858,7 @@ class TestRunSequence:
 
         def fresh_ids(scans, poses, frames):
             calls.append(list(frames))
-            ones, ids = np.ones(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64)
-            return SequenceLabels(list(frames), {f: ones for f in frames}, {f: ids for f in frames})
+            return np.ones(n, dtype=np.int64), np.arange(1, n + 1, dtype=np.int64)
 
         with pytest.raises(CapacityError, match=r"window 2 frames \[2\]: .* 16-bit .* 65535"):
             run_sequence(fresh_ids, seq, window=1, stride=1)
@@ -914,11 +912,8 @@ def noisy_predictor(numbering, dtype, seed):
             local = rng.permutation(ids.size) + int(rng.integers(1, 100))
         lookup = np.zeros(41, dtype=np.int64)
         lookup[ids] = local
-        return SequenceLabels(
-            frames=list(frames),
-            semantic={s.frame_index: s.semantic.copy() for s in scans},
-            instance={s.frame_index: lookup[r].astype(dtype) for s, r in zip(scans, raw)},
-        )
+        semantic = np.concatenate([s.semantic for s in scans])
+        return semantic, lookup[np.concatenate(raw)].astype(dtype)
 
     return predict
 
@@ -930,18 +925,19 @@ def noisy_predictor(numbering, dtype, seed):
     st.sampled_from([np.int64, np.int32]),
     st.integers(0, 2**16),
 )
-def test_run_sequence_matches_two_path_oracle(case, numbering, dtype, seed):
+def test_run_sequence_matches_per_frame_and_two_path_oracles(case, numbering, dtype, seed):
     seq, window, stride = case
     predictor = noisy_predictor(numbering, dtype, seed)
-    try:
-        want = two_path_run_sequence(predictor, seq, window, stride)
-    except ParameterError as exc:
-        with pytest.raises(ParameterError, match=str(exc)):
-            run_sequence(predictor, seq, window, stride)
-        return
-    got = run_sequence(predictor, seq, window, stride)
-    assert got.frames == want.frames
-    for f in want.frames:
-        for name in ("semantic", "instance"):
-            a, b = getattr(got, name)[f], getattr(want, name)[f]
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, f)
+    for oracle in (per_frame_run_sequence, two_path_run_sequence):
+        try:
+            want = oracle(per_frame_predictor(predictor), seq, window, stride)
+        except ParameterError as exc:
+            with pytest.raises(ParameterError, match=str(exc)):
+                run_sequence(predictor, seq, window, stride)
+            continue
+        got = run_sequence(predictor, seq, window, stride)
+        assert got.frames == want.frames
+        for f in want.frames:
+            for name in ("semantic", "instance"):
+                a, b = getattr(got, name)[f], getattr(want, name)[f]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (oracle, name, f)

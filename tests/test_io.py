@@ -221,6 +221,32 @@ def test_scan_sequence_frames_must_increase(frames, position, before):
     )
 
 
+class TestFrozenSequence:
+    """The frame order checked when a sequence is built holds for its life."""
+
+    def test_scans_and_poses_are_tuples_that_cannot_be_edited(self):
+        seq = generate_sequence(SceneSpec(seed=3, num_frames=3))
+        assert type(seq.scans) is type(seq.poses) is type(seq.tracks) is tuple
+        with pytest.raises(AttributeError):
+            seq.scans.insert(2, seq.scans[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.scans = seq.scans[:1]
+
+    def test_replace_checks_the_order_again(self):
+        seq = generate_sequence(SceneSpec(seed=3, num_frames=3))
+        with pytest.raises(ParameterError, match="position 2 holds frame 1 after frame 1"):
+            dataclasses.replace(seq, scans=seq.scans[:2] + seq.scans[1:2], poses=seq.poses)
+
+    def test_iterables_are_stored_as_tuples(self):
+        scans = (LidarScan(np.zeros((2, 3)), f) for f in (0, 1))
+        seq = ScanSequence(scans, [Pose.identity()] * 2, ClassMap((1,), (3,)))
+        assert type(seq.scans) is tuple and [s.frame_index for s in seq.scans] == [0, 1]
+
+    def test_no_scans_rejected(self):
+        with pytest.raises(ParameterError, match="a sequence needs at least one scan"):
+            ScanSequence((), (), ClassMap((1,), (3,)))
+
+
 class TestSequenceRoundTrip:
     def test_save_load(self, tmp_path):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
@@ -237,7 +263,8 @@ class TestSequenceRoundTrip:
 
     def test_partly_labelled_round_trip(self, tmp_path):
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
-        seq.scans[1] = dataclasses.replace(seq.scans[1], semantic=None, instance=None)
+        unlabelled = dataclasses.replace(seq.scans[1], semantic=None, instance=None)
+        seq = dataclasses.replace(seq, scans=(seq.scans[0], unlabelled, seq.scans[2]))
         out = str(tmp_path / "seq")
         created = save_sequence(seq, out)
         assert kitti_io.label_path(out, 1) not in created
@@ -252,7 +279,7 @@ class TestSequenceRoundTrip:
         seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
         points = seq.scans[2].points.copy()
         points[4, 0] = 1e39
-        seq.scans[2] = dataclasses.replace(seq.scans[2], points=points)
+        seq = dataclasses.replace(seq, scans=seq.scans[:2] + (dataclasses.replace(seq.scans[2], points=points),))
         out = tmp_path / "seq"
         with pytest.raises(ParameterError, match=r"000002.bin: record 4 \[inf, "):
             save_sequence(seq, str(out))
@@ -266,6 +293,30 @@ class TestSequenceRoundTrip:
             save_sequence(seq, str(out))
         assert f"frame 2 ({kitti_io.label_path(str(out), 2)})" in str(info.value)
         assert not out.exists()
+
+    def test_rewrite_of_the_same_sequence_succeeds(self, tmp_path):
+        seq = generate_sequence(SceneSpec(seed=5, num_frames=3))
+        out = str(tmp_path / "seq")
+        assert save_sequence(seq, out) == save_sequence(seq, out)
+
+    @pytest.mark.parametrize(
+        "num_frames, write_labels, stray, name",
+        [(3, True, "velodyne", "000003.bin"), (4, False, "labels", "000000.label")],
+    )
+    def test_files_of_another_sequence_fail_before_any_write(
+        self, tmp_path, num_frames, write_labels, stray, name
+    ):
+        """A scan, or a label file, that the new sequence would not overwrite."""
+        out = tmp_path / "seq"
+        save_sequence(generate_sequence(SceneSpec(seed=1, num_frames=4)), str(out))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        seq = generate_sequence(SceneSpec(seed=2, num_frames=num_frames))
+        with pytest.raises(ParameterError) as info:
+            save_sequence(seq, str(out), write_labels=write_labels)
+        assert str(info.value) == (
+            f"{out / stray}: {name!r} is not a file of this sequence; write it to a new directory"
+        )
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(FormatError):

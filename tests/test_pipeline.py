@@ -163,9 +163,10 @@ def test_model_predictor_deterministic(small):
     predict = model_predictor(model, cfg)
     a = predict(seq.scans[:2], seq.poses[:2], [0, 1])
     b = predict(seq.scans[:2], seq.poses[:2], [0, 1])
-    for f in (0, 1):
-        np.testing.assert_array_equal(a.semantic[f], b.semantic[f])
-        np.testing.assert_array_equal(a.instance[f], b.instance[f])
+    points = seq.scans[0].num_points + seq.scans[1].num_points
+    for x, y in zip(a, b):
+        assert x.shape == (points,) and x.dtype == np.int64
+        np.testing.assert_array_equal(x, y)
 
 
 def test_production_defaults_forward_pass():
@@ -199,7 +200,7 @@ def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, use_dbscan):
     cfg, seq, model = small
     dbscan_calls, extract_calls, windows = [], [], []
     real_dbscan, real_extract = inference.dbscan, pipeline.extract_panoptic
-    real_cut = pipeline.frame_labels
+    real_cut = inference.frame_labels
 
     def dbscan_spy(*args, **kwargs):
         dbscan_calls.append(args[0].shape[0])
@@ -210,12 +211,12 @@ def test_one_dbscan_call_per_window(small, monkeypatch, min_pts, use_dbscan):
         return real_extract(*args, **kwargs)
 
     def cut_spy(*args, **kwargs):
-        windows.append(args[3])
+        windows.append([s.frame_index for s in args[2]])
         return real_cut(*args, **kwargs)
 
     monkeypatch.setattr(inference, "dbscan", dbscan_spy)
     monkeypatch.setattr(pipeline, "extract_panoptic", extract_spy)
-    monkeypatch.setattr(pipeline, "frame_labels", cut_spy)
+    monkeypatch.setattr(inference, "frame_labels", cut_spy)
     run_cfg = dataclasses.replace(
         cfg, window=2, stride=1, dbscan_min_pts=min_pts, use_dbscan=use_dbscan
     )

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import inspect
 import itertools
@@ -145,17 +144,19 @@ def emptied(scan):
 
 
 def empty_scans(seq):
-    seq.scans[2:] = [emptied(scan) for scan in seq.scans[2:]]
+    return dataclasses.replace(seq, scans=seq.scans[:2] + tuple(emptied(scan) for scan in seq.scans[2:]))
 
 
 def non_finite_point(seq):
     points = seq.scans[3].points.copy()
     points[5] = np.nan
-    seq.scans[3] = dataclasses.replace(seq.scans[3], points=points)
+    scan = dataclasses.replace(seq.scans[3], points=points)
+    return dataclasses.replace(seq, scans=seq.scans[:3] + (scan,))
 
 
 def reflected_pose(seq):
-    seq.poses[3] = Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+    pose = Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+    return dataclasses.replace(seq, poses=seq.poses[:3] + (pose,))
 
 
 @pytest.mark.parametrize(
@@ -176,7 +177,7 @@ def test_bad_last_window_fails_before_the_first_step(corrupt, error, message, op
     )
     cfg = tiny_cfg(steps=4, train_stride=2)  # windows (0, 1) and (2, 3)
     with pytest.raises(error, match=message):
-        corrupt(seq)
+        seq = corrupt(seq)
         train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
     assert optimizer_steps == []
 
@@ -202,7 +203,8 @@ def test_planar_scene_trains():
     """A desk training on a scene whose points all lie at z = 0 completes:
     its boxes are normalized by the window context's floored extent."""
     seq = desk_scene()
-    seq.scans[:] = [dataclasses.replace(s, points=np.column_stack([s.points[:, :2], np.zeros(s.num_points)])) for s in seq.scans]
+    flat = [dataclasses.replace(s, points=np.column_stack([s.points[:, :2], np.zeros(s.num_points)])) for s in seq.scans]
+    seq = dataclasses.replace(seq, scans=flat)
     cfg = desk_preset(steps=2)
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     result = train_model(model, seq, cfg, log_every=0)
@@ -210,8 +212,8 @@ def test_planar_scene_trains():
 
 
 def test_empty_window_fails_naming_its_frames(tiny_seq):
-    seq = copy.deepcopy(tiny_seq)
-    seq.scans[:2] = [emptied(scan) for scan in seq.scans[:2]]
+    scans = [emptied(scan) for scan in tiny_seq.scans[:2]] + list(tiny_seq.scans[2:])
+    seq = dataclasses.replace(tiny_seq, scans=scans)
     cfg = tiny_cfg(steps=2)
     with pytest.raises(EmptyInstanceError, match=r"window frames \[0, 1\]: no points"):
         train_model(PanopticModel(cfg.model_config(), init_seed=0), seq, cfg, log_every=0)
@@ -338,8 +340,8 @@ def test_csv_columns(tiny_seq):
 
 def test_unlabeled_sequence_rejected(tiny_seq):
     """The error names the sequence and its first frame without labels."""
-    seq = copy.deepcopy(tiny_seq)
-    seq.scans[1:] = [dataclasses.replace(scan, semantic=None) for scan in seq.scans[1:]]
+    scans = [tiny_seq.scans[0]] + [dataclasses.replace(s, semantic=None) for s in tiny_seq.scans[1:]]
+    seq = dataclasses.replace(tiny_seq, scans=scans)
     model = PanopticModel(tiny_cfg().model_config(), init_seed=0)
     with pytest.raises(ParameterError, match="training sequence 1: frame 1 has no labels"):
         train_model(model, [tiny_seq, seq], tiny_cfg())
