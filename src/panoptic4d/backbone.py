@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ParameterError, ShapeError
-from .geometry import VoxelGrid, pool_coords
+from .errors import ShapeError
+from .geometry import VoxelGrid, WindowContext, pool_coords
 from .nn import MLP, collect_parameters
 
 if TYPE_CHECKING:
@@ -47,20 +47,16 @@ class FeaturePyramid:
         return len(self.levels)
 
 
-def seed_features(grid: VoxelGrid, window_frames: list[int]) -> np.ndarray:
+def seed_features(grid: VoxelGrid, ctx: WindowContext) -> np.ndarray:
     """Per-voxel input features: position inside the voxel, time, and density.
 
     The geometric part is translation invariant (offset of the centroid from
     the voxel corner, in voxel units); the mean frame index is normalized to
-    [0, 1] over the window; the member count enters log-scaled.
+    [0, 1] over the window's frame span; the member count enters log-scaled.
     """
-    if not window_frames:
-        raise ParameterError("window_frames must be non-empty")
     corner = grid.voxel_coords * grid.voxel_size
     offset = (grid.voxel_centroids - corner) / grid.voxel_size
-    f0, f1 = min(window_frames), max(window_frames)
-    span = max(1, f1 - f0)
-    frame_feat = (grid.voxel_frame - f0) / span
+    frame_feat = (grid.voxel_frame - ctx.frame_lo) / ctx.frame_span
     counts = np.bincount(grid.point_to_voxel, minlength=grid.num_voxels).astype(np.float64)
     return np.column_stack([offset, frame_feat, np.log1p(counts)])
 

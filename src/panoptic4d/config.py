@@ -13,9 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ParameterError, domain
-from .heads import LossWeights
-from .model import ModelConfig, project
-from .optim import OneCycleSchedule
+from .model import ModelConfig
 from .synth import SceneSpec
 
 
@@ -24,20 +22,20 @@ class RunConfig(ModelConfig):
     """Model fields (inherited, listed first) plus training and inference."""
 
     model_seed: int = field(default=0, metadata=domain(0))
-    # training; the schedule and loss-weight fields take their domains from
-    # OneCycleSchedule and LossWeights, which __post_init__ builds
-    steps: int = 2000
+    # training: AdamW under the one-cycle schedule of optim.one_cycle_lr
+    steps: int = field(default=2000, metadata=domain(1))
     batch_size: int = field(default=1, metadata=domain(1))
-    max_lr: float = 2e-4
-    warmup_frac: float = 0.3
+    max_lr: float = field(default=2e-4, metadata=domain(0, above=True))
+    warmup_frac: float = field(default=0.3, metadata=domain(0, 1))
     weight_decay: float = field(default=0.01, metadata=domain(0))
     beta1: float = field(default=0.9, metadata=domain(0, 1, below=True))
     beta2: float = field(default=0.999, metadata=domain(0, 1, below=True))
-    lambda_dice: float = LossWeights.lambda_dice
-    lambda_bce: float = LossWeights.lambda_bce
-    lambda_ce: float = LossWeights.lambda_ce
-    lambda_box: float = LossWeights.lambda_box
-    no_object_weight: float = LossWeights.no_object_weight
+    # loss-term weights; the box term applies when use_box_loss is set
+    lambda_dice: float = field(default=2.0, metadata=domain(0))
+    lambda_bce: float = field(default=5.0, metadata=domain(0))
+    lambda_ce: float = field(default=2.0, metadata=domain(0))
+    lambda_box: float = field(default=1.0, metadata=domain(0))
+    no_object_weight: float = field(default=0.1, metadata=domain(0))
     use_box_loss: bool = True
     train_stride: int = field(default=1, metadata=domain(1))
     train_seed: int = field(default=0, metadata=domain(0))
@@ -53,23 +51,14 @@ class RunConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.window > 1 and self.stride >= self.window:
-            raise ParameterError(
-                f"stride {self.stride} must be in [1, window) for window {self.window}"
-            )
-        project(LossWeights, self)  # lambda_box too, whether or not use_box_loss
-        self.schedule()
+        # inference windows overlap, or are single scans one frame apart
+        if self.stride > max(1, self.window - 1):
+            allowed = "1" if self.window == 1 else "in [1, window)"
+            raise ParameterError(f"stride {self.stride} must be {allowed} for window {self.window}")
 
     def model_config(self) -> ModelConfig:
-        return project(ModelConfig, self)
-
-    def schedule(self) -> OneCycleSchedule:
-        return OneCycleSchedule(self.max_lr, self.steps, self.warmup_frac)
-
-    def loss_weights(self) -> LossWeights:
-        return project(
-            LossWeights, self, lambda_box=self.lambda_box if self.use_box_loss else 0.0
-        )
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        return ModelConfig(**{name: getattr(self, name) for name in names})
 
 
 def desk_preset(**overrides) -> RunConfig:

@@ -3,19 +3,22 @@ target construction, Hungarian matching, and the loss stack.
 
 The matching cost combines the mask losses (dice + binary cross-entropy) with
 the classification cross-entropy; the box term is deliberately excluded from
-matching and only enters the training loss for matched thing targets.
+matching and only enters the training loss for matched thing targets. A
+mask's BCE is always averaged over the window's voxels, in the matching cost
+and the loss alike (as in Mask2Former). The term weights are RunConfig fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import FeaturePyramid
-from .errors import CapacityError, ContractError, ParameterError, ShapeError, check_fields, domain
+from .errors import CapacityError, ContractError, ParameterError, ShapeError
 from .geometry import (
     SuperimposedCloud,
     VoxelGrid,
@@ -26,6 +29,9 @@ from .geometry import (
 )
 from .nn import MLP, LayerNorm, Linear, collect_parameters
 from .sequence import ClassMap
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 EPS = 1e-7
 
@@ -170,21 +176,6 @@ def build_targets(
 # losses
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Loss-term weights. A mask's BCE is always averaged over the window's
-    voxels, in the matching cost and the loss alike (as in Mask2Former)."""
-
-    lambda_dice: float = field(default=2.0, metadata=domain(0))
-    lambda_bce: float = field(default=5.0, metadata=domain(0))
-    lambda_ce: float = field(default=2.0, metadata=domain(0))
-    lambda_box: float = field(default=1.0, metadata=domain(0))
-    no_object_weight: float = field(default=0.1, metadata=domain(0))
-
-    def __post_init__(self):
-        check_fields(self)
-
-
 def ce_loss(class_logits: Tensor, target_classes: np.ndarray) -> Tensor:
     """Per-row cross-entropy -log p[target]; returns a vector of losses."""
     target_classes = np.asarray(target_classes, dtype=np.int64).reshape(-1)
@@ -272,9 +263,10 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
 
 
 def matching_cost_matrix(
-    output: MaskModuleOutput, targets: Targets, weights: LossWeights
+    output: MaskModuleOutput, targets: Targets, cfg: RunConfig
 ) -> np.ndarray:
-    """(num_targets, N_q) cost matrix of dice + BCE + classification terms."""
+    """(num_targets, N_q) cost matrix of dice + BCE + classification terms,
+    weighted by the run config's lambdas."""
     sig = output.heatmap_sigmoid()  # (N_q, K0)
     probs = output.class_probs()
     k0 = sig.shape[1]
@@ -287,19 +279,19 @@ def matching_cost_matrix(
     bce = -(log_p @ masks.T + log_n @ (1.0 - masks).T)
     bce /= k0
     ce = -np.log(probs[:, targets.class_index] + EPS)  # (N_q, T)
-    cost = weights.lambda_dice * dice + weights.lambda_bce * bce + weights.lambda_ce * ce
+    cost = cfg.lambda_dice * dice + cfg.lambda_bce * bce + cfg.lambda_ce * ce
     return cost.T  # rows = targets
 
 
 def hungarian_match(
-    output: MaskModuleOutput, targets: Targets, weights: LossWeights
+    output: MaskModuleOutput, targets: Targets, cfg: RunConfig
 ) -> MatchResult:
     """Globally optimal one-to-one target-to-query assignment; every target is
     matched, leftover queries later count as "no object"."""
     nq = output.num_queries
     if len(targets) == 0:
         return MatchResult(pairs=[], num_queries=nq)
-    cost = matching_cost_matrix(output, targets, weights)
+    cost = matching_cost_matrix(output, targets, cfg)
     pairs = solve_assignment(cost)  # (target, query)
     return MatchResult(pairs=sorted((q, t) for t, q in pairs), num_queries=nq)
 
@@ -335,10 +327,12 @@ def total_loss(
     outputs: list[MaskModuleOutput],
     targets: Targets,
     match: MatchResult,
-    weights: LossWeights,
+    cfg: RunConfig,
 ) -> tuple[Tensor, LossBreakdown]:
     """Deep-supervised loss: the matched assignment is applied to every
-    intermediate output and the per-output losses are summed.
+    intermediate output and the per-output losses are summed, each term
+    weighted by the run config. The box term applies when use_box_loss is
+    set and lambda_box > 0.
 
     The outputs are stacked, row q of output l at row l * N_q + q, so every
     term is built once over the matched (or unmatched) rows of all outputs.
@@ -374,12 +368,12 @@ def total_loss(
             ad.log((1.0 - sig) + EPS), 1.0 - masks
         )
         bce_vec = ad.mul(ad.neg(ad.tsum(bce_elems, axis=1)), 1.0 / k0)
-        per_row = [("dice", dice_vec, weights.lambda_dice), ("bce", bce_vec, weights.lambda_bce)]
+        per_row = [("dice", dice_vec, cfg.lambda_dice), ("bce", bce_vec, cfg.lambda_bce)]
         things = targets.is_thing[target]
-        if things.any() and weights.lambda_box > 0:
+        if things.any() and cfg.use_box_loss and cfg.lambda_box > 0:
             bt = np.tile(targets.boxes[target[things]], (num_out, 1))
             box_vec = box_l1_loss(rows("boxes", matched[things]), bt)
-            per_row.append(("box", box_vec, weights.lambda_box))
+            per_row.append(("box", box_vec, cfg.lambda_box))
         for name, vec, lam in per_row:
             terms.append(ad.mul(ad.tsum(vec), lam / norm))
             parts[name] = final(vec) * (lam / norm)
@@ -389,8 +383,8 @@ def total_loss(
     ce_vec = ce_loss(
         rows("class_logits", np.concatenate([matched, free])), np.tile(classes, num_out)
     )
-    w_ce = weights.lambda_ce / norm
-    w_free = weights.no_object_weight * weights.lambda_ce / norm
+    w_ce = cfg.lambda_ce / norm
+    w_free = cfg.no_object_weight * cfg.lambda_ce / norm
     row_weights = np.array([w_ce] * matched.size + [w_free] * free.size)
     terms.append(ad.tsum(ad.mul(ce_vec, np.tile(row_weights, num_out))))
     parts["ce"] = final(ce_vec, 0, matched.size) * w_ce

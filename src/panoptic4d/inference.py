@@ -370,8 +370,10 @@ def run_sequence(
     CapacityError before the next window is predicted.
     """
     windows = sequence_windows(sequence, window, stride)
-    # only windows that actually form need to overlap
-    if len(windows) > 1 and window > 1 and stride >= window:
+    # only windows that actually form need to overlap, or for single scans abut
+    if len(windows) > 1 and stride > max(1, window - 1):
+        if window == 1:
+            raise ParameterError(f"stride {stride} must be 1 for window 1 so no frame is skipped")
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 
     result = SequenceLabels()

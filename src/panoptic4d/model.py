@@ -4,7 +4,6 @@ mask predictions, plus checkpoint save/load with an embedded config.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,13 +16,6 @@ from .errors import ParameterError, check_fields, domain
 from .geometry import LidarScan, Pose, SuperimposedCloud, VoxelGrid, WindowContext, superimpose, voxelize
 from .heads import MaskModule, MaskModuleOutput, Targets, build_targets
 from .sequence import ClassMap
-
-
-def project(cls, obj, **overrides):
-    """An instance of dataclass cls holding obj's values of cls's fields."""
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
-    values.update(overrides)
-    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -94,14 +86,8 @@ def prepare_window(
     if transform is not None:
         cloud.points = transform(cloud.points)
     grid = voxelize(cloud, voxel_size)
-    return WindowData(
-        frames=frames,
-        scans=scans,
-        cloud=cloud,
-        grid=grid,
-        seed=seed_features(grid, frames),
-        ctx=WindowContext(*cloud.extent(), min(frames), max(frames)),
-    )
+    ctx = WindowContext(*cloud.extent(), min(frames), max(frames))
+    return WindowData(frames, scans, cloud, grid, seed_features(grid, ctx), ctx)
 
 
 @dataclass

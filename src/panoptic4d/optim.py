@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError, FormatError, ParameterError, check_fields, domain
+from .errors import ContractError, FormatError, ParameterError
 
 CHECKPOINT_MAGIC = b"P4DMODEL"
 CHECKPOINT_VERSION = 1
@@ -116,38 +116,28 @@ class AdamW:
         self._grads.fill(0.0)
 
 
-@dataclass(frozen=True)
-class OneCycleSchedule:
-    """Cosine warmup to max_lr, then cosine anneal to a much lower floor."""
+# The one-cycle schedule warms up from max_lr / ONE_CYCLE_DIV_START and
+# anneals to max_lr / ONE_CYCLE_DIV_END.
+ONE_CYCLE_DIV_START = 25.0
+ONE_CYCLE_DIV_END = 1e4
 
-    max_lr: float = field(metadata=domain(0, above=True))
-    steps: int = field(metadata=domain(1))
-    warmup_frac: float = field(default=0.3, metadata=domain(0, 1))
-    div_start: float = field(default=25.0, metadata=domain(1))
-    div_end: float = field(default=1e4, metadata=domain(1))
 
-    def __post_init__(self):
-        check_fields(self)
-
-    @property
-    def warmup_steps(self) -> int:
-        return int(round(self.warmup_frac * (self.steps - 1)))
-
-    def lr(self, step: int) -> float:
-        if not 0 <= step < self.steps:
-            raise ParameterError(
-                f"step {step} outside schedule of {self.steps} steps"
-            )
-        warm = self.warmup_steps
-        if step <= warm:
-            lo, hi = self.max_lr / self.div_start, self.max_lr
-            t = 1.0 if warm == 0 else step / warm
-            # cosine ramp lo -> hi
-            return hi + (lo - hi) * (1.0 + np.cos(np.pi * t)) / 2.0
-        lo, hi = self.max_lr / self.div_end, self.max_lr
-        span = self.steps - 1 - warm
-        t = 1.0 if span == 0 else (step - warm) / span
-        return lo + (hi - lo) * (1.0 + np.cos(np.pi * t)) / 2.0
+def one_cycle_lr(step: int, steps: int, max_lr: float, warmup_frac: float) -> float:
+    """Learning rate of step in [0, steps): a cosine warmup to max_lr over
+    the first round(warmup_frac * (steps - 1)) steps, then a cosine anneal
+    to a much lower floor."""
+    if not 0 <= step < steps:
+        raise ParameterError(f"step {step} outside schedule of {steps} steps")
+    warm = int(round(warmup_frac * (steps - 1)))
+    if step <= warm:
+        lo, hi = max_lr / ONE_CYCLE_DIV_START, max_lr
+        t = 1.0 if warm == 0 else step / warm
+        # cosine ramp lo -> hi
+        return hi + (lo - hi) * (1.0 + np.cos(np.pi * t)) / 2.0
+    lo, hi = max_lr / ONE_CYCLE_DIV_END, max_lr
+    span = steps - 1 - warm
+    t = 1.0 if span == 0 else (step - warm) / span
+    return lo + (hi - lo) * (1.0 + np.cos(np.pi * t)) / 2.0
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor | np.ndarray], config_text: str = "") -> None:

@@ -15,24 +15,15 @@ from . import autodiff as ad
 from .config import RunConfig, config_to_text, config_from_text
 from .errors import CapacityError, EmptyInstanceError, ParameterError
 from .geometry import rot_z
-from .heads import hungarian_match, label_pairs, total_loss
+from .heads import LossBreakdown, hungarian_match, label_pairs, total_loss
 from .model import PanopticModel, point_labels, prepare_window
 from .nn import load_parameters
-from .optim import AdamW, load_checkpoint, save_checkpoint
+from .optim import AdamW, load_checkpoint, one_cycle_lr, save_checkpoint
 from .sequence import ScanSequence, sequence_windows
 
 log = logging.getLogger(__name__)
 
-LOSS_CSV_COLUMNS = [
-    "step",
-    "lr",
-    "loss_total",
-    "loss_dice",
-    "loss_bce",
-    "loss_ce",
-    "loss_box",
-    "loss_no_object",
-]
+LOSS_CSV_COLUMNS = ["step", "lr", *LossBreakdown().as_row()]
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,8 +77,9 @@ def train_model(
     log_every: int = 100,
 ) -> TrainResult:
     """Optimize the model on one or more sequences under a single schedule;
-    returns the per-step loss trace. One pass first checks each window, with
-    no voxels (its scans and poses are valid by construction): it has points
+    returns the per-step loss trace, each row the mean over the step's batch
+    of windows, as the step optimises it. One pass first checks each window,
+    with no voxels (its scans and poses are valid by construction): it has points
     and at most `num_queries` distinct labelled (class, instance) pairs. The
     pairs bound the targets under any augmentation, so no step fails later;
     a window is rejected on its pairs even if its voxel winners would fit."""
@@ -118,14 +110,12 @@ def train_model(
         beta2=cfg.beta2,
         weight_decay=cfg.weight_decay,
     )
-    sched = cfg.schedule()
-    weights = cfg.loss_weights()
 
     result = TrainResult()
     for step in range(cfg.steps):
-        lr = sched.lr(step)
+        lr = one_cycle_lr(step, cfg.steps, cfg.max_lr, cfg.warmup_frac)
         opt.zero_grad()
-        breakdown = None
+        window_rows = []
         for b in range(cfg.batch_size):
             scans, poses = windows[(step * cfg.batch_size + b) % len(windows)]
             data = prepare_window(scans, poses, cfg.voxel_size, transform=augmentation(cfg, rng))
@@ -136,20 +126,23 @@ def train_model(
                 and np.all(np.isfinite(fwd.final.class_logits.values))
             ):
                 raise TrainingDiverged(step, data.frames, {"forward": "non-finite outputs"})
-            match = hungarian_match(fwd.final, targets, weights)
-            loss, breakdown = total_loss(fwd.outputs, targets, match, weights)
+            match = hungarian_match(fwd.final, targets, cfg)
+            loss, breakdown = total_loss(fwd.outputs, targets, match, cfg)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(step, data.frames, breakdown.as_row())
             if cfg.batch_size > 1:
                 loss = ad.mul(loss, 1.0 / cfg.batch_size)
             ad.backward(loss)
+            window_rows.append(breakdown.as_row())
         opt.step(lr)
+        # the batch mean the step optimised: each term summed in window order
         row = {"step": float(step), "lr": lr}
-        row.update(breakdown.as_row())
+        for key in window_rows[0]:
+            row[key] = sum(r[key] for r in window_rows) / cfg.batch_size
         result.rows.append(row)
-        result.final_loss = breakdown.total
+        result.final_loss = row["loss_total"]
         if log_every and step % log_every == 0:
-            log.info("step %d lr %.3g loss %.4f", step, lr, breakdown.total)
+            log.info("step %d lr %.3g loss %.4f", step, lr, result.final_loss)
     return result
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +19,14 @@ import panoptic4d.autodiff as ad
 from panoptic4d.autodiff import Tensor
 from panoptic4d.backbone import FeaturePyramid, seed_features
 from panoptic4d.config import RunConfig
-from panoptic4d.errors import CapacityError, ContractError, ParameterError, ShapeError
+from panoptic4d.errors import (
+    CapacityError,
+    ContractError,
+    ParameterError,
+    ShapeError,
+    check_fields,
+    domain,
+)
 from panoptic4d.geometry import (
     LidarScan,
     Pose,
@@ -35,7 +43,6 @@ from panoptic4d.geometry import (
 from panoptic4d.heads import (
     EPS,
     LossBreakdown,
-    LossWeights,
     MaskModuleOutput,
     MatchResult,
     Targets,
@@ -757,7 +764,7 @@ def _single_output_loss(
     output: MaskModuleOutput,
     targets: Targets,
     match: MatchResult,
-    weights: LossWeights,
+    cfg: RunConfig,
 ) -> tuple[Tensor, dict[str, float]]:
     norm = float(max(1, len(targets)))
     num_classes = output.class_logits.shape[1] - 1
@@ -781,20 +788,20 @@ def _single_output_loss(
         bce_vec = ad.mul(ad.neg(ad.tsum(bce_elems, axis=1)), 1.0 / k0)
         ce_vec = ce_loss(ad.gather_rows(output.class_logits, q_idx), classes)
 
-        dice_term = ad.mul(ad.tsum(dice_vec), weights.lambda_dice / norm)
-        bce_term = ad.mul(ad.tsum(bce_vec), weights.lambda_bce / norm)
-        ce_term = ad.mul(ad.tsum(ce_vec), weights.lambda_ce / norm)
+        dice_term = ad.mul(ad.tsum(dice_vec), cfg.lambda_dice / norm)
+        bce_term = ad.mul(ad.tsum(bce_vec), cfg.lambda_bce / norm)
+        ce_term = ad.mul(ad.tsum(ce_vec), cfg.lambda_ce / norm)
         terms += [dice_term, bce_term, ce_term]
         parts["dice"] = dice_term.item()
         parts["bce"] = bce_term.item()
         parts["ce"] = ce_term.item()
 
         thing_pairs = [(q, t) for q, t in match.pairs if targets.instance_id[t] > 0]
-        if thing_pairs and weights.lambda_box > 0:
+        if thing_pairs and cfg.use_box_loss and cfg.lambda_box > 0:
             bq = np.array([q for q, _ in thing_pairs], dtype=np.int64)
             bt = np.stack([targets.boxes[t] for _, t in thing_pairs])
             box_vec = box_l1_loss(ad.gather_rows(output.boxes, bq), bt)
-            box_term = ad.mul(ad.tsum(box_vec), weights.lambda_box / norm)
+            box_term = ad.mul(ad.tsum(box_vec), cfg.lambda_box / norm)
             terms.append(box_term)
             parts["box"] = box_term.item()
 
@@ -803,7 +810,7 @@ def _single_output_loss(
         no_obj = np.full(free.size, num_classes, dtype=np.int64)
         noobj_vec = ce_loss(ad.gather_rows(output.class_logits, free), no_obj)
         noobj_term = ad.mul(
-            ad.tsum(noobj_vec), weights.no_object_weight * weights.lambda_ce / norm
+            ad.tsum(noobj_vec), cfg.no_object_weight * cfg.lambda_ce / norm
         )
         terms.append(noobj_term)
         parts["no_object"] = noobj_term.item()
@@ -820,7 +827,7 @@ def loop_total_loss(
     outputs: list[MaskModuleOutput],
     targets: Targets,
     match: MatchResult,
-    weights: LossWeights,
+    cfg: RunConfig,
 ) -> tuple[Tensor, LossBreakdown]:
     """Deep-supervised loss: the matched assignment is applied to every
     intermediate output and the per-output losses are summed."""
@@ -829,7 +836,7 @@ def loop_total_loss(
     total: Tensor | None = None
     last_parts: dict[str, float] = {}
     for output in outputs:
-        loss, parts = _single_output_loss(output, targets, match, weights)
+        loss, parts = _single_output_loss(output, targets, match, cfg)
         total = loss if total is None else ad.add(total, loss)
         last_parts = parts
     breakdown = LossBreakdown(total=total.item(), **last_parts)
@@ -894,6 +901,40 @@ def whole_array_adamw_step(
     a += eps
     np.multiply(np.divide(m, bc1, out=b), lr, out=b)
     values -= np.divide(b, a, out=b)
+
+
+@dataclass(frozen=True)
+class OneCycleSchedule:
+    """Cosine warmup to max_lr, then cosine anneal to a much lower floor."""
+
+    max_lr: float = field(metadata=domain(0, above=True))
+    steps: int = field(metadata=domain(1))
+    warmup_frac: float = field(default=0.3, metadata=domain(0, 1))
+    div_start: float = field(default=25.0, metadata=domain(1))
+    div_end: float = field(default=1e4, metadata=domain(1))
+
+    def __post_init__(self):
+        check_fields(self)
+
+    @property
+    def warmup_steps(self) -> int:
+        return int(round(self.warmup_frac * (self.steps - 1)))
+
+    def lr(self, step: int) -> float:
+        if not 0 <= step < self.steps:
+            raise ParameterError(
+                f"step {step} outside schedule of {self.steps} steps"
+            )
+        warm = self.warmup_steps
+        if step <= warm:
+            lo, hi = self.max_lr / self.div_start, self.max_lr
+            t = 1.0 if warm == 0 else step / warm
+            # cosine ramp lo -> hi
+            return hi + (lo - hi) * (1.0 + np.cos(np.pi * t)) / 2.0
+        lo, hi = self.max_lr / self.div_end, self.max_lr
+        span = self.steps - 1 - warm
+        t = 1.0 if span == 0 else (step - warm) / span
+        return lo + (hi - lo) * (1.0 + np.cos(np.pi * t)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -1266,7 +1307,7 @@ def _augmented_window(
         scans=scans,
         cloud=cloud,
         grid=grid,
-        seed=seed_features(grid, frames),
+        seed=seed_features(grid, ctx),
         ctx=ctx,
     )
 
@@ -1282,7 +1323,9 @@ def two_path_run_sequence(
     through stitch. The predictor returns per-frame SequenceLabels, as for
     per_frame_run_sequence."""
     windows = sequence_windows(sequence, window, stride)
-    # only windows that actually form need to overlap
+    # only windows that actually form need to overlap, or for single scans abut
+    if len(windows) > 1 and window == 1 and stride > 1:
+        raise ParameterError(f"stride {stride} must be 1 for window 1 so no frame is skipped")
     if len(windows) > 1 and window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 
@@ -1417,7 +1460,9 @@ def per_frame_run_sequence(
     CapacityError before the next window is predicted.
     """
     windows = sequence_windows(sequence, window, stride)
-    # only windows that actually form need to overlap
+    # only windows that actually form need to overlap, or for single scans abut
+    if len(windows) > 1 and window == 1 and stride > 1:
+        raise ParameterError(f"stride {stride} must be 1 for window 1 so no frame is skipped")
     if len(windows) > 1 and window > 1 and stride >= window:
         raise ParameterError(f"stride {stride} must be < window {window} so windows overlap")
 

@@ -17,7 +17,6 @@ from panoptic4d.cli import run_ablation
 from panoptic4d.config import desk_preset
 from panoptic4d.geometry import LidarScan, Pose
 from panoptic4d.heads import (
-    LossWeights,
     MaskModuleOutput,
     Targets,
     hungarian_match,
@@ -173,12 +172,12 @@ def test_criterion_3_gradient_integrity():
         assert data.grid.num_voxels == 20
         targets = model.window_targets(data)
         assert len(targets) == 2
-        weights = LossWeights()
-        match = hungarian_match(model.forward(data).final, targets, weights)
+        loss_cfg = desk_preset()
+        match = hungarian_match(model.forward(data).final, targets, loss_cfg)
 
         def model_loss():
             fwd = model.forward(data)
-            loss, _ = total_loss(fwd.outputs, targets, match, weights)
+            loss, _ = total_loss(fwd.outputs, targets, match, loss_cfg)
             return loss
 
         params = list(model.parameters().values())
@@ -338,9 +337,9 @@ def test_criterion_8_permutation_invariance():
                 instance_id=np.array([1, 2, 0]),
                 boxes=np.stack([box, box, np.zeros(6)]),
             )
-            weights = LossWeights()
-            match = hungarian_match(out, targets, weights)
-            loss, _ = total_loss([out], targets, match, weights)
+            loss_cfg = desk_preset()
+            match = hungarian_match(out, targets, loss_cfg)
+            loss, _ = total_loss([out], targets, match, loss_cfg)
 
             perm = rng.permutation(out.num_queries)
             out_p = MaskModuleOutput(
@@ -348,8 +347,8 @@ def test_criterion_8_permutation_invariance():
                 class_logits=Tensor(out.class_logits.values[perm]),
                 boxes=Tensor(out.boxes.values[perm]),
             )
-            match_p = hungarian_match(out_p, targets, weights)
-            loss_p, _ = total_loss([out_p], targets, match_p, weights)
+            match_p = hungarian_match(out_p, targets, loss_cfg)
+            loss_p, _ = total_loss([out_p], targets, match_p, loss_cfg)
             assert loss_p.item() == pytest.approx(loss.item(), abs=1e-9)
 
             scans = sized_scans([0, 1], [40, 40])

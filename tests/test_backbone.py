@@ -4,7 +4,7 @@ import pytest
 from panoptic4d.autodiff import Tensor, tsum, mul
 from panoptic4d.backbone import Backbone, seed_features
 from panoptic4d.errors import ParameterError, ShapeError
-from panoptic4d.geometry import LidarScan, Pose, superimpose, voxelize
+from panoptic4d.geometry import LidarScan, Pose, WindowContext, superimpose, voxelize
 from panoptic4d.model import ModelConfig
 
 from oracles import finite_difference_check, loop_pyramid_geometry
@@ -24,15 +24,20 @@ def grid_from_points(pts, voxel_size=1.0, frames=None):
     return cloud, voxelize(cloud, voxel_size)
 
 
+def frame_context(lo=0, hi=0):
+    """A window context over frames lo..hi; seed_features reads only those."""
+    return WindowContext(np.zeros(3), np.ones(3), lo, hi)
+
+
 class TestSeedFeatures:
     def test_corner_point_zero_offset(self):
         _, grid = grid_from_points([[2.0, 3.0, -1.0]])
-        seed = seed_features(grid, [0])
+        seed = seed_features(grid, frame_context())
         np.testing.assert_allclose(seed[0, :3], [0.0, 0.0, 0.0])
 
     def test_single_frame_time_feature_zero(self):
         _, grid = grid_from_points([[0.3, 0.3, 0.3]])
-        seed = seed_features(grid, [0])
+        seed = seed_features(grid, frame_context())
         assert seed[0, 3] == 0.0
 
     def test_translation_invariance(self):
@@ -40,12 +45,18 @@ class TestSeedFeatures:
         _, g1 = grid_from_points(offsets)
         _, g2 = grid_from_points(offsets + np.array([7.0, -3.0, 2.0]))
         np.testing.assert_allclose(
-            seed_features(g1, [0]), seed_features(g2, [0]), atol=1e-12
+            seed_features(g1, frame_context()), seed_features(g2, frame_context()), atol=1e-12
         )
+
+    def test_time_feature_spans_the_context_frames(self):
+        pts = np.array([[[0.1, 0.1, 0.1]], [[1.5, 0.1, 0.1]], [[3.5, 0.1, 0.1]]])
+        _, grid = grid_from_points(pts, frames=[2, 3, 5])
+        seed = seed_features(grid, frame_context(2, 5))
+        assert seed[:, 3].tolist() == [0.0, 1 / 3, 1.0]
 
     def test_count_feature_log_scaled(self):
         _, grid = grid_from_points([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3, 0.3]])
-        seed = seed_features(grid, [0])
+        seed = seed_features(grid, frame_context())
         assert seed[0, 4] == pytest.approx(np.log1p(3))
 
 
@@ -54,7 +65,7 @@ class TestExtract:
         rng = np.random.default_rng(0)
         _, grid = grid_from_points(rng.uniform(0, 5, size=(12, 3)))
         bb = Backbone(rng, ModelConfig(backbone_depth=1, backbone_widths=(7,)))
-        seed = Tensor(seed_features(grid, [0]))
+        seed = Tensor(seed_features(grid, frame_context()))
         pyr = bb.extract(grid, seed)
         assert pyr.depth == 1
         assert pyr.levels[0].features.shape == (grid.num_voxels, 7)
@@ -81,7 +92,7 @@ class TestExtract:
         pts = rng.uniform(-20, 20, size=(200, 3))
         _, grid = grid_from_points(pts, voxel_size=1.0)
         bb = Backbone(rng, ModelConfig(backbone_depth=3, backbone_widths=(4, 5, 6)))
-        pyr = bb.extract(grid, Tensor(seed_features(grid, [0])))
+        pyr = bb.extract(grid, Tensor(seed_features(grid, frame_context())))
         for r in range(3):
             expected = {tuple(c) for c in grid.voxel_coords // (2**r)}
             got = {tuple(c) for c in pyr.levels[r].coords}
@@ -99,7 +110,7 @@ class TestExtract:
         pts = rng.uniform(-9, 9, size=(3, 60, 3))
         cloud, grid = grid_from_points(pts, voxel_size=0.7, frames=[2, 3, 5])
         bb = Backbone(rng, ModelConfig(backbone_depth=4, backbone_widths=(3, 3, 3, 3)))
-        pyr = bb.extract(grid, Tensor(seed_features(grid, [2, 3, 5])))
+        pyr = bb.extract(grid, Tensor(seed_features(grid, frame_context(2, 5))))
         coords, parent_maps, positions, frames = loop_pyramid_geometry(cloud, 0.7, 4)
         for r, level in enumerate(pyr.levels):
             assert np.array_equal(level.coords, coords[r])
@@ -116,8 +127,8 @@ class TestExtract:
         _, g1 = grid_from_points(pts, voxel_size=1.0)
         _, g2 = grid_from_points(pts + 4.0, voxel_size=1.0)  # shift by 4 voxels
         bb = Backbone(rng, ModelConfig(backbone_depth=3, backbone_widths=(4, 4, 4)))
-        p1 = bb.extract(g1, Tensor(seed_features(g1, [0])))
-        p2 = bb.extract(g2, Tensor(seed_features(g2, [0])))
+        p1 = bb.extract(g1, Tensor(seed_features(g1, frame_context())))
+        p2 = bb.extract(g2, Tensor(seed_features(g2, frame_context())))
         k1 = [lvl.coords.shape[0] for lvl in p1.levels]
         k2 = [lvl.coords.shape[0] for lvl in p2.levels]
         assert k1 == k2
@@ -129,7 +140,7 @@ class TestExtract:
         _, grid = grid_from_points(pts, voxel_size=1.0)
         bb = Backbone(rng, ModelConfig(backbone_depth=2, backbone_widths=(3, 4)))
         params = list(bb.parameters().values())
-        seed = Tensor(seed_features(grid, [0]))
+        seed = Tensor(seed_features(grid, frame_context()))
 
         def loss():
             pyr = bb.extract(grid, seed)

@@ -665,6 +665,32 @@ def test_infer_overrides_are_validated_together(workspace, tmp_path):
     assert len(os.listdir(tmp_path / "pred" / "labels")) == 3
 
 
+def test_infer_single_scan_windows_need_stride_one(workspace, tmp_path, monkeypatch, capsys):
+    # window 1, stride 3 used to label only some frames and exit 0
+    from panoptic4d.model import PanopticModel
+
+    calls = []
+    forward = PanopticModel.forward
+
+    def counting_forward(self, window):
+        calls.append(window.frames)
+        return forward(self, window)
+
+    monkeypatch.setattr(PanopticModel, "forward", counting_forward)
+    out = tmp_path / "pred"
+    rc = main(
+        [
+            "infer", "--checkpoint", str(workspace / "train" / "model.ckpt"),
+            "--sequence", str(workspace / "seq"), "--window", "1", "--stride", "3",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert calls == []
+    assert "stride 3 must be 1 for window 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infer_window_longer_than_sequence(workspace, tmp_path):
     # window 4, stride 3 on the 3-scan sequence: one window, nothing to overlap
     out = tmp_path / "pred"

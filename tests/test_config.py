@@ -15,9 +15,8 @@ from panoptic4d.config import (
     save_config,
 )
 from panoptic4d.errors import FormatError, ParameterError
-from panoptic4d.heads import LossWeights
 from panoptic4d.model import ModelConfig
-from panoptic4d.optim import OneCycleSchedule, load_checkpoint
+from panoptic4d.optim import load_checkpoint, one_cycle_lr
 from panoptic4d.synth import SceneSpec
 from panoptic4d.training import load_model
 
@@ -84,15 +83,37 @@ def test_stride_validation():
         RunConfig(window=2, stride=2)
 
 
-def test_loss_weights_respect_box_switch():
-    cfg = desk_preset(use_box_loss=False, lambda_box=3.0)
-    assert cfg.loss_weights().lambda_box == 0.0
-    cfg = desk_preset(use_box_loss=True, lambda_box=3.0)
-    assert cfg.loss_weights().lambda_box == 3.0
+def test_window_one_needs_stride_one():
+    with pytest.raises(ParameterError, match=r"^stride 3 must be 1 for window 1$"):
+        RunConfig(window=1, stride=3)
+    assert RunConfig(window=1, stride=1, train_stride=3).train_stride == 3
 
 
-def test_loss_weight_defaults_match_loss_weights():
-    assert RunConfig().loss_weights() == LossWeights()
+def test_training_defaults():
+    cfg = RunConfig()
+    assert (cfg.steps, cfg.max_lr, cfg.warmup_frac) == (2000, 2e-4, 0.3)
+    weights = (cfg.lambda_dice, cfg.lambda_bce, cfg.lambda_ce, cfg.lambda_box, cfg.no_object_weight)
+    assert weights == (2.0, 5.0, 2.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("steps = 0\n", "steps must be >= 1, got 0"),
+        ("max_lr = 0.0\n", "max_lr must be > 0, got 0.0"),
+        ("warmup_frac = 1.5\n", "warmup_frac must be in [0, 1], got 1.5"),
+        ("warmup_frac = -0.1\n", "warmup_frac must be in [0, 1], got -0.1"),
+        ("lambda_bce = -1.0\n", "lambda_bce must be >= 0, got -1.0"),
+        ("lambda_ce = -0.5\n", "lambda_ce must be >= 0, got -0.5"),
+        ("use_box_loss = false\nlambda_box = -1.0\n", "lambda_box must be >= 0, got -1.0"),
+        ("no_object_weight = -0.1\n", "no_object_weight must be >= 0, got -0.1"),
+        ("max_lr = inf\n", "max_lr must be finite, got inf"),
+    ],
+)
+def test_training_field_messages(text, message):
+    with pytest.raises(ParameterError) as info:
+        config_from_text(RunConfig, text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -168,23 +189,11 @@ def test_bad_values_rejected_on_load_naming_the_key(text, key):
 # ---------------------------------------------------------------------------
 # one range rule: every numeric field is checked, each domain at both ends
 
-CHECKED_CLASSES = [RunConfig, SceneSpec, LossWeights, OneCycleSchedule]
-# RunConfig copies these fields and builds the classes that declare their domains
-BUILT_FIELDS = {f.name: f for cls in (LossWeights, OneCycleSchedule) for f in dataclasses.fields(cls)}
+CHECKED_CLASSES = [RunConfig, SceneSpec]
 # float fields whose every finite value is usable
 FINITE_ONLY = {"ego_speed", "ego_turn_rate", "min_object_separation"}
-# values a config needs besides the one under test: fields without a default,
-# and what a boundary value needs to meet the cross-field rules
-REQUIRED = {OneCycleSchedule: {"max_lr": "0.001", "steps": "10"}}
+# what a boundary value needs to meet the cross-field rules
 CONTEXT = {"dim": {"num_heads": "1"}, "backbone_depth": {"backbone_widths": "32"}}
-
-
-def _domain(cls, f):
-    if "domain" in f.metadata:
-        return f.metadata["domain"]
-    if cls is RunConfig and f.name in BUILT_FIELDS:
-        return BUILT_FIELDS[f.name].metadata.get("domain")
-    return None
 
 
 @pytest.mark.parametrize("cls", CHECKED_CLASSES, ids=lambda c: c.__name__)
@@ -192,7 +201,7 @@ def test_every_numeric_field_declares_its_check(cls):
     """So a new int or float field cannot arrive unchecked."""
     for f in dataclasses.fields(cls):
         if f.type in ("int", "float") and f.name not in FINITE_ONLY:
-            assert _domain(cls, f) is not None, f"{cls.__name__}.{f.name} declares no domain"
+            assert "domain" in f.metadata, f"{cls.__name__}.{f.name} declares no domain"
     finite_only = {f.name: f.type for f in dataclasses.fields(SceneSpec) if f.name in FINITE_ONLY}
     assert finite_only == dict.fromkeys(FINITE_ONLY, "float")
 
@@ -208,7 +217,7 @@ def _domain_cases():
     inside an open one) for every declared domain and each of its ends."""
     for cls in CHECKED_CLASSES:
         for f in dataclasses.fields(cls):
-            bounds = _domain(cls, f)
+            bounds = f.metadata.get("domain")
             if bounds is None:
                 continue
             lo, hi, above, below = bounds
@@ -222,7 +231,7 @@ DOMAIN_CASES = list(_domain_cases())
 
 
 def _config_text(cls, key, value) -> str:
-    values = {**REQUIRED.get(cls, {}), **CONTEXT.get(key, {})}
+    values = dict(CONTEXT.get(key, {}))
     default = next(f.default for f in dataclasses.fields(cls) if f.name == key)
     text = repr(value) if isinstance(value, float) else str(value)
     values[key] = ",".join([text] * len(default)) if isinstance(default, tuple) else text
@@ -242,7 +251,8 @@ def test_values_just_outside_a_domain_fail_naming_the_key_and_its_ends_load(cls,
 
 def test_domain_cases_cover_the_bounds_this_rule_added():
     keys = {(cls, key) for cls, key, _ in DOMAIN_CASES}
-    assert {(RunConfig, "no_object_weight"), (LossWeights, "no_object_weight")} <= keys
+    moved = {"no_object_weight", "lambda_box", "steps", "max_lr", "warmup_frac"}
+    assert {(RunConfig, key) for key in moved} <= keys
     assert {(SceneSpec, "arena_extent"), (SceneSpec, "object_speed_range")} <= keys
 
 
@@ -250,17 +260,14 @@ def test_domain_cases_cover_the_bounds_this_rule_added():
     "cls, key",
     [
         (cls, f.name)
-        for cls in (SceneSpec, LossWeights, OneCycleSchedule)
+        for cls in CHECKED_CLASSES
         for f in dataclasses.fields(cls)
         if "float" in f.type
     ],
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_floats_fail_naming_the_key(cls, key, value):
-    values = {**REQUIRED.get(cls, {}), key: value}
-    if key == "object_speed_range":
-        values[key] = f"0.2,{value}"
-    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    text = f"{key} = 0.2,{value}\n" if key == "object_speed_range" else f"{key} = {value}\n"
     with pytest.raises(ParameterError, match=rf"^{key} must be finite, got {value}"):
         config_from_text(cls, text)
 
@@ -269,7 +276,7 @@ def test_training_value_boundaries_load():
     cfg = config_from_text(
         RunConfig, "beta1 = 0.0\nbeta2 = 0.0\nweight_decay = 0.0\nwarmup_frac = 1.0\nsteps = 1\n"
     )
-    assert cfg.schedule().steps == 1
+    assert one_cycle_lr(0, cfg.steps, cfg.max_lr, cfg.warmup_frac) == cfg.max_lr
 
 
 # every checked-in config file with the loader its kind needs

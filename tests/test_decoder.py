@@ -45,7 +45,7 @@ def small_setup(seed=0, depth=2, widths=(6, 8), dim=8, heads=2, rounds=1, nq=3, 
     refiner = QueryRefiner(rng, cfg)
     mask_module = MaskModule(rng, dim=dim, finest_width=widths[0], num_classes=2)
     bias = Tensor(rng.normal(size=dim), requires_grad=True)
-    pyramid = bb.extract(grid, Tensor(seed_features(grid, [0])))
+    pyramid = bb.extract(grid, Tensor(seed_features(grid, CTX)))
     queries = init_queries(grid, nq, enc, bias, CTX, seed=0)
     return rng, grid, cfg, bb, enc, refiner, mask_module, bias, pyramid, queries
 
@@ -276,7 +276,7 @@ class TestRefine:
         some = {k: params[k] for k in list(params)[:2]}
 
         def loss():
-            pyr = bb.extract(grid, Tensor(seed_features(grid, [0])))
+            pyr = bb.extract(grid, Tensor(seed_features(grid, CTX)))
             qs = init_queries(grid, 3, enc, bias, CTX, seed=0)
             outputs = refiner.refine(qs, pyr, mm, enc, CTX)
             return ad.tmean(outputs[-1].heatmap_logits)

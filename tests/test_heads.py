@@ -8,7 +8,6 @@ from panoptic4d.autodiff import Tensor, backward
 from panoptic4d.errors import CapacityError, ContractError, ShapeError
 from panoptic4d.geometry import superimpose, voxelize, LidarScan, Pose, WindowContext
 from panoptic4d.heads import (
-    LossWeights,
     MaskModuleOutput,
     MatchResult,
     Targets,
@@ -71,7 +70,7 @@ class TestLosses:
         target on mask [1, 0]."""
         out = output_from_arrays(np.array([heat], dtype=np.float64), np.zeros((1, 2)))
         targets = table(segment([1, 0]))
-        return total_loss([out], targets, MatchResult([(0, 0)], 1), LossWeights())
+        return total_loss([out], targets, MatchResult([(0, 0)], 1), desk_preset())
 
     def test_dice_perfect(self):
         _, parts = self.one_pair([800.0, -800.0])
@@ -79,15 +78,15 @@ class TestLosses:
 
     def test_dice_disjoint(self):
         _, parts = self.one_pair([-800.0, 800.0])
-        assert parts.dice == pytest.approx(LossWeights.lambda_dice, abs=1e-6)
+        assert parts.dice == pytest.approx(desk_preset().lambda_dice, abs=1e-6)
 
     def test_dice_half(self):
         _, parts = self.one_pair([0.0, 0.0])
-        assert parts.dice == pytest.approx(0.5 * LossWeights.lambda_dice, abs=1e-6)
+        assert parts.dice == pytest.approx(0.5 * desk_preset().lambda_dice, abs=1e-6)
 
     def test_bce_at_half(self):
         _, parts = self.one_pair([0.0, 0.0])
-        assert parts.bce == pytest.approx(np.log(2) * LossWeights.lambda_bce, abs=1e-5)
+        assert parts.bce == pytest.approx(np.log(2) * desk_preset().lambda_bce, abs=1e-5)
 
     def test_ce_uniform(self):
         v = ce_loss(Tensor(np.zeros((2, 3))), np.array([0, 2]))
@@ -169,7 +168,7 @@ class TestHungarianMatch:
         out = output_from_arrays(np.zeros((1, 4)), np.zeros((1, 3)))
         targets = table(segment([1, 0, 0, 0]), segment([0, 1, 0, 0]))
         with pytest.raises(CapacityError):
-            hungarian_match(out, targets, LossWeights())
+            hungarian_match(out, targets, desk_preset())
 
     def test_matches_obvious_masks(self):
         heat = np.array([[9.0, 9.0, -9.0, -9.0], [-9.0, -9.0, 9.0, 9.0]])
@@ -179,7 +178,7 @@ class TestHungarianMatch:
             segment([0, 0, 1, 1], class_index=1, box=[0.5] * 6, instance_id=1),
             segment([1, 1, 0, 0], class_index=0),
         )
-        match = hungarian_match(out, targets, LossWeights())
+        match = hungarian_match(out, targets, desk_preset())
         assert sorted(match.pairs) == [(0, 1), (1, 0)]
         assert match.unmatched_queries().size == 0
 
@@ -187,14 +186,14 @@ class TestHungarianMatch:
         heat = np.array([[0.3, -0.7, 1.2, 0.1]])
         out = output_from_arrays(heat, np.zeros((1, 3)))
         t = table(segment([1, 0, 1, 0]))
-        lw = LossWeights()
+        cfg = desk_preset()
         p = 1 / (1 + np.exp(-heat[0]))
         g = np.array([1.0, 0, 1.0, 0])
         dice = 1 - 2 * (p * g).sum() / (p.sum() + g.sum() + 1e-7)
         bce = -(g * np.log(p + 1e-7) + (1 - g) * np.log(1 - p + 1e-7))
         ce = -np.log(1 / 3 + 1e-7)  # uniform class probabilities
-        want = lw.lambda_dice * dice + lw.lambda_bce * bce.mean() + lw.lambda_ce * ce
-        assert matching_cost_matrix(out, t, lw)[0, 0] == pytest.approx(want, abs=1e-12)
+        want = cfg.lambda_dice * dice + cfg.lambda_bce * bce.mean() + cfg.lambda_ce * ce
+        assert matching_cost_matrix(out, t, cfg)[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_box_cost_excluded(self):
         heat = np.array([[2.0, -2.0], [-2.0, 2.0]])
@@ -203,8 +202,8 @@ class TestHungarianMatch:
         a = output_from_arrays(heat, cls, boxes=np.zeros((2, 6)))
         b = output_from_arrays(heat, cls, boxes=np.ones((2, 6)))
         np.testing.assert_array_equal(
-            matching_cost_matrix(a, t, LossWeights()),
-            matching_cost_matrix(b, t, LossWeights()),
+            matching_cost_matrix(a, t, desk_preset()),
+            matching_cost_matrix(b, t, desk_preset()),
         )
 
 
@@ -326,12 +325,12 @@ class TestBuildTargetsMatchesLoop:
         # every query is free: the loss is the no-object term alone
         rng = np.random.default_rng(0)
         out = output_from_arrays(rng.normal(size=(3, grid.num_voxels)), rng.normal(size=(3, 5)))
-        weights = LossWeights()
-        match = hungarian_match(out, targets, weights)
+        cfg = desk_preset()
+        match = hungarian_match(out, targets, cfg)
         assert match.pairs == [] and match.unmatched_queries().tolist() == [0, 1, 2]
-        loss, parts = total_loss([out], targets, match, weights)
+        loss, parts = total_loss([out], targets, match, cfg)
         no_object = ce_loss(out.class_logits, np.full(3, 4)).values.sum()
-        want = no_object * weights.no_object_weight * weights.lambda_ce
+        want = no_object * cfg.no_object_weight * cfg.lambda_ce
         assert parts.no_object == pytest.approx(want, rel=1e-12)
         assert (parts.dice, parts.bce, parts.ce, parts.box) == (0.0, 0.0, 0.0, 0.0)
         assert loss.item() == parts.total == pytest.approx(want, rel=1e-12)
@@ -392,22 +391,26 @@ class TestTotalLoss:
 
     def test_perfect_prediction_near_zero(self):
         out, targets = self.perfect_case()
-        weights = LossWeights()
-        match = hungarian_match(out, targets, weights)
-        loss, breakdown = total_loss([out], targets, match, weights)
+        cfg = desk_preset()
+        match = hungarian_match(out, targets, cfg)
+        loss, breakdown = total_loss([out], targets, match, cfg)
         assert loss.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_box_ablation_switch(self):
         out, targets = self.perfect_case()
         out.boxes = Tensor(np.zeros((2, 6)))  # wrong boxes now
-        w_on = LossWeights(lambda_box=1.0)
-        w_off = LossWeights(lambda_box=0.0)
+        w_on = desk_preset(lambda_box=1.0)
+        w_off = desk_preset(lambda_box=0.0)
         match = hungarian_match(out, targets, w_on)
         loss_on, bd_on = total_loss([out], targets, match, w_on)
         loss_off, bd_off = total_loss([out], targets, match, w_off)
         assert bd_off.box == 0.0
         assert bd_on.box > 0
         assert loss_on.item() == pytest.approx(loss_off.item() + bd_on.box)
+        # the switch turns the term off whatever lambda_box holds
+        switched = desk_preset(lambda_box=3.0, use_box_loss=False)
+        loss_sw, bd_sw = total_loss([out], targets, match, switched)
+        assert bd_sw.as_row() == bd_off.as_row() and loss_sw.item() == loss_off.item()
 
     def test_deep_supervision_sums(self):
         out, targets = self.perfect_case()
@@ -415,11 +418,11 @@ class TestTotalLoss:
         noisy = output_from_arrays(
             rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), np.full((2, 6), 0.5)
         )
-        weights = LossWeights()
-        match = hungarian_match(out, targets, weights)
-        l1, _ = total_loss([out], targets, match, weights)
-        l2, _ = total_loss([noisy], targets, match, weights)
-        l12, _ = total_loss([out, noisy], targets, match, weights)
+        cfg = desk_preset()
+        match = hungarian_match(out, targets, cfg)
+        l1, _ = total_loss([out], targets, match, cfg)
+        l2, _ = total_loss([noisy], targets, match, cfg)
+        l12, _ = total_loss([out, noisy], targets, match, cfg)
         assert l12.item() == pytest.approx(l1.item() + l2.item(), rel=1e-12)
 
     def test_permutation_invariance(self):
@@ -438,14 +441,14 @@ class TestTotalLoss:
                 segment(masks[1], class_index=1, box=[0.6] * 6, instance_id=2),
                 segment(masks[2], class_index=2),
             )
-            weights = LossWeights()
-            match = hungarian_match(out, targets, weights)
-            loss, _ = total_loss([out], targets, match, weights)
+            cfg = desk_preset()
+            match = hungarian_match(out, targets, cfg)
+            loss, _ = total_loss([out], targets, match, cfg)
 
             perm = rng.permutation(nq)
             out_p = output_from_arrays(heat[perm], cls[perm], boxes[perm])
-            match_p = hungarian_match(out_p, targets, weights)
-            loss_p, _ = total_loss([out_p], targets, match_p, weights)
+            match_p = hungarian_match(out_p, targets, cfg)
+            loss_p, _ = total_loss([out_p], targets, match_p, cfg)
             assert loss_p.item() == pytest.approx(loss.item(), abs=1e-9)
 
     def test_target_reorder_invariance(self):
@@ -457,9 +460,9 @@ class TestTotalLoss:
         masks[2][6:] = 1
         t1 = table(segment(masks[0], 0), segment(masks[1], 1), segment(masks[2], 0))
         t2 = table(segment(masks[2], 0), segment(masks[0], 0), segment(masks[1], 1))
-        weights = LossWeights()
-        l1, _ = total_loss([out], t1, hungarian_match(out, t1, weights), weights)
-        l2, _ = total_loss([out], t2, hungarian_match(out, t2, weights), weights)
+        cfg = desk_preset()
+        l1, _ = total_loss([out], t1, hungarian_match(out, t1, cfg), cfg)
+        l2, _ = total_loss([out], t2, hungarian_match(out, t2, cfg), cfg)
         assert l1.item() == pytest.approx(l2.item(), abs=1e-9)
 
     def test_gradient_reaches_logits(self):
@@ -473,9 +476,9 @@ class TestTotalLoss:
         m = np.zeros(6)
         m[:3] = 1
         targets = table(segment(m, 0, box=[0.4] * 6, instance_id=1))
-        weights = LossWeights()
-        match = hungarian_match(out, targets, weights)
-        loss, _ = total_loss([out], targets, match, weights)
+        cfg = desk_preset()
+        match = hungarian_match(out, targets, cfg)
+        loss, _ = total_loss([out], targets, match, cfg)
         backward(loss)
         assert np.abs(heat.grad).max() > 0
         assert np.abs(cls.grad).max() > 0
@@ -517,6 +520,7 @@ LOSS_ORACLE_CASES = {
     "no_free_queries": (7, 3, dict(), [(0, True), (1, False), (2, False)]),
     "stuff_only": (7, 4, dict(), [(1, False), (2, False)]),
     "no_box_weight": (7, 5, dict(lambda_box=0.0), [(0, True), (2, False)]),
+    "box_loss_off": (7, 5, dict(use_box_loss=False), [(0, True), (2, False)]),
 }
 
 
@@ -525,7 +529,7 @@ def test_total_loss_matches_per_output_loop(case):
     """The batched loss against the per-output loop: value, breakdown and
     the gradients of every output's logits and boxes."""
     num_outputs, nq, weight_kw, segments = LOSS_ORACLE_CASES[case]
-    weights = LossWeights(**weight_kw)
+    cfg = desk_preset(**weight_kw)
     for seed in range(3):
         results = []
         for fn in (total_loss, loop_total_loss):
@@ -533,8 +537,8 @@ def test_total_loss_matches_per_output_loop(case):
             outputs = [
                 MaskModuleOutput(heatmap_logits=h, class_logits=c, boxes=b) for h, c, b in leaves
             ]
-            match = hungarian_match(outputs[-1], targets, weights)
-            loss, breakdown = fn(outputs, targets, match, weights)
+            match = hungarian_match(outputs[-1], targets, cfg)
+            loss, breakdown = fn(outputs, targets, match, cfg)
             backward(loss)
             grads = [t.grad for row in leaves for t in row]
             results.append((loss.item(), breakdown.as_row(), grads))

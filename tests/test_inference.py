@@ -869,6 +869,19 @@ class TestRunSequence:
         with pytest.raises(ParameterError):
             run_sequence(gt_stub_predictor(), seq, window=2, stride=2)
 
+    def test_single_scan_windows_need_stride_one(self):
+        # stride 3 used to label frames 0, 3 and the last one only
+        seq = self.make_sequence()
+        calls = []
+
+        def counting(scans, poses, frames):
+            calls.append(frames)
+            return gt_stub_predictor()(scans, poses, frames)
+
+        with pytest.raises(ParameterError, match="^stride 3 must be 1 for window 1 so no frame"):
+            run_sequence(counting, seq, window=1, stride=3)
+        assert calls == []
+
     def test_zero_stride_is_a_parameter_error(self):
         seq = self.make_sequence()
         for window in (1, 2):

@@ -7,12 +7,12 @@ from panoptic4d.nn import load_parameters
 from panoptic4d.optim import (
     STEP_CHUNK,
     AdamW,
-    OneCycleSchedule,
     load_checkpoint,
+    one_cycle_lr,
     save_checkpoint,
 )
 
-from oracles import adam_reference, loop_adamw_step, whole_array_adamw_step
+from oracles import OneCycleSchedule, adam_reference, loop_adamw_step, whole_array_adamw_step
 
 
 def make_params(rng, shapes):
@@ -139,16 +139,14 @@ class TestAdamW:
 
 class TestOneCycle:
     def test_endpoints_and_peak(self):
-        sched = OneCycleSchedule(max_lr=1.0, steps=101, warmup_frac=0.3)
-        warm = sched.warmup_steps
-        assert sched.lr(0) == pytest.approx(1.0 / 25.0)
-        assert sched.lr(warm) == pytest.approx(1.0)
-        assert sched.lr(100) == pytest.approx(1.0 / 1e4)
+        warm = 30  # round(0.3 * 100)
+        assert one_cycle_lr(0, 101, 1.0, 0.3) == pytest.approx(1.0 / 25.0)
+        assert one_cycle_lr(warm, 101, 1.0, 0.3) == pytest.approx(1.0)
+        assert one_cycle_lr(100, 101, 1.0, 0.3) == pytest.approx(1.0 / 1e4)
 
     def test_monotone_ramp_then_anneal(self):
-        sched = OneCycleSchedule(max_lr=2e-4, steps=100, warmup_frac=0.3)
-        warm = sched.warmup_steps
-        lrs = [sched.lr(s) for s in range(100)]
+        warm = 30  # round(0.3 * 99)
+        lrs = [one_cycle_lr(s, 100, 2e-4, 0.3) for s in range(100)]
         for s in range(warm):
             assert lrs[s + 1] > lrs[s]
         for s in range(warm, 99):
@@ -156,11 +154,24 @@ class TestOneCycle:
         assert all(lr > 0 for lr in lrs)
 
     def test_out_of_range(self):
-        sched = OneCycleSchedule(max_lr=1.0, steps=10)
+        with pytest.raises(ParameterError, match="step 10 outside schedule of 10 steps"):
+            one_cycle_lr(10, 10, 1.0, 0.3)
         with pytest.raises(ParameterError):
-            sched.lr(10)
-        with pytest.raises(ParameterError):
-            sched.lr(-1)
+            one_cycle_lr(-1, 10, 1.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "steps, warmup_frac",
+        [
+            (1, 0.3), (1, 0.0), (1, 1.0), (2, 0.5), (7, 0.0), (7, 1.0),
+            (10, 0.3), (150, 0.3), (1500, 0.3),
+        ],
+    )
+    def test_matches_the_schedule_class_it_replaced(self, steps, warmup_frac):
+        for max_lr in (1e-3, 2e-4):
+            sched = OneCycleSchedule(max_lr, steps, warmup_frac)
+            for step in range(steps):
+                got = float(one_cycle_lr(step, steps, max_lr, warmup_frac))
+                assert got.hex() == float(sched.lr(step)).hex(), step
 
 
 class TestCheckpoint:

@@ -327,6 +327,32 @@ def test_batch_accumulation_runs(tiny_seq):
     assert len(result.rows) == 4
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_loss_rows_are_batch_means(tiny_seq, monkeypatch, batch_size):
+    """Each row holds the terms of the step's windows, summed in window order
+    and divided by the batch size, as the step optimises them."""
+    windows = []
+
+    def recording(*args):
+        loss, breakdown = total_loss(*args)
+        windows.append(breakdown.as_row())
+        return loss, breakdown
+
+    monkeypatch.setattr(training, "total_loss", recording)
+    cfg = tiny_cfg(steps=2, batch_size=batch_size)
+    result = train_model(PanopticModel(cfg.model_config(), init_seed=0), tiny_seq, cfg)
+    for step, row in enumerate(result.rows):
+        batch = windows[step * batch_size : (step + 1) * batch_size]
+        for key in batch[0]:
+            want = batch[0][key]
+            for other in batch[1:]:
+                want += other[key]
+            assert row[key] == want / batch_size, (step, key)
+    assert result.final_loss == result.rows[-1]["loss_total"]
+    if batch_size > 1:
+        assert len({w["loss_total"] for w in windows[:batch_size]}) > 1
+
+
 def test_csv_columns(tiny_seq):
     cfg = tiny_cfg(steps=2)
     result = train_model(PanopticModel(cfg.model_config(), init_seed=0), tiny_seq, cfg)
@@ -385,19 +411,19 @@ def desk_scene(num_frames: int = 4):
 
 def desk_window():
     """The desk-preset model and the first window of the overfit scene of
-    acceptance criterion 4, with its targets."""
+    acceptance criterion 4, with its targets and the run config."""
     seq = desk_scene()
     cfg = desk_preset()
     model = PanopticModel(cfg.model_config(), init_seed=cfg.model_seed)
     scans, poses = sequence_windows(seq, cfg.window, cfg.train_stride)[0]
     data = prepare_window(scans, poses, cfg.voxel_size)
-    return model, data, model.window_targets(data), cfg.loss_weights()
+    return model, data, model.window_targets(data), cfg
 
 
-def desk_step_loss(model, data, targets, weights):
+def desk_step_loss(model, data, targets, cfg):
     fwd = model.forward(data)
-    match = hungarian_match(fwd.final, targets, weights)
-    loss, _ = total_loss(fwd.outputs, targets, match, weights)
+    match = hungarian_match(fwd.final, targets, cfg)
+    loss, _ = total_loss(fwd.outputs, targets, match, cfg)
     return loss
 
 
